@@ -70,14 +70,6 @@ def conjugate_braid(a, b):
     return b.inverse() * a * b
 
 
-def permutation_of_braid(b):
-    """Underlying permutation: position -> strand after the braid."""
-    perm = list(range(b.strands))
-    for i, _ in b.letters:
-        perm[i - 1], perm[i] = perm[i], perm[i - 1]
-    return perm
-
-
 def linking_matrix(b):
     """Halved signed crossing counts between strand pairs; for a pure braid
     A_{i,j} this is 1 at the pair (i, j) and 0 elsewhere."""

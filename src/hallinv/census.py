@@ -13,9 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .charvar import beta_distribution
+from .charvar import Group
 from .fields import factorize
-from .foxcalc import abelianization
 from .hall import AbelianGroupSpec, delta_abelian, delta_mpqs
 from .oracle import FiniteGroupTable, hom_count
 
@@ -91,21 +90,16 @@ def a_k_Zn(n, k):
                for d in range(1, k + 1) if k % d == 0)
 
 
-def a2_a3(P, *, A=None, beta23=None):
+def a2_a3(G):
     """(a_2, a_3) from homological data: a_2 = 2^{n_2} - 1 and
     a_3 = (3^{n_3} - 1)/2 + 3 delta_{S_3}."""
-    abel = abelianization(P)
-    n2 = abel.b1(2)
-    n3 = abel.b1(3)
-    if beta23 is None:
-        beta23 = beta_distribution(P, 2, 3, A=A)
-    d_s3 = delta_mpqs(P, 2, 3, beta=beta23)
-    a2 = 2 ** n2 - 1
-    a3 = (3 ** n3 - 1) // 2 + 3 * d_s3
+    G = Group.of(G)
+    a2 = 2 ** G.abel.b1(2) - 1
+    a3 = (3 ** G.abel.b1(3) - 1) // 2 + 3 * delta_mpqs(G, 2, 3)
     return a2, a3
 
 
-def a_normal(P, k, *, A=None):
+def a_normal(G, k):
     """Number of index-k normal subgroups, for k prime, p^2, or pq.
 
     These are the indices where every group of order k is abelian or in
@@ -116,7 +110,8 @@ def a_normal(P, k, *, A=None):
         raise ValueError("k must be positive")
     if k == 1:
         return 1
-    abel = abelianization(P)
+    G = Group.of(G)
+    abel = G.abel
     fac = factorize(k)
     primes = sorted(fac)
     if len(primes) == 1:
@@ -140,11 +135,7 @@ def a_normal(P, k, *, A=None):
         m = abel.b1(v)
         total = (u ** n - 1) * (v ** m - 1) // ((u - 1) * (v - 1))
         if (v - 1) % u == 0:
-            beta = beta_distribution(P, u, v, A=A)
-            extra = (u - 1) * sum(c * (v ** d - 1)
-                                  for d, c in beta.counts.items() if d >= 1)
-            assert extra % (v - 1) == 0
-            total += extra // (v - 1)
+            total += delta_mpqs(G, u, v)
         return total
     raise UnsupportedIndexError(
         f"index {k} needs Hall invariants outside the abelian and"
@@ -183,31 +174,30 @@ def _partitions(n):
     yield from rec(n, n)
 
 
-def alpha_k(P, k):
+def alpha_k(G, k):
     """Number of index-k normal subgroups with abelian quotient: the sum of
     the abelian Hall invariants over groups of order k."""
-    abel = abelianization(P)
+    abel = Group.of(G).abel
     return sum(delta_abelian(abel, spec) for spec in abelian_groups_of_order(k))
 
 
-def c_p(P, p, *, a_p=None, budget=10 ** 8):
+def c_p(G, p, *, a_p=None, budget=10 ** 8):
     """Number of conjugacy classes of index-p subgroups:
     (p^n + a_p - 1)/p with n = b_1^{(p)}."""
-    abel = abelianization(P)
-    n = abel.b1(p)
+    G = Group.of(G)
     if a_p is None:
-        a_p = a_k_via_hall_recursion(P, p, budget=budget)
-    total = p ** n + a_p - 1
+        a_p = a_k_via_hall_recursion(G.P, p, budget=budget)
+    total = p ** G.abel.b1(p) + a_p - 1
     assert total % p == 0, "conjugacy-class count not an integer"
     return total // p
 
 
-def a_p_product_with_Z(P, p, *, a_p=None, budget=10 ** 8):
+def a_p_product_with_Z(G, p, *, a_p=None, budget=10 ** 8):
     """Index-p count of G x Z from that of G: a_p(G x Z) = a_p(G) + p^n."""
-    abel = abelianization(P)
+    G = Group.of(G)
     if a_p is None:
-        a_p = a_k_via_hall_recursion(P, p, budget=budget)
-    return a_p + p ** abel.b1(p)
+        a_p = a_k_via_hall_recursion(G.P, p, budget=budget)
+    return a_p + p ** G.abel.b1(p)
 
 
 class CensusReport:
@@ -241,39 +231,37 @@ class CensusReport:
         return out
 
 
-def census(P, k, *, want_all=True, want_normal=True, want_alpha=True,
+def census(G, k, *, want_all=True, want_normal=True, want_alpha=True,
            want_conjugacy=False, budget=10 ** 8):
-    """Assemble a CensusReport; infeasible pieces are recorded as the
-    string 'infeasible' rather than guessed."""
+    """Assemble a CensusReport for G (a presentation or a charvar.Group);
+    infeasible pieces are recorded as the string 'infeasible' rather than
+    guessed."""
     from .oracle import BudgetExceeded
+    G = Group.of(G)
     report = CensusReport(k)
     a_p = None
     if want_all:
-        if k == 2:
-            a2, _ = a2_a3(P)
-            report.add("a_k", a2, "closed-form")
-            a_p = a2
-        elif k == 3:
-            _, a3 = a2_a3(P)
-            report.add("a_k", a3, "closed-form")
-            a_p = a3
+        if k in (2, 3):
+            # a_2 = 2^{n_2} - 1 needs no Betti distribution
+            a_p = 2 ** G.abel.b1(2) - 1 if k == 2 else a2_a3(G)[1]
+            report.add("a_k", a_p, "closed-form")
         else:
             try:
-                a_p = a_k_via_hall_recursion(P, k, budget=budget)
+                a_p = a_k_via_hall_recursion(G.P, k, budget=budget)
                 report.add("a_k", a_p, "hall-recursion")
             except BudgetExceeded:
                 report.add("a_k", "infeasible", "hall-recursion")
                 a_p = None
     if want_normal:
         try:
-            report.add("a_k_normal", a_normal(P, k), "delta-sum")
+            report.add("a_k_normal", a_normal(G, k), "delta-sum")
         except UnsupportedIndexError as e:
             report.add("a_k_normal", f"unsupported: {e}", "delta-sum")
     if want_alpha:
-        report.add("alpha_k", alpha_k(P, k), "abelian-delta-sum")
+        report.add("alpha_k", alpha_k(G, k), "abelian-delta-sum")
     if want_conjugacy:
         if k in factorize(k) and isinstance(a_p, int):
-            report.add("c_k", c_p(P, k, a_p=a_p), "closed-form")
+            report.add("c_k", c_p(G, k, a_p=a_p), "closed-form")
         elif k in factorize(k):
             report.add("c_k", "infeasible", "closed-form")
         else:

@@ -10,17 +10,24 @@ by summing depths of the powers of the defining character.
 beta_distribution counts order-p characters by depth.  Depth is constant
 on the orbits t -> t^j (1 <= j < p), which all have size exactly p - 1, so
 by default one representative per orbit is evaluated; the slower all-points
-path divides by p - 1 and asserts exactness, and the two must agree.
+path (check_orbits) divides by p - 1 and asserts exactness, and the two
+must agree.
+
+A Group holds what several invariants of one presentation share: the
+abelianization, the Alexander matrix and the Betti distributions already
+asked for.  Callers that combine invariants make one Group per request.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd, lcm
 
 from .fields import (euler_phi, factorize, log_tables,
                      primitive_root_of_unity, reduction_rows,
                      sufficiently_large_field)
-from .foxcalc import alexander_matrix, augmentation_jacobian
+from .foxcalc import (abelianization, alexander_matrix,
+                      augmentation_jacobian)
 from .linalg import rank_over_field
 
 
@@ -474,26 +481,23 @@ def _parallel_depth_tally(A, p, q, exp_vectors, jobs):
     return merged
 
 
-def beta_distribution(P, p, q, *, dedup_orbits=True, check_orbits=False,
-                      A=None, jobs=1):
+def beta_distribution(P, p, q, *, check_orbits=False, A=None, jobs=1):
     """Distribution of mod-q Betti jumps over index-p normal subgroups.
 
     Counts order-p characters by depth over a sufficiently large field of
-    characteristic q.  With dedup_orbits the p-1 powers of each character
-    are enumerated once (they share a kernel and a depth); otherwise all
-    are evaluated and the division by p-1 is asserted exact.  check_orbits
-    additionally verifies that depth really is constant on every orbit.
+    characteristic q, one character per orbit of p-1 powers (they share a
+    kernel and a depth).  check_orbits instead evaluates every character,
+    verifies that depth really is constant on each orbit and asserts the
+    division by p-1 exact.  A= evaluates in the chi basis of that Alexander
+    matrix of P; the counts do not depend on the basis.
     """
     if q == p:
         raise ValueError("q must differ from p")
     if A is None:
         A = alexander_matrix(P)
-    abel = A.abel
-    n_p = abel.b1(p)
-    if check_orbits:
-        dedup_orbits = False
+    n_p = A.abel.b1(p)
     vectors = list(_nonzero_vectors(p, n_p))
-    if dedup_orbits:
+    if not check_orbits:
         vectors = [v for v in vectors if v == _orbit_canonical(v, p)]
     if jobs > 1 and len(vectors) > 64:
         depths = _parallel_depth_tally(A, p, q, vectors, jobs)
@@ -515,7 +519,7 @@ def beta_distribution(P, p, q, *, dedup_orbits=True, check_orbits=False,
     counts = {}
     for d, c in tally.items():
         if d >= 1:
-            if dedup_orbits:
+            if not check_orbits:
                 counts[d] = c
             else:
                 if c % (p - 1):
@@ -525,6 +529,45 @@ def beta_distribution(P, p, q, *, dedup_orbits=True, check_orbits=False,
     total = (p ** n_p - 1) // (p - 1)
     counts[0] = total - sum(counts.values())
     return BettiDistribution(p, q, n_p, counts)
+
+
+class Group:
+    """One presentation's shared invariants, each computed at most once:
+    H_1 (one Smith normal form, shared with the Alexander matrix), the
+    Alexander matrix, and the Betti distributions already asked for, keyed
+    on (p, q).  jobs only spreads the character enumeration over workers;
+    A= fixes the chi basis, as for beta_distribution."""
+
+    def __init__(self, P, *, A=None, jobs=1):
+        self.P = P
+        self.jobs = jobs
+        self._A = A
+        self._betas = {}
+
+    @classmethod
+    def of(cls, G, **kwargs):
+        """G if it is a Group, else a Group of the presentation G."""
+        return G if isinstance(G, cls) else cls(G, **kwargs)
+
+    @cached_property
+    def abel(self):
+        return abelianization(self.P) if self._A is None else self._A.abel
+
+    @property
+    def alexander(self):
+        if self._A is None:
+            self._A = alexander_matrix(self.P, abel=self.abel)
+        return self._A
+
+    def beta(self, p, q, *, check_orbits=False):
+        """beta_distribution(P, p, q); a check_orbits call always
+        recomputes, on the all-points path."""
+        b = None if check_orbits else self._betas.get((p, q))
+        if b is None:
+            b = beta_distribution(self.P, p, q, check_orbits=check_orbits,
+                                  A=self.alexander, jobs=self.jobs)
+            self._betas[p, q] = b
+        return b
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +589,8 @@ def _validate_epimorphism_cyclic(P, N, images):
 def b1_cover_cyclic(P, N, images, q, *, A=None):
     """Mod-q first Betti number of the kernel of the map G -> Z_N sending
     generator j to images[j]: b_1 + sum over nontrivial k | N of
-    phi(k) * depth of the order-k power character."""
+    phi(k) * depth of the order-k power character.  A= evaluates in the
+    chi basis of that Alexander matrix of P."""
     _validate_epimorphism_cyclic(P, N, images)
     if q != 0 and N % q == 0:
         raise ValueError("characteristic divides the cover order")
@@ -588,7 +632,7 @@ def _validate_epimorphism_abelian(P, factors, images):
         raise ValueError("images do not generate the target group")
 
 
-def b1_cover_abelian(P, factors, images, q, *, A=None):
+def b1_cover_abelian(P, factors, images, q):
     """Mod-q first Betti number of the kernel of G -> sum_i Z_{factors[i]},
     generator j mapping to column j of images.
 
@@ -600,8 +644,7 @@ def b1_cover_abelian(P, factors, images, q, *, A=None):
     E = lcm(*factors)
     if q != 0 and E % q == 0:
         raise ValueError("characteristic divides the cover order")
-    if A is None:
-        A = alexander_matrix(P)
+    A = alexander_matrix(P)
     abel = A.abel
     K = sufficiently_large_field(E, q)
     engine = DepthEngine(A, K, E)
@@ -676,10 +719,9 @@ def check_bounds_congruence(b1_base, b1_cover, num_generators, k,
             "modulus": D, "jump": b1_cover - b1_base}
 
 
-def max_depth_of_order_dividing(P, k, q, *, A=None):
+def max_depth_of_order_dividing(P, k, q):
     """sup of depth over nontrivial characters whose order divides k."""
-    if A is None:
-        A = alexander_matrix(P)
+    A = alexander_matrix(P)
     abel = A.abel
     K = sufficiently_large_field(k, q)
     engine = DepthEngine(A, K, k)

@@ -23,8 +23,9 @@ import sys
 
 from .braids import fixture
 from .census import census
-from .charvar import beta_distribution, b1_cover_cyclic
-from .foxcalc import abelianization, alexander_matrix
+from .charvar import Group, b1_cover_cyclic
+from .fields import is_prime
+from .foxcalc import alexander_matrix
 from .hall import construct_mpqs
 from .oracle import (BudgetExceeded, FiniteGroupTable, aut_order, cover_b1,
                      cover_homology, hom_count, regular_cyclic_action)
@@ -66,6 +67,8 @@ def _parse_target(spec):
         return "ab", tuple(int(x) for x in arg.split(","))
     if kind == "mpq":
         p, q = (int(x) for x in arg.split(","))
+        if p == q or not (is_prime(p) and is_prime(q)):
+            raise ValueError(f"{spec}: p and q must be distinct primes")
         return "mpq", (p, q)
     if kind == "sym":
         return "sym", (int(arg),)
@@ -91,6 +94,16 @@ def _target_table(kind, params):
     raise ValueError(f"no table for target kind {kind!r}")
 
 
+def _check_characteristics(args):
+    """--p must be prime and --q zero or a prime, before any work starts."""
+    p = getattr(args, "p", None)
+    if p is not None and not is_prime(p):
+        raise ValueError(f"--p {p}: p must be prime")
+    q = getattr(args, "q", 0)
+    if q and not is_prime(q):
+        raise ValueError(f"--q {q}: q must be 0 or a prime")
+
+
 def _cmd_parse(args):
     P = _load_presentation(args)
     text = render_presentation(P)
@@ -100,8 +113,7 @@ def _cmd_parse(args):
 
 
 def _cmd_abelianize(args):
-    P = _load_presentation(args)
-    abel = abelianization(P)
+    abel = Group(_load_presentation(args)).abel
     payload = {"free_rank": abel.free_rank, "torsion": abel.torsion,
                "b1": {str(q): abel.b1(q) for q in (0, 2, 3, 5, 7)}}
     _emit(args, payload, repr(abel))
@@ -115,29 +127,23 @@ def _cmd_alexander(args):
 
 
 def _cmd_beta(args):
-    P = _load_presentation(args)
-    b = beta_distribution(P, args.p, args.q, jobs=args.jobs,
-                          check_orbits=args.check_orbits)
+    G = Group(_load_presentation(args), jobs=args.jobs)
+    b = G.beta(args.p, args.q, check_orbits=args.check_orbits)
     payload = {"p": b.p, "q": b.q, "n_p": b.n_p,
                "beta": {str(d): c for d, c in sorted(b.counts.items())}}
     _emit(args, payload, repr(b) + f"   (n_p = {b.n_p})")
 
 
 def _cmd_delta(args):
-    P = _load_presentation(args)
     kind, params = _parse_target(args.target)
     if kind not in ("ab", "mpq"):
         raise ValueError("delta targets are ab:... or mpq:p,q")
-    A = alexander_matrix(P) if kind == "mpq" else None
-    payload = {"target": args.target}
+    G = Group(_load_presentation(args), jobs=args.jobs)
+    value, method = delta_of(G, kind, params)
+    payload = {"target": args.target, "delta": value, "method": method}
     if kind == "mpq":
-        p, q = params
-        b = beta_distribution(P, p, q, A=A, jobs=args.jobs)
-        value, method = delta_of(P, kind, params, A=A, jobs=args.jobs)
-        payload["beta"] = {str(d): c for d, c in sorted(b.counts.items())}
-    else:
-        value, method = delta_of(P, kind, params)
-    payload.update({"delta": value, "method": method})
+        payload["beta"] = {str(d): c for d, c
+                           in sorted(G.beta(*params).counts.items())}
     _emit(args, payload, f"delta = {value}   [{method}]")
 
 
@@ -151,8 +157,8 @@ def _cmd_cover(args):
 
 
 def _cmd_census(args):
-    P = _load_presentation(args)
-    report = census(P, args.k,
+    G = Group(_load_presentation(args), jobs=args.jobs)
+    report = census(G, args.k,
                     want_normal=args.normal or args.all_counts,
                     want_alpha=args.abelian_quotient or args.all_counts,
                     want_conjugacy=args.conjugacy,
@@ -178,6 +184,10 @@ def _cmd_arr(args):
 
 
 def _cmd_oracle(args):
+    if not (args.target or args.cover_order):
+        raise ValueError("supply --target or --cover-order")
+    if args.cover_order and not args.cover_images:
+        raise ValueError("--cover-order needs --cover-images")
     P = _load_presentation(args)
     if args.cover_order:
         images = [int(x) for x in args.cover_images.split(",")]
@@ -216,8 +226,6 @@ def main(argv=None):
                         help="emit JSON instead of text")
     common.add_argument("--jobs", type=int, default=1,
                         help="parallel workers for character enumeration")
-    common.add_argument("--deterministic-profile", action="store_true",
-                        default=False, help="force single-worker enumeration")
     common.add_argument("--budget", type=int, default=10 ** 8,
                         help="partial-assignment budget for enumerations")
     parser = argparse.ArgumentParser(
@@ -302,9 +310,8 @@ def main(argv=None):
     s.set_defaults(func=lambda a: _cmd_table(a, table2))
 
     args = parser.parse_args(argv)
-    if args.deterministic_profile:
-        args.jobs = 1
     try:
+        _check_characteristics(args)
         args.func(args)
     except BudgetExceeded as e:
         print(f"infeasible: {e}", file=sys.stderr)

@@ -498,8 +498,12 @@ def rationals():
     return _RATIONALS
 
 
+def is_prime(n):
+    return n >= 2 and all(n % p for p in range(2, int(n ** 0.5) + 1))
+
+
 def prime_field(q):
-    if q < 2 or any(q % p == 0 for p in range(2, int(q ** 0.5) + 1)):
+    if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     return FieldHandle("prime", q, 1, [0, 1])
 

@@ -55,10 +55,6 @@ class FreeRingElement:
     def __sub__(self, other):
         return self + (-other)
 
-    def word_mul(self, w):
-        """Left-multiply every term by the group element w."""
-        return FreeRingElement({w * u: c for u, c in self.terms.items()})
-
     def scale(self, k):
         return FreeRingElement({w: k * c for w, c in self.terms.items()})
 
@@ -194,15 +190,6 @@ class AbelStructure:
         if q == 0:
             return self.free_rank
         return self.free_rank + sum(1 for e in self.torsion if e % q == 0)
-
-    def group_order(self):
-        """Order of H_1 when finite, else None."""
-        if self.free_rank:
-            return None
-        out = 1
-        for e in self.torsion:
-            out *= e
-        return out
 
     def __repr__(self):
         parts = ["Z"] * self.free_rank + [f"Z_{e}" for e in self.torsion]

@@ -1,21 +1,19 @@
 """Hall invariants: counting factor groups of a finitely presented group.
 
-Three computation routes live here.  For a finite abelian target the count
+Two computation routes live here.  For a finite abelian target the count
 is a closed product-formula over primes in partition data (theta sums and
 automorphism orders).  For the split metabelian groups M_{p,q^s} =
 Z_q^s x| Z_p (s the order of q mod p) the count is assembled from the
-distribution of mod-q Betti jumps of index-p normal subgroups.  Eulerian
-and Moebius functions of p-groups, and an explicit lattice fold, cover the
-enumeration-principle identities the tests exercise.
+distribution of mod-q Betti jumps of index-p normal subgroups.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .charvar import beta_distribution
+from .charvar import Group
 from .fields import factor_cyclotomic_mod_q, factorize, multiplicative_order
-from .foxcalc import abelianization, alexander_matrix
+from .foxcalc import abelianization
 from .oracle import FiniteGroupTable
 
 
@@ -201,39 +199,6 @@ def delta_abelian_of(P, factors):
                          AbelianGroupSpec.from_cyclic_factors(factors))
 
 
-def eulerian_pgroup(p, r, s, n):
-    """Number of generating n-tuples of a p-group of order p^r whose
-    Frattini quotient has order p^s."""
-    if not (r >= s >= 0 and n >= 1):
-        raise ValueError("need r >= s >= 0 and n >= 1")
-    out = p ** ((r - s) * n)
-    for i in range(s):
-        out *= p ** n - p ** i
-    return out
-
-
-def mobius_weisner(p, d, contains_frattini):
-    """Moebius function of a subgroup of index p^d in a finite p-group:
-    (-1)^d p^{d(d-1)/2} above the Frattini subgroup, 0 otherwise."""
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    if not contains_frattini:
-        return 0
-    return (-1) ** d * p ** (d * (d - 1) // 2)
-
-
-def hall_enumeration_fold(entries):
-    """Generic Moebius fold: sum of mu(H) * |Hom(G, H)| over an explicitly
-    supplied subgroup lattice."""
-    return sum(mu * hom for mu, hom in entries)
-
-
-# Subgroup lattices with Moebius values for the two targets the index-3
-# count is derived from (each row: order, mu, how many conjugate copies).
-S3_LATTICE = ((6, 1, 1), (3, -1, 1), (2, -1, 3), (1, 3, 1))
-A4_LATTICE = ((12, 1, 1), (4, -1, 1), (3, -1, 4), (2, 0, 3), (1, 4, 1))
-
-
 # ---------------------------------------------------------------------------
 # the metabelian family M_{p,q^s}
 
@@ -345,14 +310,18 @@ def construct_mpqs(p, q, factor_index=0):
     return MetabelianGroup(p, q, factor_index)
 
 
-def delta_mpqs(P, p, q, *, beta=None, A=None, jobs=1):
-    """Hall invariant against M_{p,q^s} from the mod-q Betti distribution:
+def delta_mpqs(G, p, q, *, A=None, jobs=1):
+    """Hall invariant of G (a presentation or a charvar.Group) against
+    M_{p,q^s}, from the mod-q Betti distribution of index-p normal
+    subgroups:
 
         (p - 1) / (s (q^s - 1)) * sum_{d >= 1} beta_{p,d}^{(q)} (q^{sd} - 1).
+
+    For a presentation, A= evaluates in the chi basis of that Alexander
+    matrix and jobs spreads the character enumeration over workers.
     """
+    beta = Group.of(G, A=A, jobs=jobs).beta(p, q)
     s = multiplicative_order(q, p)
-    if beta is None:
-        beta = beta_distribution(P, p, q, A=A, jobs=jobs)
     num = (p - 1) * sum(c * (q ** (s * d) - 1)
                         for d, c in beta.counts.items() if d >= 1)
     den = s * (q ** s - 1)
@@ -360,50 +329,17 @@ def delta_mpqs(P, p, q, *, beta=None, A=None, jobs=1):
     return num // den
 
 
-def hom_epi_count_mpqs(P, p, q, *, A=None, beta=None):
+def hom_epi_count_mpqs(G, p, q):
     """(|Hom|, |Epi|) into M_{p,q^s}, from depths of the order-p characters:
     each rho contributes q^{s(depth+1)} homomorphisms, of which q^s are
     abelian when rho is nontrivial; the trivial rho contributes
     q^{s b_1^{(q)}}.  The nontrivial characters are taken p-1 at a time
     through the Betti distribution, which tallies exactly their depths."""
-    if A is None:
-        A = alexander_matrix(P)
-    abel = A.abel
-    s = multiplicative_order(q, p)
-    if beta is None:
-        beta = beta_distribution(P, p, q, A=A)
-    qs = q ** s
-    hom = qs ** abel.b1(q)  # trivial rho, via depth(1) = b_1^{(q)} - 1
+    G = Group.of(G)
+    qs = q ** multiplicative_order(q, p)
+    hom = qs ** G.abel.b1(q)  # trivial rho, via depth(1) = b_1^{(q)} - 1
     epi = 0
-    for d, count in beta.counts.items():
+    for d, count in G.beta(p, q).counts.items():
         hom += (p - 1) * count * qs ** (d + 1)
         epi += (p - 1) * count * qs * (qs ** d - 1)
     return hom, epi
-
-
-# reference closed forms, used only against delta_mpqs in tests
-
-def delta_free_mpqs(p, q, n):
-    """delta of a free group of rank n against M_{p,q^s}."""
-    s = multiplicative_order(q, p)
-    num = (p ** n - 1) * (q ** (s * (n - 1)) - 1)
-    den = s * (q ** s - 1)
-    assert num % den == 0
-    return num // den
-
-
-def delta_free_metacyclic(p, q, n):
-    """Metacyclic case p | q - 1 (s = 1)."""
-    if (q - 1) % p:
-        raise ValueError("requires p | q - 1")
-    return (p ** n - 1) * (q ** (n - 1) - 1) // (q - 1)
-
-
-def delta_free_alternating4(n):
-    """Target A_4 = M_{3,4}."""
-    return (3 ** n - 1) * (4 ** (n - 1) - 1) // 6
-
-
-def delta_coprime_product(d1, d2):
-    """delta is multiplicative over targets of coprime order."""
-    return d1 * d2

@@ -42,9 +42,6 @@ class IntMatrix:
             cols = len(rows_list[0])
         return cls(rows, cols, [list(r) for r in rows_list])
 
-    def copy(self):
-        return IntMatrix(self.rows, self.cols, self.entries)
-
     def transpose(self):
         return IntMatrix(self.cols, self.rows,
                          [[self.entries[i][j] for i in range(self.rows)]
@@ -288,8 +285,3 @@ def rank_over_field(M, K):
         rank += 1
         col += 1
     return rank
-
-
-def corank_over_field(M, K, n_cols):
-    """Columns minus rank; n_cols must be supplied so empty matrices work."""
-    return n_cols - rank_over_field(M, K)

@@ -110,14 +110,6 @@ class FiniteGroupTable:
                for p in elts]
         return cls(mul, check=False)
 
-    @classmethod
-    def direct_product(cls, T1, T2):
-        n2 = T2.order
-        mul = [[T1.mul[a1][b1] * n2 + T2.mul[a2][b2]
-                for b1 in range(T1.order) for b2 in range(n2)]
-               for a1 in range(T1.order) for a2 in range(n2)]
-        return cls(mul, check=False)
-
     # -- structure queries
 
     def power(self, x, e):

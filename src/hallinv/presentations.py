@@ -378,18 +378,3 @@ def direct_product_with_Z(P, z_name="z"):
     for i in range(len(P.generators)):
         relators.append(commutator(Word.generator(z), Word.generator(i)))
     return Presentation(tuple(P.generators) + (z_name,), relators)
-
-
-def standard_group(family, *params):
-    """Constructor dispatch for the built-in families."""
-    if family == "free":
-        return free_group(*params)
-    if family == "product_of_frees":
-        return product_of_free_groups(params[0] if len(params) == 1 else params)
-    if family == "orientable_surface":
-        return orientable_surface_group(*params)
-    if family == "nonorientable_surface":
-        return nonorientable_surface_group(*params)
-    if family == "direct_product_with_Z":
-        return direct_product_with_Z(*params)
-    raise ValueError(f"unknown family {family!r}")

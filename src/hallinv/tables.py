@@ -5,7 +5,7 @@ plane-arrangement groups against the three classifying targets."""
 from __future__ import annotations
 
 from .braids import fixture
-from .foxcalc import abelianization, alexander_matrix
+from .charvar import Group
 from .hall import AbelianGroupSpec, delta_abelian, delta_mpqs
 
 TABLE1_ROWS = (
@@ -40,16 +40,16 @@ TABLE2_COLUMNS = (("S3", "mpq", (2, 3)), ("A4", "mpq", (3, 2)),
                   ("M37", "mpq", (3, 7)))
 
 
-def delta_of(P, kind, params, *, A=None, jobs=1):
-    """One Hall invariant with its provenance tag."""
+def delta_of(G, kind, params):
+    """One Hall invariant of G (a presentation or a charvar.Group) with
+    its provenance tag."""
+    G = Group.of(G)
     if kind == "ab":
-        value = delta_abelian(abelianization(P),
+        value = delta_abelian(G.abel,
                               AbelianGroupSpec.from_cyclic_factors(params))
         return value, "abelian-partition-formula"
     if kind == "mpq":
-        p, q = params
-        value = delta_mpqs(P, p, q, A=A, jobs=jobs)
-        return value, "metabelian-torsion-count"
+        return delta_mpqs(G, *params), "metabelian-torsion-count"
     raise ValueError(f"unknown target kind {kind!r}")
 
 
@@ -58,11 +58,10 @@ def _table(rows, columns, row_filter=None, jobs=1):
     for label, fixture_name in rows:
         if row_filter is not None and label not in row_filter:
             continue
-        P = fixture(fixture_name)
-        A = alexander_matrix(P)
+        G = Group(fixture(fixture_name), jobs=jobs)
         cells = []
         for col_label, kind, params in columns:
-            value, method = delta_of(P, kind, params, A=A, jobs=jobs)
+            value, method = delta_of(G, kind, params)
             cells.append({"column": col_label, "value": value,
                           "method": method})
         out.append({"row": label, "fixture": fixture_name, "cells": cells})

@@ -12,7 +12,7 @@ import pytest
 from hallinv.braids import fixture
 from hallinv.census import (a2_a3, a_k_Zn, a_k_free, a_k_via_hall_recursion,
                             a_normal, alpha_k)
-from hallinv.charvar import (b1_cover_cyclic, beta_distribution,
+from hallinv.charvar import (Group, b1_cover_cyclic, beta_distribution,
                              check_bounds_congruence,
                              max_depth_of_order_dividing)
 from hallinv.fields import multiplicative_order
@@ -79,18 +79,17 @@ def test_criterion_1_table1():
 
 @_report(2, "braid arrangement: beta_p = (5(p+1)), delta = 5(p^2-1)/s")
 def test_criterion_2_braid_arrangement():
-    P = fixture("braid_arrangement")
-    A = alexander_matrix(P)
+    G = Group(fixture("braid_arrangement"))
     for p in (2, 3, 5):
         for q in (0, 2, 3, 7):
             if q == p:
                 continue
-            b = beta_distribution(P, p, q, A=A)
+            b = G.beta(p, q)
             assert b[1] == 5 * (p + 1), (p, q, b)
             assert all(b[d] == 0 for d in range(2, 8)), (p, q, b)
             if q:
                 s = multiplicative_order(q, p)
-                assert delta_mpqs(P, p, q, beta=b) == 5 * (p * p - 1) // s
+                assert delta_mpqs(G, p, q) == 5 * (p * p - 1) // s
 
 
 # --------------------------------------------------------------------------
@@ -105,9 +104,9 @@ def test_criterion_3_deleted_b3():
         assert beta_distribution(P, 2, q, A=A).positive_part() == (27, 9), q
     for q in (0, 5, 7):
         assert beta_distribution(P, 3, q, A=A).positive_part() == (44, 13), q
-    beta32 = beta_distribution(P, 3, 2, A=A)
-    assert beta32.positive_part() == (45, 13)
-    assert delta_mpqs(P, 3, 2, beta=beta32) == 110
+    G = Group(P, A=A)
+    assert G.beta(3, 2).positive_part() == (45, 13)
+    assert delta_mpqs(G, 3, 2) == 110
     assert delta_mpqs(P, 2, 3, A=A) == 63  # 9(q+4) at q = 3
     # the order-3 character on the translated component (paper's mu, with
     # the y coordinates negated to this presentation's conjugation side)
@@ -360,7 +359,7 @@ def test_criterion_8_property_suites():
         A = alexander_matrix(P)
         abel = A.abel
         for N, q in ((2, 0), (3, 0), (4, 3), (6, 5)):
-            d_sup = max_depth_of_order_dividing(P, N, q, A=A)
+            d_sup = max_depth_of_order_dividing(P, N, q)
             base = abel.b1(q)
             for images in iproduct(range(N), repeat=P.num_generators):
                 try:

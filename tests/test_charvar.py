@@ -1,7 +1,7 @@
 import pytest
 
 from hallinv.charvar import (
-    InvariantViolation, b1_cover_abelian, b1_cover_cyclic, beta_distribution,
+    Group, InvariantViolation, b1_cover_abelian, b1_cover_cyclic, beta_distribution,
     character_from_generator_exponents, check_bounds_congruence, depth,
     enumerate_order_p_characters, max_depth_of_order_dividing,
 )
@@ -216,7 +216,7 @@ def test_cover_bounds_hold_on_enumerated_covers():
         A = alexander_matrix(P)
         abel = A.abel
         for N, q in [(2, 0), (2, 3), (3, 0), (4, 3)]:
-            d_sup = max_depth_of_order_dividing(P, N, q, A=A)
+            d_sup = max_depth_of_order_dividing(P, N, q)
             b1_base = abel.b1(q)
             for images in _all_epis(abel.num_generators, N):
                 try:
@@ -238,6 +238,24 @@ def _all_epis(l, N):
 def test_beta_parallel_matches_serial():
     P = orientable_surface_group(2)
     assert beta(P, 3, 2, jobs=2) == beta(P, 3, 2, jobs=1)
+
+
+def test_group_computes_each_invariant_once(monkeypatch):
+    import hallinv.charvar as charvar
+    tallies = []
+    tally = charvar._depth_tally
+    monkeypatch.setattr(charvar, "_depth_tally",
+                        lambda *a: tallies.append(a) or tally(*a))
+    P = orientable_surface_group(2)
+    G = Group(P)
+    abel = G.abel
+    assert G.alexander.abel is abel and G.alexander is G.alexander
+    b = G.beta(3, 2)
+    assert G.beta(3, 2) is b and len(tallies) == 1
+    # the orbit check always runs on the all-points path
+    assert G.beta(3, 2, check_orbits=True) == b and len(tallies) == 2
+    assert b == beta(P, 3, 2)
+    assert Group.of(G) is G and Group.of(P).P is P
 
 
 def test_depth_engine_matches_elements_on_arrangement_group():

@@ -1,6 +1,13 @@
+import importlib
 import json
+import pkgutil
 
+import pytest
+
+import hallinv
+from hallinv import charvar, foxcalc
 from hallinv.cli import main
+from hallinv.tables import TABLE1_ROWS
 
 
 def run(capsys, *argv):
@@ -109,11 +116,18 @@ def test_budget_exit_code(capsys):
     assert code == 0 or code == 2
 
 
-def test_tables_deterministic(capsys):
-    code, out1, _ = run(capsys, "table1", "--rows", "F2,RP2#3", "--json")
-    assert code == 0
-    code, out2, _ = run(capsys, "table1", "--rows", "F2,RP2#3", "--json",
-                        "--deterministic-profile")
+def test_tables_deterministic(capsys, monkeypatch):
+    # F3xF2 has 121 order-3 character orbits, enough for --jobs 2 to
+    # spread them over a worker pool
+    launches = []
+    parallel = charvar._parallel_depth_tally
+    monkeypatch.setattr(charvar, "_parallel_depth_tally",
+                        lambda *a: launches.append(a) or parallel(*a))
+    code, out1, _ = run(capsys, "table1", "--rows", "F2,F3xF2", "--json")
+    assert code == 0 and not launches
+    code, out2, _ = run(capsys, "table1", "--rows", "F2,F3xF2", "--json",
+                        "--jobs", "2")
+    assert code == 0 and launches
     assert out1 == out2
     payload = json.loads(out1)
     first = payload["table"][0]
@@ -127,3 +141,67 @@ def test_table2_row(capsys):
     assert code == 0
     cells = json.loads(out)["table"][0]["cells"]
     assert [c["value"] for c in cells] == [139, 191, 290]
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--fixture", "free:2"),
+    ("oracle", "--cover-order", "2", "--fixture", "free:2"),
+    ("beta", "--p", "4", "--q", "3", "--fixture", "free:2"),
+    ("beta", "--p", "2", "--q", "4", "--fixture", "free:2"),
+    ("delta", "--target", "mpq:4,3", "--fixture", "free:2"),
+    ("delta", "--target", "mpq:3,3", "--fixture", "free:2"),
+    ("oracle", "--target", "mpq:4,3", "--mode", "delta",
+     "--fixture", "free:2"),
+    ("oracle", "--cover-order", "3", "--cover-images", "1,0", "--q", "4",
+     "--fixture", "free:2"),
+])
+def test_bad_input_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Calls of charvar._depth_tally (one per Betti distribution at
+    --jobs 1), and of foxcalc's abelianization (one Smith normal form)
+    and alexander_matrix under every name the package binds them to."""
+    calls = {"tally": 0, "abelianization": 0, "alexander_matrix": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(charvar, "_depth_tally",
+                        counting("tally", charvar._depth_tally))
+    modules = [importlib.import_module(f"hallinv.{info.name}")
+               for info in pkgutil.iter_modules(hallinv.__path__)]
+    for name in ("abelianization", "alexander_matrix"):
+        original = getattr(foxcalc, name)
+        wrapped = counting(name, original)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("argv, tallies", [
+    (("delta", "--target", "mpq:3,2"), 1),
+    (("census", "--k", "2", "--all-counts"), 0),
+    (("census", "--k", "3"), 1),
+    (("census", "--k", "6", "--all-counts"), 1),
+])
+def test_each_invariant_computed_once(capsys, counted, argv, tallies):
+    code, _, _ = run(capsys, *argv, "--fixture", "braid_arrangement")
+    assert code == 0
+    assert counted == {"tally": tallies, "abelianization": 1,
+                       "alexander_matrix": min(tallies, 1)}
+
+
+def test_table1_one_group_per_row(capsys, counted):
+    code, _, _ = run(capsys, "table1")
+    assert code == 0
+    assert counted["abelianization"] == len(TABLE1_ROWS)
+    assert counted["alexander_matrix"] == len(TABLE1_ROWS)
