@@ -16,7 +16,8 @@ from math import factorial
 from .charvar import Group
 from .fields import factorize
 from .hall import AbelianGroupSpec, delta_abelian, delta_mpqs
-from .oracle import FiniteGroupTable, hom_count
+from .oracle import (BudgetExceeded, FiniteGroupTable, check_table_budget,
+                     hom_count)
 
 
 class UnsupportedIndexError(ValueError):
@@ -29,15 +30,14 @@ def symmetric_hom_counter(P, budget=10 ** 8):
 
     The budget is checked before the S_l multiplication table (of l!^2
     entries) is even built, so an oversized request fails fast."""
-    from .oracle import BudgetExceeded
     tables = {}
 
     def counter(l):
         size = factorial(l)
-        if size ** P.num_generators > budget or size * size > min(budget,
-                                                                  5_000_000):
+        if size ** P.num_generators > budget:
             raise BudgetExceeded(
                 f"counting maps into S_{l} exceeds the budget")
+        check_table_budget(size, budget)
         if l not in tables:
             tables[l] = FiniteGroupTable.symmetric(l)
         return hom_count(P, tables[l], "all", budget)
@@ -236,7 +236,6 @@ def census(G, k, *, want_all=True, want_normal=True, want_alpha=True,
     """Assemble a CensusReport for G (a presentation or a charvar.Group);
     infeasible pieces are recorded as the string 'infeasible' rather than
     guessed."""
-    from .oracle import BudgetExceeded
     G = Group.of(G)
     report = CensusReport(k)
     a_p = None

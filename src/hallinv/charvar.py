@@ -28,11 +28,7 @@ from .fields import (euler_phi, factorize, log_tables,
                      sufficiently_large_field)
 from .foxcalc import (abelianization, alexander_matrix,
                       augmentation_jacobian)
-from .linalg import rank_over_field
-
-
-class InvariantViolation(AssertionError):
-    """A proved identity failed on computed data; always a bug."""
+from .linalg import InvariantViolation, rank_over_field
 
 
 class Character:

@@ -20,15 +20,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import factorial, prod
 
 from .braids import fixture
 from .census import census
 from .charvar import Group, b1_cover_cyclic
-from .fields import is_prime
+from .fields import is_prime, multiplicative_order
 from .foxcalc import alexander_matrix
 from .hall import construct_mpqs
-from .oracle import (BudgetExceeded, FiniteGroupTable, aut_order, cover_b1,
-                     cover_homology, hom_count, regular_cyclic_action)
+from .linalg import InvariantViolation
+from .oracle import (BudgetExceeded, FiniteGroupTable, aut_order,
+                     check_table_budget, cover_b1, cover_homology, hom_count,
+                     regular_cyclic_action)
 from .presentations import ParseError, parse_presentation, render_presentation
 from .tables import delta_of, render_table, table1, table2
 
@@ -56,6 +59,18 @@ def _emit(args, payload, text):
         print(text)
 
 
+# target kind -> (the shape it takes, test on its integer parameters)
+_TARGET_SHAPES = {
+    "ab": ("ab:n1,n2,... with every n >= 1", lambda ns: min(ns) >= 1),
+    "mpq": ("mpq:p,q with p and q distinct primes",
+            lambda ns: len(ns) == 2 and ns[0] != ns[1]
+            and is_prime(ns[0]) and is_prime(ns[1])),
+    "sym": ("sym:k with k >= 1", lambda ns: len(ns) == 1 and ns[0] >= 1),
+    "cyclic": ("cyclic:n with n >= 1",
+               lambda ns: len(ns) == 1 and ns[0] >= 1),
+}
+
+
 def _parse_target(spec):
     """ab:2,4 | mpq:3,2 | s3 | a4 | sym:4 | cyclic:6 | table:file.json"""
     if spec == "s3":
@@ -63,35 +78,38 @@ def _parse_target(spec):
     elif spec == "a4":
         spec = "mpq:3,2"
     kind, _, arg = spec.partition(":")
-    if kind == "ab":
-        return "ab", tuple(int(x) for x in arg.split(","))
-    if kind == "mpq":
-        p, q = (int(x) for x in arg.split(","))
-        if p == q or not (is_prime(p) and is_prime(q)):
-            raise ValueError(f"{spec}: p and q must be distinct primes")
-        return "mpq", (p, q)
-    if kind == "sym":
-        return "sym", (int(arg),)
-    if kind == "cyclic":
-        return "cyclic", (int(arg),)
     if kind == "table":
         return "table", (arg,)
-    raise ValueError(f"unknown target {spec!r}")
+    if kind not in _TARGET_SHAPES:
+        raise ValueError(f"unknown target {spec!r}")
+    shape, valid = _TARGET_SHAPES[kind]
+    try:
+        params = tuple(int(x) for x in arg.split(","))
+    except ValueError:
+        params = None
+    if params is None or not valid(params):
+        raise ValueError(f"{spec}: expected {shape}")
+    return kind, params
 
 
-def _target_table(kind, params):
-    if kind == "ab":
-        return FiniteGroupTable.abelian(list(params))
-    if kind == "mpq":
-        return construct_mpqs(*params).table
-    if kind == "sym":
-        return FiniteGroupTable.symmetric(params[0])
-    if kind == "cyclic":
-        return FiniteGroupTable.cyclic(params[0])
+def _target_table(kind, params, budget):
+    """The target's multiplication table, once its size fits the budget."""
     if kind == "table":
         with open(params[0], encoding="utf-8") as fh:
-            return FiniteGroupTable(json.load(fh)["mul"])
-    raise ValueError(f"no table for target kind {kind!r}")
+            mul = json.load(fh)["mul"]
+        check_table_budget(len(mul), budget)
+        return FiniteGroupTable(mul)
+    if kind == "mpq":
+        p, q = params
+        check_table_budget(p * q ** multiplicative_order(q, p), budget)
+        return construct_mpqs(p, q).table
+    if kind == "sym":
+        check_table_budget(factorial(params[0]), budget)
+        return FiniteGroupTable.symmetric(params[0])
+    check_table_budget(prod(params), budget)
+    if kind == "ab":
+        return FiniteGroupTable.abelian(list(params))
+    return FiniteGroupTable.cyclic(params[0])
 
 
 def _check_characteristics(args):
@@ -171,6 +189,9 @@ def _cmd_census(args):
 
 def _cmd_arr(args):
     if args.perm:
+        if not (args.perm.isascii() and args.perm.isdigit()):
+            raise ValueError(f"--perm {args.perm}: expected a permutation "
+                             "of 1..n written as digits, e.g. 31425")
         P = fixture("horizontal:" + args.perm)
     elif args.fixture:
         P = fixture(args.fixture)
@@ -199,11 +220,13 @@ def _cmd_oracle(args):
               f"H1(K) = Z^{betti} + {torsion}; b1^({args.q}) = {payload['b1_q']}")
         return
     kind, params = _parse_target(args.target)
-    T = _target_table(kind, params)
+    T = _target_table(kind, params, args.budget)
     if args.mode == "delta":
         epi = hom_count(P, T, "epi", args.budget)
         aut = aut_order(T)
-        assert epi % aut == 0
+        if epi % aut:
+            raise InvariantViolation(
+                "epimorphism count not divisible by |Aut|")
         payload = {"target": args.target, "epi": epi, "aut": aut,
                    "delta": epi // aut}
         _emit(args, payload, f"delta = {payload['delta']} "

@@ -9,6 +9,10 @@ the abelian group Z^n / (row space of A).
 from __future__ import annotations
 
 
+class InvariantViolation(AssertionError):
+    """A proved identity failed on computed data; always a bug."""
+
+
 class IntMatrix:
     """Dense integer matrix.  Rows or columns may be zero (0 x n matrices occur
     naturally as Jacobians of free groups)."""

@@ -8,28 +8,39 @@ derivatives, permutation matrices, Smith normal form).  Nothing in this
 module touches Alexander matrices, characters, or depth, so its numbers
 check the closed formulas from the outside.
 
-Backtracking over generator images, pruned as soon as a relator's support
-is fully assigned, is the default counting strategy.  Two reorganized
-enumerations cover shapes the plain search cannot finish: a single relator
-whose letters split into generator-disjoint blocks (surface words) is
-counted by convolving block distributions, and generators that appear only
-in relators otherwise supported on a small base set (direct-product and
-semidirect shapes, optionally with one central generator) are counted
-pointwise per base assignment.  Epimorphism counts use a per-solution
-generation check under backtracking, and Moebius inversion over the
-brute-forced subgroup lattice when a reorganized plan is in play.
+Homomorphisms are counted by one backtracking search over generator
+images.  Each relator is checked as soon as its last generator is
+assigned, and after each assignment the unassigned generators split into
+the connected components of the relators still open, whose counts
+multiply (the component decomposition of model counting: Sang, Beame and
+Kautz, SAT 2004).  A single relator whose letters fall into
+generator-disjoint blocks (a surface word) never splits; it is counted by
+convolving the value distributions of its blocks instead.  Epimorphisms
+are counted by Moebius inversion over the brute-forced subgroup lattice.
+Every search and every target-table build is checked against a budget and
+raises BudgetExceeded rather than returning a partial count.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations, product
 
 from .foxcalc import fox_derivative
-from .linalg import IntMatrix, smith_normal_form
+from .linalg import IntMatrix, InvariantViolation, smith_normal_form
 
 
 class BudgetExceeded(Exception):
     """Enumeration would exceed the partial-assignment budget."""
+
+
+def check_table_budget(order, budget):
+    """Raise BudgetExceeded before a multiplication table of order^2
+    entries is built past the budget, or past 5M entries whatever the
+    budget."""
+    if order * order > min(budget, 5_000_000):
+        raise BudgetExceeded(f"a group table of order {order} has "
+                             f"{order * order} entries, over the budget")
 
 
 class FiniteGroupTable:
@@ -142,13 +153,6 @@ class FiniteGroupTable:
                     frontier.append(y)
         return frozenset(seen)
 
-    def generates(self, elements):
-        return len(self.closure(elements)) == self.order
-
-    def centralizer(self, elements):
-        return [x for x in range((self.order))
-                if all(self.mul[x][g] == self.mul[g][x] for g in elements)]
-
     def all_subgroups(self):
         """Every subgroup, found by closing known subgroups with one more
         generator until nothing new appears."""
@@ -234,7 +238,8 @@ def _count_generator_images(T1, T2, bijective_only=True):
     if not gens:
         return 1 if T2.order == 1 or not bijective_only else int(T2.order == 1)
     tree, order = _bfs_tree(T1, gens)
-    assert len(tree) == T1.order
+    if len(tree) != T1.order:
+        raise InvariantViolation("generating set does not reach every element")
     count = 0
     for images in product(range(T2.order), repeat=len(gens)):
         phi = {T1.identity: T2.identity}
@@ -274,70 +279,91 @@ def _eval_word(letters, images, T):
     return x
 
 
-def _completion_order(relators, l):
-    """Assign generators so relators complete (and prune) early: repeatedly
-    pick the generator finishing the most relators, breaking ties by total
-    occurrences."""
-    supports = [r.support() for r in relators]
+@lru_cache(maxsize=128)
+def _search_plan(relators, l):
+    """The component tree of the homomorphism search; it depends only on
+    the relators, so one plan serves every target table.
+
+    A forest is (nodes, free): free counts the unassigned generators that
+    no remaining relator involves, and each node heads one connected
+    component of the rest.  A node (g, checks, forest) assigns g, checks
+    the relators that this assignment completes, and splits the still
+    unassigned generators of its component into the child forest.  Within
+    a component the branch is the generator in the most relators, then
+    with the most distinct unassigned neighbours, then completing the
+    most relators, then with the most letters, then the lowest index.
+    """
     occurrences = [0] * l
     for r in relators:
         for g, e in r.syllables:
             occurrences[g] += abs(e)
-    chosen = []
-    remaining = set(range(l))
-    while remaining:
+
+    def forest(gens, live):
+        nodes, free, seen = [], 0, set()
+        for start in sorted(gens):
+            if start in seen:
+                continue
+            component, frontier = {start}, [start]
+            while frontier:
+                g = frontier.pop()
+                for _, sup in live:
+                    if g in sup and not sup <= component:
+                        frontier.extend(sup - component)
+                        component |= sup
+            seen |= component
+            rels = [(i, sup) for i, sup in live if sup <= component]
+            if rels:
+                nodes.append(node(component, rels))
+            else:
+                free += 1
+        return nodes, free
+
+    def node(component, rels):
         def score(g):
-            s = set(chosen) | {g}
-            completed = sum(1 for sup in supports if sup <= s and g in sup)
-            touched = sum(1 for sup in supports if g in sup)
-            return (completed, touched, occurrences[g], -g)
-        nxt = max(remaining, key=score)
-        chosen.append(nxt)
-        remaining.discard(nxt)
-    return chosen
+            mine = [sup for _, sup in rels if g in sup]
+            return (len(mine), len(set().union(*mine)),
+                    sum(len(sup) == 1 for sup in mine), occurrences[g], -g)
+        g = max(component, key=score)
+        checks = [relators[i].letters() for i, sup in rels if sup == {g}]
+        rest = [(i, sup - {g}) for i, sup in rels if sup != {g}]
+        return g, checks, forest(component - {g}, rest)
+
+    return forest(set(range(l)), [(i, r.support())
+                                  for i, r in enumerate(relators)])
 
 
-def _dfs_count(relators, l, T, mode, budget):
-    order = _completion_order(relators, l)
-    position = {g: i for i, g in enumerate(order)}
-    schedule = [[] for _ in range(l + 1)]
-    for r in relators:
-        depth = max(position[g] + 1 for g in r.support())
-        schedule[depth].append(r.letters())
-
-    images = [None] * l
-    budget_left = [budget]
+def _dfs_count(relators, l, T, budget):
+    """|Hom| into T by backtracking over the component tree: the counts of
+    sibling components multiply, and every partial assignment is charged
+    to the budget."""
     n = T.order
     identity = T.identity
-    generates_cache = {}
+    images = [None] * l
+    budget_left = budget
 
-    def leaf_value():
-        if mode != "epi":
-            return 1
-        key = frozenset(images)
-        hit = generates_cache.get(key)
-        if hit is None:
-            hit = T.generates(key)
-            generates_cache[key] = hit
-        return 1 if hit else 0
-
-    def recurse(depth):
-        if depth == l:
-            return leaf_value()
-        g = order[depth]
-        total = 0
-        checks = schedule[depth + 1]
-        for v in range(n):
-            if budget_left[0] <= 0:
-                raise BudgetExceeded("homomorphism search budget exhausted")
-            budget_left[0] -= 1
-            images[g] = v
-            if all(_eval_word(prog, images, T) == identity for prog in checks):
-                total += recurse(depth + 1)
-        images[g] = None
+    def count_forest(forest):
+        nodes, free = forest
+        total = n ** free
+        for child in nodes:
+            if not total:
+                break
+            total *= count_node(child)
         return total
 
-    return recurse(0)
+    def count_node(node):
+        nonlocal budget_left
+        g, checks, forest = node
+        total = 0
+        for v in range(n):
+            if budget_left <= 0:
+                raise BudgetExceeded("homomorphism search budget exhausted")
+            budget_left -= 1
+            images[g] = v
+            if all(_eval_word(prog, images, T) == identity for prog in checks):
+                total += count_forest(forest)
+        return total
+
+    return count_forest(_search_plan(tuple(relators), l))
 
 
 def _plan_blocks(relators, l, n_elements, budget):
@@ -395,125 +421,6 @@ def _plan_blocks(relators, l, n_elements, budget):
     return run
 
 
-def _find_central_generator(relators, supports, l):
-    """A generator whose relators are single commutators covering every
-    other generator; the shape produced by a direct factor of Z."""
-    for z in range(l):
-        partners = set()
-        ok = False
-        for r, sup in zip(relators, supports):
-            if z not in sup:
-                continue
-            others = sup - {z}
-            if len(others) != 1 or not _is_commutator_pair(r, z):
-                ok = False
-                break
-            partners.update(others)
-            ok = True
-        if ok and partners == set(range(l)) - {z}:
-            return z
-    return None
-
-
-def _is_commutator_pair(r, z):
-    s = r.syllables
-    if len(s) != 4:
-        return False
-    gens = [g for g, _ in s]
-    exps = [e for _, e in s]
-    return (gens[0] == gens[2] and gens[1] == gens[3]
-            and gens[0] != gens[1] and z in gens
-            and exps[0] == -exps[2] and exps[1] == -exps[3]
-            and all(abs(e) == 1 for e in exps))
-
-
-def _plan_attached(relators, l, n_elements, base_budget=600_000):
-    """Plan for presentations where each of several generators appears only
-    in relators whose other generators lie in a small common base set; an
-    optional central generator is counted through centralizer sizes.
-
-    Returns None when the shape does not fit or the base enumeration would
-    be larger than base_budget assignments.
-    """
-    supports = [r.support() for r in relators]
-    used = set().union(*supports) if supports else set()
-    central = _find_central_generator(relators, supports, l)
-
-    core_pairs = [(r, sup) for r, sup in zip(relators, supports)
-                  if central is None or central not in sup]
-    core = (used - {central}) if central is not None else set(used)
-
-    membership = {g: sum(g in sup for _, sup in core_pairs) for g in core}
-    attached = []
-    for g in sorted(core, key=lambda g: (membership[g], g)):
-        rels_g = [sup for _, sup in core_pairs if g in sup]
-        if rels_g and all((sup - {g}).isdisjoint(attached) for sup in rels_g):
-            attached.append(g)
-    base = sorted(core - set(attached))
-    if not attached and central is None:
-        return None
-    if n_elements ** len(base) > base_budget:
-        return None
-
-    position = {g: i for i, g in enumerate(base)}
-    schedule = [[] for _ in range(len(base) + 1)]
-    per_attached = {g: [] for g in attached}
-    for r, sup in core_pairs:
-        extra = sup - set(base)
-        if not extra:
-            depth = max(position[g] + 1 for g in sup)
-            schedule[depth].append(r.letters())
-        else:
-            (g,) = extra
-            per_attached[g].append(r.letters())
-    free = l - len(used)
-
-    def run(table):
-        n = table.order
-        identity = table.identity
-        images = [None] * l
-        total = 0
-
-        def candidates(g):
-            out = []
-            progs = per_attached[g]
-            for v in range(n):
-                images[g] = v
-                if all(_eval_word(p, images, table) == identity for p in progs):
-                    out.append(v)
-            images[g] = None
-            return out
-
-        def recurse(depth):
-            nonlocal total
-            if depth == len(base):
-                sets = [candidates(g) for g in attached]
-                if central is None:
-                    prod_count = 1
-                    for s in sets:
-                        prod_count *= len(s)
-                    total += prod_count
-                else:
-                    base_vals = [images[g] for g in base]
-                    for combo in product(*sets):
-                        total += len(table.centralizer(
-                            base_vals + list(combo)))
-                return
-            g = base[depth]
-            checks = schedule[depth + 1]
-            for v in range(n):
-                images[g] = v
-                if all(_eval_word(p, images, table) == identity
-                       for p in checks):
-                    recurse(depth + 1)
-            images[g] = None
-
-        recurse(0)
-        return total * n ** free
-
-    return run
-
-
 def hom_count(P, T, mode="all", budget=10 ** 8):
     """Number of homomorphisms from the presented group to the table.
 
@@ -523,27 +430,14 @@ def hom_count(P, T, mode="all", budget=10 ** 8):
     """
     if mode not in ("all", "epi"):
         raise ValueError("mode must be 'all' or 'epi'")
-    relators = [r for r in P.relators if not r.is_identity()]
+    if mode == "epi":
+        return _epi_by_moebius(P, T, budget)
+    relators = tuple(r for r in P.relators if not r.is_identity())
     l = P.num_generators
-
-    if not relators:
-        if mode == "all":
-            return T.order ** l
-        return _epi_by_moebius(P, T, budget)
-
-    plan = (_plan_blocks(relators, l, T.order, budget)
-            or _plan_attached(relators, l, T.order,
-                              base_budget=min(600_000, budget)))
-    if plan is not None:
-        if mode == "all":
-            return plan(T)
-        return _epi_by_moebius(P, T, budget)
-
-    if mode == "epi" and T.order ** l > 2_000_000:
-        # one pruned search per subgroup beats a generation check at
-        # every leaf of a large search
-        return _epi_by_moebius(P, T, budget)
-    return _dfs_count(relators, l, T, mode, budget)
+    blocks = _plan_blocks(relators, l, T.order, budget)
+    if blocks is not None:
+        return blocks(T)
+    return _dfs_count(relators, l, T, budget)
 
 
 def _epi_by_moebius(P, T, budget):
@@ -555,7 +449,8 @@ def _epi_by_moebius(P, T, budget):
             continue
         sub, _ = T.subgroup_table(H)
         total += m * hom_count(P, sub, "all", budget)
-    assert total >= 0
+    if total < 0:
+        raise InvariantViolation("negative epimorphism count")
     return total
 
 
@@ -563,7 +458,8 @@ def delta_oracle(P, T, budget=10 ** 8):
     """Hall invariant by pure enumeration: |Epi(P, T)| / |Aut(T)|."""
     epi = hom_count(P, T, "epi", budget)
     aut = aut_order(T)
-    assert epi % aut == 0, "epimorphism count not divisible by |Aut|"
+    if epi % aut:
+        raise InvariantViolation("epimorphism count not divisible by |Aut|")
     return epi // aut
 
 
@@ -630,7 +526,8 @@ def cover_homology(P, gen_perms):
                     big.entries[i * k + perm[b]][j * k + b] += coeff
     form = smith_normal_form(big)
     betti = form.coker_free_rank - (k - 1)
-    assert betti >= 0
+    if betti < 0:
+        raise InvariantViolation("cover homology has negative Betti number")
     return betti, form.coker_torsion()
 
 

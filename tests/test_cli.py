@@ -7,6 +7,7 @@ import pytest
 import hallinv
 from hallinv import charvar, foxcalc
 from hallinv.cli import main
+from hallinv.oracle import FiniteGroupTable
 from hallinv.tables import TABLE1_ROWS
 
 
@@ -159,6 +160,36 @@ def test_bad_input_exits_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, shape", [
+    (("delta", "--target", "mpq:3"), "mpq:p,q"),
+    (("delta", "--target", "ab:"), "ab:n1,n2,..."),
+    (("oracle", "--target", "cyclic:0"), "cyclic:n"),
+    (("oracle", "--target", "ab:2,0"), "ab:n1,n2,..."),
+    (("oracle", "--target", "sym:x"), "sym:k"),
+])
+def test_bad_target_names_its_shape(capsys, argv, shape):
+    code, out, err = run(capsys, *argv, "--fixture", "free:2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert shape in err
+
+
+def test_bad_perm_names_its_shape(capsys):
+    code, out, err = run(capsys, "arr", "--perm", "3x")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "permutation of 1..n" in err
+
+
+def test_table_budget_checked_before_build(capsys, monkeypatch):
+    # S_7's table would hold 5040^2 = 25.4M entries, over the 5M ceiling
+    def build(k):
+        raise AssertionError(f"S_{k} table built")
+    monkeypatch.setattr(FiniteGroupTable, "symmetric", build)
+    code, out, err = run(capsys, "oracle", "--target", "sym:7",
+                         "--fixture", "free:2")
+    assert code == 2 and out == "" and err.startswith("infeasible: ")
 
 
 @pytest.fixture

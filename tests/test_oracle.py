@@ -1,6 +1,16 @@
+import ast
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
+
 import pytest
 
+import hallinv
+from hallinv import oracle
+from hallinv.braids import fixture
 from hallinv.foxcalc import abelianization
+from hallinv.hall import construct_mpqs
 from hallinv.oracle import (
     BudgetExceeded, FiniteGroupTable, aut_order, cover_b1, cover_homology,
     delta_oracle, hom_count, regular_cyclic_action,
@@ -11,6 +21,25 @@ from hallinv.presentations import (
 )
 
 Z2_PRES = parse_presentation("gens: x, y; rels: [x,y]")
+
+
+def brute_counts(P, T):
+    """(|Hom|, |Epi|) from every one of the n^l image tuples, with no
+    pruning, no plan and no Moebius inversion: the reference the search
+    is checked against."""
+    def value(letters, images):
+        x = T.identity
+        for g, s in letters:
+            x = T.mul[x][images[g] if s > 0 else T.inv[images[g]]]
+        return x
+
+    relators = [r.letters() for r in P.relators]
+    hom = epi = 0
+    for images in product(range(T.order), repeat=P.num_generators):
+        if all(value(r, images) == T.identity for r in relators):
+            hom += 1
+            epi += len(T.closure(images)) == T.order
+    return hom, epi
 
 
 def test_table_axioms_checked():
@@ -64,7 +93,8 @@ def test_hom_count_commuting_pairs():
     S3 = FiniteGroupTable.symmetric(3)
     assert hom_count(Z2_PRES, S3) == 18
     assert hom_count(Z2_PRES, S3) == sum(
-        len(S3.centralizer([g])) for g in range(6))
+        1 for g in range(6) for h in range(6)
+        if S3.mul[g][h] == S3.mul[h][g])
 
 
 def test_epi_count_a4():
@@ -75,29 +105,42 @@ def test_epi_count_a4():
 
 
 def test_epi_paths_agree():
-    # per-tuple generation check vs Moebius inversion
-    from hallinv.oracle import _dfs_count, _epi_by_moebius
+    # Moebius inversion vs a generation check on every tuple
     S3 = FiniteGroupTable.symmetric(3)
     Z4 = FiniteGroupTable.cyclic(4)
     for P in (free_group(2), Z2_PRES, nonorientable_surface_group(2)):
-        relators = [r for r in P.relators if not r.is_identity()]
         for T in (S3, Z4):
-            dfs = _dfs_count(relators, P.num_generators, T, "epi", 10 ** 7)
-            assert dfs == _epi_by_moebius(P, T, 10 ** 7)
+            assert hom_count(P, T, "epi") == brute_counts(P, T)[1]
 
 
 def test_counting_strategies_agree():
-    # the block and attached plans must match plain DFS
-    from hallinv.oracle import _dfs_count
+    # the block convolution and the component search (a central
+    # generator, free factors) must match unpruned enumeration
     S3 = FiniteGroupTable.symmetric(3)
     groups = [orientable_surface_group(2), nonorientable_surface_group(3),
               product_of_free_groups([2, 2]),
               direct_product_with_Z(free_group(2)),
               direct_product_with_Z(product_of_free_groups([2, 1]))]
     for P in groups:
-        relators = [r for r in P.relators if not r.is_identity()]
-        want = _dfs_count(relators, P.num_generators, S3, "all", 10 ** 8)
-        assert hom_count(P, S3) == want
+        assert hom_count(P, S3) == brute_counts(P, S3)[0]
+
+
+def test_components_counted_separately():
+    # horizontal:123456 is F_5 x Z: the central generator, then five
+    # one-generator components, 21 + 21 * 5 * 21 assignments in all
+    M37 = construct_mpqs(3, 7).table
+    P = fixture("horizontal:123456")
+    assert hom_count(P, M37, budget=2226) == 4188345
+    with pytest.raises(BudgetExceeded):
+        hom_count(P, M37, budget=2225)
+
+
+def test_budget_charged_on_every_search():
+    # F_2 x Z into S_3 takes 6 + 6 * (6 + 6) = 78 assignments; none may
+    # go uncharged
+    S3 = FiniteGroupTable.symmetric(3)
+    with pytest.raises(BudgetExceeded):
+        hom_count(direct_product_with_Z(free_group(2)), S3, budget=40)
 
 
 def test_aut_orders():
@@ -109,8 +152,8 @@ def test_aut_orders():
 
 def test_budget_exceeded():
     S3 = FiniteGroupTable.symmetric(3)
-    # pairwise-entangled relators defeat both reorganized plans under a
-    # tiny budget, and the search itself is larger than the budget
+    # pairwise-entangled relators form one component, and its search is
+    # larger than the budget
     P = parse_presentation("gens: x, y, z; rels: x*y*x*y, y*z*y*z, z*x*z*x")
     with pytest.raises(BudgetExceeded):
         hom_count(P, S3, mode="epi", budget=10)
@@ -153,10 +196,9 @@ def test_cover_b1_klein_bottle():
 
 
 def test_counting_strategies_agree_random():
-    # random presentations: whatever reorganized plan fires must agree
-    # with the plain backtracking count, in both modes
+    # random presentations: whichever route counts them must agree with
+    # unpruned enumeration, in both modes
     import random
-    from hallinv.oracle import _dfs_count
     from hallinv.presentations import Presentation, Word
     rng = random.Random(77)
     S3 = FiniteGroupTable.symmetric(3)
@@ -170,14 +212,9 @@ def test_counting_strategies_agree_random():
             if not w.is_identity():
                 rels.append(w)
         P = Presentation([f"g{i}" for i in range(l)], rels)
-        relators = [r for r in P.relators if not r.is_identity()]
         for T in (S3, Z4):
-            for mode in ("all", "epi"):
-                want = _dfs_count(relators, l, T, mode, 10 ** 8) \
-                    if relators else \
-                    (T.order ** l if mode == "all"
-                     else hom_count(P, T, "epi"))
-                assert hom_count(P, T, mode) == want
+            assert (hom_count(P, T, "all"), hom_count(P, T, "epi")) == \
+                brute_counts(P, T)
 
 
 def test_abelian_cover_matches_oracle():
@@ -226,3 +263,48 @@ def test_cover_matches_depth_formula():
                     continue
                 action = regular_cyclic_action(N, list(images))
                 assert cover_b1(P, action, q) == want
+
+
+def test_invariant_checks_survive_optimize():
+    # under python -O a bare assert vanishes, and an |Aut| that does not
+    # divide the epimorphism count would give 18 // 4 = 4
+    script = "\n".join([
+        "from hallinv import cli, oracle",
+        "from hallinv.linalg import InvariantViolation",
+        "from hallinv.presentations import free_group",
+        "oracle.aut_order = cli.aut_order = lambda T: 4",
+        "S3 = oracle.FiniteGroupTable.symmetric(3)",
+        "for call in (lambda: oracle.delta_oracle(free_group(2), S3),",
+        "             lambda: cli.main(['oracle', '--target', 's3',",
+        "                               '--mode', 'delta',",
+        "                               '--fixture', 'free:2'])):",
+        "    try:",
+        "        call()",
+        "        print('returned')",
+        "    except InvariantViolation:",
+        "        print('raised')",
+    ])
+    src = str(Path(hallinv.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=120)
+    assert proc.stdout.split() == ["raised", "raised"], proc.stderr
+
+
+def test_oracle_independent_of_formula_routes():
+    # the oracle checks the character/depth formulas from the outside, so
+    # it may use the Smith form and Fox derivatives, nothing else of ours
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    internal = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "hallinv"
+                           for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.split(".")[0] == "hallinv":
+                module = module.removeprefix("hallinv.")
+                internal |= {(module, a.name) for a in node.names}
+    assert {m for m, _ in internal} == {"linalg", "foxcalc"}
+    assert {name for m, name in internal if m == "foxcalc"} == \
+        {"fox_derivative"}
