@@ -16,6 +16,7 @@ from math import factorial
 from .charvar import Group
 from .fields import factorize
 from .hall import AbelianGroupSpec, delta_abelian, delta_mpqs
+from .linalg import InvariantViolation
 from .oracle import (BudgetExceeded, FiniteGroupTable, check_table_budget,
                      hom_count)
 
@@ -61,7 +62,9 @@ def a_k_via_hall_recursion(P, k, hom_counter=None, budget=10 ** 8):
         total = Fraction(h[j], factorial(j - 1))
         for l in range(1, j):
             total -= Fraction(h[j - l], factorial(j - l)) * a[l]
-        assert total.denominator == 1 and total >= 0
+        if total.denominator != 1 or total < 0:
+            raise InvariantViolation(
+                f"a_{j} = {total} is not a nonnegative integer")
         a[j] = int(total)
     return a[k]
 
@@ -188,7 +191,8 @@ def c_p(G, p, *, a_p=None, budget=10 ** 8):
     if a_p is None:
         a_p = a_k_via_hall_recursion(G.P, p, budget=budget)
     total = p ** G.abel.b1(p) + a_p - 1
-    assert total % p == 0, "conjugacy-class count not an integer"
+    if total % p:
+        raise InvariantViolation("conjugacy-class count not an integer")
     return total // p
 
 

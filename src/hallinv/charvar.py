@@ -13,6 +13,16 @@ by default one representative per orbit is evaluated; the slower all-points
 path (check_orbits) divides by p - 1 and asserts exactness, and the two
 must agree.
 
+Depth is a rank, taken by one kernel: Zech-logarithm elimination over a
+small finite field (DepthEngine; past the table limit, depth()).  In
+characteristic q > 0 the field is F_{q^s} itself.  In characteristic 0
+the rank over Q(zeta_N) is the largest rank over F_ell for the primes
+ell = 1 (mod N), each reached by a ring map Z[zeta_N] -> F_ell, which can
+only lower rank.  That lower bound is exact once it meets the ceiling
+Fox's fundamental identity puts on a nontrivial character, or once the
+product of the primes tried outgrows a Hadamard bound on the norm of
+every minor (see DepthEngine for the argument).
+
 A Group holds what several invariants of one presentation share: the
 abelianization, the Alexander matrix and the Betti distributions already
 asked for.  Callers that combine invariants make one Group per request.
@@ -21,10 +31,10 @@ asked for.  Callers that combine invariants make one Group per request.
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .fields import (euler_phi, factorize, log_tables,
-                     primitive_root_of_unity, reduction_rows,
+from .fields import (_LOG_TABLE_LIMIT, euler_phi, factorize, is_prime,
+                     log_tables, prime_field, primitive_root_of_unity,
                      sufficiently_large_field)
 from .foxcalc import (abelianization, alexander_matrix,
                       augmentation_jacobian)
@@ -96,17 +106,41 @@ def depth(A, t):
 
 
 class DepthEngine:
-    """Integer-only depth evaluation for characters of order dividing N.
+    """Depth of the characters of order dividing N, by integer-only rank.
 
-    The Alexander matrix is compiled once: each Laurent term becomes a
-    coefficient plus the linear form its exponents induce on the chi
-    coordinates.  A character is then just a coordinate exponent vector e
-    (its value on coordinate c being zeta_N^{e_c}), entry values are sums
-    of coefficient * zeta^(form . e mod N), and the rank runs over plain
-    integers: Zech-logarithm arithmetic for small finite fields,
-    fraction-free elimination on integer coefficient vectors for Q and
-    cyclotomic fields.  Must agree with the element-level depth(); the
-    test suite checks exactly that.
+    The Alexander matrix is compiled once: each Laurent term becomes an
+    integer coefficient plus the linear form its exponents induce on the
+    chi coordinates.  A character is a coordinate exponent vector e, its
+    value on coordinate c being zeta_N^{e_c}, so every entry of the
+    evaluated matrix is a sum of coefficient * zeta^(form . e mod N) in
+    Z[zeta_N].  Ranks are taken in finite fields holding a primitive N-th
+    root of unity, by Zech-logarithm elimination (_rank_codes).
+
+    For q > 0 that field is K = F_{q^s} and its rank is the answer.  For
+    q = 0 the rank r over Q(zeta_N) is read off the fields F_ell, ell
+    running over the primes ell = 1 (mod N) in increasing order, with
+    zeta_N sent to a primitive N-th root of unity of F_ell.  This is a
+    ring map Z[zeta_N] -> F_ell, so no rank mod ell exceeds r, and the
+    largest rank seen is a lower bound.  It equals r once either
+
+    * it reaches a ceiling r cannot pass: min(m, l) for m relators and l
+      generators, or l - 1 for a nontrivial character, whose vector
+      (chi(x_j) - 1)_j is nonzero and killed by the matrix (Fox's
+      fundamental identity); or
+    * the primes tried have product P with P^2 > B2^phi(N), which the
+      prime list is chosen to reach.  B2 bounds |sigma(D)|^2 for every
+      minor D and every complex embedding sigma (Hadamard, from the
+      coefficient sizes).  A minor D larger than the largest rank seen
+      maps to 0 in every F_ell tried, so it lies in the kernels of those
+      maps, distinct prime ideals of norm ell; P then divides the norm
+      N(D), while |N(D)| <= B2^(phi(N)/2) < P, so D = 0.
+
+    Past the Zech table limit the engine falls back to depth() through
+    field elements: for every character when K is a larger field or no
+    prime ell = 1 (mod N) is within the limit ("element" mode), and for a
+    character left short of its ceiling when the primes within the limit
+    stop short of the norm bound.  The tests also use depth() as the
+    reference the engine must agree with.
     """
 
     def __init__(self, A, K, N):
@@ -114,86 +148,73 @@ class DepthEngine:
         self.K = K
         self.N = N
         self.num_generators = A.num_generators
-        h = len(A.abel.torsion)
-        n = A.abel.free_rank
-        self.rows = []
-        for row in A.entries:
-            out_row = []
-            for entry in row:
-                terms = []
-                for (free, tors), coeff in entry.terms.items():
-                    form = tuple(tors) + tuple(free)
-                    terms.append((coeff, form))
-                out_row.append(terms)
-            self.rows.append(out_row)
-        self.num_coords = h + n
-        self.tables = log_tables(K) if K.char else None
-        if self.tables is not None:
-            lt = self.tables
-            assert lt.n % N == 0
-            self.zeta_log = (lt.n // N) if N > 1 else 0
-            self.coeff_codes = {}
-            self.mode = "zech"
-        elif not K.char:
-            if K.degree > 1:
-                reduction_rows(K)
-            self.zeta_pows = self._char0_zeta_powers()
-            self.mode = "intpoly"
+        self.rows = [[[(coeff, tuple(tors) + tuple(free))
+                       for (free, tors), coeff in entry.terms.items()]
+                      for entry in row] for row in A.entries]
+        self.ceiling = min(len(self.rows), self.num_generators)
+        if K.char:
+            self.fields = [K] if K.order() <= _LOG_TABLE_LIMIT else []
+            self.exact = True
         else:
-            # finite field beyond the table limit; fall back to elements
-            self.zeta = K.one() if N == 1 else primitive_root_of_unity(K, N)
-            self.mode = "element"
-
-    def _char0_zeta_powers(self):
-        K, N = self.K, self.N
-        zeta = K.one() if N == 1 else primitive_root_of_unity(K, N)
-        pows = []
-        x = K.one()
-        for _ in range(N):
-            assert all(c.denominator == 1 for c in x.coeffs)
-            pows.append([int(c) for c in x.coeffs])
-            x = x * zeta
-        return pows
+            bound = _hadamard_bound(self.rows, self.ceiling) ** euler_phi(N)
+            primes, self.exact = _split_primes(N, bound)
+            self.fields = [prime_field(ell) for ell in primes]
+        self.reductions = []
+        self.mode = "zech" if self.fields else "element"
 
     def depth_of_exponents(self, coord_exps):
         """Depth of the character with coordinate exponent vector e."""
-        if self.mode == "zech":
-            rank = self._rank_finite(coord_exps)
-        elif self.mode == "intpoly":
-            rank = self._rank_char0(coord_exps)
-        else:
-            h = len(self.A.abel.torsion)
-            t = character_from_coordinate_exponents(
-                self.A.abel, self.K, self.zeta, self.N,
-                coord_exps[:h], coord_exps[h:])
-            return depth(self.A, t)
-        return self.num_generators - rank - 1
+        if self.fields:
+            ceiling = self.ceiling
+            if any(a % self.N for a in coord_exps):
+                ceiling = min(ceiling, self.num_generators - 1)
+            rank = self._certified_rank(coord_exps, ceiling)
+            if rank is not None:
+                return self.num_generators - rank - 1
+        h = len(self.A.abel.torsion)
+        t = character_from_coordinate_exponents(
+            self.A.abel, self.K, primitive_root_of_unity(self.K, self.N),
+            self.N, coord_exps[:h], coord_exps[h:])
+        return depth(self.A, t)
 
-    # -- finite field backend (Zech logarithm codes)
+    def _certified_rank(self, e, ceiling):
+        """Rank at e: the largest rank over the fields, tried in order
+        until one reaches the ceiling the true rank cannot pass; None if
+        none does and the primes stop short of the norm bound."""
+        rank = 0
+        for i in range(len(self.fields)):
+            rank = max(rank, self._rank_finite(e, i))
+            if rank >= ceiling:
+                return rank
+        return rank if self.exact else None
 
-    def _coeff_code(self, coeff):
-        code = self.coeff_codes.get(coeff)
-        if code is None:
-            lt = self.tables
-            code = lt.encode(self.K.from_int(coeff))
-            self.coeff_codes[coeff] = code
-        return code
+    def _reduction(self, i):
+        """Log tables, zeta's log and the rows with coefficient codes, for
+        the i-th field; built when first needed, the fields taken in order."""
+        if i == len(self.reductions):
+            F = self.fields[i]
+            lt = log_tables(F)
+            if lt.n % self.N:
+                raise InvariantViolation(
+                    f"{F!r} has no primitive {self.N}-th root of unity")
+            codes = {c: lt.encode(F.from_int(c))
+                     for row in self.rows for terms in row for c, _ in terms}
+            rows = [[[(codes[c], form) for c, form in terms if codes[c] != -1]
+                     for terms in row] for row in self.rows]
+            self.reductions.append((lt, lt.n // self.N, rows))
+        return self.reductions[i]
 
-    def _rank_finite(self, e):
-        lt = self.tables
+    def _rank_finite(self, e, i):
+        lt, zl, rows = self._reduction(i)
         N = self.N
-        zl = self.zeta_log
         n_mod = lt.n
         add = lt.add
         matrix = []
-        for row in self.rows:
+        for row in rows:
             out_row = []
             for terms in row:
                 acc = -1
-                for coeff, form in terms:
-                    c = self._coeff_code(coeff)
-                    if c == -1:
-                        continue
+                for c, form in terms:
                     dot = 0
                     for w, a in zip(form, e):
                         if w and a:
@@ -203,28 +224,35 @@ class DepthEngine:
             matrix.append(out_row)
         return _rank_codes(matrix, lt)
 
-    # -- characteristic zero backend (integer coefficient vectors)
 
-    def _rank_char0(self, e):
-        N = self.N
-        pows = self.zeta_pows
-        d = self.K.degree
-        matrix = []
-        for row in self.rows:
-            out_row = []
-            for terms in row:
-                acc = [0] * d
-                for coeff, form in terms:
-                    dot = 0
-                    for w, a in zip(form, e):
-                        if w and a:
-                            dot += w * a
-                    vec = pows[dot % N]
-                    for j in range(d):
-                        acc[j] += coeff * vec[j]
-                out_row.append(acc)
-            matrix.append(out_row)
-        return _rank_int_vectors(matrix, self.K)
+def _hadamard_bound(rows, k):
+    """An integer B2 >= |det D|^2 for every square submatrix D, of at most
+    k rows, of any complex embedding of the compiled matrix: each entry is
+    bounded by the sum of its |coefficients|, and B2 is the product of the
+    k largest squared row norms, or of the k largest squared column norms
+    if that is smaller, each norm taken as at least 1."""
+    sizes = [[sum(abs(c) for c, _ in terms) ** 2 for terms in row]
+             for row in rows]
+    return min(prod(max(v, 1) for v in sorted(norms, reverse=True)[:k])
+               for norms in ([sum(r) for r in sizes],
+                             [sum(c) for c in zip(*sizes)]))
+
+
+def _split_primes(N, bound):
+    """The primes ell = 1 (mod N) in increasing order, up to the first whose
+    running product P has P^2 > bound, and True; or those within the Zech
+    table limit, and False, if the limit comes first."""
+    primes = []
+    product = 1
+    ell = 1
+    while product * product <= bound:
+        ell += N
+        if ell > _LOG_TABLE_LIMIT:
+            return primes, False
+        if is_prime(ell):
+            primes.append(ell)
+            product *= ell
+    return primes, True
 
 
 def _rank_codes(matrix, lt):
@@ -254,74 +282,6 @@ def _rank_codes(matrix, lt):
                 row = matrix[i]
                 for j in range(col, n):
                     row[j] = add(row[j], mul(factor, prow[j]))
-        rank += 1
-        col += 1
-    return rank
-
-
-def _rank_int_vectors(matrix, K):
-    """Fraction-free rank of a matrix over Z[x]/(modulus), entries as
-    integer coefficient vectors; rows are rescaled by their content to
-    keep the integers small."""
-    if not matrix or not matrix[0]:
-        return 0
-    d = K.degree
-    if d > 1:
-        red = reduction_rows(K)
-
-    def pmul(a, b):
-        if d == 1:
-            return [a[0] * b[0]]
-        out = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        for k in range(d - 2, -1, -1):
-            c = out[d + k]
-            if c:
-                rk = red[k]
-                for j in range(d):
-                    out[j] += c * rk[j]
-        del out[d:]
-        return out
-
-    def reduce_row(row):
-        g = 0
-        for vec in row:
-            for c in vec:
-                g = gcd(g, c)
-                if g == 1:
-                    return row
-        if g > 1:
-            for vec in row:
-                for j in range(d):
-                    vec[j] //= g
-        return row
-
-    m, n = len(matrix), len(matrix[0])
-    rank = 0
-    col = 0
-    while rank < m and col < n:
-        piv = None
-        for i in range(rank, m):
-            if any(matrix[i][col]):
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        matrix[rank], matrix[piv] = matrix[piv], matrix[rank]
-        prow = matrix[rank]
-        pval = prow[col]
-        for i in range(rank + 1, m):
-            c = matrix[i][col]
-            if any(c):
-                row = matrix[i]
-                matrix[i] = reduce_row(
-                    [[x - y for x, y in zip(pmul(pval, row[j]),
-                                            pmul(c, prow[j]))]
-                     for j in range(n)])
         rank += 1
         col += 1
     return rank
@@ -657,7 +617,9 @@ def b1_cover_abelian(P, factors, images, q):
         multiples.add(rho)
         seen.update(multiples)
         m_rho = euler_phi(order)
-        assert len(multiples) == m_rho
+        if len(multiples) != m_rho:
+            raise InvariantViolation(
+                f"{len(multiples)} generators of <rho>, not phi = {m_rho}")
         gen_exps = [sum((E // c) * r * images[i][j]
                         for i, (r, c) in enumerate(zip(rho, factors))) % E
                     for j in range(P.num_generators)]
@@ -667,7 +629,9 @@ def b1_cover_abelian(P, factors, images, q):
     expected = 1
     for c in factors:
         expected *= c
-    assert phi_total == expected - 1
+    if phi_total != expected - 1:
+        raise InvariantViolation(
+            f"{phi_total} nontrivial characters counted, not {expected - 1}")
     return total
 
 

@@ -96,8 +96,15 @@ def _target_table(kind, params, budget):
     """The target's multiplication table, once its size fits the budget."""
     if kind == "table":
         with open(params[0], encoding="utf-8") as fh:
-            mul = json.load(fh)["mul"]
-        check_table_budget(len(mul), budget)
+            data = json.load(fh)
+        mul = data.get("mul") if isinstance(data, dict) else None
+        n = len(mul) if isinstance(mul, list) else 0
+        if not n or any(not isinstance(row, list) or len(row) != n
+                        or any(type(x) is not int or not 0 <= x < n
+                               for x in row) for row in mul):
+            raise ValueError(f"{params[0]}: expected {{\"mul\": [...]}}, "
+                             "an n x n table of integers 0..n-1")
+        check_table_budget(n, budget)
         return FiniteGroupTable(mul)
     if kind == "mpq":
         p, q = params
@@ -165,9 +172,17 @@ def _cmd_delta(args):
     _emit(args, payload, f"delta = {value}   [{method}]")
 
 
+def _parse_images(flag, text):
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} {text}: expected comma-separated integers"
+                         ) from None
+
+
 def _cmd_cover(args):
     P = _load_presentation(args)
-    images = [int(x) for x in args.images.split(",")]
+    images = _parse_images("--images", args.images)
     value = b1_cover_cyclic(P, args.order, images, args.q)
     payload = {"order": args.order, "images": images, "q": args.q,
                "b1": value}
@@ -205,13 +220,17 @@ def _cmd_arr(args):
 
 
 def _cmd_oracle(args):
-    if not (args.target or args.cover_order):
+    if args.target is None and args.cover_order is None:
         raise ValueError("supply --target or --cover-order")
-    if args.cover_order and not args.cover_images:
-        raise ValueError("--cover-order needs --cover-images")
+    if args.cover_order is not None:
+        if args.cover_order < 1:
+            raise ValueError(f"--cover-order {args.cover_order}: "
+                             "the order must be at least 1")
+        if not args.cover_images:
+            raise ValueError("--cover-order needs --cover-images")
+        images = _parse_images("--cover-images", args.cover_images)
     P = _load_presentation(args)
-    if args.cover_order:
-        images = [int(x) for x in args.cover_images.split(",")]
+    if args.cover_order is not None:
         action = regular_cyclic_action(args.cover_order, images)
         betti, torsion = cover_homology(P, action)
         payload = {"betti": betti, "torsion": torsion,

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .linalg import InvariantViolation
+
 
 def factorize(n):
     """Prime factorization by trial division, as a dict prime -> exponent."""
@@ -105,7 +107,9 @@ def cyclotomic_polynomial(N):
         if N % d == 0:
             den = _poly_mul_int(den, cyclotomic_polynomial(d))
     quo, rem = _poly_divmod_int(num, den)
-    assert rem == [], "x^N - 1 not divisible by the product of lower Phi_d"
+    if rem:
+        raise InvariantViolation(
+            "x^N - 1 not divisible by the product of lower Phi_d")
     _CYCLO_CACHE[N] = list(quo)
     return quo
 
@@ -206,7 +210,9 @@ def factor_cyclotomic_mod_q(p, q):
     for f in _fq_monic_polys(q, s):
         if _fq_is_irreducible(f, q) and not _fq_divmod(target, f, q)[1]:
             factors.append(f)
-    assert len(factors) == (p - 1) // s
+    if len(factors) != (p - 1) // s:
+        raise InvariantViolation(
+            f"{len(factors)} factors of Q_{p} mod {q}, not {(p - 1) // s}")
     return factors
 
 
@@ -222,7 +228,7 @@ class FieldHandle:
     """
 
     __slots__ = ("kind", "char", "degree", "modulus", "cyclo_order",
-                 "_zero", "_one", "_generator", "_log_tables", "_red_rows")
+                 "_zero", "_one", "_generator", "_log_tables")
 
     def __init__(self, kind, char, degree, modulus, cyclo_order=None):
         self.kind = kind
@@ -588,7 +594,8 @@ class LogTables:
             self.pow.append(x)
             self.log[x.coeffs] = k
             x = x * g
-        assert x.is_one()
+        if not x.is_one():
+            raise InvariantViolation("the generator's order is not q^s - 1")
         one = K.one()
         self.zech = []
         for k in range(n):
@@ -635,32 +642,6 @@ def log_tables(K):
     return K._log_tables
 
 
-def reduction_rows(K):
-    """For a characteristic-zero handle: integer rows expressing
-    x^{deg}, ..., x^{2 deg - 2} modulo the defining polynomial, enabling
-    fraction-free products of integer coefficient vectors."""
-    try:
-        return K._red_rows
-    except AttributeError:
-        pass
-    d = K.degree
-    mod = [int(c) for c in K.modulus]
-    assert mod[-1] == 1
-    rows = []
-    current = [-c for c in mod[:d]]  # x^d
-    rows.append(list(current))
-    for _ in range(d - 2):
-        # multiply by x: shift up and fold the overflow through x^d
-        top = current[d - 1]
-        current = [0] + current[:d - 1]
-        if top:
-            for j in range(d):
-                current[j] += top * rows[0][j]
-        rows.append(list(current))
-    K._red_rows = rows
-    return rows
-
-
 def primitive_root_of_unity(K, N):
     """A primitive N-th root of unity in K, chosen deterministically.
 
@@ -684,7 +665,7 @@ def primitive_root_of_unity(K, N):
             raise ValueError(f"{K!r} contains no primitive {N}-th root of unity")
         x = K.element([0, 1])
         zeta = x ** (M // N)
-    assert (zeta ** N).is_one()
-    for r in factorize(N):
-        assert not (zeta ** (N // r)).is_one()
+    if not (zeta ** N).is_one() or \
+            any((zeta ** (N // r)).is_one() for r in factorize(N)):
+        raise InvariantViolation(f"{zeta!r} is not a primitive {N}-th root")
     return zeta

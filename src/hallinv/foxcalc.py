@@ -15,7 +15,7 @@ of this choice, up to the usual monomial change of basis.
 
 from __future__ import annotations
 
-from .linalg import IntMatrix, smith_normal_form
+from .linalg import IntMatrix, InvariantViolation, smith_normal_form
 from .presentations import Word
 
 
@@ -221,7 +221,8 @@ def abelianization(P):
     abel = AbelStructure(l - r, torsion, gen_free, gen_tors, inv_rows)
     for row in J.entries:
         free, tors = abel.chi(row)
-        assert all(x == 0 for x in free) and all(x == 0 for x in tors)
+        if any(free) or any(tors):
+            raise InvariantViolation("a relator has nonzero image in H_1")
     return abel
 
 
@@ -338,5 +339,8 @@ def alexander_matrix(P, abel=None):
     J = augmentation_jacobian(P)
     for i in range(A.num_relators):
         for j in range(A.num_generators):
-            assert A.entries[i][j].augmentation() == J.entries[i][j]
+            if A.entries[i][j].augmentation() != J.entries[i][j]:
+                raise InvariantViolation(
+                    f"Alexander entry ({i},{j}) does not augment to the "
+                    "Jacobian")
     return A

@@ -14,6 +14,7 @@ from fractions import Fraction
 from .charvar import Group
 from .fields import factor_cyclotomic_mod_q, factorize, multiplicative_order
 from .foxcalc import abelianization
+from .linalg import InvariantViolation
 from .oracle import FiniteGroupTable
 
 
@@ -143,7 +144,8 @@ def aut_order_abelian(spec):
         for k in set(lam.parts):
             factor *= _phi_factor(lam.multiplicity(k), p)
         out *= factor
-    assert out.denominator == 1 and out > 0
+    if out.denominator != 1 or out <= 0:
+        raise InvariantViolation(f"|Aut| = {out} is not a positive integer")
     return int(out)
 
 
@@ -173,13 +175,16 @@ def delta_abelian(abel, spec):
             exponent = n + theta(lam, tau, i) - _theta_padded(lam_d, tau, i)
             factor = p ** exponent - p ** (i - 1)
             if factor < 0:
-                assert epis == 0, "negative factor without a prior zero"
+                if epis:
+                    raise InvariantViolation(
+                        "negative factor without a prior zero")
             epis *= factor
         if epis == 0:
             return 0
-        assert epis > 0
         aut = aut_order_abelian(AbelianGroupSpec({p: lam}))
-        assert epis % aut == 0
+        if epis < 0 or epis % aut:
+            raise InvariantViolation(
+                f"epimorphism count {epis} not a positive multiple of {aut}")
         total *= epis // aut
     return total
 
@@ -222,9 +227,10 @@ class MetabelianGroup:
         factors = factor_cyclotomic_mod_q(p, q)
         self.factor = factors[factor_index]
         self.sigma = _companion_action(self.factor, q)
-        assert _action_power(self.sigma, p, q, self.s) == \
-            _identity_action(self.s)
-        assert self.sigma != _identity_action(self.s)
+        identity = _identity_action(self.s)
+        if _action_power(self.sigma, p, q, self.s) != identity or \
+                self.sigma == identity:
+            raise InvariantViolation("companion action does not have order p")
         self.table = _semidirect_table(p, q, self.s, self.sigma)
         self.aut_order = self.s * q ** self.s * (q ** self.s - 1)
 
@@ -325,7 +331,8 @@ def delta_mpqs(G, p, q, *, A=None, jobs=1):
     num = (p - 1) * sum(c * (q ** (s * d) - 1)
                         for d, c in beta.counts.items() if d >= 1)
     den = s * (q ** s - 1)
-    assert num % den == 0, "metabelian count not an integer"
+    if num % den:
+        raise InvariantViolation("metabelian count not an integer")
     return num // den
 
 

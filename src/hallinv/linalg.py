@@ -231,7 +231,8 @@ def smith_normal_form(A, want_transform=False):
                     add_row(i, i + 1, -q)
                 q = a[i][i + 1] // a[i][i]
                 add_col(i, i + 1, -q)
-                assert a[i][i + 1] == 0
+                if a[i][i + 1]:
+                    raise InvariantViolation("SNF left an off-diagonal entry")
                 if a[i][i] < 0:
                     negate_row(i)
                 if a[i + 1][i + 1] < 0:
@@ -239,8 +240,9 @@ def smith_normal_form(A, want_transform=False):
                 changed = True
 
     divisors = [a[i][i] for i in range(r)]
-    assert all(d > 0 for d in divisors)
-    assert all(divisors[i + 1] % divisors[i] == 0 for i in range(r - 1))
+    if any(d <= 0 for d in divisors) or \
+            any(divisors[i + 1] % divisors[i] for i in range(r - 1)):
+        raise InvariantViolation(f"SNF divisors {divisors} are not a chain")
 
     transform = None
     vinv_m = None

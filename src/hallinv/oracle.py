@@ -542,6 +542,8 @@ def cover_b1(P, gen_perms, q):
 def regular_cyclic_action(N, images):
     """Coset action of the kernel of a map onto Z_N: generator j adds
     images[j] mod N."""
+    if N < 1:
+        raise ValueError("N must be positive")
     return [tuple((b + a) % N for b in range(N)) for a in images]
 
 

@@ -304,3 +304,25 @@ def test_depth_engine_matches_element_arithmetic():
                 t = character_from_coordinate_exponents(
                     abel, K, zeta, N, exps[:h], exps[h:])
                 assert engine.depth_of_exponents(exps) == depth(A, t)
+
+
+def test_char0_rank_certified_past_a_bad_prime():
+    # <x, y | x^7>: the order-3 characters send x to 1, so the row is
+    # (7, 0), of rank 1 over Q(zeta_3) but 0 mod 7, the first prime
+    # = 1 (mod 3); the norm bound must carry on to the next prime
+    from hallinv.oracle import cover_b1, regular_cyclic_action
+    P = parse_presentation("gens: x, y\nrels: x^7\n")
+    assert beta(P, 3, 0).counts == {0: 1}
+    assert b1_cover_cyclic(P, 3, [0, 1], 0) == 1 == \
+        cover_b1(P, regular_cyclic_action(3, [0, 1]), 0)
+
+
+def test_char0_rank_falls_back_past_the_table_limit(monkeypatch):
+    # with the Zech tables capped at 7 elements only the prime 7 is left,
+    # which cannot certify the rank of the row (7, 0); the character must
+    # go to the exact element-level depth
+    import hallinv.charvar as charvar
+    monkeypatch.setattr(charvar, "_LOG_TABLE_LIMIT", 7)
+    P = parse_presentation("gens: x, y\nrels: x^7\n")
+    assert beta(P, 3, 0).counts == {0: 1}
+    assert beta(P, 3, 5).counts == {0: 1}  # F_25: element mode throughout

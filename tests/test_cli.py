@@ -182,6 +182,42 @@ def test_bad_perm_names_its_shape(capsys):
     assert err.startswith("error: ") and "permutation of 1..n" in err
 
 
+@pytest.mark.parametrize("table", [
+    {"mul": 5},
+    {"mul": [[0, 1], [1]]},
+    {"table": [[0]]},
+    [[0]],
+    {"mul": []},
+    {"mul": [[0, 2], [1, 0]]},
+    {"mul": [[0, 1], [1, "0"]]},
+])
+def test_malformed_table_file_exits_1(capsys, tmp_path, table):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run(capsys, "oracle", "--target", f"table:{path}",
+                         "--fixture", "free:2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "n x n table" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("oracle", "--cover-order", "0", "--cover-images", "1,0"),
+     "at least 1"),
+    (("oracle", "--cover-order", "-3", "--cover-images", "1,0"),
+     "at least 1"),
+    (("oracle", "--cover-order", "3", "--cover-images", "1,x"),
+     "comma-separated integers"),
+    (("cover", "--order", "3", "--images", "1,x"),
+     "comma-separated integers"),
+])
+def test_bad_cover_options_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--fixture", "free:2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_table_budget_checked_before_build(capsys, monkeypatch):
     # S_7's table would hold 5040^2 = 25.4M entries, over the 5M ceiling
     def build(k):

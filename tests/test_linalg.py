@@ -148,11 +148,14 @@ def test_rank_metamorphic_invariance():
         assert rank_over_field(permuted, K) == r
 
 
-def test_fraction_free_rank_matches_generic():
-    # the integer-vector elimination used by the depth engine against the
-    # generic division-based one, over cyclotomic fields
+def test_certified_rank_matches_generic():
+    # the depth engine's modular rank, certified by the norm bound alone
+    # (no Fox ceiling), against the generic division-based rank over
+    # cyclotomic fields; entry sum_j c_j zeta^j is the Laurent polynomial
+    # sum_j c_j t^j at the character t -> zeta_N
     import random
-    from hallinv.charvar import _rank_int_vectors
+    from hallinv.charvar import DepthEngine
+    from hallinv.foxcalc import AlexanderMatrix, LaurentElement
     rng = random.Random(55)
     for N in (3, 4, 5):
         K = cyclotomic_field(N)
@@ -164,9 +167,24 @@ def test_fraction_free_rank_matches_generic():
                            for _ in range(n)] for _ in range(m)]
             generic = [[K.element(vec) for vec in row] for row in coeff_rows]
             want = rank_over_field(generic, K)
-            got = _rank_int_vectors([[list(vec) for vec in row]
-                                     for row in coeff_rows], K)
-            assert got == want
+            entries = [[LaurentElement({((j,), ()): c
+                                        for j, c in enumerate(vec) if c})
+                        for vec in row] for row in coeff_rows]
+            engine = DepthEngine(AlexanderMatrix(None, entries, n), K, N)
+            assert engine.mode == "zech"
+            assert engine._certified_rank((1,), min(m, n)) == want
+
+
+def test_library_has_no_bare_asserts():
+    # invariant checks raise InvariantViolation, which survives python -O
+    import ast
+    import pathlib
+    import hallinv
+    for path in pathlib.Path(hallinv.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert on lines {lines}"
 
 
 def test_rank_rejects_foreign_entries():

@@ -167,6 +167,12 @@ def test_cover_homology_free_group():
     assert (betti, torsion) == (3, [])
 
 
+def test_regular_cyclic_action_needs_positive_order():
+    for N in (0, -3):
+        with pytest.raises(ValueError):
+            regular_cyclic_action(N, [1, 0])
+
+
 def test_cover_homology_z2():
     # finite-index subgroups of Z^2 are Z^2
     for images in ([1, 0], [1, 2], [0, 1]):
