@@ -222,10 +222,11 @@ class CensusReport:
         ks = {key: v for key, v in self.values.items() if isinstance(v, int)}
         if ("a_k" in ks and "a_k_normal" in ks
                 and not ks["a_k"] >= ks["a_k_normal"]):
-            raise AssertionError("normal count exceeds subgroup count")
+            raise InvariantViolation("normal count exceeds subgroup count")
         if ("a_k_normal" in ks and "alpha_k" in ks
                 and not ks["a_k_normal"] >= ks["alpha_k"]):
-            raise AssertionError("abelian-quotient count exceeds normal count")
+            raise InvariantViolation(
+                "abelian-quotient count exceeds normal count")
 
     def as_dict(self):
         out = {"k": self.k}

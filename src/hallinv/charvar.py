@@ -7,11 +7,13 @@ largest d with t on the d-th determinantal stratum, and for a normal
 subgroup K with cyclic quotient the mod-q Betti number of K is recovered
 by summing depths of the powers of the defining character.
 
-beta_distribution counts order-p characters by depth.  Depth is constant
-on the orbits t -> t^j (1 <= j < p), which all have size exactly p - 1, so
-by default one representative per orbit is evaluated; the slower all-points
-path (check_orbits) divides by p - 1 and asserts exactness, and the two
-must agree.
+Depth is constant on Galois orbits of characters (Frobenius orbits when
+q > 0), so every character walk evaluates one representative per orbit,
+weighted by its size, through one rule: _galois_orbits.  When q does not
+generate (Z/p)^*, an index-p subgroup's p - 1 characters may differ in
+depth; there is then no Betti distribution, while the Hall invariants,
+which sum over characters, are still defined.  The all-points path
+(check_orbits) verifies that depth is constant on each orbit.
 
 Depth is a rank, taken by one kernel: Zech-logarithm elimination over a
 small finite field (DepthEngine; past the table limit, depth()).  In
@@ -24,18 +26,19 @@ product of the primes tried outgrows a Hadamard bound on the norm of
 every minor (see DepthEngine for the argument).
 
 A Group holds what several invariants of one presentation share: the
-abelianization, the Alexander matrix and the Betti distributions already
+abelianization, the Alexander matrix and the character depths already
 asked for.  Callers that combine invariants make one Group per request.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice, product
 from math import gcd, lcm, prod
 
-from .fields import (_LOG_TABLE_LIMIT, euler_phi, factorize, is_prime,
-                     log_tables, prime_field, primitive_root_of_unity,
-                     sufficiently_large_field)
+from .fields import (_LOG_TABLE_LIMIT, euler_phi, is_prime, log_tables,
+                     multiplicative_order, prime_field,
+                     primitive_root_of_unity, sufficiently_large_field)
 from .foxcalc import (abelianization, alexander_matrix,
                       augmentation_jacobian)
 from .linalg import InvariantViolation, rank_over_field
@@ -110,10 +113,11 @@ class DepthEngine:
 
     The Alexander matrix is compiled once: each Laurent term becomes an
     integer coefficient plus the linear form its exponents induce on the
-    chi coordinates.  A character is a coordinate exponent vector e, its
-    value on coordinate c being zeta_N^{e_c}, so every entry of the
-    evaluated matrix is a sum of coefficient * zeta^(form . e mod N) in
-    Z[zeta_N].  Ranks are taken in finite fields holding a primitive N-th
+    chi coordinates, each distinct form kept once (as its nonzero weights)
+    so that a character evaluates it once.  A character is a coordinate
+    exponent vector e, its value on coordinate c being zeta_N^{e_c}, so
+    every entry of the evaluated matrix is a sum of
+    coefficient * zeta^(form . e mod N) in Z[zeta_N].  Ranks are taken in finite fields holding a primitive N-th
     root of unity, by Zech-logarithm elimination (_rank_codes).
 
     For q > 0 that field is K = F_{q^s} and its rank is the answer.  For
@@ -148,9 +152,13 @@ class DepthEngine:
         self.K = K
         self.N = N
         self.num_generators = A.num_generators
-        self.rows = [[[(coeff, tuple(tors) + tuple(free))
+        forms = {}
+        self.rows = [[[(coeff, forms.setdefault(tuple(tors) + tuple(free),
+                                                len(forms)))
                        for (free, tors), coeff in entry.terms.items()]
                       for entry in row] for row in A.entries]
+        self.forms = [tuple((c, w) for c, w in enumerate(form) if w)
+                      for form in forms]
         self.ceiling = min(len(self.rows), self.num_generators)
         if K.char:
             self.fields = [K] if K.order() <= _LOG_TABLE_LIMIT else []
@@ -207,19 +215,23 @@ class DepthEngine:
     def _rank_finite(self, e, i):
         lt, zl, rows = self._reduction(i)
         N = self.N
-        n_mod = lt.n
-        add = lt.add
+        order, zech = lt.n, lt.zech
+        # the log of zeta^(form . e), once per distinct form
+        logs = [zl * (sum(w * e[c] for c, w in form) % N)
+                for form in self.forms]
         matrix = []
         for row in rows:
             out_row = []
             for terms in row:
                 acc = -1
-                for c, form in terms:
-                    dot = 0
-                    for w, a in zip(form, e):
-                        if w and a:
-                            dot += w * a
-                    acc = add(acc, (c + zl * (dot % N)) % n_mod)
+                for c, f in terms:
+                    # acc += coefficient * zeta^(form . e), by Zech logs
+                    b = (c + logs[f]) % order
+                    if acc == -1:
+                        acc = b
+                    else:
+                        d = zech[(acc - b) % order]
+                        acc = -1 if d == -1 else (b + d) % order
                 out_row.append(acc)
             matrix.append(out_row)
         return _rank_codes(matrix, lt)
@@ -260,7 +272,7 @@ def _rank_codes(matrix, lt):
     if not matrix or not matrix[0]:
         return 0
     m, n = len(matrix), len(matrix[0])
-    add, mul, neg = lt.add, lt.mul, lt.neg
+    zech, order, minus_one = lt.zech, lt.n, lt.minus_one
     rank = 0
     col = 0
     while rank < m and col < n:
@@ -275,13 +287,24 @@ def _rank_codes(matrix, lt):
         matrix[rank], matrix[piv] = matrix[piv], matrix[rank]
         prow = matrix[rank]
         pval = prow[col]
+        pivot_terms = [(j, prow[j]) for j in range(col + 1, n)
+                       if prow[j] != -1]
         for i in range(rank + 1, m):
-            c = matrix[i][col]
+            row = matrix[i]
+            c = row[col]
             if c != -1:
-                factor = neg((c - pval) % lt.n)
-                row = matrix[i]
-                for j in range(col, n):
-                    row[j] = add(row[j], mul(factor, prow[j]))
+                # row -= (c / pval) * prow, in logs: add factor + prow[j]
+                # to row[j] through the Zech table; column col becomes 0
+                factor = (c - pval + minus_one) % order
+                row[col] = -1
+                for j, b in pivot_terms:
+                    b = (b + factor) % order
+                    a = row[j]
+                    if a == -1:
+                        row[j] = b
+                    else:
+                        d = zech[(a - b) % order]
+                        row[j] = -1 if d == -1 else (b + d) % order
         rank += 1
         col += 1
     return rank
@@ -340,36 +363,69 @@ def enumerate_order_p_characters(abel, p, K):
     if K.char == p:
         raise ValueError("field characteristic equals p")
     zeta = primitive_root_of_unity(K, p)
-    for exps in _nonzero_vectors(p, abel.b1(p)):
-        yield _order_p_character(abel, K, zeta, p, exps)
+    h = len(abel.torsion)
+    for exps in product(*map(range, _character_moduli(abel, p))):
+        if any(exps):
+            yield character_from_coordinate_exponents(abel, K, zeta, p,
+                                                       exps[:h], exps[h:])
 
 
-def _order_p_character(abel, K, zeta, p, exps):
-    active = iter(exps)
-    tors_exps = [next(active) if e % p == 0 else 0 for e in abel.torsion]
-    free_exps = [next(active) for _ in range(abel.free_rank)]
-    return character_from_coordinate_exponents(abel, K, zeta, p,
-                                               tors_exps, free_exps)
+def _character_moduli(abel, k):
+    """The characters of order dividing k as Z_{m_1} + ... + Z_{m_c}, one
+    summand per chi coordinate: the vector v is the character with
+    coordinate exponents (k / m_i) v_i mod k.  For a prime k every m_i is
+    k or 1, so v is its own coordinate exponent vector."""
+    return [gcd(k, e) for e in abel.torsion] + [k] * abel.free_rank
 
 
-def _nonzero_vectors(p, n):
-    vec = [0] * n
-    total = p ** n
-    for code in range(1, total):
-        m = code
-        for i in range(n):
-            vec[i] = m % p
-            m //= p
-        yield tuple(vec)
+def _unit_cosets(k, q):
+    """The cosets of <q mod k> in (Z/k)^*, or all of (Z/k)^* at q = 0, in
+    order of their least elements, each listed as j, jq, jq^2, ... from its
+    least element j."""
+    units = [j for j in range(1, k) if gcd(j, k) == 1]
+    if not q:
+        return [units]
+    s = multiplicative_order(q, k)
+    cosets = [[j * q ** i % k for i in range(s)] for j in units]
+    return [coset for coset in cosets if min(coset) == coset[0]]
 
 
-def _orbit_canonical(exps, p):
-    return min(tuple((j * e) % p for e in exps) for j in range(1, p))
+def _galois_orbits(moduli, q):
+    """Each nontrivial cyclic subgroup of Z_{m_1} + ... + Z_{m_r}, as its
+    generators split into Galois orbits.
+
+    The vectors are characters with values in a field of characteristic
+    q.  Its Galois group fixes the Alexander matrix and so depth: for
+    q > 0 it is generated by Frobenius, rho -> rho^q, and at q = 0 it holds
+    every rho -> rho^j, j prime to the order of rho.  So the generators of
+    a subgroup of order k split into the orbits of <q mod k> <= (Z/k)^*,
+    or form one orbit at q = 0.  A subgroup is visited at its least
+    generator (as a tuple), vectors taken in code order, first coordinate
+    fastest, and yielded as a list of orbits, each a list of vectors
+    headed by its representative; the first is the least generator.
+    """
+    cosets = {}
+    for reverse in product(*(range(m) for m in reversed(moduli))):
+        v = reverse[::-1]
+        # the least generator's first nonzero coordinate e is the least
+        # generator, gcd(e, m), of the subgroup of Z_m that e spans
+        i = next((i for i, e in enumerate(v) if e), None)
+        if i is None or v[i] != gcd(v[i], moduli[i]):
+            continue
+        k = lcm(*(m // gcd(e, m) for e, m in zip(v, moduli)))
+        if k not in cosets:
+            cosets[k] = _unit_cosets(k, q)
+        orbits = [[tuple(j * e % m for e, m in zip(v, moduli)) for j in coset]
+                  for coset in cosets[k]]
+        if min(min(orbit) for orbit in orbits) == v:
+            yield orbits
 
 
 class BettiDistribution:
     """The finite map d -> number of index-p normal subgroups whose mod-q
-    first Betti number exceeds the base group's by (p-1)d."""
+    first Betti number exceeds the base group's by (p-1)d.  It exists when
+    every such subgroup has all its order-p characters of one depth d;
+    see Group.depths."""
 
     __slots__ = ("p", "q", "n_p", "counts")
 
@@ -403,24 +459,10 @@ class BettiDistribution:
         return f"beta_{self.p}^({self.q}) = {self.positive_part()}"
 
 
-def _order_p_coordinates(abel, p, exps):
-    """Full chi-coordinate exponent vector from the active-coordinate one."""
-    active = iter(exps)
-    tors = tuple(next(active) if e % p == 0 else 0 for e in abel.torsion)
-    free = tuple(next(active) for _ in range(abel.free_rank))
-    return tors + free
-
-
 def _depth_tally(A, p, q, exp_vectors):
     """Map exponent vector -> depth, for a chunk of order-p characters."""
-    K = sufficiently_large_field(p, q)
-    engine = DepthEngine(A, K, p)
-    abel = A.abel
-    out = {}
-    for exps in exp_vectors:
-        coords = _order_p_coordinates(abel, p, exps)
-        out[exps] = engine.depth_of_exponents(coords)
-    return out
+    engine = DepthEngine(A, sufficiently_large_field(p, q), p)
+    return {exps: engine.depth_of_exponents(exps) for exps in exp_vectors}
 
 
 def _parallel_depth_tally(A, p, q, exp_vectors, jobs):
@@ -437,68 +479,77 @@ def _parallel_depth_tally(A, p, q, exp_vectors, jobs):
     return merged
 
 
-def beta_distribution(P, p, q, *, check_orbits=False, A=None, jobs=1):
-    """Distribution of mod-q Betti jumps over index-p normal subgroups.
+def _order_p_depths(A, p, q, *, check_orbits=False, jobs=1):
+    """Depths of the order-p characters over a field of characteristic q,
+    as (characters, beta): characters maps d to the number of characters
+    of depth d, and beta is the BettiDistribution, or None when some
+    index-p subgroup has characters of two depths (possible only when q
+    has order less than p - 1 mod p).
 
-    Counts order-p characters by depth over a sufficiently large field of
-    characteristic q, one character per orbit of p-1 powers (they share a
-    kernel and a depth).  check_orbits instead evaluates every character,
-    verifies that depth really is constant on each orbit and asserts the
-    division by p-1 exact.  A= evaluates in the chi basis of that Alexander
-    matrix of P; the counts do not depend on the basis.
+    One character per Galois orbit is evaluated; check_orbits evaluates
+    every character instead and verifies that depth is constant on each
+    orbit.
     """
     if q == p:
         raise ValueError("q must differ from p")
-    if A is None:
-        A = alexander_matrix(P)
-    n_p = A.abel.b1(p)
-    vectors = list(_nonzero_vectors(p, n_p))
-    if not check_orbits:
-        vectors = [v for v in vectors if v == _orbit_canonical(v, p)]
+    # flat lists, a pointer per orbit: the characters to evaluate, each
+    # orbit's size and each subgroup's number of orbits
+    vectors, sizes, shapes = [], [], []
+    for orbits in _galois_orbits(_character_moduli(A.abel, p), q):
+        shapes.append(len(orbits))
+        for orbit in orbits:
+            sizes.append(len(orbit))
+            vectors.extend(orbit if check_orbits else orbit[:1])
     if jobs > 1 and len(vectors) > 64:
         depths = _parallel_depth_tally(A, p, q, vectors, jobs)
     else:
         depths = _depth_tally(A, p, q, vectors)
 
-    if check_orbits:
-        by_orbit = {}
-        for v, d in depths.items():
-            by_orbit.setdefault(_orbit_canonical(v, p), set()).add(d)
-        for orbit, ds in by_orbit.items():
-            if len(ds) != 1:
+    characters, counts = {}, {}
+    evaluated, orbit_sizes = iter(vectors), iter(sizes)
+    for n in shapes:
+        subgroup_depths = set()
+        for size in islice(orbit_sizes, n):
+            orbit = list(islice(evaluated, size if check_orbits else 1))
+            orbit_depths = {depths[v] for v in orbit}
+            if len(orbit_depths) != 1:
                 raise InvariantViolation(
-                    f"depth not constant on the orbit of {orbit}: {ds}")
+                    f"depth not constant on the Galois orbit of "
+                    f"{orbit[0]}: {orbit_depths}")
+            d = orbit_depths.pop()
+            characters[d] = characters.get(d, 0) + size
+            subgroup_depths.add(d)
+        if len(subgroup_depths) > 1:
+            counts = None
+        elif counts is not None:
+            d = subgroup_depths.pop()
+            counts[d] = counts.get(d, 0) + 1
+    beta = None if counts is None else \
+        BettiDistribution(p, q, A.abel.b1(p), counts)
+    return characters, beta
 
-    tally = {}
-    for d in depths.values():
-        tally[d] = tally.get(d, 0) + 1
-    counts = {}
-    for d, c in tally.items():
-        if d >= 1:
-            if not check_orbits:
-                counts[d] = c
-            else:
-                if c % (p - 1):
-                    raise InvariantViolation(
-                        f"depth-{d} character count {c} not divisible by p-1")
-                counts[d] = c // (p - 1)
-    total = (p ** n_p - 1) // (p - 1)
-    counts[0] = total - sum(counts.values())
-    return BettiDistribution(p, q, n_p, counts)
+
+def beta_distribution(P, p, q, *, check_orbits=False, A=None, jobs=1):
+    """Distribution of mod-q Betti jumps over index-p normal subgroups
+    (Group.beta).  check_orbits evaluates every order-p character and
+    verifies that depth is constant on each Galois orbit; A= evaluates in
+    the chi basis of that Alexander matrix of P, and the counts do not
+    depend on the basis."""
+    return Group(P, A=A, jobs=jobs).beta(p, q, check_orbits=check_orbits)
 
 
 class Group:
     """One presentation's shared invariants, each computed at most once:
     H_1 (one Smith normal form, shared with the Alexander matrix), the
-    Alexander matrix, and the Betti distributions already asked for, keyed
-    on (p, q).  jobs only spreads the character enumeration over workers;
-    A= fixes the chi basis, as for beta_distribution."""
+    Alexander matrix, and the order-p character depths already asked for,
+    keyed on (p, q).  jobs only spreads the character enumeration over
+    workers; A= fixes the chi basis, as for beta_distribution."""
 
     def __init__(self, P, *, A=None, jobs=1):
         self.P = P
         self.jobs = jobs
         self._A = A
-        self._betas = {}
+        self._depths = {}
 
     @classmethod
     def of(cls, G, **kwargs):
@@ -515,63 +566,46 @@ class Group:
             self._A = alexander_matrix(self.P, abel=self.abel)
         return self._A
 
+    def depths(self, p, q, *, check_orbits=False):
+        """(characters, beta) for the order-p characters, as described at
+        _order_p_depths; a check_orbits call always recomputes, on the
+        all-points path."""
+        found = None if check_orbits else self._depths.get((p, q))
+        if found is None:
+            found = _order_p_depths(self.alexander, p, q,
+                                    check_orbits=check_orbits, jobs=self.jobs)
+            self._depths[p, q] = found
+        return found
+
     def beta(self, p, q, *, check_orbits=False):
-        """beta_distribution(P, p, q); a check_orbits call always
-        recomputes, on the all-points path."""
-        b = None if check_orbits else self._betas.get((p, q))
-        if b is None:
-            b = beta_distribution(self.P, p, q, check_orbits=check_orbits,
-                                  A=self.alexander, jobs=self.jobs)
-            self._betas[p, q] = b
-        return b
+        """The BettiDistribution at (p, q); a ValueError naming p and q when
+        some index-p subgroup has characters of two depths."""
+        _, beta = self.depths(p, q, check_orbits=check_orbits)
+        if beta is None:
+            raise ValueError(
+                f"no Betti distribution at p = {p}, q = {q}: some index-{p} "
+                f"subgroup has characters of different depths, as q has "
+                f"order {multiplicative_order(q, p)} < {p - 1} mod {p}")
+        return beta
 
 
 # ---------------------------------------------------------------------------
 # Betti numbers of finite cyclic and abelian covers
 
-def _validate_epimorphism_cyclic(P, N, images):
-    if N < 1:
-        raise ValueError("N must be positive")
-    if len(images) != P.num_generators:
-        raise ValueError("one image per generator required")
-    if gcd(N, *images) != 1:
-        raise ValueError("images do not generate Z_N")
-    J = augmentation_jacobian(P)
-    for row in J.entries:
-        if sum(a * b for a, b in zip(row, images)) % N:
-            raise ValueError("not a homomorphism: a relator has nonzero image")
-
-
-def b1_cover_cyclic(P, N, images, q, *, A=None):
+def b1_cover_cyclic(G, N, images, q, *, A=None):
     """Mod-q first Betti number of the kernel of the map G -> Z_N sending
-    generator j to images[j]: b_1 + sum over nontrivial k | N of
-    phi(k) * depth of the order-k power character.  A= evaluates in the
-    chi basis of that Alexander matrix of P."""
-    _validate_epimorphism_cyclic(P, N, images)
-    if q != 0 and N % q == 0:
-        raise ValueError("characteristic divides the cover order")
-    if A is None:
-        A = alexander_matrix(P)
-    abel = A.abel
-    K = sufficiently_large_field(N, q)
-    engine = DepthEngine(A, K, N)
-    total = abel.b1(q)
-    for k in range(2, N + 1):
-        if N % k:
-            continue
-        j = N // k
-        coords = coordinate_exponents_from_generators(
-            abel, N, [(j * e) % N for e in images])
-        total += euler_phi(k) * engine.depth_of_exponents(coords)
-    return total
+    generator j to images[j]: b1_cover_abelian with the one factor Z_N.
+    A= evaluates in the chi basis of that Alexander matrix of G."""
+    return b1_cover_abelian(Group.of(G, A=A), [N], [images], q)
 
 
 def _validate_epimorphism_abelian(P, factors, images):
     if not factors or any(c < 1 for c in factors):
         raise ValueError("cyclic factor orders must be positive")
-    if len(images) != len(factors) or \
-            any(len(row) != P.num_generators for row in images):
-        raise ValueError("images must be a (factors x generators) grid")
+    if len(images) != len(factors):
+        raise ValueError("one row of images per cyclic factor required")
+    if any(len(row) != P.num_generators for row in images):
+        raise ValueError("one image per generator required")
     J = augmentation_jacobian(P)
     for i, c in enumerate(factors):
         for row in J.entries:
@@ -585,77 +619,50 @@ def _validate_epimorphism_abelian(P, factors, images):
     rows += [[factors[i] if i == c else 0 for i in range(k)] for c in range(k)]
     form = smith_normal_form(IntMatrix.from_rows(rows, k))
     if form.coker_free_rank or form.coker_torsion():
-        raise ValueError("images do not generate the target group")
+        raise ValueError("images do not generate Z_"
+                         + " + Z_".join(map(str, factors)))
 
 
-def b1_cover_abelian(P, factors, images, q):
+def b1_cover_abelian(G, factors, images, q):
     """Mod-q first Betti number of the kernel of G -> sum_i Z_{factors[i]},
-    generator j mapping to column j of images.
+    generator j mapping to column j of images; G is a presentation or a
+    Group.
 
-    Nontrivial characters rho of the target are grouped by the cyclic
-    subgroup they generate; each class contributes phi(ord rho) times the
-    depth of one representative pulled back along the map.
+    It is b1(G) plus the depth of every nontrivial character rho of the
+    target pulled back along the map.  Depth is constant on the Galois
+    orbits of _galois_orbits, so each orbit adds its size times the depth
+    of its representative.
     """
-    _validate_epimorphism_abelian(P, factors, images)
+    G = Group.of(G)
+    _validate_epimorphism_abelian(G.P, factors, images)
     E = lcm(*factors)
-    if q != 0 and E % q == 0:
-        raise ValueError("characteristic divides the cover order")
-    A = alexander_matrix(P)
-    abel = A.abel
     K = sufficiently_large_field(E, q)
+    A = G.alexander
     engine = DepthEngine(A, K, E)
-
-    seen = set()
-    total = abel.b1(q)
-    phi_total = 0
-    for rho in _nonzero_vectors_mixed(factors):
-        if rho in seen:
-            continue
-        order = lcm(*(c // gcd(r, c) for r, c in zip(rho, factors)))
-        multiples = {tuple((j * r) % c for r, c in zip(rho, factors))
-                     for j in range(1, order) if gcd(j, order) == 1}
-        multiples.add(rho)
-        seen.update(multiples)
-        m_rho = euler_phi(order)
-        if len(multiples) != m_rho:
-            raise InvariantViolation(
-                f"{len(multiples)} generators of <rho>, not phi = {m_rho}")
-        gen_exps = [sum((E // c) * r * images[i][j]
-                        for i, (r, c) in enumerate(zip(rho, factors))) % E
-                    for j in range(P.num_generators)]
-        coords = coordinate_exponents_from_generators(abel, E, gen_exps)
-        total += m_rho * engine.depth_of_exponents(coords)
-        phi_total += m_rho
-    expected = 1
-    for c in factors:
-        expected *= c
-    if phi_total != expected - 1:
-        raise InvariantViolation(
-            f"{phi_total} nontrivial characters counted, not {expected - 1}")
+    total = A.abel.b1(q)
+    for orbits in _galois_orbits(factors, q):
+        for orbit in orbits:
+            rho = orbit[0]
+            gen_exps = [sum(E // c * r * row[j]
+                            for r, c, row in zip(rho, factors, images)) % E
+                        for j in range(G.P.num_generators)]
+            coords = coordinate_exponents_from_generators(A.abel, E, gen_exps)
+            total += len(orbit) * engine.depth_of_exponents(coords)
     return total
 
 
-def _nonzero_vectors_mixed(factors):
-    total = 1
-    for c in factors:
-        total *= c
-    for code in range(1, total):
-        vec = []
-        m = code
-        for c in factors:
-            vec.append(m % c)
-            m //= c
-        yield tuple(vec)
-
-
-def check_bounds_congruence(b1_base, b1_cover, num_generators, k,
+def check_bounds_congruence(b1_base, b1_cover, num_generators, k, q,
                             depth_sup=None):
-    """Validate the bounds and congruence a finite abelian cover must obey.
+    """Validate the bounds and congruence a finite abelian cover of order k
+    must obey in characteristic q.
 
     b1(G) <= b1(K) <= b1(G) + (k-1)(l-1), sharpened to (k-1) * depth_sup
     when the maximal depth over nontrivial characters of order dividing k
-    is supplied; and b1(K) = b1(G) mod gcd(p_i - 1) over the prime factors
-    of k.  Returns a report dict; raises InvariantViolation on any breach.
+    is supplied; and b1(K) = b1(G) mod D, D the gcd of the Galois-orbit
+    sizes, since each orbit adds its size times a depth.  D is the gcd of
+    ord_p(q) (p - 1 at q = 0) over the primes p dividing k, the same for
+    every abelian group of order k, so it is read off the orbits of Z_k.
+    Returns a report dict; raises InvariantViolation on any breach.
     """
     lower = b1_base
     upper = b1_base + (k - 1) * (num_generators - 1)
@@ -668,10 +675,8 @@ def check_bounds_congruence(b1_base, b1_cover, num_generators, k,
         if b1_cover > sharp:
             raise InvariantViolation(
                 f"cover Betti number {b1_cover} above sharpened bound {sharp}")
-    primes = list(factorize(k)) if k > 1 else []
-    D = 0
-    for p in primes:
-        D = gcd(D, p - 1)
+    D = gcd(*(len(orbit) for orbits in _galois_orbits([k], q)
+              for orbit in orbits))
     if D > 1 and (b1_cover - b1_base) % D:
         raise InvariantViolation(
             f"jump {b1_cover - b1_base} not divisible by D = {D}")
@@ -679,22 +684,13 @@ def check_bounds_congruence(b1_base, b1_cover, num_generators, k,
             "modulus": D, "jump": b1_cover - b1_base}
 
 
-def max_depth_of_order_dividing(P, k, q):
-    """sup of depth over nontrivial characters whose order divides k."""
-    A = alexander_matrix(P)
-    abel = A.abel
-    K = sufficiently_large_field(k, q)
-    engine = DepthEngine(A, K, k)
-    best = 0
-    h = len(abel.torsion)
-    # torsion coordinate values must also satisfy v^{e_i} = 1
-    for exps in _nonzero_vectors(k, abel.num_coordinates):
-        ok = True
-        for e, ei in zip(exps[:h], abel.torsion):
-            if (e * ei) % k:
-                ok = False
-                break
-        if not ok:
-            continue
-        best = max(best, engine.depth_of_exponents(exps))
-    return best
+def max_depth_of_order_dividing(G, k, q):
+    """sup of depth over nontrivial characters whose order divides k, one
+    per Galois orbit; G is a presentation or a Group."""
+    A = Group.of(G).alexander
+    moduli = _character_moduli(A.abel, k)
+    engine = DepthEngine(A, sufficiently_large_field(k, q), k)
+    return max((engine.depth_of_exponents(
+        tuple(k // m * e for m, e in zip(moduli, orbit[0])))
+        for orbits in _galois_orbits(moduli, q) for orbit in orbits),
+        default=0)

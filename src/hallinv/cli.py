@@ -166,9 +166,9 @@ def _cmd_delta(args):
     G = Group(_load_presentation(args), jobs=args.jobs)
     value, method = delta_of(G, kind, params)
     payload = {"target": args.target, "delta": value, "method": method}
-    if kind == "mpq":
-        payload["beta"] = {str(d): c for d, c
-                           in sorted(G.beta(*params).counts.items())}
+    beta = G.depths(*params)[1] if kind == "mpq" else None
+    if beta is not None:
+        payload["beta"] = {str(d): c for d, c in sorted(beta.counts.items())}
     _emit(args, payload, f"delta = {value}   [{method}]")
 
 
@@ -242,7 +242,7 @@ def _cmd_oracle(args):
     T = _target_table(kind, params, args.budget)
     if args.mode == "delta":
         epi = hom_count(P, T, "epi", args.budget)
-        aut = aut_order(T)
+        aut = aut_order(T, args.budget)
         if epi % aut:
             raise InvariantViolation(
                 "epimorphism count not divisible by |Aut|")

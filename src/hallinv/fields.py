@@ -192,7 +192,7 @@ def _extension_modulus(q, s):
                 _MODULUS_CACHE[key] = f
                 break
         else:  # pragma: no cover - irreducibles exist in every degree
-            raise AssertionError("no irreducible polynomial found")
+            raise InvariantViolation("no irreducible polynomial found")
     return list(_MODULUS_CACHE[key])
 
 
@@ -566,7 +566,8 @@ def _find_generator(K):
         if all(not (g ** (n // p)).is_one() for p in prime_divs):
             K._generator = g
             return g
-    raise AssertionError("no multiplicative generator found")  # pragma: no cover
+    raise InvariantViolation(  # pragma: no cover
+        "no multiplicative generator found")
 
 
 class LogTables:

@@ -4,7 +4,7 @@ Two computation routes live here.  For a finite abelian target the count
 is a closed product-formula over primes in partition data (theta sums and
 automorphism orders).  For the split metabelian groups M_{p,q^s} =
 Z_q^s x| Z_p (s the order of q mod p) the count is assembled from the
-distribution of mod-q Betti jumps of index-p normal subgroups.
+depths of the order-p characters over a field of characteristic q.
 """
 
 from __future__ import annotations
@@ -318,18 +318,19 @@ def construct_mpqs(p, q, factor_index=0):
 
 def delta_mpqs(G, p, q, *, A=None, jobs=1):
     """Hall invariant of G (a presentation or a charvar.Group) against
-    M_{p,q^s}, from the mod-q Betti distribution of index-p normal
-    subgroups:
+    M_{p,q^s}, from the depths d(rho) of the order-p characters rho over a
+    field of characteristic q:
 
-        (p - 1) / (s (q^s - 1)) * sum_{d >= 1} beta_{p,d}^{(q)} (q^{sd} - 1).
+        sum_rho (q^{s d(rho)} - 1) / (s (q^s - 1)),
 
-    For a presentation, A= evaluates in the chi basis of that Alexander
-    matrix and jobs spreads the character enumeration over workers.
+    which is (p - 1) / (s (q^s - 1)) * sum_{d >= 1} beta_{p,d} (q^{sd} - 1)
+    whenever the Betti distribution beta = beta_p^{(q)} exists.  For a
+    presentation, A= evaluates in the chi basis of that Alexander matrix
+    and jobs spreads the character enumeration over workers.
     """
-    beta = Group.of(G, A=A, jobs=jobs).beta(p, q)
+    characters, _ = Group.of(G, A=A, jobs=jobs).depths(p, q)
     s = multiplicative_order(q, p)
-    num = (p - 1) * sum(c * (q ** (s * d) - 1)
-                        for d, c in beta.counts.items() if d >= 1)
+    num = sum(c * (q ** (s * d) - 1) for d, c in characters.items())
     den = s * (q ** s - 1)
     if num % den:
         raise InvariantViolation("metabelian count not an integer")
@@ -340,13 +341,13 @@ def hom_epi_count_mpqs(G, p, q):
     """(|Hom|, |Epi|) into M_{p,q^s}, from depths of the order-p characters:
     each rho contributes q^{s(depth+1)} homomorphisms, of which q^s are
     abelian when rho is nontrivial; the trivial rho contributes
-    q^{s b_1^{(q)}}.  The nontrivial characters are taken p-1 at a time
-    through the Betti distribution, which tallies exactly their depths."""
+    q^{s b_1^{(q)}}."""
     G = Group.of(G)
     qs = q ** multiplicative_order(q, p)
     hom = qs ** G.abel.b1(q)  # trivial rho, via depth(1) = b_1^{(q)} - 1
     epi = 0
-    for d, count in G.beta(p, q).counts.items():
-        hom += (p - 1) * count * qs ** (d + 1)
-        epi += (p - 1) * count * qs * (qs ** d - 1)
+    characters, _ = G.depths(p, q)
+    for d, count in characters.items():
+        hom += count * qs ** (d + 1)
+        epi += count * qs * (qs ** d - 1)
     return hom, epi

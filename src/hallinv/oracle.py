@@ -17,8 +17,9 @@ Kautz, SAT 2004).  A single relator whose letters fall into
 generator-disjoint blocks (a surface word) never splits; it is counted by
 convolving the value distributions of its blocks instead.  Epimorphisms
 are counted by Moebius inversion over the brute-forced subgroup lattice.
-Every search and every target-table build is checked against a budget and
-raises BudgetExceeded rather than returning a partial count.
+Every search, subgroup lattice, automorphism count and target-table build
+is checked against a budget and raises BudgetExceeded rather than
+returning a partial count.
 """
 
 from __future__ import annotations
@@ -153,29 +154,36 @@ class FiniteGroupTable:
                     frontier.append(y)
         return frozenset(seen)
 
-    def all_subgroups(self):
+    def all_subgroups(self, budget=10 ** 8):
         """Every subgroup, found by closing known subgroups with one more
-        generator until nothing new appears."""
+        generator until nothing new appears.  Each closure is charged its
+        size, and BudgetExceeded is raised once the total passes budget."""
         if self._subgroups is None:
             trivial = frozenset([self.identity])
             found = {trivial}
             frontier = [trivial]
+            spent = 0
             while frontier:
                 H = frontier.pop()
                 for g in range(self.order):
                     if g not in H:
                         K = self.closure(set(H) | {g})
+                        spent += len(K)
+                        if spent > budget:
+                            raise BudgetExceeded(
+                                "subgroup lattice budget exhausted")
                         if K not in found:
                             found.add(K)
                             frontier.append(K)
             self._subgroups = sorted(found, key=lambda s: (len(s), sorted(s)))
         return self._subgroups
 
-    def moebius(self):
+    def moebius(self, budget=10 ** 8):
         """Moebius function of the subgroup lattice: mu of the whole group
-        is 1, and mu sums to zero over the subgroups above any proper one."""
+        is 1, and mu sums to zero over the subgroups above any proper one.
+        The lattice is built within budget (all_subgroups)."""
         if self._moebius is None:
-            subs = self.all_subgroups()
+            subs = self.all_subgroups(budget)
             mu = {}
             for H in sorted(subs, key=len, reverse=True):
                 if len(H) == self.order:
@@ -231,12 +239,17 @@ def _bfs_tree(T, gens):
     return tree, order
 
 
-def _count_generator_images(T1, T2, bijective_only=True):
+def _count_generator_images(T1, T2, bijective_only=True, budget=10 ** 8):
     """Homomorphisms T1 -> T2 determined by images of a minimal generating
-    set of T1, checked against the whole table; counts the bijective ones."""
+    set of T1, checked against the whole table; counts the bijective ones.
+    Raises BudgetExceeded before it starts if the image tuples outnumber
+    budget."""
     gens = T1.minimal_generating_set()
     if not gens:
         return 1 if T2.order == 1 or not bijective_only else int(T2.order == 1)
+    if T2.order ** len(gens) > budget:
+        raise BudgetExceeded(f"{T2.order}^{len(gens)} generator images "
+                             "exceed the budget")
     tree, order = _bfs_tree(T1, gens)
     if len(tree) != T1.order:
         raise InvariantViolation("generating set does not reach every element")
@@ -254,9 +267,10 @@ def _count_generator_images(T1, T2, bijective_only=True):
     return count
 
 
-def aut_order(T):
-    """|Aut(T)| by enumerating generator images and checking the table."""
-    return _count_generator_images(T, T, bijective_only=True)
+def aut_order(T, budget=10 ** 8):
+    """|Aut(T)| by enumerating generator images and checking the table,
+    within budget image tuples."""
+    return _count_generator_images(T, T, True, budget)
 
 
 def tables_isomorphic(T1, T2):
@@ -442,7 +456,7 @@ def hom_count(P, T, mode="all", budget=10 ** 8):
 
 def _epi_by_moebius(P, T, budget):
     """Epimorphism count by Moebius inversion over the subgroup lattice."""
-    mu = T.moebius()
+    mu = T.moebius(budget)
     total = 0
     for H, m in mu.items():
         if m == 0:
@@ -457,7 +471,7 @@ def _epi_by_moebius(P, T, budget):
 def delta_oracle(P, T, budget=10 ** 8):
     """Hall invariant by pure enumeration: |Epi(P, T)| / |Aut(T)|."""
     epi = hom_count(P, T, "epi", budget)
-    aut = aut_order(T)
+    aut = aut_order(T, budget)
     if epi % aut:
         raise InvariantViolation("epimorphism count not divisible by |Aut|")
     return epi // aut

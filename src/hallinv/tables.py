@@ -54,6 +54,11 @@ def delta_of(G, kind, params):
 
 
 def _table(rows, columns, row_filter=None, jobs=1):
+    labels = [label for label, _ in rows]
+    unknown = [label for label in row_filter or () if label not in labels]
+    if unknown:
+        raise ValueError(f"unknown row {', '.join(unknown)}; the rows are "
+                         f"{', '.join(labels)}")
     out = []
     for label, fixture_name in rows:
         if row_filter is not None and label not in row_filter:

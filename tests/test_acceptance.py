@@ -235,16 +235,15 @@ COVER_FIXTURES = ("free:2", "free:3", None, "surface:2", "rp:3",
 
 def _index_p_kernel_reps(abel, p):
     """One epimorphism onto Z_p per index-p normal subgroup, as generator
-    image vectors."""
-    from hallinv.charvar import _nonzero_vectors, _order_p_coordinates
+    image vectors: the order-p characters whose first nonzero chi
+    coordinate exponent is 1."""
+    h = len(abel.torsion)
+    moduli = [p if e % p == 0 else 1 for e in abel.torsion] + \
+        [p] * abel.free_rank
     reps = []
-    for exps in _nonzero_vectors(p, abel.b1(p)):
-        canonical = min(tuple((j * e) % p for e in exps)
-                        for j in range(1, p))
-        if exps != canonical:
+    for coords in iproduct(*(range(m) for m in moduli)):
+        if next((e for e in coords if e), None) != 1:
             continue
-        coords = _order_p_coordinates(abel, p, exps)
-        h = len(abel.torsion)
         images = []
         for g in range(abel.num_generators):
             free, tors = abel.chi([1 if i == g else 0
@@ -366,5 +365,5 @@ def test_criterion_8_property_suites():
                     b1K = b1_cover_cyclic(P, N, list(images), q, A=A)
                 except ValueError:
                     continue
-                check_bounds_congruence(base, b1K, P.num_generators, N,
+                check_bounds_congruence(base, b1K, P.num_generators, N, q,
                                         depth_sup=d_sup)

@@ -13,6 +13,16 @@ from hallinv.presentations import (
 )
 
 
+# BS(1,2) and Z x| Z^3: at (p, q) = (3, 7) and (7, 2), q has order less
+# than p - 1 mod p, so an index-p subgroup's characters split into several
+# Frobenius orbits, and here they differ in depth
+BS12 = parse_presentation("gens: x, a; rels: x*a*x^-1*a^-2")
+Z_Z3 = parse_presentation(
+    "gens: x, a, b, c; rels: [a,b], [a,c], [b,c], x*a*x^-1*b^-1, "
+    "x*b*x^-1*c^-1, x*c*x^-1*b*a")
+SPLIT_ORBITS = ((BS12, 3, 7, 1, 2), (Z_Z3, 7, 2, 1, 4))
+
+
 def beta(P, p, q, **kw):
     return beta_distribution(P, p, q, **kw)
 
@@ -168,22 +178,27 @@ def test_b1_cover_cyclic_validation():
 
 
 def test_b1_cover_abelian_matches_cyclic():
+    # the one-factor abelian cover and the cyclic cover against the Smith
+    # form of the coset action; at (N, q) = (3, 7) and (6, 7) Frobenius
+    # does not join the generators of a subgroup into one Galois orbit
     import random
+    from hallinv.oracle import cover_b1, regular_cyclic_action
     rng = random.Random(31)
     groups = [free_group(2), nonorientable_surface_group(3),
-              product_of_free_groups([2, 1])]
+              product_of_free_groups([2, 1]), BS12]
+    pairs = [(N, q) for N in (2, 3, 4, 6) for q in (0, 5, 7)
+             if q == 0 or N % q]
     for _ in range(200):
         P = rng.choice(groups)
-        N = rng.choice([2, 3, 4, 6])
-        q = rng.choice([0, 5, 7])
-        while q != 0 and N % q == 0:
-            q = rng.choice([0, 5, 7])
+        N, q = rng.choice(pairs)
         images = [rng.randrange(N) for _ in range(P.num_generators)]
         try:
-            want = b1_cover_cyclic(P, N, images, q)
+            want = b1_cover_abelian(P, [N], [images], q)
         except ValueError:
             continue
-        assert b1_cover_abelian(P, [N], [images], q) == want
+        assert b1_cover_cyclic(P, N, images, q) == want
+        assert cover_b1(P, regular_cyclic_action(N, images), q) == want, \
+            (P, N, images, q)
 
 
 def test_b1_cover_abelian_klein_four():
@@ -198,17 +213,17 @@ def test_b1_cover_abelian_klein_four():
 
 
 def test_bounds_and_congruence():
-    report = check_bounds_congruence(2, 3, 2, 2)
+    report = check_bounds_congruence(2, 3, 2, 2, 0)
     assert report["jump"] == 1
     with pytest.raises(InvariantViolation):
-        check_bounds_congruence(2, 6, 2, 2)  # above (k-1)(l-1) bound
+        check_bounds_congruence(2, 6, 2, 2, 0)  # above (k-1)(l-1) bound
     with pytest.raises(InvariantViolation):
-        check_bounds_congruence(2, 3, 5, 9)  # jump 1 not divisible by D = 2
+        check_bounds_congruence(2, 3, 5, 9, 0)  # jump 1 not divisible by D = 2
     # sharpened bound via max depth
     P = free_group(2)
     d = max_depth_of_order_dividing(P, 2, 0)
     assert d == 1
-    check_bounds_congruence(2, 3, 2, 2, depth_sup=d)
+    check_bounds_congruence(2, 3, 2, 2, 0, depth_sup=d)
 
 
 def test_cover_bounds_hold_on_enumerated_covers():
@@ -224,7 +239,7 @@ def test_cover_bounds_hold_on_enumerated_covers():
                 except ValueError:
                     continue
                 check_bounds_congruence(b1_base, b1K, P.num_generators, N,
-                                        depth_sup=d_sup)
+                                        q, depth_sup=d_sup)
 
 
 def _all_epis(l, N):
@@ -326,3 +341,51 @@ def test_char0_rank_falls_back_past_the_table_limit(monkeypatch):
     P = parse_presentation("gens: x, y\nrels: x^7\n")
     assert beta(P, 3, 0).counts == {0: 1}
     assert beta(P, 3, 5).counts == {0: 1}  # F_25: element mode throughout
+
+
+@pytest.mark.parametrize("P, p, q, delta, b1_cover", SPLIT_ORBITS)
+def test_split_frobenius_orbits_match_oracle(P, p, q, delta, b1_cover):
+    # each index-p subgroup's characters are summed orbit by orbit, so the
+    # Hall invariant and the cover Betti number agree with enumeration;
+    # the first generator's image alone fixes the kernel, and every
+    # nonzero multiple of it gives the same subgroup
+    from hallinv.hall import construct_mpqs, delta_mpqs
+    from hallinv.oracle import cover_b1, delta_oracle, regular_cyclic_action
+    assert delta_mpqs(P, p, q) == delta_oracle(P, construct_mpqs(p, q).table) \
+        == delta
+    base = abelianization(P).b1(q)
+    d_sup = max_depth_of_order_dividing(P, p, q)
+    for j in range(1, p):
+        images = [j] + [0] * (P.num_generators - 1)
+        b1K = b1_cover_cyclic(P, p, images, q)
+        assert b1K == cover_b1(P, regular_cyclic_action(p, images), q) \
+            == b1_cover
+        check_bounds_congruence(base, b1K, P.num_generators, p, q,
+                                depth_sup=d_sup)
+    for check_orbits in (False, True):
+        with pytest.raises(ValueError, match=f"p = {p}, q = {q}"):
+            beta(P, p, q, check_orbits=check_orbits)
+
+
+def test_galois_orbits_partition_the_characters():
+    # a subgroup of order k splits into orbits of size ord_k(q) (phi(k) at
+    # q = 0), each closed under rho -> rho^q, and is headed by its least
+    # generator; together the orbits cover every nonzero vector once
+    from math import gcd, lcm, prod
+    from hallinv.charvar import _galois_orbits
+    from hallinv.fields import euler_phi, multiplicative_order
+    for moduli, q in (([3, 3], 0), ([3, 3], 7), ([4, 2], 3), ([6], 7),
+                      ([7], 2), ([7, 7], 2), ([5, 5], 2), ([1, 4], 5),
+                      ([2, 4, 3], 5)):
+        seen = []
+        for orbits in _galois_orbits(moduli, q):
+            head = orbits[0][0]
+            k = lcm(*(m // gcd(e, m) for e, m in zip(head, moduli)))
+            size = multiplicative_order(q, k) if q else euler_phi(k)
+            assert head == min(v for orbit in orbits for v in orbit)
+            for orbit in orbits:
+                assert len(orbit) == size
+                assert {tuple(q * e % m for e, m in zip(v, moduli))
+                        for v in orbit} <= set(orbit) or q == 0
+                seen.extend(orbit)
+        assert len(seen) == len(set(seen)) == prod(moduli) - 1

@@ -8,7 +8,7 @@ import hallinv
 from hallinv import charvar, foxcalc
 from hallinv.cli import main
 from hallinv.oracle import FiniteGroupTable
-from hallinv.tables import TABLE1_ROWS
+from hallinv.tables import TABLE1_ROWS, TABLE2_ROWS
 
 
 def run(capsys, *argv):
@@ -228,6 +228,17 @@ def test_table_budget_checked_before_build(capsys, monkeypatch):
     assert code == 2 and out == "" and err.startswith("infeasible: ")
 
 
+def test_lattice_budget_exits_2(capsys):
+    # S_4's 576-entry table fits a budget of 1000, its subgroup lattice
+    # does not; at the default budget the count goes through
+    code, out, err = run(capsys, "oracle", "--target", "sym:4", "--mode",
+                         "epi", "--fixture", "free:2", "--budget", "1000")
+    assert code == 2 and out == "" and err.startswith("infeasible: ")
+    code, out, _ = run(capsys, "oracle", "--target", "sym:4", "--mode",
+                       "epi", "--fixture", "free:2")
+    assert code == 0 and out == "epi count = 216\n"
+
+
 @pytest.fixture
 def counted(monkeypatch):
     """Calls of charvar._depth_tally (one per Betti distribution at
@@ -272,3 +283,43 @@ def test_table1_one_group_per_row(capsys, counted):
     assert code == 0
     assert counted["abelianization"] == len(TABLE1_ROWS)
     assert counted["alexander_matrix"] == len(TABLE1_ROWS)
+
+
+BS12 = "gens: x, a\nrels: x*a*x^-1*a^-2\n"
+
+
+@pytest.mark.parametrize("extra", [(), ("--check-orbits",)])
+def test_beta_without_distribution_exits_1(capsys, tmp_path, extra):
+    # at (3, 7) the two characters of BS(1,2)'s one index-3 subgroup lie in
+    # different Frobenius orbits and differ in depth
+    pres = tmp_path / "bs12.txt"
+    pres.write_text(BS12)
+    code, out, err = run(capsys, "beta", "--p", "3", "--q", "7",
+                         "--in", str(pres), *extra)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "p = 3, q = 7" in err and "Traceback" not in err
+
+
+def test_delta_json_without_distribution(capsys, tmp_path):
+    pres = tmp_path / "bs12.txt"
+    pres.write_text(BS12)
+    code, out, _ = run(capsys, "delta", "--target", "mpq:3,7",
+                       "--in", str(pres), "--json")
+    assert code == 0
+    assert json.loads(out) == {"target": "mpq:3,7", "delta": 1,
+                               "method": "metabelian-torsion-count"}
+    for images in ("1,0", "2,0"):
+        code, out, _ = run(capsys, "cover", "--order", "3", "--q", "7",
+                           "--images", images, "--in", str(pres))
+        assert code == 0 and out == "b1^(7) of the cover = 2\n"
+
+
+@pytest.mark.parametrize("command, rows", [("table1", "XX"),
+                                           ("table2", "A(31425),nope")])
+def test_unknown_table_row_exits_1(capsys, command, rows):
+    code, out, err = run(capsys, command, "--rows", rows)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    known = TABLE1_ROWS if command == "table1" else TABLE2_ROWS
+    assert all(label in err for label, _ in known)

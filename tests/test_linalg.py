@@ -177,14 +177,23 @@ def test_certified_rank_matches_generic():
 
 def test_library_has_no_bare_asserts():
     # invariant checks raise InvariantViolation, which survives python -O
+    # and names the check, rather than assert or a bare AssertionError
     import ast
     import pathlib
     import hallinv
+
+    def raises_assertion_error(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
     for path in pathlib.Path(hallinv.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree)
-                 if isinstance(node, ast.Assert)]
-        assert not lines, f"{path.name}: assert on lines {lines}"
+                 if isinstance(node, ast.Assert)
+                 or isinstance(node, ast.Raise) and node.exc is not None
+                 and raises_assertion_error(node)]
+        assert not lines, \
+            f"{path.name}: assert or AssertionError on lines {lines}"
 
 
 def test_rank_rejects_foreign_entries():

@@ -143,6 +143,31 @@ def test_budget_charged_on_every_search():
         hom_count(direct_product_with_Z(free_group(2)), S3, budget=40)
 
 
+def test_lattice_and_automorphisms_charged_to_the_budget():
+    # S_4's lattice takes 9522 closure elements and its automorphism count
+    # 24^2 = 576 image tuples; past the budget both raise, and at the
+    # default budget the counts are the unpruned ones
+    S4 = FiniteGroupTable.symmetric(4)
+    with pytest.raises(BudgetExceeded):
+        S4.all_subgroups(budget=9521)
+    with pytest.raises(BudgetExceeded):
+        hom_count(free_group(2), S4, "epi", budget=9521)
+    with pytest.raises(BudgetExceeded):
+        aut_order(S4, budget=575)
+    assert len(S4.all_subgroups(budget=9522)) == 30
+    assert aut_order(S4, budget=576) == 24
+    assert hom_count(free_group(2), FiniteGroupTable.symmetric(4), "epi") \
+        == brute_counts(free_group(2), S4)[1] == 216
+    assert delta_oracle(free_group(2), FiniteGroupTable.symmetric(4)) == 9
+    # S_3's lattice (102 elements) is charged before the epimorphism
+    # search; with the lattice built, the search's own charge still trips
+    S3 = FiniteGroupTable.symmetric(3)
+    P = parse_presentation("gens: x, y, z; rels: x*y*x*y, y*z*y*z, z*x*z*x")
+    S3.moebius(budget=102)
+    with pytest.raises(BudgetExceeded):
+        hom_count(P, S3, mode="epi", budget=101)
+
+
 def test_aut_orders():
     assert aut_order(FiniteGroupTable.symmetric(3)) == 6
     assert aut_order(FiniteGroupTable.abelian([2, 2])) == 6
@@ -278,7 +303,7 @@ def test_invariant_checks_survive_optimize():
         "from hallinv import cli, oracle",
         "from hallinv.linalg import InvariantViolation",
         "from hallinv.presentations import free_group",
-        "oracle.aut_order = cli.aut_order = lambda T: 4",
+        "oracle.aut_order = cli.aut_order = lambda T, budget: 4",
         "S3 = oracle.FiniteGroupTable.symmetric(3)",
         "for call in (lambda: oracle.delta_oracle(free_group(2), S3),",
         "             lambda: cli.main(['oracle', '--target', 's3',",
