@@ -541,15 +541,17 @@ def beta_distribution(P, p, q, *, check_orbits=False, A=None, jobs=1):
 class Group:
     """One presentation's shared invariants, each computed at most once:
     H_1 (one Smith normal form, shared with the Alexander matrix), the
-    Alexander matrix, and the order-p character depths already asked for,
-    keyed on (p, q).  jobs only spreads the character enumeration over
-    workers; A= fixes the chi basis, as for beta_distribution."""
+    Alexander matrix, the augmentation Jacobian, the depth engines by
+    (N, q), and the order-p character depths already asked for, keyed on
+    (p, q).  jobs only spreads the character enumeration over workers; A=
+    fixes the chi basis, as for beta_distribution."""
 
     def __init__(self, P, *, A=None, jobs=1):
         self.P = P
         self.jobs = jobs
         self._A = A
         self._depths = {}
+        self._engines = {}
 
     @classmethod
     def of(cls, G, **kwargs):
@@ -565,6 +567,19 @@ class Group:
         if self._A is None:
             self._A = alexander_matrix(self.P, abel=self.abel)
         return self._A
+
+    @cached_property
+    def jacobian(self):
+        """The relators' exponent sums (augmentation_jacobian)."""
+        return augmentation_jacobian(self.P)
+
+    def engine(self, N, q):
+        """The DepthEngine for the characters of order dividing N over a
+        field of characteristic q."""
+        if (N, q) not in self._engines:
+            self._engines[N, q] = DepthEngine(
+                self.alexander, sufficiently_large_field(N, q), N)
+        return self._engines[N, q]
 
     def depths(self, p, q, *, check_orbits=False):
         """(characters, beta) for the order-p characters, as described at
@@ -599,23 +614,23 @@ def b1_cover_cyclic(G, N, images, q, *, A=None):
     return b1_cover_abelian(Group.of(G, A=A), [N], [images], q)
 
 
-def _validate_epimorphism_abelian(P, factors, images):
+def _validate_epimorphism_abelian(G, factors, images):
     if not factors or any(c < 1 for c in factors):
         raise ValueError("cyclic factor orders must be positive")
     if len(images) != len(factors):
         raise ValueError("one row of images per cyclic factor required")
-    if any(len(row) != P.num_generators for row in images):
+    l = G.P.num_generators
+    if any(len(row) != l for row in images):
         raise ValueError("one image per generator required")
-    J = augmentation_jacobian(P)
     for i, c in enumerate(factors):
-        for row in J.entries:
+        for row in G.jacobian.entries:
             if sum(a * b for a, b in zip(row, images[i])) % c:
                 raise ValueError("not a homomorphism: a relator has nonzero image")
     # surjectivity: the quotient of sum Z_{c_i} by the generator images
     # must vanish; present it and reduce
     from .linalg import IntMatrix, smith_normal_form
     k = len(factors)
-    rows = [[images[i][j] for i in range(k)] for j in range(P.num_generators)]
+    rows = [[images[i][j] for i in range(k)] for j in range(l)]
     rows += [[factors[i] if i == c else 0 for i in range(k)] for c in range(k)]
     form = smith_normal_form(IntMatrix.from_rows(rows, k))
     if form.coker_free_rank or form.coker_torsion():
@@ -634,11 +649,10 @@ def b1_cover_abelian(G, factors, images, q):
     of its representative.
     """
     G = Group.of(G)
-    _validate_epimorphism_abelian(G.P, factors, images)
+    _validate_epimorphism_abelian(G, factors, images)
     E = lcm(*factors)
-    K = sufficiently_large_field(E, q)
+    engine = G.engine(E, q)
     A = G.alexander
-    engine = DepthEngine(A, K, E)
     total = A.abel.b1(q)
     for orbits in _galois_orbits(factors, q):
         for orbit in orbits:
@@ -687,9 +701,9 @@ def check_bounds_congruence(b1_base, b1_cover, num_generators, k, q,
 def max_depth_of_order_dividing(G, k, q):
     """sup of depth over nontrivial characters whose order divides k, one
     per Galois orbit; G is a presentation or a Group."""
-    A = Group.of(G).alexander
-    moduli = _character_moduli(A.abel, k)
-    engine = DepthEngine(A, sufficiently_large_field(k, q), k)
+    G = Group.of(G)
+    moduli = _character_moduli(G.abel, k)
+    engine = G.engine(k, q)
     return max((engine.depth_of_exponents(
         tuple(k // m * e for m, e in zip(moduli, orbit[0])))
         for orbits in _galois_orbits(moduli, q) for orbit in orbits),

@@ -15,11 +15,33 @@ the connected components of the relators still open, whose counts
 multiply (the component decomposition of model counting: Sang, Beame and
 Kautz, SAT 2004).  A single relator whose letters fall into
 generator-disjoint blocks (a surface word) never splits; it is counted by
-convolving the value distributions of its blocks instead.  Epimorphisms
-are counted by Moebius inversion over the brute-forced subgroup lattice.
+convolving the value distributions of its blocks instead.
+
+The search runs up to conjugacy, along a stabilizer chain (Holt, Eick and
+O'Brien, Handbook of Computational Group Theory, the homomorphism
+search).  A node's generator ranges over the orbits of a subgroup S of
+the target T acting by conjugation, taking each orbit's representative
+and weighting its subtree's count by the orbit size.  S is all of T at a
+top-level component; below a node that assigned v it is S intersected
+with the centralizer of v, so S is the centralizer of the images on the
+node's path to the root.  This is exact: conjugation by an element of S
+fixes every image on the path, maps homomorphisms to homomorphisms, and
+so permutes the completions of the node's component, sending those with
+the generator at v to those with it at a conjugate of v.  The orbit data
+is built once per table, at the first search.
+
+Epimorphisms are counted by Moebius inversion over the brute-forced
+subgroup lattice: |Epi(G, T)| is the sum of mu(H) |Hom(G, H)|.  Conjugate
+subgroups have the same mu and isomorphic tables, so each conjugacy class
+of subgroups costs one hom count, times the class size.
+
 Every search, subgroup lattice, automorphism count and target-table build
 is checked against a budget and raises BudgetExceeded rather than
-returning a partial count.
+returning a partial count.  A search is charged the partial assignments
+of the unreduced search, which tries every element at every node: a node
+reached through orbits of sizes s_1, ..., s_k stands for s_1 ... s_k
+unreduced nodes of |T| assignments each, so the budget a request needs
+does not depend on the reduction.
 """
 
 from __future__ import annotations
@@ -78,6 +100,8 @@ class FiniteGroupTable:
                             raise ValueError("multiplication not associative")
         self._subgroups = None
         self._moebius = None
+        self._centralizer_ids = None
+        self._orbits = None
 
     # -- constructors
 
@@ -160,22 +184,23 @@ class FiniteGroupTable:
         size, and BudgetExceeded is raised once the total passes budget."""
         if self._subgroups is None:
             trivial = frozenset([self.identity])
-            found = {trivial}
+            # each subgroup found, with the generators it was closed from
+            gens = {trivial: []}
             frontier = [trivial]
             spent = 0
             while frontier:
                 H = frontier.pop()
                 for g in range(self.order):
                     if g not in H:
-                        K = self.closure(set(H) | {g})
+                        K = self.closure(gens[H] + [g])
                         spent += len(K)
                         if spent > budget:
                             raise BudgetExceeded(
                                 "subgroup lattice budget exhausted")
-                        if K not in found:
-                            found.add(K)
+                        if K not in gens:
+                            gens[K] = gens[H] + [g]
                             frontier.append(K)
-            self._subgroups = sorted(found, key=lambda s: (len(s), sorted(s)))
+            self._subgroups = sorted(gens, key=lambda s: (len(s), sorted(s)))
         return self._subgroups
 
     def moebius(self, budget=10 ** 8):
@@ -193,6 +218,40 @@ class FiniteGroupTable:
                                  if len(K) > len(H) and H < K)
             self._moebius = mu
         return self._moebius
+
+    def conjugates(self, H):
+        """The conjugacy class of the subgroup H, as a set of frozensets."""
+        mul, inv = self.mul, self.inv
+        return {frozenset(mul[mul[t][h]][inv[t]] for h in H)
+                for t in range(self.order)}
+
+    def conjugation_orbits(self, sid):
+        """Orbits of the subgroup S numbered sid acting on the table by
+        conjugation, as [(representative, orbit size, number of the
+        representative's centralizer in S)].  Subgroup 0 is the whole
+        group; the others are numbered as they first appear as
+        centralizers, and each orbit list is built when first asked for."""
+        if self._orbits is None:
+            whole = tuple(range(self.order))
+            self._centralizer_ids = {whole: 0}
+            self._orbits = [[whole, None]]
+        S, orbits = self._orbits[sid]
+        if orbits is None:
+            mul, inv = self.mul, self.inv
+            seen = set()
+            orbits = []
+            for x in range(self.order):
+                if x in seen:
+                    continue
+                orbit = {mul[mul[s][x]][inv[s]] for s in S}
+                seen |= orbit
+                C = tuple(s for s in S if mul[s][x] == mul[x][s])
+                cid = self._centralizer_ids.setdefault(C, len(self._orbits))
+                if cid == len(self._orbits):
+                    self._orbits.append([C, None])
+                orbits.append((x, len(orbit), cid))
+            self._orbits[sid][1] = orbits
+        return orbits
 
     def subgroup_table(self, elements):
         """The subgroup as its own table, plus the embedding index list."""
@@ -347,37 +406,42 @@ def _search_plan(relators, l):
 
 
 def _dfs_count(relators, l, T, budget):
-    """|Hom| into T by backtracking over the component tree: the counts of
-    sibling components multiply, and every partial assignment is charged
-    to the budget."""
+    """|Hom| into T by backtracking over the component tree, up to
+    conjugacy: the counts of sibling components multiply, and a node's
+    generator takes one value per orbit of the centralizer S of the images
+    on its path, weighted by the orbit size.  A node reached through
+    orbits of sizes s_1, ..., s_k stands for s_1 * ... * s_k nodes of the
+    unreduced search, and is charged that many times T.order, so the
+    budget counts the partial assignments of the unreduced search."""
     n = T.order
     identity = T.identity
     images = [None] * l
     budget_left = budget
+    orbits = T.conjugation_orbits
 
-    def count_forest(forest):
+    def count_forest(forest, sid, weight):
         nodes, free = forest
         total = n ** free
         for child in nodes:
             if not total:
                 break
-            total *= count_node(child)
+            total *= count_node(child, sid, weight)
         return total
 
-    def count_node(node):
+    def count_node(node, sid, weight):
         nonlocal budget_left
         g, checks, forest = node
+        budget_left -= weight * n
+        if budget_left < 0:
+            raise BudgetExceeded("homomorphism search budget exhausted")
         total = 0
-        for v in range(n):
-            if budget_left <= 0:
-                raise BudgetExceeded("homomorphism search budget exhausted")
-            budget_left -= 1
+        for v, size, child in orbits(sid):
             images[g] = v
             if all(_eval_word(prog, images, T) == identity for prog in checks):
-                total += count_forest(forest)
+                total += size * count_forest(forest, child, weight * size)
         return total
 
-    return count_forest(_search_plan(tuple(relators), l))
+    return count_forest(_search_plan(tuple(relators), l), 0, 1)
 
 
 def _plan_blocks(relators, l, n_elements, budget):
@@ -455,14 +519,23 @@ def hom_count(P, T, mode="all", budget=10 ** 8):
 
 
 def _epi_by_moebius(P, T, budget):
-    """Epimorphism count by Moebius inversion over the subgroup lattice."""
+    """Epimorphism count by Moebius inversion over the subgroup lattice,
+    one term per conjugacy class of subgroups: conjugate subgroups have
+    the same Moebius value and isomorphic tables, so one hom count times
+    the class size stands for the class."""
     mu = T.moebius(budget)
+    done = set()
     total = 0
     for H, m in mu.items():
-        if m == 0:
+        if m == 0 or H in done:
             continue
+        conjugates = T.conjugates(H)
+        if any(mu[K] != m for K in conjugates):
+            raise InvariantViolation("Moebius function not constant on a "
+                                     "conjugacy class of subgroups")
+        done |= conjugates
         sub, _ = T.subgroup_table(H)
-        total += m * hom_count(P, sub, "all", budget)
+        total += m * len(conjugates) * hom_count(P, sub, "all", budget)
     if total < 0:
         raise InvariantViolation("negative epimorphism count")
     return total

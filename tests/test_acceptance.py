@@ -271,12 +271,12 @@ def test_criterion_7_oracle_equivalence():
     for name in ALL_FIXTURES:
         P = fixture(name)
         assert P.num_generators <= 8
-        A = alexander_matrix(P)
+        G = Group(P)
         for label, T, (kind, params) in targets:
             if kind == "ab":
                 formula = delta_abelian_of(P, list(params))
             else:
-                formula = delta_mpqs(P, *params, A=A)
+                formula = delta_mpqs(G, *params)
             brute = delta_oracle(P, T)
             assert formula == brute, (name, label, formula, brute)
 
@@ -284,15 +284,14 @@ def test_criterion_7_oracle_equivalence():
     Z2 = parse_presentation("gens: x, y; rels: [x,y]")
     for name in COVER_FIXTURES:
         P = Z2 if name is None else fixture(name)
-        A = alexander_matrix(P)
-        abel = A.abel
+        G = Group(P)
         for p in (2, 3):
-            for images in _index_p_kernel_reps(abel, p):
+            for images in _index_p_kernel_reps(G.abel, p):
                 action = regular_cyclic_action(p, images)
                 for q in (0, 2, 3, 5, 7):
                     if q == p:
                         continue
-                    formula = b1_cover_cyclic(P, p, images, q, A=A)
+                    formula = b1_cover_cyclic(G, p, images, q)
                     assert formula == cover_b1(P, action, q), \
                         (name, p, images, q)
     assert time.time() - start < 600
@@ -355,14 +354,13 @@ def test_criterion_8_property_suites():
     # bounds and congruences on enumerated cyclic covers
     for name in ("free:2", "rp:3", "product:2,1"):
         P = fixture(name)
-        A = alexander_matrix(P)
-        abel = A.abel
+        G = Group(P)
         for N, q in ((2, 0), (3, 0), (4, 3), (6, 5)):
-            d_sup = max_depth_of_order_dividing(P, N, q)
-            base = abel.b1(q)
+            d_sup = max_depth_of_order_dividing(G, N, q)
+            base = G.abel.b1(q)
             for images in iproduct(range(N), repeat=P.num_generators):
                 try:
-                    b1K = b1_cover_cyclic(P, N, list(images), q, A=A)
+                    b1K = b1_cover_cyclic(G, N, list(images), q)
                 except ValueError:
                     continue
                 check_bounds_congruence(base, b1K, P.num_generators, N, q,

@@ -159,11 +159,11 @@ def test_b1_cover_cyclic_arrangement_point():
     # (-1,1,-1,1) corresponds under the monomial change t2 -> t1 t2.
     from itertools import product as iproduct
     from hallinv.braids import fixture
-    P = fixture("horizontal:2134")
-    assert b1_cover_cyclic(P, 2, [1, 1, 1, 0], 0) == 5
+    G = Group(fixture("horizontal:2134"))
+    assert b1_cover_cyclic(G, 2, [1, 1, 1, 0], 0) == 5
     jumped = [images for images in iproduct(range(2), repeat=4)
               if any(images)
-              and b1_cover_cyclic(P, 2, list(images), 0) == 5]
+              and b1_cover_cyclic(G, 2, list(images), 0) == 5]
     assert jumped == [(1, 1, 1, 0)]
 
 
@@ -184,19 +184,21 @@ def test_b1_cover_abelian_matches_cyclic():
     import random
     from hallinv.oracle import cover_b1, regular_cyclic_action
     rng = random.Random(31)
-    groups = [free_group(2), nonorientable_surface_group(3),
-              product_of_free_groups([2, 1]), BS12]
+    groups = [Group(P) for P in (free_group(2),
+                                 nonorientable_surface_group(3),
+                                 product_of_free_groups([2, 1]), BS12)]
     pairs = [(N, q) for N in (2, 3, 4, 6) for q in (0, 5, 7)
              if q == 0 or N % q]
     for _ in range(200):
-        P = rng.choice(groups)
+        G = rng.choice(groups)
+        P = G.P
         N, q = rng.choice(pairs)
         images = [rng.randrange(N) for _ in range(P.num_generators)]
         try:
-            want = b1_cover_abelian(P, [N], [images], q)
+            want = b1_cover_abelian(G, [N], [images], q)
         except ValueError:
             continue
-        assert b1_cover_cyclic(P, N, images, q) == want
+        assert b1_cover_cyclic(G, N, images, q) == want
         assert cover_b1(P, regular_cyclic_action(N, images), q) == want, \
             (P, N, images, q)
 
@@ -210,6 +212,20 @@ def test_b1_cover_abelian_klein_four():
     assert b1_cover_abelian(Z2, [2, 2], [[1, 0], [0, 1]], 0) == 2
     with pytest.raises(ValueError):
         b1_cover_abelian(free_group(2), [2, 2], [[1, 0], [1, 0]], 0)
+
+
+def test_group_builds_jacobian_and_engines_once():
+    # cover calls on one Group share its augmentation Jacobian and its
+    # depth engine for each (N, q)
+    G = Group(BS12)
+    assert b1_cover_cyclic(G, 3, [1, 0], 7) == \
+        b1_cover_cyclic(BS12, 3, [1, 0], 7)
+    engine, jacobian = G.engine(3, 7), G.jacobian
+    b1_cover_cyclic(G, 3, [2, 0], 7)
+    b1_cover_abelian(G, [3], [[1, 0]], 7)
+    max_depth_of_order_dividing(G, 3, 7)
+    assert G.engine(3, 7) is engine and G.jacobian is jacobian
+    assert G.engine(3, 0) is not engine
 
 
 def test_bounds_and_congruence():
@@ -228,14 +244,13 @@ def test_bounds_and_congruence():
 
 def test_cover_bounds_hold_on_enumerated_covers():
     for P in (free_group(2), nonorientable_surface_group(3)):
-        A = alexander_matrix(P)
-        abel = A.abel
+        G = Group(P)
         for N, q in [(2, 0), (2, 3), (3, 0), (4, 3)]:
-            d_sup = max_depth_of_order_dividing(P, N, q)
-            b1_base = abel.b1(q)
-            for images in _all_epis(abel.num_generators, N):
+            d_sup = max_depth_of_order_dividing(G, N, q)
+            b1_base = G.abel.b1(q)
+            for images in _all_epis(G.abel.num_generators, N):
                 try:
-                    b1K = b1_cover_cyclic(P, N, images, q, A=A)
+                    b1K = b1_cover_cyclic(G, N, images, q)
                 except ValueError:
                     continue
                 check_bounds_congruence(b1_base, b1K, P.num_generators, N,
@@ -353,11 +368,12 @@ def test_split_frobenius_orbits_match_oracle(P, p, q, delta, b1_cover):
     from hallinv.oracle import cover_b1, delta_oracle, regular_cyclic_action
     assert delta_mpqs(P, p, q) == delta_oracle(P, construct_mpqs(p, q).table) \
         == delta
-    base = abelianization(P).b1(q)
-    d_sup = max_depth_of_order_dividing(P, p, q)
+    G = Group(P)
+    base = G.abel.b1(q)
+    d_sup = max_depth_of_order_dividing(G, p, q)
     for j in range(1, p):
         images = [j] + [0] * (P.num_generators - 1)
-        b1K = b1_cover_cyclic(P, p, images, q)
+        b1K = b1_cover_cyclic(G, p, images, q)
         assert b1K == cover_b1(P, regular_cyclic_action(p, images), q) \
             == b1_cover
         check_bounds_congruence(base, b1K, P.num_generators, p, q,

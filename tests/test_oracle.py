@@ -248,6 +248,156 @@ def test_counting_strategies_agree_random():
                 brute_counts(P, T)
 
 
+def unreduced_count(relators, l, T):
+    """The component search without conjugation orbits: every node tries
+    every element.  Returns (|Hom|, the partial assignments it makes),
+    the count the budget is charged."""
+    n = T.order
+    images = [None] * l
+    charges = 0
+
+    def count_forest(forest):
+        nodes, free = forest
+        total = n ** free
+        for child in nodes:
+            if not total:
+                break
+            total *= count_node(child)
+        return total
+
+    def count_node(node):
+        nonlocal charges
+        g, checks, forest = node
+        total = 0
+        for v in range(n):
+            charges += 1
+            images[g] = v
+            if all(oracle._eval_word(prog, images, T) == T.identity
+                   for prog in checks):
+                total += count_forest(forest)
+        return total
+
+    return count_forest(oracle._search_plan(tuple(relators), l)), charges
+
+
+def dihedral_table(n):
+    """D_n of order 2n, r^a s^b as (a, b), s r s = r^-1."""
+    elts = [(a, b) for b in range(2) for a in range(n)]
+    index = {e: i for i, e in enumerate(elts)}
+    return FiniteGroupTable([[index[((a + (-c if b else c)) % n, (b + d) % 2)]
+                              for c, d in elts] for a, b in elts])
+
+
+def quaternion_table():
+    """Q_8 as signed units 1, i, j, k."""
+    # UNITS[u][v] = (sign, unit) of the product of units u and v
+    units = [[(1, 0), (1, 1), (1, 2), (1, 3)],
+             [(1, 1), (-1, 0), (1, 3), (-1, 2)],
+             [(1, 2), (-1, 3), (-1, 0), (1, 1)],
+             [(1, 3), (1, 2), (-1, 1), (-1, 0)]]
+    elts = [(s, u) for s in (1, -1) for u in range(4)]
+    index = {e: i for i, e in enumerate(elts)}
+    return FiniteGroupTable([[index[(s * t * units[u][v][0], units[u][v][1])]
+                              for t, v in elts] for s, u in elts])
+
+
+# targets whose centralizers nest deeply: a generator's image cuts the
+# group acting on the next one down to its centralizer
+DEEP_TARGETS = {
+    "S3": FiniteGroupTable.symmetric(3), "A4": construct_mpqs(3, 2).table,
+    "M37": construct_mpqs(3, 7).table, "S4": FiniteGroupTable.symmetric(4),
+    "D4": dihedral_table(4), "Q8": quaternion_table(),
+}
+
+
+def random_presentation(rng):
+    """2-3 generators: up to two Baumslag-Solitar-type relators
+    x a^i x^-1 a^-j and one to three random words, each on one or two
+    generators, so the search often splits into several components."""
+    from hallinv.presentations import Presentation, Word
+    l = rng.randint(2, 3)
+    rels = []
+    for _ in range(rng.randint(0, 2)):
+        x, a = rng.randrange(l), rng.randrange(l)
+        i, j = rng.randint(-3, 3), rng.randint(-3, 3)
+        rels.append(Word([(x, 1), (a, i), (x, -1), (a, -j)]))
+    for _ in range(rng.randint(1, 3)):
+        gens = rng.sample(range(l), rng.randint(1, 2))
+        rels.append(Word([(rng.choice(gens), rng.choice([-2, -1, 1, 2]))
+                          for _ in range(rng.randint(2, 6))]))
+    return Presentation([f"g{k}" for k in range(l)],
+                        [w for w in rels if not w.is_identity()])
+
+
+def check_search_up_to_conjugacy(P):
+    """The search over conjugation orbits counts what the unreduced search
+    and unpruned enumeration (up to 20000 image tuples) count, and trips
+    the budget exactly past the unreduced charge."""
+    relators = tuple(r for r in P.relators if not r.is_identity())
+    l = P.num_generators
+    for name, T in DEEP_TARGETS.items():
+        count, charges = unreduced_count(relators, l, T)
+        assert oracle._dfs_count(relators, l, T, charges) == count, (P, name)
+        if charges:
+            with pytest.raises(BudgetExceeded):
+                oracle._dfs_count(relators, l, T, charges - 1)
+        if T.order ** l <= 20000:
+            assert (count, hom_count(P, T, "epi")) == brute_counts(P, T), \
+                (P, name)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_search_up_to_conjugacy_random(seed):
+    # seeded, so every run draws the same presentations
+    import random
+    check_search_up_to_conjugacy(
+        random_presentation(random.Random(f"conjugacy:{seed}")))
+
+
+@pytest.mark.parametrize("P", [
+    # one component three nodes deep: each image shrinks the centralizer
+    parse_presentation("gens: x, y, z; rels: x*y*x*y, y*z*y*z, z*x*z*x"),
+    # a central generator, then two components under its centralizer
+    parse_presentation("gens: x, y, z; rels: [x,y], [y,z]"),
+    parse_presentation("gens: w, x, y, z; rels: [w,x], [x,y], [y,z], w^2"),
+    direct_product_with_Z(free_group(2)),
+    product_of_free_groups([2, 2]),
+    fixture("horizontal:2134"),
+], ids=["triangle", "chain3", "chain4", "F2xZ", "F2xF2", "horizontal2134"])
+def test_search_up_to_conjugacy_fixed(P):
+    check_search_up_to_conjugacy(P)
+
+
+@pytest.mark.parametrize("target", ["S4", "M37"])
+def test_moebius_by_conjugacy_class(target, monkeypatch):
+    # one hom count per conjugacy class of subgroups, times the class
+    # size, gives the per-subgroup Moebius sum; M37's seven Z_3 subgroups
+    # cost one count
+    T = DEEP_TARGETS[target]
+    mu = T.moebius()
+    classes = {frozenset(frozenset(T.mul[T.mul[t][h]][T.inv[t]] for h in H)
+                         for t in range(T.order))
+               for H, m in mu.items() if m}
+    groups = (free_group(2), Z2_PRES, nonorientable_surface_group(3),
+              fixture("horizontal:2134"))
+    per_subgroup = [sum(m * hom_count(P, T.subgroup_table(H)[0])
+                        for H, m in mu.items() if m) for P in groups]
+    calls = []
+
+    def counted(P, sub, mode="all", budget=10 ** 8):
+        calls.append(sub.order)
+        return hom_count(P, sub, mode, budget)
+
+    monkeypatch.setattr(oracle, "hom_count", counted)
+    for P, want in zip(groups, per_subgroup):
+        calls.clear()
+        assert oracle._epi_by_moebius(P, T, 10 ** 8) == want
+        assert len(calls) == len(classes)
+    if target == "M37":
+        assert sum(1 for H, m in mu.items() if m and len(H) == 3) == 7
+        assert calls.count(3) == 1
+
+
 def test_abelian_cover_matches_oracle():
     # non-cyclic abelian covers: depth formula vs Fox/SNF on the regular
     # action of the quotient
