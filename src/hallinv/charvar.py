@@ -15,15 +15,17 @@ depth; there is then no Betti distribution, while the Hall invariants,
 which sum over characters, are still defined.  The all-points path
 (check_orbits) verifies that depth is constant on each orbit.
 
-Depth is a rank, taken by one kernel: Zech-logarithm elimination over a
-small finite field (DepthEngine; past the table limit, depth()).  In
-characteristic q > 0 the field is F_{q^s} itself.  In characteristic 0
-the rank over Q(zeta_N) is the largest rank over F_ell for the primes
-ell = 1 (mod N), each reached by a ring map Z[zeta_N] -> F_ell, which can
-only lower rank.  That lower bound is exact once it meets the ceiling
-Fox's fundamental identity puts on a nontrivial character, or once the
-product of the primes tried outgrows a Hadamard bound on the norm of
-every minor (see DepthEngine for the argument).
+Depth is a rank, and every rank is taken over a finite field by one
+rule: a field of at most 2^16 elements by Zech-logarithm elimination
+(_rank_codes), a larger one by elimination on its elements (depth()).
+In characteristic q > 0 the one field is F_{q^s}.  In characteristic 0
+the rank over Q(zeta_N) is the largest rank over F_ell for the split
+primes ell = 1 (mod N), each reached by a ring map Z[zeta_N] -> F_ell,
+which can only lower rank.  That lower bound is exact once it meets the
+ceiling Fox's fundamental identity puts on a nontrivial character, or
+once the product of the primes tried outgrows a Hadamard bound on the
+norm of every minor (see DepthEngine for the argument).  No arithmetic
+in Q or Q(zeta_N) is ever done.
 
 A Group holds what several invariants of one presentation share: the
 abelianization, the Alexander matrix and the character depths already
@@ -109,7 +111,8 @@ def depth(A, t):
 
 
 class DepthEngine:
-    """Depth of the characters of order dividing N, by integer-only rank.
+    """Depth of the characters of order dividing N over a field of
+    characteristic q, by ranks over finite fields.
 
     The Alexander matrix is compiled once: each Laurent term becomes an
     integer coefficient plus the linear form its exponents induce on the
@@ -117,15 +120,20 @@ class DepthEngine:
     so that a character evaluates it once.  A character is a coordinate
     exponent vector e, its value on coordinate c being zeta_N^{e_c}, so
     every entry of the evaluated matrix is a sum of
-    coefficient * zeta^(form . e mod N) in Z[zeta_N].  Ranks are taken in finite fields holding a primitive N-th
-    root of unity, by Zech-logarithm elimination (_rank_codes).
+    coefficient * zeta^(form . e mod N) in Z[zeta_N].
 
-    For q > 0 that field is K = F_{q^s} and its rank is the answer.  For
-    q = 0 the rank r over Q(zeta_N) is read off the fields F_ell, ell
-    running over the primes ell = 1 (mod N) in increasing order, with
+    Ranks are taken over a list of finite fields, each holding a primitive
+    N-th root of unity, by one rule: a field of at most 2^16 elements
+    (_LOG_TABLE_LIMIT) by Zech-logarithm elimination (_rank_codes), a
+    larger one by rank_over_field on its elements, the depth() route.  mode
+    names the rule of the first field, "zech" or "element".
+
+    For q > 0 the list is K = F_{q^s}, and its rank is the answer.  For
+    q = 0 the list is the primes ell = 1 (mod N) in increasing order, with
     zeta_N sent to a primitive N-th root of unity of F_ell.  This is a
-    ring map Z[zeta_N] -> F_ell, so no rank mod ell exceeds r, and the
-    largest rank seen is a lower bound.  It equals r once either
+    ring map Z[zeta_N] -> F_ell, so no rank mod ell exceeds the rank r over
+    Q(zeta_N), and the largest rank seen is a lower bound.  It equals r
+    once either
 
     * it reaches a ceiling r cannot pass: min(m, l) for m relators and l
       generators, or l - 1 for a nontrivial character, whose vector
@@ -138,18 +146,10 @@ class DepthEngine:
       maps to 0 in every F_ell tried, so it lies in the kernels of those
       maps, distinct prime ideals of norm ell; P then divides the norm
       N(D), while |N(D)| <= B2^(phi(N)/2) < P, so D = 0.
-
-    Past the Zech table limit the engine falls back to depth() through
-    field elements: for every character when K is a larger field or no
-    prime ell = 1 (mod N) is within the limit ("element" mode), and for a
-    character left short of its ceiling when the primes within the limit
-    stop short of the norm bound.  The tests also use depth() as the
-    reference the engine must agree with.
     """
 
-    def __init__(self, A, K, N):
+    def __init__(self, A, N, q):
         self.A = A
-        self.K = K
         self.N = N
         self.num_generators = A.num_generators
         forms = {}
@@ -160,64 +160,68 @@ class DepthEngine:
         self.forms = [tuple((c, w) for c, w in enumerate(form) if w)
                       for form in forms]
         self.ceiling = min(len(self.rows), self.num_generators)
-        if K.char:
-            self.fields = [K] if K.order() <= _LOG_TABLE_LIMIT else []
-            self.exact = True
+        if q:
+            self.fields = [sufficiently_large_field(N, q)]
         else:
             bound = _hadamard_bound(self.rows, self.ceiling) ** euler_phi(N)
-            primes, self.exact = _split_primes(N, bound)
-            self.fields = [prime_field(ell) for ell in primes]
+            self.fields = [prime_field(ell) for ell in _split_primes(N, bound)]
         self.reductions = []
-        self.mode = "zech" if self.fields else "element"
+        self.mode = "zech" if self.fields[0].order() <= _LOG_TABLE_LIMIT \
+            else "element"
 
     def depth_of_exponents(self, coord_exps):
         """Depth of the character with coordinate exponent vector e."""
-        if self.fields:
-            ceiling = self.ceiling
-            if any(a % self.N for a in coord_exps):
-                ceiling = min(ceiling, self.num_generators - 1)
-            rank = self._certified_rank(coord_exps, ceiling)
-            if rank is not None:
-                return self.num_generators - rank - 1
-        h = len(self.A.abel.torsion)
-        t = character_from_coordinate_exponents(
-            self.A.abel, self.K, primitive_root_of_unity(self.K, self.N),
-            self.N, coord_exps[:h], coord_exps[h:])
-        return depth(self.A, t)
+        ceiling = self.ceiling
+        if any(a % self.N for a in coord_exps):
+            ceiling = min(ceiling, self.num_generators - 1)
+        return self.num_generators - self._certified_rank(coord_exps,
+                                                          ceiling) - 1
 
     def _certified_rank(self, e, ceiling):
         """Rank at e: the largest rank over the fields, tried in order
-        until one reaches the ceiling the true rank cannot pass; None if
-        none does and the primes stop short of the norm bound."""
+        until one reaches the ceiling the true rank cannot pass."""
         rank = 0
         for i in range(len(self.fields)):
-            rank = max(rank, self._rank_finite(e, i))
+            rank = max(rank, self._rank(e, i))
             if rank >= ceiling:
-                return rank
-        return rank if self.exact else None
+                break
+        return rank
 
     def _reduction(self, i):
-        """Log tables, zeta's log and the rows with coefficient codes, for
-        the i-th field; built when first needed, the fields taken in order."""
+        """For the i-th field within the table limit: its log tables,
+        zeta's log and the rows with coefficient codes; past it: None and
+        zeta.  Built when first needed, the fields taken in order."""
         if i == len(self.reductions):
             F = self.fields[i]
-            lt = log_tables(F)
-            if lt.n % self.N:
-                raise InvariantViolation(
-                    f"{F!r} has no primitive {self.N}-th root of unity")
-            codes = {c: lt.encode(F.from_int(c))
-                     for row in self.rows for terms in row for c, _ in terms}
-            rows = [[[(codes[c], form) for c, form in terms if codes[c] != -1]
-                     for terms in row] for row in self.rows]
-            self.reductions.append((lt, lt.n // self.N, rows))
+            if F.order() > _LOG_TABLE_LIMIT:
+                self.reductions.append(
+                    (None, primitive_root_of_unity(F, self.N), None))
+            else:
+                lt = log_tables(F)
+                if lt.n % self.N:
+                    raise InvariantViolation(
+                        f"{F!r} has no primitive {self.N}-th root of unity")
+                codes = {c: lt.encode(F.from_int(c)) for row in self.rows
+                         for terms in row for c, _ in terms}
+                rows = [[[(codes[c], form) for c, form in terms
+                          if codes[c] != -1] for terms in row]
+                        for row in self.rows]
+                self.reductions.append((lt, lt.n // self.N, rows))
         return self.reductions[i]
 
-    def _rank_finite(self, e, i):
-        lt, zl, rows = self._reduction(i)
+    def _rank(self, e, i):
+        """Rank at e over the i-th field."""
+        lt, zeta, rows = self._reduction(i)
+        if lt is None:
+            h = len(self.A.abel.torsion)
+            t = character_from_coordinate_exponents(
+                self.A.abel, self.fields[i], zeta, self.N, e[:h], e[h:])
+            return self.num_generators - depth(self.A, t) - 1
         N = self.N
         order, zech = lt.n, lt.zech
-        # the log of zeta^(form . e), once per distinct form
-        logs = [zl * (sum(w * e[c] for c, w in form) % N)
+        # the log of zeta^(form . e), once per distinct form; zeta is
+        # held as its log
+        logs = [zeta * (sum(w * e[c] for c, w in form) % N)
                 for form in self.forms]
         matrix = []
         for row in rows:
@@ -252,19 +256,16 @@ def _hadamard_bound(rows, k):
 
 def _split_primes(N, bound):
     """The primes ell = 1 (mod N) in increasing order, up to the first whose
-    running product P has P^2 > bound, and True; or those within the Zech
-    table limit, and False, if the limit comes first."""
+    running product P has P^2 > bound."""
     primes = []
     product = 1
     ell = 1
     while product * product <= bound:
         ell += N
-        if ell > _LOG_TABLE_LIMIT:
-            return primes, False
         if is_prime(ell):
             primes.append(ell)
             product *= ell
-    return primes, True
+    return primes
 
 
 def _rank_codes(matrix, lt):
@@ -338,36 +339,6 @@ def coordinate_exponents_from_generators(abel, N, gen_exps):
         if (back - gen_exps[j]) % N:
             raise ValueError("generator values do not factor through H_1")
     return tuple(coord_exps)
-
-
-def character_from_generator_exponents(abel, K, zeta, N, gen_exps):
-    """Character with value zeta^gen_exps[j] on generator j.
-
-    The caller must already know these values define a homomorphism (each
-    relator's exponent vector pairs to 0 mod N); the round trip back to
-    generator values is asserted.
-    """
-    h = len(abel.torsion)
-    coord_exps = coordinate_exponents_from_generators(abel, N, gen_exps)
-    return character_from_coordinate_exponents(abel, K, zeta, N,
-                                               coord_exps[:h], coord_exps[h:])
-
-
-def enumerate_order_p_characters(abel, p, K):
-    """All p^{n_p} - 1 characters of order exactly p, n_p = b_1^{(p)}.
-
-    Free coordinates range over the p-th roots of unity; a torsion
-    coordinate does too when p divides its elementary divisor, and is
-    pinned to 1 otherwise.
-    """
-    if K.char == p:
-        raise ValueError("field characteristic equals p")
-    zeta = primitive_root_of_unity(K, p)
-    h = len(abel.torsion)
-    for exps in product(*map(range, _character_moduli(abel, p))):
-        if any(exps):
-            yield character_from_coordinate_exponents(abel, K, zeta, p,
-                                                       exps[:h], exps[h:])
 
 
 def _character_moduli(abel, k):
@@ -459,27 +430,39 @@ class BettiDistribution:
         return f"beta_{self.p}^({self.q}) = {self.positive_part()}"
 
 
-def _depth_tally(A, p, q, exp_vectors):
-    """Map exponent vector -> depth, for a chunk of order-p characters."""
-    engine = DepthEngine(A, sufficiently_large_field(p, q), p)
+def _depth_tally(engine, exp_vectors):
+    """Map exponent vector -> depth, for a chunk of characters."""
     return {exps: engine.depth_of_exponents(exps) for exps in exp_vectors}
 
 
-def _parallel_depth_tally(A, p, q, exp_vectors, jobs):
+_POOL_ENGINE = None  # the engine forked --jobs workers inherit
+
+
+def _pool_depth_tally(exp_vectors):
+    return _depth_tally(_POOL_ENGINE, exp_vectors)
+
+
+def _parallel_depth_tally(engine, exp_vectors, jobs):
+    """_depth_tally spread over jobs forked workers, which inherit the
+    engine instead of each building (or unpickling) their own."""
+    global _POOL_ENGINE
     import multiprocessing as mp
 
     chunks = [exp_vectors[i::jobs] for i in range(jobs)]
-    ctx = mp.get_context("fork")
-    with ctx.Pool(jobs) as pool:
-        results = pool.starmap(_depth_tally,
-                               [(A, p, q, chunk) for chunk in chunks if chunk])
+    _POOL_ENGINE = engine
+    try:
+        with mp.get_context("fork").Pool(jobs) as pool:
+            results = pool.map(_pool_depth_tally,
+                               [chunk for chunk in chunks if chunk])
+    finally:
+        _POOL_ENGINE = None
     merged = {}
     for r in results:
         merged.update(r)
     return merged
 
 
-def _order_p_depths(A, p, q, *, check_orbits=False, jobs=1):
+def _order_p_depths(G, p, q, *, check_orbits=False):
     """Depths of the order-p characters over a field of characteristic q,
     as (characters, beta): characters maps d to the number of characters
     of depth d, and beta is the BettiDistribution, or None when some
@@ -492,18 +475,19 @@ def _order_p_depths(A, p, q, *, check_orbits=False, jobs=1):
     """
     if q == p:
         raise ValueError("q must differ from p")
+    engine, abel = G.engine(p, q), G.abel
     # flat lists, a pointer per orbit: the characters to evaluate, each
     # orbit's size and each subgroup's number of orbits
     vectors, sizes, shapes = [], [], []
-    for orbits in _galois_orbits(_character_moduli(A.abel, p), q):
+    for orbits in _galois_orbits(_character_moduli(abel, p), q):
         shapes.append(len(orbits))
         for orbit in orbits:
             sizes.append(len(orbit))
             vectors.extend(orbit if check_orbits else orbit[:1])
-    if jobs > 1 and len(vectors) > 64:
-        depths = _parallel_depth_tally(A, p, q, vectors, jobs)
+    if G.jobs > 1 and len(vectors) > 64:
+        depths = _parallel_depth_tally(engine, vectors, G.jobs)
     else:
-        depths = _depth_tally(A, p, q, vectors)
+        depths = _depth_tally(engine, vectors)
 
     characters, counts = {}, {}
     evaluated, orbit_sizes = iter(vectors), iter(sizes)
@@ -525,7 +509,7 @@ def _order_p_depths(A, p, q, *, check_orbits=False, jobs=1):
             d = subgroup_depths.pop()
             counts[d] = counts.get(d, 0) + 1
     beta = None if counts is None else \
-        BettiDistribution(p, q, A.abel.b1(p), counts)
+        BettiDistribution(p, q, abel.b1(p), counts)
     return characters, beta
 
 
@@ -577,8 +561,7 @@ class Group:
         """The DepthEngine for the characters of order dividing N over a
         field of characteristic q."""
         if (N, q) not in self._engines:
-            self._engines[N, q] = DepthEngine(
-                self.alexander, sufficiently_large_field(N, q), N)
+            self._engines[N, q] = DepthEngine(self.alexander, N, q)
         return self._engines[N, q]
 
     def depths(self, p, q, *, check_orbits=False):
@@ -587,8 +570,7 @@ class Group:
         all-points path."""
         found = None if check_orbits else self._depths.get((p, q))
         if found is None:
-            found = _order_p_depths(self.alexander, p, q,
-                                    check_orbits=check_orbits, jobs=self.jobs)
+            found = _order_p_depths(self, p, q, check_orbits=check_orbits)
             self._depths[p, q] = found
         return found
 

@@ -119,14 +119,19 @@ def _target_table(kind, params, budget):
     return FiniteGroupTable.cyclic(params[0])
 
 
-def _check_characteristics(args):
-    """--p must be prime and --q zero or a prime, before any work starts."""
+def _check_options(args):
+    """--p must be prime, --q zero or a prime and --jobs and --budget
+    positive, before any work starts."""
     p = getattr(args, "p", None)
     if p is not None and not is_prime(p):
         raise ValueError(f"--p {p}: p must be prime")
     q = getattr(args, "q", 0)
     if q and not is_prime(q):
         raise ValueError(f"--q {q}: q must be 0 or a prime")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs {args.jobs}: at least one worker is needed")
+    if args.budget < 1:
+        raise ValueError(f"--budget {args.budget}: the budget must be positive")
 
 
 def _cmd_parse(args):
@@ -353,7 +358,7 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        _check_characteristics(args)
+        _check_options(args)
         args.func(args)
     except BudgetExceeded as e:
         print(f"infeasible: {e}", file=sys.stderr)

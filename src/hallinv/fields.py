@@ -1,15 +1,19 @@
-"""Exact arithmetic in F_q, F_{q^s}, Q, and Q(zeta_N), with roots of unity.
+"""Exact arithmetic in the finite fields F_q and F_{q^s}, with roots of unity.
 
-A FieldHandle owns its elements; elements are coefficient vectors modulo
-the handle's defining polynomial (length 1 for prime fields and Q).
-Finite-field coefficients are residues, characteristic-zero coefficients
-are Fractions.  All choices (extension modulus, multiplicative generator)
-are deterministic so that repeated runs produce identical output.
+A FieldHandle owns its elements; elements are coefficient vectors of
+residues modulo the handle's defining polynomial (length 1 for prime
+fields).  All choices (extension modulus, multiplicative generator) are
+deterministic so that repeated runs produce identical output.
+
+Every rank the library takes is over one of these fields, by one rule: a
+field of at most 2^16 elements (_LOG_TABLE_LIMIT) has LogTables and is
+ranked by Zech codes, a larger one by elimination on its elements.  That
+holds for F_{q^s} in characteristic q and for each split prime field F_ell
+that stands in for Q(zeta_N) in characteristic 0 (see charvar).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .linalg import InvariantViolation
@@ -117,26 +121,9 @@ def cyclotomic_polynomial(N):
 # ---------------------------------------------------------------------------
 # polynomials over F_q (coefficient lists of residues, low degree first)
 
-def _fq_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fq_mul(a, b, q):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    return _fq_trim(out)
-
-
 def _fq_divmod(a, b, q):
     a = [x % q for x in a]
-    _fq_trim(a)
+    _poly_trim(a)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     inv_lead = pow(b[-1], q - 2, q)
@@ -147,7 +134,7 @@ def _fq_divmod(a, b, q):
         if c:
             for j, bj in enumerate(b):
                 a[k + j] = (a[k + j] - c * bj) % q
-    return _fq_trim(quo), _fq_trim(a)
+    return _poly_trim(quo), _poly_trim(a)
 
 
 def _fq_monic_polys(q, degree):
@@ -220,29 +207,25 @@ def factor_cyclotomic_mod_q(p, q):
 # field handles and elements
 
 class FieldHandle:
-    """One of: rationals, prime(q), extension(q, s), cyclotomic(N).
+    """A finite field of q^s elements: F_q (s = 1) or F_{q^s}.
 
-    Use the module-level constructors (`rationals`, `prime_field`,
-    `extension_field`, `cyclotomic_field`, `sufficiently_large_field`)
-    rather than calling this directly.
+    A field of at most 2^16 elements also carries LogTables (log_tables),
+    through which the depth engine ranks by Zech codes; a larger one is
+    ranked on its elements (linalg.rank_over_field).  Use the module-level
+    constructors (`prime_field`, `extension_field`,
+    `sufficiently_large_field`) rather than calling this directly.
     """
 
-    __slots__ = ("kind", "char", "degree", "modulus", "cyclo_order",
+    __slots__ = ("char", "degree", "modulus",
                  "_zero", "_one", "_generator", "_log_tables")
 
-    def __init__(self, kind, char, degree, modulus, cyclo_order=None):
-        self.kind = kind
+    def __init__(self, char, degree, modulus):
         self.char = char
         self.degree = degree
         self.modulus = modulus  # defining polynomial, low degree first
-        self.cyclo_order = cyclo_order
-        zero_c = 0 if char else Fraction(0)
-        one_c = 1 if char else Fraction(1)
-        self._zero = FieldElement(self, (zero_c,) * degree)
-        one = [zero_c] * degree
-        one[0] = one_c
+        self._zero = FieldElement(self, (0,) * degree)
+        self._one = FieldElement(self, (1,) + (0,) * (degree - 1))
         self._generator = None
-        self._one = FieldElement(self, tuple(one))
 
     # -- basic element constructors
 
@@ -253,41 +236,22 @@ class FieldHandle:
         return self._one
 
     def from_int(self, n):
-        if self.char:
-            coeffs = [0] * self.degree
-            coeffs[0] = n % self.char
-        else:
-            coeffs = [Fraction(0)] * self.degree
-            coeffs[0] = Fraction(n)
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, (n % self.char,) + (0,) * (self.degree - 1))
 
     def element(self, coeffs):
         coeffs = list(coeffs)
         if len(coeffs) > self.degree:
             coeffs = self._reduce(coeffs)
         coeffs += [0] * (self.degree - len(coeffs))
-        if self.char:
-            coeffs = [c % self.char for c in coeffs]
-        else:
-            coeffs = [Fraction(c) for c in coeffs]
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, tuple(c % self.char for c in coeffs))
 
     def order(self):
-        """Number of elements; None for infinite fields."""
-        if self.char:
-            return self.char ** self.degree
-        return None
+        """Number of elements."""
+        return self.char ** self.degree
 
     # -- internal coefficient arithmetic
 
     def _reduce(self, coeffs):
-        if self.degree == 1 and len(self.modulus) == 2:
-            # linear modulus x - c: substitute x = c
-            c = -self.modulus[0]
-            out = 0
-            for a in reversed(coeffs):
-                out = out * c + a
-            return [out]
         out = list(coeffs)
         mod = self.modulus
         d = len(mod) - 1
@@ -308,18 +272,12 @@ class FieldHandle:
                     for j, bj in enumerate(b):
                         out[i + j] += ai * bj
             out = self._reduce(out)
-        if self.char:
-            return [c % self.char for c in out]
-        return out
+        return [c % self.char for c in out]
 
     def __repr__(self):
-        if self.kind == "rationals":
-            return "Q"
-        if self.kind == "prime":
+        if self.degree == 1:
             return f"F_{self.char}"
-        if self.kind == "extension":
-            return f"F_{self.char}^{self.degree}"
-        return f"Q(zeta_{self.cyclo_order})"
+        return f"F_{self.char}^{self.degree}"
 
 
 class FieldElement:
@@ -344,19 +302,15 @@ class FieldElement:
     def __add__(self, other):
         self._check(other)
         K = self.owner
-        if K.char:
-            return FieldElement(K, tuple((a + b) % K.char
-                                         for a, b in zip(self.coeffs, other.coeffs)))
-        return FieldElement(K, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return FieldElement(K, tuple((a + b) % K.char
+                                     for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         K = self.owner
-        if K.char:
-            return FieldElement(K, tuple((-a) % K.char for a in self.coeffs))
-        return FieldElement(K, tuple(-a for a in self.coeffs))
+        return FieldElement(K, tuple((-a) % K.char for a in self.coeffs))
 
     def __mul__(self, other):
         self._check(other)
@@ -365,62 +319,13 @@ class FieldElement:
                                                    list(other.coeffs))))
 
     def inv(self):
-        """Multiplicative inverse by the extended Euclidean algorithm on the
-        defining polynomial (plain residue/Fraction inverse in degree 1)."""
+        """Multiplicative inverse, a^(|K| - 2) (Fermat)."""
         K = self.owner
         if self.is_zero():
             raise ZeroDivisionError("inverting zero field element")
         if K.degree == 1:
-            c = self.coeffs[0]
-            if K.char:
-                return FieldElement(K, (pow(c, K.char - 2, K.char),))
-            return FieldElement(K, (Fraction(1) / c,))
-        # extended euclid in K0[x] where K0 = F_q or Q
-        if K.char:
-            def divmod_(a, b):
-                return _fq_divmod(a, b, K.char)
-
-            def norm(a):
-                return [x % K.char for x in a]
-        else:
-            def divmod_(a, b):
-                b = list(b)
-                lead = b[-1]
-                a = [Fraction(x) for x in a]
-                quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-                for k in range(len(a) - len(b), -1, -1):
-                    c = a[k + len(b) - 1] / lead
-                    quo[k] = c
-                    if c:
-                        for j, bj in enumerate(b):
-                            a[k + j] -= c * bj
-                _poly_trim(quo)
-                return quo, _poly_trim(a)
-
-            def norm(a):
-                return [Fraction(x) for x in a]
-        r0, r1 = norm(list(K.modulus)), norm(list(self.coeffs))
-        _poly_trim(r1)
-        s0, s1 = [], [K.one().coeffs[0]]
-        while r1:
-            q_, r2 = divmod_(r0, r1)
-            if K.char:
-                s2 = [(a - b) % K.char for a, b in
-                      _zip_pad(s0, _fq_mul(q_, s1, K.char))]
-            else:
-                prod = _poly_mul_frac(q_, s1)
-                s2 = [a - b for a, b in _zip_pad(s0, prod)]
-            _poly_trim(s2)
-            r0, r1 = r1, r2
-            s0, s1 = s1, s2
-        # r0 = gcd, a unit since modulus is irreducible
-        lead = r0[-1]
-        if K.char:
-            lead_inv = pow(lead, K.char - 2, K.char)
-            out = [(c * lead_inv) % K.char for c in s0]
-        else:
-            out = [c / lead for c in s0]
-        return K.element(out)
+            return FieldElement(K, (pow(self.coeffs[0], K.char - 2, K.char),))
+        return self ** (K.order() - 2)
 
     def __truediv__(self, other):
         return self * other.inv()
@@ -441,22 +346,19 @@ class FieldElement:
         return result
 
     def multiplicative_order(self, bound=None):
-        """Order in the unit group; only for roots of unity, so a bound on
-        the order (any multiple) may be supplied to avoid a long search."""
+        """Order in the unit group; a bound on the order (any multiple)
+        may be supplied to avoid a long search."""
         if self.is_zero():
             raise ZeroDivisionError("zero has no multiplicative order")
         if bound is None:
-            K = self.owner
-            bound = K.order() - 1 if K.char else K.cyclo_order or 1
-            if bound == 0:
-                bound = 1
+            bound = self.owner.order() - 1
         if (self ** bound).is_one():
             n = bound
             for p in factorize(bound):
                 while n % p == 0 and (self ** (n // p)).is_one():
                     n //= p
             return n
-        # fall back to stepping (finite fields only get here)
+        # the bound was not a multiple of the order: step
         n = 1
         x = self
         while not x.is_one():
@@ -475,34 +377,8 @@ class FieldElement:
         return f"{self.owner!r}({list(self.coeffs)})"
 
 
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-
-
-def _poly_mul_frac(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
 # ---------------------------------------------------------------------------
 # handle constructors
-
-_RATIONALS = None
-
-
-def rationals():
-    global _RATIONALS
-    if _RATIONALS is None:
-        _RATIONALS = FieldHandle("rationals", 0, 1, [Fraction(0), Fraction(1)])
-    return _RATIONALS
-
 
 def is_prime(n):
     return n >= 2 and all(n % p for p in range(2, int(n ** 0.5) + 1))
@@ -511,32 +387,23 @@ def is_prime(n):
 def prime_field(q):
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
-    return FieldHandle("prime", q, 1, [0, 1])
+    return FieldHandle(q, 1, [0, 1])
 
 
 def extension_field(q, s):
     if s == 1:
         return prime_field(q)
     modulus = _extension_modulus(q, s)
-    return FieldHandle("extension", q, s, modulus)
-
-
-def cyclotomic_field(N):
-    if N <= 2:
-        return rationals()
-    phi = cyclotomic_polynomial(N)
-    return FieldHandle("cyclotomic", 0, len(phi) - 1,
-                       [Fraction(c) for c in phi], cyclo_order=N)
+    return FieldHandle(q, s, modulus)
 
 
 def sufficiently_large_field(N, q):
-    """A field of characteristic q containing the N-th roots of unity:
-    Q(zeta_N) when q = 0, F_{q^s} with s = ord_N(q) when q is a prime
-    not dividing N."""
+    """F_{q^s}, s = ord_N(q): the smallest field of characteristic q, a
+    prime not dividing N, that contains the N-th roots of unity."""
     if N < 1:
         raise ValueError("N must be positive")
-    if q == 0:
-        return cyclotomic_field(N)
+    if not is_prime(q):
+        raise ValueError(f"the characteristic {q} is not prime")
     if N == 1:
         return prime_field(q)
     if N % q == 0:
@@ -582,8 +449,6 @@ class LogTables:
     __slots__ = ("field", "n", "pow", "log", "zech", "minus_one")
 
     def __init__(self, K):
-        if not K.char:
-            raise ValueError("log tables need a finite field")
         n = K.order() - 1
         g = _find_generator(K) if n > 1 else K.one()
         self.field = K
@@ -633,8 +498,8 @@ _LOG_TABLE_LIMIT = 1 << 16
 
 
 def log_tables(K):
-    """Cached LogTables for a finite handle of at most 2^16 elements."""
-    if not K.char or K.order() > _LOG_TABLE_LIMIT:
+    """Cached LogTables for a handle of at most 2^16 elements, else None."""
+    if K.order() > _LOG_TABLE_LIMIT:
         return None
     try:
         return K._log_tables
@@ -644,28 +509,14 @@ def log_tables(K):
 
 
 def primitive_root_of_unity(K, N):
-    """A primitive N-th root of unity in K, chosen deterministically.
-
-    Finite case: g^{(q^s-1)/N} for the fixed generator g.  Cyclotomic case:
-    the class of x raised to cyclo_order/N.  Rationals: only N = 1, 2.
-    """
+    """A primitive N-th root of unity in K, chosen deterministically:
+    g^{(q^s-1)/N} for the fixed generator g."""
     if N == 1:
         return K.one()
-    if K.kind == "rationals":
-        if N == 2:
-            return -K.one()
-        raise ValueError(f"Q contains no primitive {N}-th root of unity")
-    if K.char:
-        n = K.order() - 1
-        if n % N != 0:
-            raise ValueError(f"{K!r} contains no primitive {N}-th root of unity")
-        zeta = _find_generator(K) ** (n // N)
-    else:
-        M = K.cyclo_order
-        if M % N != 0:
-            raise ValueError(f"{K!r} contains no primitive {N}-th root of unity")
-        x = K.element([0, 1])
-        zeta = x ** (M // N)
+    n = K.order() - 1
+    if n % N != 0:
+        raise ValueError(f"{K!r} contains no primitive {N}-th root of unity")
+    zeta = _find_generator(K) ** (n // N)
     if not (zeta ** N).is_one() or \
             any((zeta ** (N // r)).is_one() for r in factorize(N)):
         raise InvariantViolation(f"{zeta!r} is not a primitive {N}-th root")

@@ -304,11 +304,11 @@ def test_criterion_7_oracle_equivalence():
             "betasum, cover bounds, orbit invariance")
 def test_criterion_8_property_suites():
     import random
-    from hallinv.fields import (extension_field, factorize, prime_field,
-                                primitive_root_of_unity)
+    from hallinv.fields import extension_field, factorize, prime_field
     from hallinv.foxcalc import fox_fundamental_identity_holds
     from hallinv.linalg import IntMatrix, smith_normal_form
     from hallinv.presentations import Word
+    from reference import CyclotomicField, root_of_unity
 
     rng = random.Random(2024)
 
@@ -331,10 +331,13 @@ def test_criterion_8_property_suites():
                 want = form.divisors[i] if i == j and i < form.rank else 0
                 assert D.entries[i][j] == want
 
-    # field axioms and root-of-unity orders
+    # field axioms and root-of-unity orders, in the library's finite
+    # fields and the tests' Q(zeta_N)
     for K, N in ((prime_field(7), 3), (extension_field(2, 2), 3),
-                 (extension_field(3, 4), 5), (prime_field(11), 5)):
-        zeta = primitive_root_of_unity(K, N)
+                 (extension_field(3, 4), 5), (prime_field(11), 5),
+                 (CyclotomicField(5), 5), (CyclotomicField(3), 6),
+                 (CyclotomicField(12), 4)):
+        zeta = root_of_unity(K, N)
         assert (zeta ** N).is_one()
         for r in factorize(N):
             assert not (zeta ** (N // r)).is_one()

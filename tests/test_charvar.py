@@ -2,15 +2,17 @@ import pytest
 
 from hallinv.charvar import (
     Group, InvariantViolation, b1_cover_abelian, b1_cover_cyclic, beta_distribution,
-    character_from_generator_exponents, check_bounds_congruence, depth,
-    enumerate_order_p_characters, max_depth_of_order_dividing,
+    check_bounds_congruence, depth, max_depth_of_order_dividing,
 )
 from hallinv.fields import primitive_root_of_unity, sufficiently_large_field
 from hallinv.foxcalc import abelianization, alexander_matrix
 from hallinv.presentations import (
-    free_group, nonorientable_surface_group, orientable_surface_group,
-    parse_presentation, product_of_free_groups,
+    direct_product_with_Z, free_group, nonorientable_surface_group,
+    orientable_surface_group, parse_presentation, product_of_free_groups,
 )
+from reference import (CyclotomicField, character_from_generator_exponents,
+                       enumerate_order_p_characters, reference_field,
+                       root_of_unity)
 
 
 # BS(1,2) and Z x| Z^3: at (p, q) = (3, 7) and (7, 2), q has order less
@@ -63,8 +65,8 @@ def test_character_order_and_values():
     from hallinv.charvar import character_from_coordinate_exponents
     P = nonorientable_surface_group(3)  # H1 = Z^2 + Z/2
     abel = abelianization(P)
-    K = sufficiently_large_field(6, 0)
-    zeta = primitive_root_of_unity(K, 6)
+    K = CyclotomicField(6)
+    zeta = root_of_unity(K, 6)
     t = character_from_coordinate_exponents(abel, K, zeta, 6, [3], [2, 0])
     assert t.order() == 6  # coordinate orders 2 and 3
     assert not t.is_trivial()
@@ -290,7 +292,7 @@ def test_group_computes_each_invariant_once(monkeypatch):
 
 def test_depth_engine_matches_elements_on_arrangement_group():
     # sampled characters of the 8-generator arrangement fixture, engine
-    # against element-level evaluation over F_4 and Q(zeta_3)
+    # against element-level evaluation over F_4 and the tests' Q(zeta_3)
     import random
     from hallinv.braids import fixture
     from hallinv.charvar import (DepthEngine,
@@ -300,9 +302,9 @@ def test_depth_engine_matches_elements_on_arrangement_group():
     A = alexander_matrix(P)
     abel = A.abel
     for q in (2, 0):
-        K = sufficiently_large_field(3, q)
-        engine = DepthEngine(A, K, 3)
-        zeta = primitive_root_of_unity(K, 3)
+        K = reference_field(3, q)
+        engine = DepthEngine(A, 3, q)
+        zeta = root_of_unity(K, 3)
         for _ in range(12):
             exps = tuple(rng.randrange(3) for _ in range(8))
             t = character_from_coordinate_exponents(abel, K, zeta, 3,
@@ -312,7 +314,7 @@ def test_depth_engine_matches_elements_on_arrangement_group():
 
 def test_depth_engine_matches_element_arithmetic():
     # the integer-only engine must agree with evaluation through field
-    # elements, over both finite and cyclotomic fields
+    # elements, over finite fields and the tests' Q(zeta_N)
     from itertools import product as iproduct
     from hallinv.charvar import (DepthEngine,
                                  character_from_coordinate_exponents)
@@ -323,9 +325,9 @@ def test_depth_engine_matches_element_arithmetic():
         abel = A.abel
         h = len(abel.torsion)
         for N, q in [(2, 3), (3, 2), (4, 3), (6, 5), (2, 0), (3, 0), (4, 0)]:
-            K = sufficiently_large_field(N, q)
-            engine = DepthEngine(A, K, N)
-            zeta = primitive_root_of_unity(K, N)
+            K = reference_field(N, q)
+            engine = DepthEngine(A, N, q)
+            zeta = root_of_unity(K, N)
             for exps in iproduct(range(N), repeat=abel.num_coordinates):
                 if all(e == 0 for e in exps):
                     continue
@@ -348,14 +350,75 @@ def test_char0_rank_certified_past_a_bad_prime():
 
 
 def test_char0_rank_falls_back_past_the_table_limit(monkeypatch):
-    # with the Zech tables capped at 7 elements only the prime 7 is left,
-    # which cannot certify the rank of the row (7, 0); the character must
-    # go to the exact element-level depth
+    # with the Zech tables capped at 7 elements only the prime 7 is ranked
+    # by Zech codes, and there the row (7, 0) has rank 0; the next split
+    # prime, 13, is past the cap, so it is ranked on its elements, and
+    # certifies rank 1
     import hallinv.charvar as charvar
     monkeypatch.setattr(charvar, "_LOG_TABLE_LIMIT", 7)
     P = parse_presentation("gens: x, y\nrels: x^7\n")
     assert beta(P, 3, 0).counts == {0: 1}
     assert beta(P, 3, 5).counts == {0: 1}  # F_25: element mode throughout
+
+
+def test_char0_large_primes_match_the_cover_snf(monkeypatch):
+    # with the Zech tables capped, every split prime past the cap is ranked
+    # on its elements; the q = 0 cover Betti numbers must still equal the
+    # oracle's, read off a Smith normal form of the cover's relations.  On
+    # F_2 x Z the characters have rank 1, below every ceiling, so only the
+    # norm bound certifies them: with the cap at 13 that takes the primes
+    # 37 and 61 for N = 12, with the cap at 7 the prime 13 for every N.
+    # On <x, y | x^7> the first split prime for N = 3 and 6, 7, sees rank
+    # 0, and 13 certifies rank 1
+    import hallinv.charvar as charvar
+    from hallinv.oracle import cover_b1, regular_cyclic_action
+    cases = {"F2xZ": (direct_product_with_Z(free_group(2)), [1, 0, 0]),
+             "x^7": (parse_presentation("gens: x, y\nrels: x^7\n"), [0, 1])}
+    element_ranks = []
+    monkeypatch.setattr(charvar, "depth", lambda A, t: element_ranks.append(
+        (limit, name, t.field.char)) or depth(A, t))
+    for limit in (13, 7):
+        monkeypatch.setattr(charvar, "_LOG_TABLE_LIMIT", limit)
+        for name, (P, images) in cases.items():
+            G = Group(P)
+            for N in (3, 4, 6, 12):
+                assert b1_cover_cyclic(G, N, images, 0) == \
+                    cover_b1(P, regular_cyclic_action(N, images), 0)
+    assert {(13, "F2xZ", 37), (13, "F2xZ", 61), (7, "F2xZ", 13),
+            (7, "x^7", 13)} <= set(element_ranks)
+    assert all(char > limit for limit, _, char in element_ranks)
+
+
+def test_one_engine_per_group_and_field(monkeypatch):
+    # delta_mpqs and b1_cover_cyclic on one Group share its DepthEngine,
+    # and --jobs workers inherit it rather than build their own (a build
+    # in a worker raises, and the pool re-raises it here)
+    import os
+    import hallinv.charvar as charvar
+    from hallinv.hall import delta_mpqs
+    builds, parent = [], os.getpid()
+    init = charvar.DepthEngine.__init__
+
+    def counted_init(self, *args):
+        if os.getpid() != parent:
+            raise RuntimeError("a --jobs worker built a DepthEngine")
+        builds.append(args[1:])
+        init(self, *args)
+
+    monkeypatch.setattr(charvar.DepthEngine, "__init__", counted_init)
+    launches = []
+    pool = charvar._parallel_depth_tally
+    monkeypatch.setattr(charvar, "_parallel_depth_tally",
+                        lambda *a: launches.append(a) or pool(*a))
+    G = Group(orientable_surface_group(2))
+    delta = delta_mpqs(G, 3, 7)
+    b1 = b1_cover_cyclic(G, 3, [1, 0, 0, 0], 7)
+    assert builds == [(3, 7)] and not launches
+    parallel = Group(orientable_surface_group(2), jobs=2)
+    assert delta_mpqs(parallel, 3, 7) == delta and launches
+    assert b1_cover_cyclic(parallel, 3, [1, 0, 0, 0], 7) == b1
+    assert parallel.depths(3, 7) == G.depths(3, 7)
+    assert builds == [(3, 7)] * 2
 
 
 @pytest.mark.parametrize("P, p, q, delta, b1_cover", SPLIT_ORBITS)

@@ -155,6 +155,12 @@ def test_table2_row(capsys):
      "--fixture", "free:2"),
     ("oracle", "--cover-order", "3", "--cover-images", "1,0", "--q", "4",
      "--fixture", "free:2"),
+    ("beta", "--p", "3", "--q", "0", "--jobs", "0", "--fixture", "deleted_b3"),
+    ("beta", "--p", "3", "--q", "0", "--jobs", "-2",
+     "--fixture", "deleted_b3"),
+    # a budget below 1 is malformed, not an infeasible enumeration (exit 2)
+    ("oracle", "--budget", "-5", "--target", "s3", "--fixture", "free:2"),
+    ("census", "--budget", "0", "--k", "3", "--fixture", "free:2"),
 ])
 def test_bad_input_exits_1(capsys, argv):
     code, out, err = run(capsys, *argv)

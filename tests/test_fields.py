@@ -3,10 +3,11 @@ import random
 import pytest
 
 from hallinv.fields import (
-    cyclotomic_field, cyclotomic_polynomial, extension_field,
-    factor_cyclotomic_mod_q, factorize, multiplicative_order, prime_field,
-    primitive_root_of_unity, rationals, sufficiently_large_field,
+    cyclotomic_polynomial, extension_field, factor_cyclotomic_mod_q,
+    factorize, multiplicative_order, prime_field, primitive_root_of_unity,
+    sufficiently_large_field,
 )
+from reference import CyclotomicField, reference_field, root_of_unity
 
 
 def test_multiplicative_order_values():
@@ -26,11 +27,11 @@ def test_sufficiently_large_field_shapes():
     K = sufficiently_large_field(2, 3)
     assert (K.char, K.degree) == (3, 1)
 
-    K = sufficiently_large_field(3, 0)
-    assert K.kind == "cyclotomic" and K.degree == 2
-
-    with pytest.raises(ValueError):
-        sufficiently_large_field(6, 3)
+    # characteristic 0 is the tests' Q(zeta_N), never a library field
+    assert CyclotomicField(3).degree == 2
+    for N, q in ((3, 0), (3, 4), (6, 3)):
+        with pytest.raises(ValueError):
+            sufficiently_large_field(N, q)
 
 
 def test_cyclotomic_polynomials():
@@ -66,7 +67,7 @@ def test_f4_arithmetic():
 
 
 def test_q_zeta3_relation():
-    K = cyclotomic_field(3)
+    K = CyclotomicField(3)
     z = K.element([0, 1])
     assert z + z * z == -K.one()
 
@@ -79,7 +80,7 @@ def test_inverse_in_f7():
 def test_field_axioms_random():
     rng = random.Random(5)
     for K in (prime_field(5), extension_field(3, 2), extension_field(2, 4),
-              cyclotomic_field(5)):
+              CyclotomicField(5)):
         span = K.order() or 13
         def rand_elt():
             if K.char:
@@ -103,7 +104,7 @@ def test_field_axioms_random():
 def test_field_axioms_composite_cyclotomic():
     rng = random.Random(41)
     for N in (8, 9, 12):
-        K = cyclotomic_field(N)
+        K = CyclotomicField(N)
         zeta = K.element([0, 1])
         assert (zeta ** N).is_one()
         for _ in range(25):
@@ -122,19 +123,21 @@ def test_primitive_roots():
     z = primitive_root_of_unity(K, 3)
     assert z in (K.from_int(2), K.from_int(4))
 
-    K = cyclotomic_field(4)
-    assert primitive_root_of_unity(K, 4) == K.element([0, 1])
+    K = CyclotomicField(4)
+    assert root_of_unity(K, 4) == K.element([0, 1])
 
-    Q = rationals()
-    assert primitive_root_of_unity(Q, 2) == -Q.one()
-    with pytest.raises(ValueError):
-        primitive_root_of_unity(Q, 3)
+    for Q in (CyclotomicField(1), CyclotomicField(2)):
+        assert root_of_unity(Q, 2) == -Q.one()
+        with pytest.raises(ValueError):
+            root_of_unity(Q, 3)
+    K = CyclotomicField(3)
+    assert root_of_unity(K, 6) == -K.element([0, 1])
 
 
 def test_root_powers_distinct():
     for N, q in [(3, 2), (5, 2), (3, 7), (4, 5), (5, 0), (6, 0)]:
-        K = sufficiently_large_field(N, q)
-        z = primitive_root_of_unity(K, N)
+        K = reference_field(N, q)
+        z = root_of_unity(K, N)
         powers = {tuple((z ** k).coeffs) for k in range(N)}
         assert len(powers) == N
 

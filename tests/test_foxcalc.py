@@ -179,18 +179,17 @@ def test_nonorientable_matrix_matches_explicit_form():
     # must have the same rank as ours at every matched character
     from itertools import product as iproduct
     from hallinv.charvar import DepthEngine
-    from hallinv.fields import primitive_root_of_unity, \
-        sufficiently_large_field
     from hallinv.foxcalc import alexander_matrix
     from hallinv.linalg import rank_over_field
+    from reference import reference_field, root_of_unity
 
     for n, N, q in ((2, 4, 0), (3, 4, 3), (3, 2, 7), (4, 4, 5)):
         P = nonorientable_surface_group(n)
         A = alexander_matrix(P)
         abel = A.abel
-        K = sufficiently_large_field(N, q)
-        engine = DepthEngine(A, K, N)
-        zeta = primitive_root_of_unity(K, N)
+        K = reference_field(N, q)
+        engine = DepthEngine(A, N, q)
+        zeta = root_of_unity(K, N)
         h = len(abel.torsion)
         for exps in iproduct(range(N), repeat=abel.num_coordinates):
             if any((e * ei) % N for e, ei in zip(exps[:h], abel.torsion)):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from hallinv.linalg import IntMatrix, smith_normal_form, rank_over_field
-from hallinv.fields import prime_field, extension_field, cyclotomic_field
+from hallinv.fields import prime_field, extension_field
+from reference import CyclotomicField
 
 
 def snf_divisors(rows, cols=None):
@@ -122,7 +123,7 @@ def test_rank_all_ones_over_F2():
 
 def test_rank_cyclotomic_example():
     # (1 - t2, t1 - 1) at (zeta_3, 1): one nonzero entry
-    K = cyclotomic_field(3)
+    K = CyclotomicField(3)
     zeta = K.element([0, 1])
     row = [K.one() - K.one(), zeta - K.one()]
     assert rank_over_field([row], K) == 1
@@ -150,15 +151,15 @@ def test_rank_metamorphic_invariance():
 
 def test_certified_rank_matches_generic():
     # the depth engine's modular rank, certified by the norm bound alone
-    # (no Fox ceiling), against the generic division-based rank over
-    # cyclotomic fields; entry sum_j c_j zeta^j is the Laurent polynomial
+    # (no Fox ceiling), against the generic division-based rank over the
+    # tests' Q(zeta_N); entry sum_j c_j zeta^j is the Laurent polynomial
     # sum_j c_j t^j at the character t -> zeta_N
     import random
     from hallinv.charvar import DepthEngine
     from hallinv.foxcalc import AlexanderMatrix, LaurentElement
     rng = random.Random(55)
     for N in (3, 4, 5):
-        K = cyclotomic_field(N)
+        K = CyclotomicField(N)
         d = K.degree
         for _ in range(40):
             m = rng.randint(1, 5)
@@ -170,7 +171,7 @@ def test_certified_rank_matches_generic():
             entries = [[LaurentElement({((j,), ()): c
                                         for j, c in enumerate(vec) if c})
                         for vec in row] for row in coeff_rows]
-            engine = DepthEngine(AlexanderMatrix(None, entries, n), K, N)
+            engine = DepthEngine(AlexanderMatrix(None, entries, n), N, 0)
             assert engine.mode == "zech"
             assert engine._certified_rank((1,), min(m, n)) == want
 
@@ -194,6 +195,25 @@ def test_library_has_no_bare_asserts():
                  and raises_assertion_error(node)]
         assert not lines, \
             f"{path.name}: assert or AssertionError on lines {lines}"
+
+
+def test_field_and_depth_modules_import_no_fractions():
+    # every rank is over a finite field, characteristic 0 included (split
+    # primes stand in for Q(zeta_N)), so these modules stay in integers
+    import ast
+    import pathlib
+    import hallinv
+
+    root = pathlib.Path(hallinv.__file__).parent
+    for name in ("fields.py", "charvar.py"):
+        tree = ast.parse((root / name).read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and (node.module or "").split(".")[0] == "fractions"
+                 or isinstance(node, ast.Import)
+                 and any(a.name.split(".")[0] == "fractions"
+                         for a in node.names)]
+        assert not lines, f"{name}: imports fractions on lines {lines}"
 
 
 def test_rank_rejects_foreign_entries():
