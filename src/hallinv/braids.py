@@ -409,30 +409,48 @@ def _frozen_path(name):
     return files("hallinv") / "fixtures" / fname
 
 
+# fixture family -> the shape its parameter takes
+_FIXTURE_SHAPES = {
+    "free": "free:n",
+    "product": "product:n1,n2,...",
+    "surface": "surface:g",
+    "rp": "rp:n",
+    "horizontal": "horizontal:<a permutation of 1..n, as digits>",
+}
+
+
 def fixture(name):
     """A named presentation: the frozen arrangement fixtures (regenerated
     from braid data only by the regression tests, so golden values do not
     ride on the braid code), a horizontal:<perm> built on the fly, or a
-    standard family like free:3, product:2,2, surface:2, rp:4."""
+    standard family like free:3, product:2,2, surface:2, rp:4.  A family
+    parameter that does not parse is a ValueError naming the shape."""
     from .presentations import (free_group, nonorientable_surface_group,
                                 orientable_surface_group, parse_presentation,
                                 product_of_free_groups)
     if ":" in name:
         family, _, arg = name.partition(":")
+        if family not in _FIXTURE_SHAPES:
+            raise ValueError(f"unknown fixture {name!r}")
+        try:
+            ns = [int(x) for x in (arg if family == "horizontal"
+                                   else arg.split(","))]
+        except ValueError:
+            ns = []
+        if not ns or len(ns) > 1 and family in ("free", "surface", "rp"):
+            raise ValueError(f"{name}: expected {_FIXTURE_SHAPES[family]}")
         if family == "free":
-            return free_group(int(arg))
+            return free_group(ns[0])
         if family == "product":
-            return product_of_free_groups([int(x) for x in arg.split(",")])
+            return product_of_free_groups(ns)
         if family == "surface":
-            return orientable_surface_group(int(arg))
+            return orientable_surface_group(ns[0])
         if family == "rp":
-            return nonorientable_surface_group(int(arg))
-        if family == "horizontal":
-            path = _frozen_path(name)
-            if path.is_file():
-                return parse_presentation(path.read_text())
-            return build_fixture(name)
-        raise ValueError(f"unknown fixture {name!r}")
+            return nonorientable_surface_group(ns[0])
+        path = _frozen_path(name)
+        if path.is_file():
+            return parse_presentation(path.read_text())
+        return build_fixture(name)
     path = _frozen_path(name)
     if not path.is_file():
         raise ValueError(f"unknown fixture {name!r}")

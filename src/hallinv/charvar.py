@@ -1,8 +1,9 @@
 """Torsion characters, depth, and Betti numbers of finite covers.
 
-A character is a point of Hom(G, K*), recorded by its values on the chi
-coordinates of H_1(G).  Its depth is corank(A^t) - 1, where A^t is the
-Alexander matrix evaluated at t; for a nontrivial character this is the
+A character is a point of Hom(G, K*), recorded by its exponent vector e
+on the chi coordinates of H_1(G): coordinate c takes the value
+zeta_N^(e_c).  Its depth is corank(A^t) - 1, where A^t is the Alexander
+matrix evaluated at t; for a nontrivial character this is the
 largest d with t on the d-th determinantal stratum, and for a normal
 subgroup K with cyclic quotient the mod-q Betti number of K is recovered
 by summing depths of the powers of the defining character.
@@ -15,9 +16,11 @@ depth; there is then no Betti distribution, while the Hall invariants,
 which sum over characters, are still defined.  The all-points path
 (check_orbits) verifies that depth is constant on each orbit.
 
-Depth is a rank, and every rank is taken over a finite field by one
-rule: a field of at most 2^16 elements by Zech-logarithm elimination
-(_rank_codes), a larger one by elimination on its elements (depth()).
+Depth is a rank, and DepthEngine is the one evaluator of the Alexander
+matrix: it compiles the matrix once into integer coefficients and linear
+forms on e, and takes every rank over a finite field by one rule: a
+field of at most 2^16 elements by Zech-logarithm elimination
+(_rank_codes), a larger one by rank_over_field on its elements.
 In characteristic q > 0 the one field is F_{q^s}.  In characteristic 0
 the rank over Q(zeta_N) is the largest rank over F_ell for the split
 primes ell = 1 (mod N), each reached by a ring map Z[zeta_N] -> F_ell,
@@ -46,70 +49,6 @@ from .foxcalc import (abelianization, alexander_matrix,
 from .linalg import InvariantViolation, rank_over_field
 
 
-class Character:
-    """A torsion character, as unit values on the chi coordinates of H_1."""
-
-    __slots__ = ("field", "free_values", "torsion_values", "_tables", "_ints")
-
-    def __init__(self, field, free_values, torsion_values, torsion_divisors,
-                 order_bound=None):
-        self.field = field
-        self.free_values = list(free_values)
-        self.torsion_values = list(torsion_values)
-        if len(torsion_values) != len(torsion_divisors):
-            raise ValueError("one torsion value per elementary divisor required")
-        for v, e in zip(torsion_values, torsion_divisors):
-            if not (v ** e).is_one():
-                raise ValueError("torsion coordinate value of wrong order")
-        self._tables = []
-        for v in self.free_values + self.torsion_values:
-            if v.is_zero():
-                raise ValueError("character values must be units")
-            n = v.multiplicative_order(order_bound)
-            table = [field.one()]
-            for _ in range(n - 1):
-                table.append(table[-1] * v)
-            self._tables.append(table)
-        self._ints = {}
-
-    def order(self):
-        return lcm(*(len(t) for t in self._tables)) if self._tables else 1
-
-    def is_trivial(self):
-        return all(len(t) == 1 for t in self._tables)
-
-    def value(self, coordinate):
-        return self._tables[coordinate][1 % len(self._tables[coordinate])]
-
-    def monomial_value(self, free_exps, torsion_exps, coeff=1):
-        """coeff * prod t_i^free_exps[i] * prod s_j^torsion_exps[j] in K."""
-        if coeff in self._ints:
-            acc = self._ints[coeff]
-        else:
-            acc = self.field.from_int(coeff)
-            self._ints[coeff] = acc
-        n = len(self.free_values)
-        for i, e in enumerate(free_exps):
-            if e:
-                table = self._tables[i]
-                acc = acc * table[e % len(table)]
-        for j, e in enumerate(torsion_exps):
-            if e:
-                table = self._tables[n + j]
-                acc = acc * table[e % len(table)]
-        return acc
-
-
-def depth(A, t):
-    """corank of the evaluated Alexander matrix, minus one.
-
-    Equals max{d : t in V_d} for nontrivial t, and b_1^{(q)}(G) - 1 at the
-    trivial character (the one place the stratification convention differs).
-    """
-    evaluated = A.evaluate(t)
-    return A.num_generators - rank_over_field(evaluated, t.field) - 1
-
-
 class DepthEngine:
     """Depth of the characters of order dividing N over a field of
     characteristic q, by ranks over finite fields.
@@ -123,10 +62,12 @@ class DepthEngine:
     coefficient * zeta^(form . e mod N) in Z[zeta_N].
 
     Ranks are taken over a list of finite fields, each holding a primitive
-    N-th root of unity, by one rule: a field of at most 2^16 elements
-    (_LOG_TABLE_LIMIT) by Zech-logarithm elimination (_rank_codes), a
-    larger one by rank_over_field on its elements, the depth() route.  mode
-    names the rule of the first field, "zech" or "element".
+    N-th root of unity, by one rule, both from the same compiled rows and
+    forms: a field of at most 2^16 elements (_LOG_TABLE_LIMIT) by
+    Zech-logarithm elimination (_rank_codes) on the logs of the entries, a
+    larger one by rank_over_field on the entries as field elements, summed
+    from the field's table of zeta's N powers.  mode names the rule of the
+    first field, "zech" or "element".
 
     For q > 0 the list is K = F_{q^s}, and its rank is the answer.  For
     q = 0 the list is the primes ell = 1 (mod N) in increasing order, with
@@ -149,7 +90,6 @@ class DepthEngine:
     """
 
     def __init__(self, A, N, q):
-        self.A = A
         self.N = N
         self.num_generators = A.num_generators
         forms = {}
@@ -188,14 +128,21 @@ class DepthEngine:
         return rank
 
     def _reduction(self, i):
-        """For the i-th field within the table limit: its log tables,
-        zeta's log and the rows with coefficient codes; past it: None and
-        zeta.  Built when first needed, the fields taken in order."""
+        """For the i-th field: its log tables, zeta's log and the rows with
+        coefficient codes within the table limit; past it None, the table
+        of zeta's N powers and the rows with coefficients as elements.
+        Built when first needed, the fields taken in order."""
         if i == len(self.reductions):
             F = self.fields[i]
             if F.order() > _LOG_TABLE_LIMIT:
-                self.reductions.append(
-                    (None, primitive_root_of_unity(F, self.N), None))
+                zeta = primitive_root_of_unity(F, self.N)
+                powers = [F.one()]
+                for _ in range(self.N - 1):
+                    powers.append(powers[-1] * zeta)
+                rows = [[[(F.from_int(c), form) for c, form in terms
+                          if c % F.char] for terms in row]
+                        for row in self.rows]
+                self.reductions.append((None, powers, rows))
             else:
                 lt = log_tables(F)
                 if lt.n % self.N:
@@ -212,17 +159,18 @@ class DepthEngine:
     def _rank(self, e, i):
         """Rank at e over the i-th field."""
         lt, zeta, rows = self._reduction(i)
-        if lt is None:
-            h = len(self.A.abel.torsion)
-            t = character_from_coordinate_exponents(
-                self.A.abel, self.fields[i], zeta, self.N, e[:h], e[h:])
-            return self.num_generators - depth(self.A, t) - 1
         N = self.N
+        # zeta^(form . e) as its exponent, once per distinct form
+        exps = [sum(w * e[c] for c, w in form) % N for form in self.forms]
+        if lt is None:
+            # zeta is the table of its powers
+            F = self.fields[i]
+            return rank_over_field(
+                [[sum((c * zeta[exps[f]] for c, f in terms), F.zero())
+                  for terms in row] for row in rows], F)
         order, zech = lt.n, lt.zech
-        # the log of zeta^(form . e), once per distinct form; zeta is
-        # held as its log
-        logs = [zeta * (sum(w * e[c] for c, w in form) % N)
-                for form in self.forms]
+        # zeta is held as its log
+        logs = [zeta * k for k in exps]
         matrix = []
         for row in rows:
             out_row = []
@@ -309,17 +257,6 @@ def _rank_codes(matrix, lt):
         rank += 1
         col += 1
     return rank
-
-
-def character_from_coordinate_exponents(abel, K, zeta, N, tors_exps, free_exps):
-    """Character whose coordinate c takes the value zeta^(exponent of c)."""
-    table = [K.one()]
-    for _ in range(N - 1):
-        table.append(table[-1] * zeta)
-    free_values = [table[e % N] for e in free_exps]
-    torsion_values = [table[e % N] for e in tors_exps]
-    return Character(K, free_values, torsion_values, abel.torsion,
-                     order_bound=N)
 
 
 def coordinate_exponents_from_generators(abel, N, gen_exps):

@@ -3,13 +3,18 @@
 A FieldHandle owns its elements; elements are coefficient vectors of
 residues modulo the handle's defining polynomial (length 1 for prime
 fields).  All choices (extension modulus, multiplicative generator) are
-deterministic so that repeated runs produce identical output.
+deterministic so that repeated runs produce identical output.  The
+modulus is the least irreducible polynomial of its degree, found by
+Ben-Or's gcd test in time polynomial in the degree.
 
-Every rank the library takes is over one of these fields, by one rule: a
+Every rank the library takes is over one of these fields, from the
+Alexander matrix compiled once by charvar.DepthEngine, by one rule: a
 field of at most 2^16 elements (_LOG_TABLE_LIMIT) has LogTables and is
-ranked by Zech codes, a larger one by elimination on its elements.  That
-holds for F_{q^s} in characteristic q and for each split prime field F_ell
-that stands in for Q(zeta_N) in characteristic 0 (see charvar).
+ranked by Zech codes; a larger one is ranked by elimination on its
+elements (linalg.rank_over_field), each entry summed from one table of
+zeta's N powers per field.  That holds for F_{q^s} in characteristic q
+and for each split prime field F_ell that stands in for Q(zeta_N) in
+characteristic 0.
 """
 
 from __future__ import annotations
@@ -137,11 +142,12 @@ def _fq_divmod(a, b, q):
     return _poly_trim(quo), _poly_trim(a)
 
 
-def _fq_monic_polys(q, degree):
-    """All monic polynomials of the given degree over F_q, ordered with the
-    constant coefficient most significant (lexicographically smallest first)."""
+def _fq_monic_polys(q, degree, start=0):
+    """The monic polynomials of the given degree over F_q, ordered with the
+    constant coefficient most significant (lexicographically smallest
+    first), from the start-th on."""
     span = q ** degree
-    for n in range(span):
+    for n in range(start, span):
         coeffs = []
         m = n
         for _ in range(degree):
@@ -151,18 +157,41 @@ def _fq_monic_polys(q, degree):
         yield coeffs + [1]
 
 
+def _fq_mulmod(a, b, f, q):
+    """a * b mod the monic f, over F_q."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _fq_divmod(out, f, q)[1]
+
+
 def _fq_is_irreducible(f, q):
+    """Ben-Or's test: a monic f of degree s is irreducible iff
+    gcd(x^(q^i) - x, f) = 1 for i = 1, ..., s/2, since x^(q^i) - x is the
+    product of the monic irreducibles of degree dividing i, and a
+    reducible f has an irreducible factor of degree at most s/2."""
     deg = len(f) - 1
     if deg <= 0:
         return False
-    if deg == 1:
-        return True
-    if f[0] == 0:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for g in _fq_monic_polys(q, d):
-            if not _fq_divmod(f, g, q)[1]:
-                return False
+    h = [0, 1]  # x^(q^i) mod f, from i = 0
+    for _ in range(deg // 2):
+        power, base, e = [1], h, q
+        while e:
+            if e & 1:
+                power = _fq_mulmod(power, base, f, q)
+            base = _fq_mulmod(base, base, f, q)
+            e >>= 1
+        h = power
+        # gcd(h - x, f) by Euclid's algorithm
+        g = h + [0] * (2 - len(h))
+        g[1] -= 1
+        a, b = f, _poly_trim([c % q for c in g])
+        while b:
+            a, b = b, _fq_divmod(a, b, q)[1]
+        if len(a) > 1:
+            return False
     return True
 
 
@@ -171,10 +200,12 @@ _MODULUS_CACHE = {}
 
 def _extension_modulus(q, s):
     """Lexicographically smallest monic irreducible polynomial of degree s
-    over F_q, coefficients compared low degree first."""
+    over F_q, coefficients compared low degree first.  For s >= 2 it has
+    a nonzero constant term (else x divides it), so the walk starts at
+    constant term 1."""
     key = (q, s)
     if key not in _MODULUS_CACHE:
-        for f in _fq_monic_polys(q, s):
+        for f in _fq_monic_polys(q, s, q ** (s - 1) if s > 1 else 0):
             if _fq_is_irreducible(f, q):
                 _MODULUS_CACHE[key] = f
                 break
@@ -216,13 +247,15 @@ class FieldHandle:
     `sufficiently_large_field`) rather than calling this directly.
     """
 
-    __slots__ = ("char", "degree", "modulus",
+    __slots__ = ("char", "degree", "modulus", "_tail",
                  "_zero", "_one", "_generator", "_log_tables")
 
     def __init__(self, char, degree, modulus):
         self.char = char
         self.degree = degree
         self.modulus = modulus  # defining polynomial, low degree first
+        # its nonzero terms below the leading one, which _reduce subtracts
+        self._tail = [(j, m) for j, m in enumerate(modulus[:degree]) if m]
         self._zero = FieldElement(self, (0,) * degree)
         self._one = FieldElement(self, (1,) + (0,) * (degree - 1))
         self._generator = None
@@ -253,13 +286,12 @@ class FieldHandle:
 
     def _reduce(self, coeffs):
         out = list(coeffs)
-        mod = self.modulus
-        d = len(mod) - 1
+        d = self.degree
         for k in range(len(out) - 1, d - 1, -1):
             c = out[k]
             if c:
-                for j in range(d):
-                    out[k - d + j] -= c * mod[j]
+                for j, m in self._tail:
+                    out[k - d + j] -= c * m
                 out[k] = 0
         del out[d:]
         return out
@@ -345,27 +377,6 @@ class FieldElement:
             e >>= 1
         return result
 
-    def multiplicative_order(self, bound=None):
-        """Order in the unit group; a bound on the order (any multiple)
-        may be supplied to avoid a long search."""
-        if self.is_zero():
-            raise ZeroDivisionError("zero has no multiplicative order")
-        if bound is None:
-            bound = self.owner.order() - 1
-        if (self ** bound).is_one():
-            n = bound
-            for p in factorize(bound):
-                while n % p == 0 and (self ** (n // p)).is_one():
-                    n //= p
-            return n
-        # the bound was not a multiple of the order: step
-        n = 1
-        x = self
-        while not x.is_one():
-            x = x * self
-            n += 1
-        return n
-
     def __eq__(self, other):
         return (isinstance(other, FieldElement) and other.owner is self.owner
                 and other.coeffs == self.coeffs)
@@ -446,18 +457,17 @@ class LogTables:
     loops of rank computations cheap.
     """
 
-    __slots__ = ("field", "n", "pow", "log", "zech", "minus_one")
+    __slots__ = ("n", "log", "zech", "minus_one")
 
     def __init__(self, K):
         n = K.order() - 1
         g = _find_generator(K) if n > 1 else K.one()
-        self.field = K
         self.n = n
-        self.pow = []
+        powers = []
         self.log = {}
         x = K.one()
         for k in range(n):
-            self.pow.append(x)
+            powers.append(x)
             self.log[x.coeffs] = k
             x = x * g
         if not x.is_one():
@@ -465,7 +475,7 @@ class LogTables:
         one = K.one()
         self.zech = []
         for k in range(n):
-            s = self.pow[k] + one
+            s = powers[k] + one
             self.zech.append(-1 if s.is_zero() else self.log[s.coeffs])
         self.minus_one = 0 if K.char == 2 else n // 2
 
@@ -473,25 +483,6 @@ class LogTables:
         if elt.is_zero():
             return -1
         return self.log[elt.coeffs]
-
-    def decode(self, code):
-        return self.field.zero() if code == -1 else self.pow[code]
-
-    def add(self, a, b):
-        if a == -1:
-            return b
-        if b == -1:
-            return a
-        d = self.zech[(a - b) % self.n]
-        return -1 if d == -1 else (b + d) % self.n
-
-    def neg(self, a):
-        return -1 if a == -1 else (a + self.minus_one) % self.n
-
-    def mul(self, a, b):
-        if a == -1 or b == -1:
-            return -1
-        return (a + b) % self.n
 
 
 _LOG_TABLE_LIMIT = 1 << 16

@@ -282,21 +282,6 @@ class AlexanderMatrix:
         self.num_relators = len(entries)
         self.num_generators = num_generators
 
-    def evaluate(self, character):
-        """Entrywise evaluation at a character, as a grid of field elements."""
-        K = character.field
-        zero = K.zero()
-        out = []
-        for row in self.entries:
-            out_row = []
-            for entry in row:
-                acc = zero
-                for (free, tors), coeff in entry.terms.items():
-                    acc = acc + character.monomial_value(free, tors, coeff)
-                out_row.append(acc)
-            out.append(out_row)
-        return out
-
     def dump(self):
         """One line per entry: `(i,j): c * t^(v) * s^(w) + ...`."""
         lines = []

@@ -257,7 +257,8 @@ def smith_normal_form(A, want_transform=False):
 def rank_over_field(M, K):
     """Rank of a matrix of field elements by exact Gaussian elimination.
 
-    M is a list of rows of FieldElement, all owned by the handle K.
+    M is a list of rows of FieldElement, all owned by the handle K.  The
+    depth engine ranks fields past the Zech table limit with it.
     An empty matrix (or one with no columns) has rank 0.
     """
     if not M or not M[0]:

@@ -1,23 +1,28 @@
 """Independent references the tests compare the library against.
 
-The library takes every rank over a finite field, characteristic 0
-included (split primes ell = 1 mod N stand in for Q(zeta_N)).  The
-characteristic-0 reference is here instead: CyclotomicField does exact
-arithmetic in Q(zeta_N) on Fraction coefficients, duck-typed to the
-FieldHandle interface that Character, depth(), AlexanderMatrix.evaluate
-and rank_over_field use, so depths over Q(zeta_N) can be taken by plain
-division-based elimination and compared with the engine's.
+The library evaluates the Alexander matrix in one place, the compiled
+rows and linear forms of charvar.DepthEngine, and takes every rank over a
+finite field, characteristic 0 included (split primes ell = 1 mod N stand
+in for Q(zeta_N)).  The references here do neither:
+
+* evaluate() and depth() evaluate each Laurent term of the matrix at the
+  character, as coefficient * zeta^(exponents . e), and rank the result
+  with plain division-based elimination (linalg.rank_over_field);
+* CyclotomicField does exact arithmetic in Q(zeta_N) on Fraction
+  coefficients, duck-typed to the FieldHandle interface those use, so the
+  same depths can be taken over Q(zeta_N);
+* irreducible_by_trial_division is the test the library's extension
+  moduli were once found by, against which Ben-Or's test is checked.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
-from hallinv.charvar import (_character_moduli,
-                             character_from_coordinate_exponents,
-                             coordinate_exponents_from_generators)
-from hallinv.fields import (cyclotomic_polynomial, primitive_root_of_unity,
+from hallinv.charvar import _character_moduli
+from hallinv.fields import (_fq_divmod, _fq_monic_polys,
+                            cyclotomic_polynomial, primitive_root_of_unity,
                             sufficiently_large_field)
+from hallinv.linalg import rank_over_field
 
 
 class CyclotomicField:
@@ -155,16 +160,6 @@ class CyclotomicElement:
             base, e = base * base, e >> 1
         return out
 
-    def multiplicative_order(self, bound=None):
-        """Order of a root of unity, which divides lcm(2, N)."""
-        limit = lcm(2, self.owner.N)
-        x, n = self, 1
-        while not x.is_one():
-            if n == limit:
-                raise ValueError(f"{self!r} is not a root of unity")
-            x, n = x * self, n + 1
-        return n
-
     def __eq__(self, other):
         return isinstance(other, CyclotomicElement) and \
             other.owner is self.owner and other.coeffs == self.coeffs
@@ -189,31 +184,51 @@ def root_of_unity(K, N):
     return primitive_root_of_unity(K, N)
 
 
-def character_from_generator_exponents(abel, K, zeta, N, gen_exps):
-    """Character with value zeta^gen_exps[j] on generator j.
+def evaluate(A, K, N, e):
+    """The Alexander matrix A at the character of order dividing N with
+    coordinate exponent vector e (torsion coordinates first), over K: the
+    term c * t^v * s^w goes to c * zeta_N^(w . e_tors + v . e_free)."""
+    zeta = root_of_unity(K, N)
+    grid = []
+    for row in A.entries:
+        out = []
+        for entry in row:
+            acc = K.zero()
+            for (free, tors), coeff in entry.terms.items():
+                k = sum(a * b for a, b in zip(tors + free, e))
+                acc = acc + K.from_int(coeff) * zeta ** (k % N)
+            out.append(acc)
+        grid.append(out)
+    return grid
 
-    The caller must already know these values define a homomorphism (each
-    relator's exponent vector pairs to 0 mod N); the round trip back to
-    generator values is asserted.
-    """
-    h = len(abel.torsion)
-    coord_exps = coordinate_exponents_from_generators(abel, N, gen_exps)
-    return character_from_coordinate_exponents(abel, K, zeta, N,
-                                               coord_exps[:h], coord_exps[h:])
+
+def depth(A, K, N, e):
+    """corank of A evaluated at e over K, minus one."""
+    return A.num_generators - rank_over_field(evaluate(A, K, N, e), K) - 1
 
 
-def enumerate_order_p_characters(abel, p, K):
-    """All p^{n_p} - 1 characters of order exactly p, n_p = b_1^{(p)}.
-
-    Free coordinates range over the p-th roots of unity; a torsion
-    coordinate does too when p divides its elementary divisor, and is
-    pinned to 1 otherwise.
-    """
-    if K.char == p:
-        raise ValueError("field characteristic equals p")
-    zeta = root_of_unity(K, p)
-    h = len(abel.torsion)
+def order_p_exponents(abel, p):
+    """The coordinate exponent vectors of the p^{n_p} - 1 characters of
+    order exactly p, n_p = b_1^{(p)}: free coordinates range over Z_p, and
+    a torsion coordinate does too when p divides its elementary divisor,
+    and is pinned to 0 otherwise."""
     for exps in product(*map(range, _character_moduli(abel, p))):
         if any(exps):
-            yield character_from_coordinate_exponents(abel, K, zeta, p,
-                                                       exps[:h], exps[h:])
+            yield exps
+
+
+def irreducible_by_trial_division(f, q):
+    """Whether the monic f is irreducible over F_q, by dividing it by every
+    monic polynomial of degree up to half its own."""
+    deg = len(f) - 1
+    if deg <= 0:
+        return False
+    if deg == 1:
+        return True
+    if f[0] == 0:
+        return False
+    for d in range(1, deg // 2 + 1):
+        for g in _fq_monic_polys(q, d):
+            if not _fq_divmod(f, g, q)[1]:
+                return False
+    return True

@@ -2,17 +2,16 @@ import pytest
 
 from hallinv.charvar import (
     Group, InvariantViolation, b1_cover_abelian, b1_cover_cyclic, beta_distribution,
-    check_bounds_congruence, depth, max_depth_of_order_dividing,
+    check_bounds_congruence, coordinate_exponents_from_generators,
+    max_depth_of_order_dividing,
 )
-from hallinv.fields import primitive_root_of_unity, sufficiently_large_field
-from hallinv.foxcalc import abelianization, alexander_matrix
+from hallinv.fields import prime_field, sufficiently_large_field
+from hallinv.foxcalc import alexander_matrix
 from hallinv.presentations import (
     direct_product_with_Z, free_group, nonorientable_surface_group,
     orientable_surface_group, parse_presentation, product_of_free_groups,
 )
-from reference import (CyclotomicField, character_from_generator_exponents,
-                       enumerate_order_p_characters, reference_field,
-                       root_of_unity)
+from reference import depth, order_p_exponents, reference_field
 
 
 # BS(1,2) and Z x| Z^3: at (p, q) = (3, 7) and (7, 2), q has order less
@@ -34,16 +33,16 @@ def test_depth_free_group():
     P = free_group(3)
     A = alexander_matrix(P)
     K = sufficiently_large_field(2, 3)
-    for t in enumerate_order_p_characters(A.abel, 2, K):
-        assert depth(A, t) == 2
+    for e in order_p_exponents(A.abel, 2):
+        assert depth(A, K, 2, e) == 2
 
 
 def test_depth_surface_group():
     P = orientable_surface_group(2)
     A = alexander_matrix(P)
     K = sufficiently_large_field(3, 7)
-    for t in enumerate_order_p_characters(A.abel, 3, K):
-        assert depth(A, t) == 2  # 2g - 2
+    for e in order_p_exponents(A.abel, 3):
+        assert depth(A, K, 3, e) == 2  # 2g - 2
 
 
 def test_depth_product_of_frees():
@@ -52,44 +51,20 @@ def test_depth_product_of_frees():
     P = product_of_free_groups([2, 2])
     A = alexander_matrix(P)
     K = sufficiently_large_field(2, 3)
-    abel = A.abel
-    zeta = primitive_root_of_unity(K, 2)
-    t = character_from_generator_exponents(abel, K, zeta, 2, [0, 0, 0, 1])
-    assert depth(A, t) == 1
-    t = character_from_generator_exponents(abel, K, zeta, 2, [1, 0, 0, 1])
-    assert depth(A, t) == 0
-
-
-def test_character_order_and_values():
-    # order is the lcm of the coordinate orders
-    from hallinv.charvar import character_from_coordinate_exponents
-    P = nonorientable_surface_group(3)  # H1 = Z^2 + Z/2
-    abel = abelianization(P)
-    K = CyclotomicField(6)
-    zeta = root_of_unity(K, 6)
-    t = character_from_coordinate_exponents(abel, K, zeta, 6, [3], [2, 0])
-    assert t.order() == 6  # coordinate orders 2 and 3
-    assert not t.is_trivial()
-    assert t.value(0) == zeta ** 2      # free coordinates come first
-    assert t.value(2) == zeta ** 3      # the order-2 torsion coordinate
-    trivial = character_from_coordinate_exponents(abel, K, zeta, 6,
-                                                  [0], [0, 0])
-    assert trivial.is_trivial() and trivial.order() == 1
-    with pytest.raises(ValueError):
-        # torsion coordinate must square to 1
-        character_from_coordinate_exponents(abel, K, zeta, 6, [2], [0, 0])
+    for gens, d in (([0, 0, 0, 1], 1), ([1, 0, 0, 1], 0)):
+        e = coordinate_exponents_from_generators(A.abel, 2, gens)
+        assert depth(A, K, 2, e) == d
 
 
 def test_character_count_and_validation():
-    P = nonorientable_surface_group(2)  # H1 = Z + Z/2
-    abel = abelianization(P)
-    K2 = sufficiently_large_field(2, 3)
-    assert len(list(enumerate_order_p_characters(abel, 2, K2))) == 3
-    K3 = sufficiently_large_field(3, 7)
-    assert len(list(enumerate_order_p_characters(abel, 3, K3))) == 2
+    # 2^2 - 1 order-2 and 3 - 1 order-3 characters on H1 = Z + Z/2; a
+    # field of characteristic 3 has no primitive cube root of unity
+    P = nonorientable_surface_group(2)
+    A = alexander_matrix(P)
+    assert len(list(order_p_exponents(A.abel, 2))) == 3
+    assert len(list(order_p_exponents(A.abel, 3))) == 2
     with pytest.raises(ValueError):
-        list(enumerate_order_p_characters(abel, 3,
-                                          sufficiently_large_field(2, 3)))
+        depth(A, prime_field(3), 3, (0, 1))
 
 
 def test_beta_free_groups():
@@ -295,29 +270,23 @@ def test_depth_engine_matches_elements_on_arrangement_group():
     # against element-level evaluation over F_4 and the tests' Q(zeta_3)
     import random
     from hallinv.braids import fixture
-    from hallinv.charvar import (DepthEngine,
-                                 character_from_coordinate_exponents)
+    from hallinv.charvar import DepthEngine
     rng = random.Random(63)
     P = fixture("deleted_b3")
     A = alexander_matrix(P)
-    abel = A.abel
     for q in (2, 0):
         K = reference_field(3, q)
         engine = DepthEngine(A, 3, q)
-        zeta = root_of_unity(K, 3)
         for _ in range(12):
             exps = tuple(rng.randrange(3) for _ in range(8))
-            t = character_from_coordinate_exponents(abel, K, zeta, 3,
-                                                    exps[:0], exps)
-            assert engine.depth_of_exponents(exps) == depth(A, t)
+            assert engine.depth_of_exponents(exps) == depth(A, K, 3, exps)
 
 
 def test_depth_engine_matches_element_arithmetic():
-    # the integer-only engine must agree with evaluation through field
-    # elements, over finite fields and the tests' Q(zeta_N)
+    # the engine's compiled forms must agree with the reference's
+    # term-by-term evaluation, over finite fields and the tests' Q(zeta_N)
     from itertools import product as iproduct
-    from hallinv.charvar import (DepthEngine,
-                                 character_from_coordinate_exponents)
+    from hallinv.charvar import DepthEngine
     groups = [free_group(2), nonorientable_surface_group(3),
               product_of_free_groups([2, 1]), orientable_surface_group(2)]
     for P in groups:
@@ -327,15 +296,13 @@ def test_depth_engine_matches_element_arithmetic():
         for N, q in [(2, 3), (3, 2), (4, 3), (6, 5), (2, 0), (3, 0), (4, 0)]:
             K = reference_field(N, q)
             engine = DepthEngine(A, N, q)
-            zeta = root_of_unity(K, N)
             for exps in iproduct(range(N), repeat=abel.num_coordinates):
                 if all(e == 0 for e in exps):
                     continue
                 if any((e * ei) % N for e, ei in zip(exps[:h], abel.torsion)):
                     continue  # not a valid torsion coordinate value
-                t = character_from_coordinate_exponents(
-                    abel, K, zeta, N, exps[:h], exps[h:])
-                assert engine.depth_of_exponents(exps) == depth(A, t)
+                assert engine.depth_of_exponents(exps) == \
+                    depth(A, K, N, exps)
 
 
 def test_char0_rank_certified_past_a_bad_prime():
@@ -375,8 +342,9 @@ def test_char0_large_primes_match_the_cover_snf(monkeypatch):
     cases = {"F2xZ": (direct_product_with_Z(free_group(2)), [1, 0, 0]),
              "x^7": (parse_presentation("gens: x, y\nrels: x^7\n"), [0, 1])}
     element_ranks = []
-    monkeypatch.setattr(charvar, "depth", lambda A, t: element_ranks.append(
-        (limit, name, t.field.char)) or depth(A, t))
+    rank = charvar.rank_over_field
+    monkeypatch.setattr(charvar, "rank_over_field", lambda M, K: (
+        element_ranks.append((limit, name, K.char)) or rank(M, K)))
     for limit in (13, 7):
         monkeypatch.setattr(charvar, "_LOG_TABLE_LIMIT", limit)
         for name, (P, images) in cases.items():
@@ -387,6 +355,33 @@ def test_char0_large_primes_match_the_cover_snf(monkeypatch):
     assert {(13, "F2xZ", 37), (13, "F2xZ", 61), (7, "F2xZ", 13),
             (7, "x^7", 13)} <= set(element_ranks)
     assert all(char > limit for limit, _, char in element_ranks)
+
+
+def test_engine_past_the_table_limit_matches_reference(monkeypatch):
+    # ord_19(2) = 18: the order-19 characters of rp:3 take values in
+    # F_{2^18}, past the real 2^16 Zech table limit, so every rank is
+    # taken on field elements; the engine builds zeta and its power table
+    # once, however many characters it ranks
+    import hallinv.charvar as charvar
+    from hallinv.braids import fixture
+    from hallinv.oracle import cover_b1, regular_cyclic_action
+    roots = []
+    root = charvar.primitive_root_of_unity
+    monkeypatch.setattr(charvar, "primitive_root_of_unity",
+                        lambda K, N: roots.append((K, N)) or root(K, N))
+    G = Group(fixture("rp:3"))
+    engine = G.engine(19, 2)
+    (K,) = engine.fields
+    assert (K.char, K.degree, engine.mode) == (2, 18, "element")
+    assert G.beta(19, 2).positive_part() == (20,)
+    for e in list(order_p_exponents(G.abel, 19))[::9]:
+        assert engine.depth_of_exponents(e) == depth(G.alexander, K, 19, e)
+    # x^2 y^2 z^2 = 1, so the images must sum to 0 mod 19
+    images = [1, 18, 0]
+    assert b1_cover_cyclic(G, 19, images, 2) == 21 == \
+        G.abel.b1(2) + 18 * max_depth_of_order_dividing(G, 19, 2) == \
+        cover_b1(G.P, regular_cyclic_action(19, images), 2)
+    assert roots == [(K, 19)]
 
 
 def test_one_engine_per_group_and_field(monkeypatch):

@@ -182,6 +182,28 @@ def test_bad_target_names_its_shape(capsys, argv, shape):
     assert shape in err
 
 
+@pytest.mark.parametrize("name, shape", [
+    ("free:x", "free:n"),
+    ("product:2,,1", "product:n1,n2,..."),
+    ("surface:", "surface:g"),
+    ("rp:1.5", "rp:n"),
+    ("horizontal:12a", "horizontal:<a permutation of 1..n"),
+])
+def test_bad_fixture_parameter_names_its_shape(capsys, name, shape):
+    code, out, err = run(capsys, "abelianize", "--fixture", name)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {name}: expected ") and shape in err
+    assert err.count("\n") == 1 and "int()" not in err
+
+
+def test_beta_over_a_field_past_the_table_limit(capsys):
+    # ord_11(7) = 10, so the order-11 characters take values in F_{7^10},
+    # past the Zech table limit; its modulus is found by Ben-Or's test
+    code, out, _ = run(capsys, "beta", "--p", "11", "--q", "7",
+                       "--fixture", "free:2")
+    assert code == 0 and out.startswith("beta_11^(7) = (12,)")
+
+
 def test_bad_perm_names_its_shape(capsys):
     code, out, err = run(capsys, "arr", "--perm", "3x")
     assert code == 1 and out == ""

@@ -7,7 +7,8 @@ from hallinv.fields import (
     factorize, multiplicative_order, prime_field, primitive_root_of_unity,
     sufficiently_large_field,
 )
-from reference import CyclotomicField, reference_field, root_of_unity
+from reference import (CyclotomicField, irreducible_by_trial_division,
+                       reference_field, root_of_unity)
 
 
 def test_multiplicative_order_values():
@@ -32,6 +33,36 @@ def test_sufficiently_large_field_shapes():
     for N, q in ((3, 0), (3, 4), (6, 3)):
         with pytest.raises(ValueError):
             sufficiently_large_field(N, q)
+
+
+def test_ben_or_matches_trial_division():
+    # every monic polynomial of small degree, against the reference test
+    # the moduli were once found by
+    from hallinv.fields import _fq_is_irreducible, _fq_monic_polys
+    for q, top in ((2, 8), (3, 5), (5, 4), (7, 4)):
+        for s in range(1, top + 1):
+            for f in _fq_monic_polys(q, s):
+                assert _fq_is_irreducible(f, q) == \
+                    irreducible_by_trial_division(f, q), (f, q)
+
+
+def test_extension_modulus_walk(monkeypatch):
+    # the walk starts at constant term 1 (x divides every earlier
+    # candidate), so it tests 9 candidates for (7, 10), not the 7^9 with
+    # constant term 0 first, and a few dozen of the 2^100 for (2, 100)
+    from hallinv import fields
+    tested = []
+    test = fields._fq_is_irreducible
+    monkeypatch.setattr(fields, "_fq_is_irreducible",
+                        lambda f, q: tested.append(f) or test(f, q))
+    monkeypatch.setattr(fields, "_MODULUS_CACHE", {})
+    f = fields._extension_modulus(7, 10)
+    assert f == [1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1] and len(tested) == 9
+    assert irreducible_by_trial_division(f, 7)
+    tested.clear()
+    f = fields._extension_modulus(2, 100)
+    assert len(f) == 101 and f[0] == f[-1] == 1 and len(tested) <= 100
+    assert fields.extension_field(2, 100).modulus == f
 
 
 def test_cyclotomic_polynomials():

