@@ -12,7 +12,8 @@
     hallinv table1 [--rows F2,F3]
     hallinv table2
 
-Exit codes: 0 success, 1 bad input, 2 enumeration budget exceeded.
+Exit codes: 0 success, 1 bad input (a malformed command line included),
+2 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -267,6 +268,19 @@ def _cmd_table(args, builder):
     _emit(args, {"table": t}, render_table(t))
 
 
+class _UsageError(Exception):
+    """A command line argparse rejects, reported as bad input (exit 1)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise _UsageError instead of
+    exiting 2, the code reserved for an exceeded budget; subcommand parsers
+    inherit the class."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def main(argv=None):
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=False,
@@ -275,7 +289,7 @@ def main(argv=None):
                         help="parallel workers for character enumeration")
     common.add_argument("--budget", type=int, default=10 ** 8,
                         help="partial-assignment budget for enumerations")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hallinv",
         parents=[common],
         description="Hall invariants and homology of finite-index subgroups"
@@ -356,14 +370,14 @@ def main(argv=None):
     s.add_argument("--rows", help="comma-separated row labels")
     s.set_defaults(func=lambda a: _cmd_table(a, table2))
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         _check_options(args)
         args.func(args)
     except BudgetExceeded as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return 2
-    except (ParseError, ValueError, OSError) as e:
+    except (_UsageError, ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

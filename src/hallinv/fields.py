@@ -2,10 +2,16 @@
 
 A FieldHandle owns its elements; elements are coefficient vectors of
 residues modulo the handle's defining polynomial (length 1 for prime
-fields).  All choices (extension modulus, multiplicative generator) are
-deterministic so that repeated runs produce identical output.  The
-modulus is the least irreducible polynomial of its degree, found by
-Ben-Or's gcd test in time polynomial in the degree.
+fields).  An element's code is the integer whose base-q digits are its
+coefficients, lowest first, which fixes one enumeration of the field.
+All choices (extension modulus, multiplicative generator, roots of
+unity) are deterministic so that repeated runs produce identical output.
+The modulus is the least irreducible polynomial of its degree, found by
+Ben-Or's gcd test in time polynomial in the degree.  The primitive N-th
+root of unity is x^((q^s-1)/N) for the first x by code for which that
+power has order exactly N, tested against the primes of N alone; only
+the multiplicative generator behind LogTables, at most 2^16 elements,
+factors q^s - 1.
 
 Every rank the library takes is over one of these fields, from the
 Alexander matrix compiled once by charvar.DepthEngine, by one rule: a
@@ -14,7 +20,8 @@ ranked by Zech codes; a larger one is ranked by elimination on its
 elements (linalg.rank_over_field), each entry summed from one table of
 zeta's N powers per field.  That holds for F_{q^s} in characteristic q
 and for each split prime field F_ell that stands in for Q(zeta_N) in
-characteristic 0.
+characteristic 0.  The same F_{q^s} and root of unity build the
+metabelian group tables of hall.MetabelianGroup.
 """
 
 from __future__ import annotations
@@ -63,68 +70,13 @@ def euler_phi(n):
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial helpers (coefficient lists, low degree first)
+# polynomials over F_q (coefficient lists of residues, low degree first)
 
 def _poly_trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
 
-
-def _poly_mul_int(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod_int(a, b):
-    """Exact-domain division of integer polynomials; b must be monic-ish in
-    the sense that every intermediate quotient coefficient is integral."""
-    a = list(a)
-    out = [0] * (max(len(a) - len(b) + 1, 0))
-    lead = b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("non-exact integer polynomial division")
-        f = c // lead
-        out[k] = f
-        if f:
-            for j, bj in enumerate(b):
-                a[k + j] -= f * bj
-    return _poly_trim(out), _poly_trim(a)
-
-
-_CYCLO_CACHE = {}
-
-
-def cyclotomic_polynomial(N):
-    """Coefficients of Phi_N (low degree first), by dividing x^N - 1 by the
-    cyclotomic polynomials of all proper divisors of N."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    if N in _CYCLO_CACHE:
-        return list(_CYCLO_CACHE[N])
-    num = [-1] + [0] * (N - 1) + [1]  # x^N - 1
-    den = [1]
-    for d in range(1, N):
-        if N % d == 0:
-            den = _poly_mul_int(den, cyclotomic_polynomial(d))
-    quo, rem = _poly_divmod_int(num, den)
-    if rem:
-        raise InvariantViolation(
-            "x^N - 1 not divisible by the product of lower Phi_d")
-    _CYCLO_CACHE[N] = list(quo)
-    return quo
-
-
-# ---------------------------------------------------------------------------
-# polynomials over F_q (coefficient lists of residues, low degree first)
 
 def _fq_divmod(a, b, q):
     a = [x % q for x in a]
@@ -214,26 +166,6 @@ def _extension_modulus(q, s):
     return list(_MODULUS_CACHE[key])
 
 
-def factor_cyclotomic_mod_q(p, q):
-    """The monic irreducible factors of Q_p = 1 + t + ... + t^{p-1} over F_q.
-
-    There are (p-1)/s of them, all of degree s = ord_p(q); found by
-    exhaustive trial division, which is fine at desk scale.
-    """
-    if p == q:
-        raise ValueError("p and q must be distinct primes")
-    s = multiplicative_order(q, p)
-    target = [c % q for c in cyclotomic_polynomial(p)]
-    factors = []
-    for f in _fq_monic_polys(q, s):
-        if _fq_is_irreducible(f, q) and not _fq_divmod(target, f, q)[1]:
-            factors.append(f)
-    if len(factors) != (p - 1) // s:
-        raise InvariantViolation(
-            f"{len(factors)} factors of Q_{p} mod {q}, not {(p - 1) // s}")
-    return factors
-
-
 # ---------------------------------------------------------------------------
 # field handles and elements
 
@@ -270,6 +202,15 @@ class FieldHandle:
 
     def from_int(self, n):
         return FieldElement(self, (n % self.char,) + (0,) * (self.degree - 1))
+
+    def from_code(self, code):
+        """The element whose coefficients, lowest first, are the base-q
+        digits of code, 0 <= code < q^s."""
+        coeffs = []
+        for _ in range(self.degree):
+            code, c = divmod(code, self.char)
+            coeffs.append(c)
+        return FieldElement(self, tuple(coeffs))
 
     def element(self, coeffs):
         coeffs = list(coeffs)
@@ -326,6 +267,14 @@ class FieldElement:
 
     def is_one(self):
         return self.coeffs == self.owner._one.coeffs
+
+    def code(self):
+        """The integer whose base-q digits are the coefficients, lowest
+        first: the inverse of FieldHandle.from_code."""
+        out = 0
+        for c in reversed(self.coeffs):
+            out = out * self.owner.char + c
+        return out
 
     def _check(self, other):
         if not isinstance(other, FieldElement) or other.owner is not self.owner:
@@ -425,22 +374,15 @@ def sufficiently_large_field(N, q):
 
 def _find_generator(K):
     """Deterministic generator of the multiplicative group of a finite field:
-    the first element, in the fixed enumeration by integer encoding, whose
-    order is q^s - 1 (tested against the prime factorization)."""
+    the first element, in the fixed enumeration by code, whose order is
+    q^s - 1 (tested against the prime factorization, so LogTables, which
+    stop at 2^16 elements, are its only caller)."""
     if K._generator is not None:
         return K._generator
-    q, s = K.char, K.degree
     n = K.order() - 1
     prime_divs = list(factorize(n))
     for code in range(2, K.order()):
-        coeffs = []
-        m = code
-        for _ in range(s):
-            coeffs.append(m % q)
-            m //= q
-        g = K.element(coeffs)
-        if g.is_zero():
-            continue
+        g = K.from_code(code)
         if all(not (g ** (n // p)).is_one() for p in prime_divs):
             K._generator = g
             return g
@@ -501,14 +443,19 @@ def log_tables(K):
 
 def primitive_root_of_unity(K, N):
     """A primitive N-th root of unity in K, chosen deterministically:
-    g^{(q^s-1)/N} for the fixed generator g."""
+    z = x^((q^s-1)/N) for the first x, in the enumeration by code, for
+    which z has order exactly N.  Such a z has z^N = 1, so only the primes
+    of N are tested, and q^s - 1 is never factored: a field of any size
+    costs a few exponentiations."""
     if N == 1:
         return K.one()
     n = K.order() - 1
     if n % N != 0:
         raise ValueError(f"{K!r} contains no primitive {N}-th root of unity")
-    zeta = _find_generator(K) ** (n // N)
-    if not (zeta ** N).is_one() or \
-            any((zeta ** (N // r)).is_one() for r in factorize(N)):
-        raise InvariantViolation(f"{zeta!r} is not a primitive {N}-th root")
-    return zeta
+    primes = list(factorize(N))
+    for code in range(2, K.order()):
+        zeta = K.from_code(code) ** (n // N)
+        if all(not (zeta ** (N // r)).is_one() for r in primes):
+            return zeta
+    raise InvariantViolation(  # pragma: no cover
+        f"{K!r} has no primitive {N}-th root of unity")

@@ -3,8 +3,10 @@
 Two computation routes live here.  For a finite abelian target the count
 is a closed product-formula over primes in partition data (theta sums and
 automorphism orders).  For the split metabelian groups M_{p,q^s} =
-Z_q^s x| Z_p (s the order of q mod p) the count is assembled from the
-depths of the order-p characters over a field of characteristic q.
+F_{q^s} x| <zeta_p> (s the order of q mod p, zeta_p a primitive p-th root
+of unity acting by multiplication) the count is assembled from the
+depths of the order-p characters over that same field F_{q^s}, and the
+group's own table, for the brute-force oracle, is built on it too.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .charvar import Group
-from .fields import factor_cyclotomic_mod_q, factorize, multiplicative_order
+from .fields import (extension_field, factorize, multiplicative_order,
+                     primitive_root_of_unity)
 from .foxcalc import abelianization
 from .linalg import InvariantViolation
 from .oracle import FiniteGroupTable
@@ -208,112 +211,46 @@ def delta_abelian_of(P, factors):
 # the metabelian family M_{p,q^s}
 
 class MetabelianGroup:
-    """M_{p,q^s} = Z_q^s x| Z_p, built from a companion-matrix action.
+    """M_{p,q^s} = F_{q^s} x| <zeta>, zeta a primitive p-th root of unity
+    acting on the additive group of K = F_{q^s} by multiplication.
 
-    The acting automorphism is multiplication by t on F_q[t]/(f), f the
-    first irreducible factor of 1 + t + ... + t^{p-1} over F_q; any factor
-    gives an isomorphic group.  Elements are normal forms u b^k with
-    u in Z_q^s and 0 <= k < p, indexed as k * q^s + code(u).
+    K is the field the depths of delta_mpqs are taken over, and zeta its
+    primitive_root_of_unity; any other primitive root zeta^j gives an
+    isomorphic group, by (u, k) -> (u, jk).  The companion matrix of any
+    factor of 1 + t + ... + t^{p-1} over F_q is multiplication by such a
+    root, so this is the group of the literature.  The element (u, k)
+    stands for u b^k, with index k * q^s + code(u), code(u) the integer
+    whose base-q digits are u's coefficients; (u, k)(v, m) =
+    (u + zeta^k v, k + m).
     """
 
-    __slots__ = ("p", "q", "s", "factor", "sigma", "table", "aut_order")
+    __slots__ = ("p", "q", "s", "table", "aut_order")
 
-    def __init__(self, p, q, factor_index=0):
+    def __init__(self, p, q):
         if p == q:
             raise ValueError("p and q must be distinct primes")
         self.p = p
         self.q = q
         self.s = multiplicative_order(q, p)
-        factors = factor_cyclotomic_mod_q(p, q)
-        self.factor = factors[factor_index]
-        self.sigma = _companion_action(self.factor, q)
-        identity = _identity_action(self.s)
-        if _action_power(self.sigma, p, q, self.s) != identity or \
-                self.sigma == identity:
-            raise InvariantViolation("companion action does not have order p")
-        self.table = _semidirect_table(p, q, self.s, self.sigma)
-        self.aut_order = self.s * q ** self.s * (q ** self.s - 1)
+        K = extension_field(q, self.s)
+        zeta = primitive_root_of_unity(K, p)
+        span = K.order()
+        elements = [K.from_code(c) for c in range(span)]
+        add = [[(u + v).code() for v in elements] for u in elements]
+        # turn[k][c] = code(zeta^k v) for v of code c
+        turn = [[(zeta ** k * v).code() for v in elements] for k in range(p)]
+        mul = [[((k + m) % p) * span + add[uc][w]
+                for m in range(p) for w in turn[k]]
+               for k in range(p) for uc in range(span)]
+        self.table = FiniteGroupTable(mul, check=True)
+        self.aut_order = self.s * span * (span - 1)
 
     def __repr__(self):
         return f"M({self.p},{self.q}^{self.s})"
 
 
-def _companion_action(f, q):
-    """Matrix (as row tuples) of multiplication by t on F_q[t]/(f)."""
-    s = len(f) - 1
-    rows = []
-    for j in range(s):
-        # image of basis vector t^j is t^{j+1}, reduced mod f
-        if j + 1 < s:
-            img = [0] * s
-            img[j + 1] = 1
-        else:
-            img = [(-c) % q for c in f[:s]]
-        rows.append(tuple(img))
-    # store column-action form: apply(v)_i = sum_j rows[j][i] * v[j]
-    return tuple(rows)
-
-
-def _apply_action(sigma, v, q):
-    s = len(v)
-    out = [0] * s
-    for j, vj in enumerate(v):
-        if vj:
-            row = sigma[j]
-            for i in range(s):
-                out[i] = (out[i] + row[i] * vj) % q
-    return tuple(out)
-
-
-def _identity_action(s):
-    return tuple(tuple(1 if i == j else 0 for i in range(s)) for j in range(s))
-
-
-def _action_power(sigma, e, q, s):
-    result = _identity_action(s)
-    for _ in range(e):
-        result = tuple(_apply_action(sigma, row, q) for row in result)
-    return result
-
-
-def _semidirect_table(p, q, s, sigma):
-    span = q ** s
-
-    def decode(code):
-        out = []
-        for _ in range(s):
-            out.append(code % q)
-            code //= q
-        return tuple(out)
-
-    def encode(v):
-        code = 0
-        for x in reversed(v):
-            code = code * q + x
-        return code
-
-    powers = [_identity_action(s)]
-    for _ in range(p - 1):
-        powers.append(tuple(_apply_action(sigma, row, q)
-                            for row in powers[-1]))
-
-    n = p * span
-    mul = [[0] * n for _ in range(n)]
-    for k in range(p):
-        for uc in range(span):
-            u = decode(uc)
-            a = k * span + uc
-            for m in range(p):
-                for vc in range(span):
-                    v = decode(vc)
-                    w = _apply_action(powers[k], v, q)
-                    uw = tuple((x + y) % q for x, y in zip(u, w))
-                    mul[a][m * span + vc] = ((k + m) % p) * span + encode(uw)
-    return FiniteGroupTable(mul, check=True)
-
-
-def construct_mpqs(p, q, factor_index=0):
-    return MetabelianGroup(p, q, factor_index)
+def construct_mpqs(p, q):
+    return MetabelianGroup(p, q)
 
 
 def delta_mpqs(G, p, q, *, A=None, jobs=1):

@@ -8,9 +8,12 @@ in for Q(zeta_N)).  The references here do neither:
 * evaluate() and depth() evaluate each Laurent term of the matrix at the
   character, as coefficient * zeta^(exponents . e), and rank the result
   with plain division-based elimination (linalg.rank_over_field);
-* CyclotomicField does exact arithmetic in Q(zeta_N) on Fraction
-  coefficients, duck-typed to the FieldHandle interface those use, so the
-  same depths can be taken over Q(zeta_N);
+* cyclotomic_polynomial gives Phi_N over the integers, by dividing
+  x^N - 1 by the Phi_d of the proper divisors d of N; the library never
+  needs it, since its roots of unity are powers in F_{q^s};
+* CyclotomicField does exact arithmetic in Q(zeta_N) = Q[x] / Phi_N on
+  Fraction coefficients, duck-typed to the FieldHandle interface those
+  use, so the same depths can be taken over Q(zeta_N);
 * irreducible_by_trial_division is the test the library's extension
   moduli were once found by, against which Ben-Or's test is checked.
 """
@@ -20,9 +23,68 @@ from itertools import product
 
 from hallinv.charvar import _character_moduli
 from hallinv.fields import (_fq_divmod, _fq_monic_polys,
-                            cyclotomic_polynomial, primitive_root_of_unity,
-                            sufficiently_large_field)
+                            primitive_root_of_unity, sufficiently_large_field)
 from hallinv.linalg import rank_over_field
+
+
+def _trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_mul_int(a, b):
+    """Product of integer polynomials (coefficient lists, low degree
+    first)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _trim(out)
+
+
+def _poly_divmod_int(a, b):
+    """Exact-domain division of integer polynomials; b must be monic-ish in
+    the sense that every intermediate quotient coefficient is integral."""
+    a = list(a)
+    out = [0] * (max(len(a) - len(b) + 1, 0))
+    lead = b[-1]
+    for k in range(len(a) - len(b), -1, -1):
+        c = a[k + len(b) - 1]
+        if c % lead != 0:
+            raise ArithmeticError("non-exact integer polynomial division")
+        f = c // lead
+        out[k] = f
+        if f:
+            for j, bj in enumerate(b):
+                a[k + j] -= f * bj
+    return _trim(out), _trim(a)
+
+
+_CYCLO_CACHE = {}
+
+
+def cyclotomic_polynomial(N):
+    """Coefficients of Phi_N (low degree first), by dividing x^N - 1 by the
+    cyclotomic polynomials of all proper divisors of N."""
+    if N < 1:
+        raise ValueError("N must be positive")
+    if N in _CYCLO_CACHE:
+        return list(_CYCLO_CACHE[N])
+    num = [-1] + [0] * (N - 1) + [1]  # x^N - 1
+    den = [1]
+    for d in range(1, N):
+        if N % d == 0:
+            den = _poly_mul_int(den, cyclotomic_polynomial(d))
+    quo, rem = _poly_divmod_int(num, den)
+    if rem:
+        raise ArithmeticError(
+            "x^N - 1 not divisible by the product of lower Phi_d")
+    _CYCLO_CACHE[N] = list(quo)
+    return quo
 
 
 class CyclotomicField:
@@ -70,12 +132,6 @@ class CyclotomicField:
 
     def __repr__(self):
         return f"Q(zeta_{self.N})"
-
-
-def _trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
 
 
 def _poly_divmod(a, b):

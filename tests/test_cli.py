@@ -1,6 +1,7 @@
 import importlib
 import json
 import pkgutil
+import random
 
 import pytest
 
@@ -204,6 +205,38 @@ def test_beta_over_a_field_past_the_table_limit(capsys):
     assert code == 0 and out.startswith("beta_11^(7) = (12,)")
 
 
+def test_cover_over_a_field_too_large_to_factor(capsys):
+    # ord_107(3) = 53: zeta_107 lives in F_{3^53}, found from the primes of
+    # 107 alone, without factoring 3^53 - 1
+    code, out, _ = run(capsys, "cover", "--order", "107", "--images", "1,0",
+                       "--q", "3", "--fixture", "free:2")
+    assert code == 0 and out == "b1^(3) of the cover = 108\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("beta", "--p", "x", "--q", "0", "--fixture", "free:2"),
+     "invalid int value: 'x'"),
+    (("beta", "--q", "0", "--fixture", "free:2"),
+     "the following arguments are required: --p"),
+    (("bogus", "--fixture", "free:2"), "invalid choice: 'bogus'"),
+    (("oracle", "--mode", "bogus", "--target", "s3", "--fixture", "free:2"),
+     "invalid choice: 'bogus'"),
+])
+def test_usage_error_exits_1(capsys, argv, message):
+    # exit 2 is kept for an exceeded budget, so argparse's own usage
+    # errors are bad input like any other
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: hallinv") and err.count("\n") == 1
+    assert message in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["beta", "--help"])
+    assert stop.value.code == 0 and "--check-orbits" in capsys.readouterr().out
+
+
 def test_bad_perm_names_its_shape(capsys):
     code, out, err = run(capsys, "arr", "--perm", "3x")
     assert code == 1 and out == ""
@@ -351,3 +384,96 @@ def test_unknown_table_row_exits_1(capsys, command, rows):
     assert err.startswith("error: ") and err.count("\n") == 1
     known = TABLE1_ROWS if command == "table1" else TABLE2_ROWS
     assert all(label in err for label, _ in known)
+
+
+# the options of each subcommand, each with its valid values and its
+# invalid ones (out of range, not an integer, malformed or empty)
+INPUT_OPTIONS = {
+    "--fixture": (["free:2", "rp:3", "surface:1", "product:1,1",
+                   "horizontal:123"], ["free:x", "nope", ""]),
+    "--in": (["good"], ["bad", "missing"]),
+}
+BAD_INT = ["0", "-3", "x", "2.5", ""]
+FUZZ_OPTIONS = {
+    "parse": INPUT_OPTIONS,
+    "abelianize": INPUT_OPTIONS,
+    "alexander": INPUT_OPTIONS,
+    "beta": {**INPUT_OPTIONS, "--p": (["2", "3", "5"], ["1", "4"] + BAD_INT),
+             "--q": (["0", "2", "3", "7"], ["4", "-1", "x", ""]),
+             "--check-orbits": None},
+    "delta": {**INPUT_OPTIONS,
+              "--target": (["s3", "a4", "mpq:3,7", "ab:2,2", "ab:4"],
+                           ["sym:3", "mpq:3", "mpq:2,2", "ab:", "bogus",
+                            ""])},
+    "cover": {**INPUT_OPTIONS, "--order": (["1", "2", "3", "6"], BAD_INT),
+              "--images": (["1,0", "1,1", "0,0"], ["1,0,2", "1,x", ""]),
+              "--q": (["0", "2", "3"], ["4", "x", ""])},
+    "census": {**INPUT_OPTIONS, "--k": (["1", "2", "3"], BAD_INT),
+               "--normal": None, "--abelian-quotient": None,
+               "--conjugacy": None, "--all-counts": None},
+    "arr": {"--perm": (["123", "2134"], ["12a", "11", ""]),
+            "--fixture": INPUT_OPTIONS["--fixture"],
+            "--out": (["file"], ["dir"])},
+    "oracle": {**INPUT_OPTIONS,
+               "--target": (["s3", "a4", "mpq:3,7", "ab:2,2", "sym:3",
+                             "sym:4", "cyclic:4", "sym:5", "mpq:11,2"],
+                            ["cyclic:0", "table:missing", "bogus", ""]),
+               "--mode": (["all", "epi", "delta"], ["bogus", ""]),
+               "--cover-order": (["1", "2", "3"], BAD_INT),
+               "--cover-images": (["1,0", "0,0"], ["1,x", ""]),
+               "--q": (["0", "2", "3"], ["4", "x", ""])},
+    "table1": {"--rows": (["F2", "F2,T2#2", "RP2#2"], ["XX", ""])},
+    "table2": {"--rows": (["A(123)", "A(1234),A(2134)"], ["F2", ""])},
+}
+FUZZ_COMMON = {"--json": None, "--jobs": (["1"], ["0", "-1", "x", ""])}
+
+
+def fuzz_argv(rng, files):
+    """A command line: each option of a subcommand (or of a bogus one)
+    present with odds 3:1, and its value invalid one time in ten."""
+    command = rng.choice(sorted(FUZZ_OPTIONS) + ["bogus"])
+    argv = [command]
+    options = {**FUZZ_OPTIONS.get(command, {}), **FUZZ_COMMON}
+    for flag, values in options.items():
+        if rng.random() < 0.75:
+            argv.append(flag)
+            if values is not None:
+                value = rng.choice(values[rng.random() < 0.1])
+                argv.append(files.get(value, value))
+    if rng.random() < 0.05:
+        argv.insert(rng.randrange(len(argv) + 1),
+                    rng.choice(["--bogus", "extra", "--p"]))
+    return argv + ["--budget", "10000"]
+
+
+def test_argv_fuzz(capsys, tmp_path):
+    # seeded argv lists over every subcommand and option: each ends in
+    # exit 0, in exit 1 with an error: line, or in exit 2 with an
+    # infeasible: line, never in an exception
+    (tmp_path / "good.txt").write_text("gens: x, y\nrels: [x,y]\n")
+    (tmp_path / "bad.txt").write_text("gens: x\nrels: y\n")
+    files = {"good": str(tmp_path / "good.txt"),
+             "bad": str(tmp_path / "bad.txt"),
+             "missing": str(tmp_path / "missing.txt"),
+             "table:missing": f"table:{tmp_path / 'missing.json'}",
+             "file": str(tmp_path / "out.txt"), "dir": str(tmp_path)}
+    rng = random.Random(2000)
+    codes = []
+    for _ in range(200):
+        argv = fuzz_argv(rng, files)
+        try:
+            code = main(argv)
+        except Exception as e:
+            raise AssertionError(f"{argv} raised {e!r}") from e
+        _, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert "Traceback" not in err, argv
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert any(line.startswith("error: ") for line in lines), argv
+        if code == 2:
+            assert any(line.startswith("infeasible: ") for line in lines), \
+                argv
+        codes.append(code)
+    # the draw reaches every outcome
+    assert set(codes) == {0, 1, 2}

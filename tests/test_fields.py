@@ -3,12 +3,12 @@ import random
 import pytest
 
 from hallinv.fields import (
-    cyclotomic_polynomial, extension_field, factor_cyclotomic_mod_q,
-    factorize, multiplicative_order, prime_field, primitive_root_of_unity,
-    sufficiently_large_field,
+    extension_field, factorize, multiplicative_order, prime_field,
+    primitive_root_of_unity, sufficiently_large_field,
 )
-from reference import (CyclotomicField, irreducible_by_trial_division,
-                       reference_field, root_of_unity)
+from reference import (CyclotomicField, _poly_mul_int, cyclotomic_polynomial,
+                       irreducible_by_trial_division, reference_field,
+                       root_of_unity)
 
 
 def test_multiplicative_order_values():
@@ -72,7 +72,6 @@ def test_cyclotomic_polynomials():
 
 
 def test_cyclotomic_product_identity():
-    from hallinv.fields import _poly_mul_int
     for N in range(1, 31):
         prod = [1]
         for d in range(1, N + 1):
@@ -80,13 +79,6 @@ def test_cyclotomic_product_identity():
                 prod = _poly_mul_int(prod, cyclotomic_polynomial(d))
         want = [-1] + [0] * (N - 1) + [1]
         assert prod == want
-
-
-def test_factor_cyclotomic_mod_q():
-    assert factor_cyclotomic_mod_q(3, 2) == [[1, 1, 1]]
-    assert factor_cyclotomic_mod_q(3, 7) == [[3, 1], [5, 1]]  # x-4, x-2
-    assert factor_cyclotomic_mod_q(5, 2) == [[1, 1, 1, 1, 1]]
-    assert factor_cyclotomic_mod_q(7, 2) == [[1, 0, 1, 1], [1, 1, 0, 1]]
 
 
 def test_f4_arithmetic():
@@ -181,6 +173,34 @@ def test_unit_group_order():
         assert (g ** n).is_one()
         for r in factorize(n):
             assert not (g ** (n // r)).is_one()
+
+
+def test_codes_enumerate_the_field():
+    for q, s in [(2, 3), (3, 2), (7, 1)]:
+        K = extension_field(q, s)
+        elements = [K.from_code(c) for c in range(K.order())]
+        assert len(set(elements)) == K.order()
+        assert [x.code() for x in elements] == list(range(K.order()))
+    assert extension_field(3, 2).from_code(5).coeffs == (2, 1)
+
+
+def test_root_of_unity_never_factors_a_large_field(monkeypatch):
+    # every field is past the 2^16 Zech table limit; 3^53 - 1 has a
+    # 19-digit prime factor, so trial division would run to about 2 * 10^9
+    # before finding it.  The root is tested against the primes of N alone
+    from hallinv import fields
+    factored = []
+    factor = fields.factorize
+    monkeypatch.setattr(fields, "factorize",
+                        lambda n: factored.append(n) or factor(n))
+    for q, N in [(2, 19), (2, 25), (2, 83), (3, 107)]:
+        K = sufficiently_large_field(N, q)
+        assert K.order() > fields._LOG_TABLE_LIMIT
+        zeta = primitive_root_of_unity(K, N)
+        assert (zeta ** N).is_one()
+        assert all(not (zeta ** (N // r)).is_one() for r in factor(N))
+        assert K.order() - 1 not in factored
+    assert set(factored) <= {19, 25, 83, 107}
 
 
 def test_mixed_field_operands_rejected():
