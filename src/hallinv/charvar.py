@@ -18,17 +18,21 @@ which sum over characters, are still defined.  The all-points path
 
 Depth is a rank, and DepthEngine is the one evaluator of the Alexander
 matrix: it compiles the matrix once into integer coefficients and linear
-forms on e, and takes every rank over a finite field by one rule: a
-field of at most 2^16 elements by Zech-logarithm elimination
-(_rank_codes), a larger one by rank_over_field on its elements.
-In characteristic q > 0 the one field is F_{q^s}.  In characteristic 0
-the rank over Q(zeta_N) is the largest rank over F_ell for the split
-primes ell = 1 (mod N), each reached by a ring map Z[zeta_N] -> F_ell,
-which can only lower rank.  That lower bound is exact once it meets the
-ceiling Fox's fundamental identity puts on a nontrivial character, or
-once the product of the primes tried outgrows a Hadamard bound on the
-norm of every minor (see DepthEngine for the argument).  No arithmetic
-in Q or Q(zeta_N) is ever done.
+forms on e, evaluates a character's forms once, and ranks the result
+over finite fields.  In characteristic q > 0 the one field is F_{q^s}:
+at most 2^16 elements by Zech-logarithm elimination (_rank_codes), a
+larger one by rank_over_field on its elements.  In characteristic 0 the
+rank over Q(zeta_N) is the largest rank mod the split primes
+ell = 1 (mod N) below 2^30, counted down from 2^30, each reached by a
+ring map Z[zeta_N] -> F_ell, which can only lower rank, and taken by
+integer elimination (_rank_mod).  That lower bound r is exact once it
+meets the ceiling Fox's fundamental identity puts on a nontrivial
+character, or once the product of the primes tried outgrows a Hadamard
+bound on the norm of every minor of size r + 1 (see DepthEngine for the
+argument); a generic character needs one prime.  No arithmetic in Q or
+Q(zeta_N) is ever done.  The rows that were pivots when a character last
+reached the ceiling are ranked first, so a generic character is usually
+certified on l - 1 rows.
 
 A Group holds what several invariants of one presentation share: the
 abelianization, the Alexander matrix and the character depths already
@@ -37,12 +41,14 @@ asked for.  Callers that combine invariants make one Group per request.
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
-from itertools import islice, product
+from itertools import accumulate, count, islice, product
 from math import gcd, lcm, prod
+from operator import add
 
-from .fields import (_LOG_TABLE_LIMIT, euler_phi, is_prime, log_tables,
-                     multiplicative_order, prime_field,
+from .fields import (_LOG_TABLE_LIMIT, euler_phi, factorize, is_prime,
+                     log_tables, multiplicative_order,
                      primitive_root_of_unity, sufficiently_large_field)
 from .foxcalc import (abelianization, alexander_matrix,
                       augmentation_jacobian)
@@ -55,59 +61,96 @@ class DepthEngine:
 
     The Alexander matrix is compiled once: each Laurent term becomes an
     integer coefficient plus the linear form its exponents induce on the
-    chi coordinates, each distinct form kept once (as its nonzero weights)
-    so that a character evaluates it once.  A character is a coordinate
-    exponent vector e, its value on coordinate c being zeta_N^{e_c}, so
-    every entry of the evaluated matrix is a sum of
-    coefficient * zeta^(form . e mod N) in Z[zeta_N].
+    chi coordinates, each distinct form kept once.  A character is a
+    coordinate exponent vector e, its value on coordinate c being
+    zeta_N^{e_c}, so every entry of the evaluated matrix is a sum of
+    coefficient * zeta^(form . e mod N) in Z[zeta_N].  The exponents
+    form . e are taken once per character, from one column of form weights
+    per coordinate packed into an integer (_exponents), and serve every
+    field the character is ranked over.  N must be below 2^29, so that
+    the split primes below 2^30 exist and a packed field of 8 bytes holds
+    (N - 1)^2.  Every elimination stops once its rank reaches the ceiling
+    below.
 
-    Ranks are taken over a list of finite fields, each holding a primitive
-    N-th root of unity, by one rule, both from the same compiled rows and
-    forms: a field of at most 2^16 elements (_LOG_TABLE_LIMIT) by
-    Zech-logarithm elimination (_rank_codes) on the logs of the entries, a
-    larger one by rank_over_field on the entries as field elements, summed
-    from the field's table of zeta's N powers.  mode names the rule of the
-    first field, "zech" or "element".
+    For q > 0 the one field is K = F_{q^s}, and its rank is the answer:
+    at most 2^16 elements (_LOG_TABLE_LIMIT) by Zech-logarithm elimination
+    (_rank_codes, mode "zech"), a larger K by rank_over_field on the
+    entries as field elements, summed from K's table of zeta's N powers
+    (mode "element").
 
-    For q > 0 the list is K = F_{q^s}, and its rank is the answer.  For
-    q = 0 the list is the primes ell = 1 (mod N) in increasing order, with
-    zeta_N sent to a primitive N-th root of unity of F_ell.  This is a
-    ring map Z[zeta_N] -> F_ell, so no rank mod ell exceeds the rank r over
-    Q(zeta_N), and the largest rank seen is a lower bound.  It equals r
-    once either
+    For q = 0 (mode "modular") the fields are the primes ell = 1 (mod N)
+    below 2^30, counted down from 2^30 (_split_prime), with zeta_N sent to
+    a primitive N-th root of unity mod ell; each is ranked by integer
+    elimination mod ell (_rank_mod), every residue one CPython digit.  A
+    prime is found when a character first needs it, and kept for the
+    process; up to N = 2^10 it keeps a table of zeta's N powers, past
+    that zeta^k is taken by pow (_POWER_TABLE_LIMIT).  This is a ring map Z[zeta_N] -> F_ell, so no rank mod ell
+    exceeds the rank over Q(zeta_N), and the largest rank r seen is a
+    lower bound.  It is the rank once either
 
-    * it reaches a ceiling r cannot pass: min(m, l) for m relators and l
-      generators, or l - 1 for a nontrivial character, whose vector
+    * it reaches a ceiling the rank cannot pass: min(m, l) for m relators
+      and l generators, or l - 1 for a nontrivial character, whose vector
       (chi(x_j) - 1)_j is nonzero and killed by the matrix (Fox's
       fundamental identity); or
-    * the primes tried have product P with P^2 > B2^phi(N), which the
-      prime list is chosen to reach.  B2 bounds |sigma(D)|^2 for every
-      minor D and every complex embedding sigma (Hadamard, from the
-      coefficient sizes).  A minor D larger than the largest rank seen
-      maps to 0 in every F_ell tried, so it lies in the kernels of those
-      maps, distinct prime ideals of norm ell; P then divides the norm
-      N(D), while |N(D)| <= B2^(phi(N)/2) < P, so D = 0.
+    * the primes tried have product P with P^2 > B2^phi(N), B2 the
+      Hadamard bound on |sigma(D)|^2 for every minor D of size r + 1 and
+      every complex embedding sigma (_hadamard_bound).  The rank exceeds r
+      only if some such D is nonzero.  But D maps to 0 in every F_ell
+      tried, so it lies in the kernels of those maps, distinct prime ideals
+      of norm ell; P then divides the norm N(D), while
+      |N(D)| <= B2^(phi(N)/2) < P, so D = 0.
+
+    Pivot rows: the rows that were pivots the last time a character's rank
+    reached the ceiling are kept.  When they are fewer than all the rows,
+    the next character is first ranked, over the first field only, on just
+    those rows; a submatrix's rank is a lower bound, so if it reaches the
+    ceiling that is the rank, and otherwise the full matrix is ranked as
+    above.  Nearly every character is generic (rank l - 1), and its test
+    then builds and eliminates l - 1 rows instead of m.
     """
 
     def __init__(self, A, N, q):
+        if N >= _PRIME_LIMIT >> 1:
+            raise ValueError(f"characters of order N = {N}: N must be "
+                             f"below 2^29")
         self.N = N
+        self.q = q
         self.num_generators = A.num_generators
         forms = {}
         self.rows = [[[(coeff, forms.setdefault(tuple(tors) + tuple(free),
                                                 len(forms)))
                        for (free, tors), coeff in entry.terms.items()]
                       for entry in row] for row in A.entries]
-        self.forms = [tuple((c, w) for c, w in enumerate(form) if w)
-                      for form in forms]
+        self.num_forms = len(forms)
+        # Coordinate c's column of form weights mod N, packed into one
+        # integer with a field of `width` bytes per form, so that a
+        # character's exponents are one sum of e_c * column_c (see
+        # _exponents).  A field holds at most (N - 1)^2 per coordinate, so
+        # the columns are split into groups whose sums cannot overflow it.
+        top = max((N - 1) ** 2, 1)
+        columns = [(c, column) for c, column in enumerate(zip(*forms))
+                   if any(column)]
+        self.width, self.format = next(
+            (width, code) for width, code in ((1, "B"), (2, "H"), (4, "I"),
+                                              (8, "Q"))
+            if top * len(columns) < 256 ** width or width == 8)
+        packed = [(c, sum((w % N) << (8 * self.width * f)
+                          for f, w in enumerate(column)))
+                  for c, column in columns]
+        size = max((256 ** self.width - 1) // top, 1)
+        self.groups = [packed[i:i + size] for i in range(0, len(packed), size)]
         self.ceiling = min(len(self.rows), self.num_generators)
         if q:
-            self.fields = [sufficiently_large_field(N, q)]
+            self.field = sufficiently_large_field(N, q)
+            self.mode = ("zech" if self.field.order() <= _LOG_TABLE_LIMIT
+                         else "element")
         else:
-            bound = _hadamard_bound(self.rows, self.ceiling) ** euler_phi(N)
-            self.fields = [prime_field(ell) for ell in _split_primes(N, bound)]
+            self.field = None
+            self.mode = "modular"
+            self.phi = euler_phi(N)
+            self.bounds = {}  # k -> B2^phi(N) for the minors of size k
         self.reductions = []
-        self.mode = "zech" if self.fields[0].order() <= _LOG_TABLE_LIMIT \
-            else "element"
+        self.pivots = None  # rows that last reached the ceiling
 
     def depth_of_exponents(self, coord_exps):
         """Depth of the character with coordinate exponent vector e."""
@@ -118,75 +161,146 @@ class DepthEngine:
                                                           ceiling) - 1
 
     def _certified_rank(self, e, ceiling):
-        """Rank at e: the largest rank over the fields, tried in order
-        until one reaches the ceiling the true rank cannot pass."""
-        rank = 0
-        for i in range(len(self.fields)):
-            rank = max(rank, self._rank(e, i))
+        """Rank at e: first on the pivot rows over the first field, then
+        the largest rank over the fields in order, until one reaches the
+        ceiling the true rank cannot pass or (q = 0) the norm bound
+        certifies the largest rank seen."""
+        exps = self._exponents(e)
+        pivots = self.pivots
+        if pivots is not None and ceiling <= len(pivots) < len(self.rows):
+            rank, _ = self._rank(exps, 0, ceiling, pivots)
             if rank >= ceiling:
-                break
-        return rank
+                return rank
+        rank, tried = 0, 1
+        for i in count():
+            r, pivots = self._rank(exps, i, ceiling)
+            rank = max(rank, r)
+            if rank >= ceiling:
+                if pivots is not None:
+                    self.pivots = pivots
+                return rank
+            if self.q:
+                return rank
+            tried *= self.reductions[i][0]
+            if tried * tried > self._bound(rank + 1):
+                return rank
+
+    def _bound(self, k):
+        """B2^phi(N) for the minors of size k (_hadamard_bound)."""
+        if k not in self.bounds:
+            self.bounds[k] = _hadamard_bound(self.rows, k) ** self.phi
+        return self.bounds[k]
+
+    def _exponents(self, e):
+        """form . e mod N for every form: zeta^(form . e) as its exponent.
+        Each group of packed columns gives sum_c e_c * column_c, whose
+        fields, read back through a memoryview, are the forms' sums."""
+        N, size = self.N, self.num_forms * self.width
+        sums = [0] * self.num_forms
+        for group in self.groups:
+            x = sum(e[c] % N * column for c, column in group)
+            sums = list(map(add, sums, memoryview(
+                x.to_bytes(size, sys.byteorder)).cast(self.format)))
+        return [v % N for v in sums]
 
     def _reduction(self, i):
-        """For the i-th field: its log tables, zeta's log and the rows with
-        coefficient codes within the table limit; past it None, the table
-        of zeta's N powers and the rows with coefficients as elements.
-        Built when first needed, the fields taken in order."""
+        """The i-th field, reduced, by mode: "modular", (ell, zeta mod
+        ell, its N powers or, past _POWER_TABLE_LIMIT, None, every term
+        (coefficient mod ell, form) in one flat list, each row's entries as
+        spans of it); "zech", (K's log tables, zeta's log, the rows with
+        coefficient codes); "element", (zeta's N powers in K, the rows with
+        coefficients in K).  Built when first needed, the fields taken in
+        order."""
         if i == len(self.reductions):
-            F = self.fields[i]
-            if F.order() > _LOG_TABLE_LIMIT:
-                zeta = primitive_root_of_unity(F, self.N)
-                powers = [F.one()]
-                for _ in range(self.N - 1):
-                    powers.append(powers[-1] * zeta)
-                rows = [[[(F.from_int(c), form) for c, form in terms
-                          if c % F.char] for terms in row]
-                        for row in self.rows]
-                self.reductions.append((None, powers, rows))
-            else:
+            N = self.N
+            if self.mode == "modular":
+                ell, zeta = _split_prime(N, i)
+                powers = None
+                if N <= _POWER_TABLE_LIMIT:
+                    powers = [1]
+                    for _ in range(N - 1):
+                        powers.append(powers[-1] * zeta % ell)
+                terms, rows = [], []
+                for row in self.rows:
+                    spans = []
+                    for entry in row:
+                        start = len(terms)
+                        terms.extend((c % ell, form) for c, form in entry
+                                     if c % ell)
+                        spans.append((start, len(terms)))
+                    rows.append(spans)
+                self.reductions.append((ell, zeta, powers, terms, rows))
+            elif self.mode == "zech":
+                F = self.field
                 lt = log_tables(F)
-                if lt.n % self.N:
+                if lt.n % N:
                     raise InvariantViolation(
-                        f"{F!r} has no primitive {self.N}-th root of unity")
+                        f"{F!r} has no primitive {N}-th root of unity")
                 codes = {c: lt.encode(F.from_int(c)) for row in self.rows
                          for terms in row for c, _ in terms}
                 rows = [[[(codes[c], form) for c, form in terms
                           if codes[c] != -1] for terms in row]
                         for row in self.rows]
-                self.reductions.append((lt, lt.n // self.N, rows))
+                self.reductions.append((lt, lt.n // N, rows))
+            else:
+                F = self.field
+                zeta = primitive_root_of_unity(F, N)
+                powers = [F.one()]
+                for _ in range(N - 1):
+                    powers.append(powers[-1] * zeta)
+                rows = [[[(F.from_int(c), form) for c, form in terms
+                          if c % F.char] for terms in row]
+                        for row in self.rows]
+                self.reductions.append((powers, rows))
         return self.reductions[i]
 
-    def _rank(self, e, i):
-        """Rank at e over the i-th field."""
-        lt, zeta, rows = self._reduction(i)
-        N = self.N
-        # zeta^(form . e) as its exponent, once per distinct form
-        exps = [sum(w * e[c] for c, w in form) % N for form in self.forms]
-        if lt is None:
-            # zeta is the table of its powers
-            F = self.fields[i]
+    def _rank(self, exps, i, ceiling, indices=None):
+        """Rank over the i-th field at the form exponents exps, of the rows
+        numbered in indices (all rows by default), with the numbers of its
+        pivot rows (None on the element route)."""
+        *reduction, rows = self._reduction(i)
+        if indices is not None:
+            rows = [rows[k] for k in indices]
+        if self.mode == "modular":
+            ell, zeta, powers, terms = reduction
+            values = ([powers[k] for k in exps] if powers else
+                      [pow(zeta, k, ell) for k in exps])
+            # prefix sums of the terms: an entry is the difference of the
+            # sums at the ends of its span
+            sums = list(accumulate([c * values[f] for c, f in terms],
+                                   initial=0))
+            rank, pivots = _rank_mod(
+                [[(sums[b] - sums[a]) % ell for a, b in row] for row in rows],
+                ell, ceiling)
+        elif self.mode == "zech":
+            lt, zeta = reduction
+            order, zech = lt.n, lt.zech
+            logs = [zeta * k for k in exps]  # zeta is held as its log
+            matrix = []
+            for row in rows:
+                out_row = []
+                for terms in row:
+                    acc = -1
+                    for c, f in terms:
+                        # acc += coefficient * zeta^(form . e), by Zech logs
+                        b = (c + logs[f]) % order
+                        if acc == -1:
+                            acc = b
+                        else:
+                            d = zech[(acc - b) % order]
+                            acc = -1 if d == -1 else (b + d) % order
+                    out_row.append(acc)
+                matrix.append(out_row)
+            rank, pivots = _rank_codes(matrix, lt, ceiling)
+        else:
+            (powers,) = reduction
+            F = self.field
             return rank_over_field(
-                [[sum((c * zeta[exps[f]] for c, f in terms), F.zero())
-                  for terms in row] for row in rows], F)
-        order, zech = lt.n, lt.zech
-        # zeta is held as its log
-        logs = [zeta * k for k in exps]
-        matrix = []
-        for row in rows:
-            out_row = []
-            for terms in row:
-                acc = -1
-                for c, f in terms:
-                    # acc += coefficient * zeta^(form . e), by Zech logs
-                    b = (c + logs[f]) % order
-                    if acc == -1:
-                        acc = b
-                    else:
-                        d = zech[(acc - b) % order]
-                        acc = -1 if d == -1 else (b + d) % order
-                out_row.append(acc)
-            matrix.append(out_row)
-        return _rank_codes(matrix, lt)
+                [[sum((c * powers[exps[f]] for c, f in terms), F.zero())
+                  for terms in row] for row in rows], F), None
+        if indices is not None:
+            pivots = [indices[k] for k in pivots]
+        return rank, pivots
 
 
 def _hadamard_bound(rows, k):
@@ -202,29 +316,45 @@ def _hadamard_bound(rows, k):
                              [sum(c) for c in zip(*sizes)]))
 
 
-def _split_primes(N, bound):
-    """The primes ell = 1 (mod N) in increasing order, up to the first whose
-    running product P has P^2 > bound."""
-    primes = []
-    product = 1
-    ell = 1
-    while product * product <= bound:
-        ell += N
-        if is_prime(ell):
-            primes.append(ell)
-            product *= ell
-    return primes
+_PRIME_LIMIT = 1 << 30
+# Up to this N each split prime keeps a table of zeta's N powers; past
+# it, as many primes may be tried as phi(N) grows, so the table would
+# take memory of order N * phi(N), and zeta^k is taken by pow instead.
+_POWER_TABLE_LIMIT = 1 << 10
+_SPLIT_PRIMES = {}  # N -> the (ell, zeta) found so far, in order
 
 
-def _rank_codes(matrix, lt):
-    """Rank of a matrix of discrete-log codes by elimination."""
-    if not matrix or not matrix[0]:
-        return 0
-    m, n = len(matrix), len(matrix[0])
+def _split_prime(N, i):
+    """The i-th prime ell = 1 (mod N) below 2^30, counting down from 2^30,
+    with zeta = x^((ell - 1)/N) mod ell for the least x >= 2 for which it
+    has order N.  Found when first asked for and kept for the process."""
+    found = _SPLIT_PRIMES.setdefault(N, [])
+    while len(found) <= i:
+        ell = found[-1][0] - N if found else (_PRIME_LIMIT - 2) // N * N + 1
+        while not is_prime(ell):
+            ell -= N
+            if ell <= N:
+                raise ValueError(f"too few primes = 1 (mod {N}) below 2^30 "
+                                 f"to certify a rank")
+        radicals = [N // r for r in factorize(N)] if N > 1 else []
+        for x in count(2):
+            zeta = pow(x, (ell - 1) // N, ell)
+            if all(pow(zeta, k, ell) != 1 for k in radicals):
+                break
+        found.append((ell, zeta))
+    return found[i]
+
+
+def _rank_codes(matrix, lt, ceiling):
+    """Rank of a matrix of discrete-log codes by elimination, stopped at
+    the ceiling, with the positions of its pivot rows."""
+    m = len(matrix)
+    n = len(matrix[0]) if matrix else 0
     zech, order, minus_one = lt.zech, lt.n, lt.minus_one
+    numbers = list(range(m))
     rank = 0
     col = 0
-    while rank < m and col < n:
+    while rank < ceiling and col < n:
         piv = None
         for i in range(rank, m):
             if matrix[i][col] != -1:
@@ -234,11 +364,15 @@ def _rank_codes(matrix, lt):
             col += 1
             continue
         matrix[rank], matrix[piv] = matrix[piv], matrix[rank]
+        numbers[rank], numbers[piv] = numbers[piv], numbers[rank]
         prow = matrix[rank]
         pval = prow[col]
+        rank += 1
+        if rank == ceiling:
+            break
         pivot_terms = [(j, prow[j]) for j in range(col + 1, n)
                        if prow[j] != -1]
-        for i in range(rank + 1, m):
+        for i in range(rank, m):
             row = matrix[i]
             c = row[col]
             if c != -1:
@@ -254,9 +388,47 @@ def _rank_codes(matrix, lt):
                     else:
                         d = zech[(a - b) % order]
                         row[j] = -1 if d == -1 else (b + d) % order
-        rank += 1
         col += 1
-    return rank
+    return rank, numbers[:rank]
+
+
+def _rank_mod(matrix, ell, ceiling):
+    """Rank of an integer matrix mod the prime ell, its entries reduced,
+    by elimination stopped at the ceiling, with the positions of its pivot
+    rows."""
+    m = len(matrix)
+    n = len(matrix[0]) if matrix else 0
+    numbers = list(range(m))
+    rank = 0
+    col = 0
+    while rank < ceiling and col < n:
+        piv = None
+        for i in range(rank, m):
+            if matrix[i][col]:
+                piv = i
+                break
+        if piv is None:
+            col += 1
+            continue
+        matrix[rank], matrix[piv] = matrix[piv], matrix[rank]
+        numbers[rank], numbers[piv] = numbers[piv], numbers[rank]
+        prow = matrix[rank]
+        rank += 1
+        if rank == ceiling:
+            break
+        inverse = ell - pow(prow[col], -1, ell)
+        pivot_terms = [(j, prow[j]) for j in range(col + 1, n) if prow[j]]
+        for i in range(rank, m):
+            row = matrix[i]
+            c = row[col]
+            if c:
+                # row -= (c / pivot) * prow; column col becomes 0
+                factor = c * inverse % ell
+                row[col] = 0
+                for j, b in pivot_terms:
+                    row[j] = (row[j] + factor * b) % ell
+        col += 1
+    return rank, numbers[:rank]
 
 
 def coordinate_exponents_from_generators(abel, N, gen_exps):

@@ -13,15 +13,16 @@ power has order exactly N, tested against the primes of N alone; only
 the multiplicative generator behind LogTables, at most 2^16 elements,
 factors q^s - 1.
 
-Every rank the library takes is over one of these fields, from the
-Alexander matrix compiled once by charvar.DepthEngine, by one rule: a
-field of at most 2^16 elements (_LOG_TABLE_LIMIT) has LogTables and is
-ranked by Zech codes; a larger one is ranked by elimination on its
-elements (linalg.rank_over_field), each entry summed from one table of
-zeta's N powers per field.  That holds for F_{q^s} in characteristic q
-and for each split prime field F_ell that stands in for Q(zeta_N) in
-characteristic 0.  The same F_{q^s} and root of unity build the
-metabelian group tables of hall.MetabelianGroup.
+In characteristic q > 0 every rank the library takes is over one of
+these fields, from the Alexander matrix compiled once by
+charvar.DepthEngine, by one rule: a field of at most 2^16 elements
+(_LOG_TABLE_LIMIT) has LogTables and is ranked by Zech codes; a larger
+one is ranked by elimination on its elements (linalg.rank_over_field),
+each entry summed from one table of zeta's N powers per field.
+Characteristic 0 takes its ranks mod split primes below 2^30 in plain
+integers (charvar._rank_mod), so LogTables serve only q > 0.  The same
+F_{q^s} and root of unity build the metabelian group tables of
+hall.MetabelianGroup.
 """
 
 from __future__ import annotations

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
+from math import gcd
 
 from .foxcalc import fox_derivative
 from .linalg import IntMatrix, InvariantViolation, smith_normal_form
@@ -578,9 +579,11 @@ def cover_homology(P, gen_perms):
     """H_1 of the index-k subgroup stabilizing 0 under the coset action.
 
     gen_perms[j] is the permutation of {0..k-1} induced by generator j; the
-    action must be transitive.  The Fox Jacobian with each word replaced by
-    its permutation matrix presents H_1(K) + Z^{k-1}; its Smith form gives
-    back (betti number of K, torsion divisors of K).
+    action must be transitive, and every relator must act as the identity
+    so that the action comes from a homomorphism to S_k.  The Fox Jacobian
+    with each word replaced by its permutation matrix presents
+    H_1(K) + Z^{k-1}; its Smith form gives back (betti number of K,
+    torsion divisors of K).
     """
     l = P.num_generators
     if len(gen_perms) != l:
@@ -601,6 +604,11 @@ def cover_homology(P, gen_perms):
                 frontier.append(y)
     if len(orbit) != k:
         raise ValueError("coset action is not transitive")
+    identity = tuple(range(k))
+    for i, r in enumerate(P.relators):
+        if _word_permutation(r, gen_perms, k) != identity:
+            raise ValueError(f"not a homomorphism: relator {i + 1} does "
+                             f"not act as the identity on the cosets")
 
     m = len(P.relators)
     big = IntMatrix.zeros(m * k, l * k)
@@ -628,9 +636,11 @@ def cover_b1(P, gen_perms, q):
 
 def regular_cyclic_action(N, images):
     """Coset action of the kernel of a map onto Z_N: generator j adds
-    images[j] mod N."""
+    images[j] mod N.  The images must generate Z_N."""
     if N < 1:
         raise ValueError("N must be positive")
+    if gcd(N, *images) != 1:
+        raise ValueError(f"images do not generate Z_{N}")
     return [tuple((b + a) % N for b in range(N)) for a in images]
 
 

@@ -307,8 +307,9 @@ def test_depth_engine_matches_element_arithmetic():
 
 def test_char0_rank_certified_past_a_bad_prime():
     # <x, y | x^7>: the order-3 characters send x to 1, so the row is
-    # (7, 0), of rank 1 over Q(zeta_3) but 0 mod 7, the first prime
-    # = 1 (mod 3); the norm bound must carry on to the next prime
+    # (7, 0), of rank 1 over Q(zeta_3) but 0 mod 7; the split primes lie
+    # just below 2^30, far from 7 (the engine meets primes that kill an
+    # entry in test_char0_rank_certified_past_two_bad_primes)
     from hallinv.oracle import cover_b1, regular_cyclic_action
     P = parse_presentation("gens: x, y\nrels: x^7\n")
     assert beta(P, 3, 0).counts == {0: 1}
@@ -316,11 +317,123 @@ def test_char0_rank_certified_past_a_bad_prime():
         cover_b1(P, regular_cyclic_action(3, [0, 1]), 0)
 
 
+def _laurent_matrix(rows, num_coordinates):
+    """An AlexanderMatrix of Laurent polynomials in num_coordinates free
+    variables, each entry given as {exponent tuple: coefficient}."""
+    from hallinv.foxcalc import AlexanderMatrix, LaurentElement
+    entries = [[LaurentElement({(exps, ()): c for exps, c in entry.items()})
+                for entry in row] for row in rows]
+    return AlexanderMatrix(None, entries, len(rows[0]))
+
+
+def test_packed_form_exponents():
+    # the engine reads form . e mod N off packed weight columns; at
+    # N = 2^29 - 3 a field holds only 63 coordinates' worth of products,
+    # so 70 coordinates take two groups
+    import random
+    from hallinv.charvar import DepthEngine
+    rng = random.Random(29)
+    for N, coords, width, groups in ((5, 6, 1, 1), (1000, 8, 4, 1),
+                                     (2 ** 29 - 3, 70, 8, 2)):
+        forms = list({tuple(rng.randint(-3, 3) for _ in range(coords))
+                      for _ in range(40)})
+        engine = DepthEngine(_laurent_matrix(
+            [[{form: 1} for form in forms]], coords), N, 0)
+        assert (engine.width, len(engine.groups)) == (width, groups)
+        for _ in range(5):
+            e = [rng.randrange(N) for _ in range(coords)]
+            assert engine._exponents(e) == \
+                [sum(w * a for w, a in zip(form, e)) % N for form in forms]
+
+
+def test_char0_rank_certified_past_two_bad_primes():
+    # a 1 x 1 entry equal to the product of the engine's first two split
+    # primes has rank 1 over Q but 0 mod either; its norm bound, B2 = the
+    # entry squared at phi(2) = 1, is passed only by a third prime
+    from hallinv.charvar import DepthEngine, _split_prime
+    (ell1, _), (ell2, _) = _split_prime(2, 0), _split_prime(2, 1)
+    assert 2 ** 29 < ell2 < ell1 < 2 ** 30
+    engine = DepthEngine(_laurent_matrix([[{(0,): ell1 * ell2}]], 1), 2, 0)
+    assert engine._certified_rank((0,), 1) == 1
+    assert engine.depth_of_exponents((0,)) == -1
+
+
+def test_pivot_rows_fall_back_to_the_full_matrix():
+    # rows t1 - 1 and t2 - 1 at N = 2: the character (1, 0) has rank 1 on
+    # row 0, which is remembered; at (0, 1) row 0 vanishes, so the pivot
+    # rows alone see rank 0 and the full matrix must be ranked
+    from hallinv.charvar import DepthEngine
+    A = _laurent_matrix([[{(1, 0): 1, (0, 0): -1}],
+                         [{(0, 1): 1, (0, 0): -1}]], 2)
+    for q in (0, 3):
+        engine = DepthEngine(A, 2, q)
+        assert engine._certified_rank((1, 0), 1) == 1
+        assert engine.pivots == [0]
+        assert engine._certified_rank((0, 1), 1) == 1
+        assert engine.pivots == [1]
+        assert engine._certified_rank((1, 1), 1) == 1
+
+
+def test_char0_uses_no_finite_field_arithmetic(monkeypatch):
+    # q = 0 ranks by integers mod ell: no log tables, no field elements
+    # and no rank_over_field, at small N, at N = 1000 and, past the power
+    # table limit, at N = 2000
+    import hallinv.charvar as charvar
+    import hallinv.fields as fields
+    import hallinv.linalg as linalg
+
+    def forbidden(*args):
+        raise RuntimeError("field arithmetic at q = 0")
+
+    for module, name in ((fields, "log_tables"), (charvar, "log_tables"),
+                         (linalg, "rank_over_field"),
+                         (charvar, "rank_over_field"),
+                         (fields.FieldElement, "__init__")):
+        monkeypatch.setattr(module, name, forbidden)
+    P = direct_product_with_Z(free_group(2))
+    for N in (3, 4, 12, 1000, 2000):
+        # the kernel is F_{N+1} x Z
+        assert b1_cover_cyclic(P, N, [1, 0, 0], 0) == N + 2
+
+
+def test_char0_powers_past_the_table_limit(monkeypatch):
+    # past _POWER_TABLE_LIMIT a split prime keeps no table of zeta's
+    # powers and takes zeta^k by pow; with the limit at 1 the q = 0 depths
+    # of the braid arrangement (40 of its 728 order-3 characters have
+    # depth 1) must still match the tests' Q(zeta_3)
+    import hallinv.charvar as charvar
+    from hallinv.braids import fixture
+    monkeypatch.setattr(charvar, "_POWER_TABLE_LIMIT", 1)
+    A = alexander_matrix(fixture("braid_arrangement"))
+    engine = charvar.DepthEngine(A, 3, 0)
+    K = reference_field(3, 0)
+    positive = 0
+    for i, exps in enumerate(order_p_exponents(A.abel, 3)):
+        d = engine.depth_of_exponents(exps)
+        if d or i % 25 == 0:
+            assert d == depth(A, K, 3, exps)
+        positive += d > 0
+    assert engine.reductions[0][2] is None and positive == 40
+
+
+def test_char0_order_bound():
+    # every split prime lies below 2^30, so N must be below 2^29
+    from hallinv.charvar import DepthEngine, _split_prime
+    A = _laurent_matrix([[{(0,): 1}]], 1)
+    DepthEngine(A, 2 ** 29 - 1, 0)
+    for q in (0, 3):
+        with pytest.raises(ValueError, match="2\\^29"):
+            DepthEngine(A, 2 ** 29, q)
+    # below it a large N may still run out of primes: 2^30 - 1 and 2^29
+    # are the only candidates = 1 (mod 2^29 - 1), and neither is prime
+    with pytest.raises(ValueError, match="too few primes"):
+        _split_prime(2 ** 29 - 1, 0)
+
+
 def test_char0_rank_falls_back_past_the_table_limit(monkeypatch):
-    # with the Zech tables capped at 7 elements only the prime 7 is ranked
-    # by Zech codes, and there the row (7, 0) has rank 0; the next split
-    # prime, 13, is past the cap, so it is ranked on its elements, and
-    # certifies rank 1
+    # the Zech table cap concerns q > 0 only: at q = 0 the row (7, 0) is
+    # ranked mod split primes below 2^30 whatever the cap, and at q = 5
+    # F_25 is past a cap of 7, so it is ranked on its elements
     import hallinv.charvar as charvar
     monkeypatch.setattr(charvar, "_LOG_TABLE_LIMIT", 7)
     P = parse_presentation("gens: x, y\nrels: x^7\n")
@@ -329,32 +442,28 @@ def test_char0_rank_falls_back_past_the_table_limit(monkeypatch):
 
 
 def test_char0_large_primes_match_the_cover_snf(monkeypatch):
-    # with the Zech tables capped, every split prime past the cap is ranked
-    # on its elements; the q = 0 cover Betti numbers must still equal the
-    # oracle's, read off a Smith normal form of the cover's relations.  On
-    # F_2 x Z the characters have rank 1, below every ceiling, so only the
-    # norm bound certifies them: with the cap at 13 that takes the primes
-    # 37 and 61 for N = 12, with the cap at 7 the prime 13 for every N.
-    # On <x, y | x^7> the first split prime for N = 3 and 6, 7, sees rank
-    # 0, and 13 certifies rank 1
+    # the q = 0 cover Betti numbers, ranked mod split primes below 2^30,
+    # must equal the oracle's, read off a Smith normal form of the cover's
+    # relations.  On F_2 x Z the characters have rank 1, below every
+    # ceiling, so only the norm bound certifies them: its minors of size 2
+    # have B2 = 32, so at N = 13 (phi = 12) P^2 must pass 2^60, which no
+    # one prime below 2^30 does
     import hallinv.charvar as charvar
     from hallinv.oracle import cover_b1, regular_cyclic_action
     cases = {"F2xZ": (direct_product_with_Z(free_group(2)), [1, 0, 0]),
              "x^7": (parse_presentation("gens: x, y\nrels: x^7\n"), [0, 1])}
-    element_ranks = []
-    rank = charvar.rank_over_field
-    monkeypatch.setattr(charvar, "rank_over_field", lambda M, K: (
-        element_ranks.append((limit, name, K.char)) or rank(M, K)))
-    for limit in (13, 7):
-        monkeypatch.setattr(charvar, "_LOG_TABLE_LIMIT", limit)
-        for name, (P, images) in cases.items():
-            G = Group(P)
-            for N in (3, 4, 6, 12):
-                assert b1_cover_cyclic(G, N, images, 0) == \
-                    cover_b1(P, regular_cyclic_action(N, images), 0)
-    assert {(13, "F2xZ", 37), (13, "F2xZ", 61), (7, "F2xZ", 13),
-            (7, "x^7", 13)} <= set(element_ranks)
-    assert all(char > limit for limit, _, char in element_ranks)
+    primes = {}
+    rank = charvar._rank_mod
+    monkeypatch.setattr(charvar, "_rank_mod", lambda M, ell, ceiling: (
+        primes.setdefault((name, N), set()).add(ell) or rank(M, ell, ceiling)))
+    for name, (P, images) in cases.items():
+        G = Group(P)
+        for N in (3, 4, 6, 12, 13):
+            assert b1_cover_cyclic(G, N, images, 0) == \
+                cover_b1(P, regular_cyclic_action(N, images), 0)
+    assert len(primes["F2xZ", 13]) > 1
+    assert all(ell < 2 ** 30 and ell % N == 1
+               for (_, N), ells in primes.items() for ell in ells)
 
 
 def test_engine_past_the_table_limit_matches_reference(monkeypatch):
@@ -371,7 +480,7 @@ def test_engine_past_the_table_limit_matches_reference(monkeypatch):
                         lambda K, N: roots.append((K, N)) or root(K, N))
     G = Group(fixture("rp:3"))
     engine = G.engine(19, 2)
-    (K,) = engine.fields
+    K = engine.field
     assert (K.char, K.degree, engine.mode) == (2, 18, "element")
     assert G.beta(19, 2).positive_part() == (20,)
     for e in list(order_p_exponents(G.abel, 19))[::9]:

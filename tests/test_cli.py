@@ -237,6 +237,21 @@ def test_help_exits_0(capsys):
     assert stop.value.code == 0 and "--check-orbits" in capsys.readouterr().out
 
 
+def test_python_m_hallinv_help():
+    # python -m hallinv runs the same command line as the hallinv script
+    import pathlib
+    import subprocess
+    import sys
+    src = str(pathlib.Path(hallinv.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "hallinv", "--help"],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: hallinv") and "cover" in proc.stdout
+    # a walk over the package's modules imports it without running main
+    importlib.import_module("hallinv.__main__")
+
+
 def test_bad_perm_names_its_shape(capsys):
     code, out, err = run(capsys, "arr", "--perm", "3x")
     assert code == 1 and out == ""
@@ -277,6 +292,23 @@ def test_bad_cover_options_exit_1(capsys, argv, message):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("images, message", [
+    ("1,0", "not a homomorphism"),
+    ("0,0", "images do not generate Z_3"),
+    ("1,0,0", "one image per generator required"),
+])
+def test_oracle_cover_rejects_what_cover_rejects(capsys, images, message):
+    # rp:2 is <a, b | a^2 b^2>: a -> 1, b -> 0 sends the relator to 2 in
+    # Z_3, 0,0 is a homomorphism onto nothing, and 1,0,0 has one image
+    # too many; the oracle's coset action says so as `cover` does
+    for argv in (("oracle", "--cover-order", "3", "--cover-images", images),
+                 ("cover", "--order", "3", "--images", images)):
+        code, out, err = run(capsys, *argv, "--fixture", "rp:2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 def test_table_budget_checked_before_build(capsys, monkeypatch):

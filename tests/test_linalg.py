@@ -172,7 +172,7 @@ def test_certified_rank_matches_generic():
                                         for j, c in enumerate(vec) if c})
                         for vec in row] for row in coeff_rows]
             engine = DepthEngine(AlexanderMatrix(None, entries, n), N, 0)
-            assert engine.mode == "zech"
+            assert engine.mode == "modular"
             assert engine._certified_rank((1,), min(m, n)) == want
 
 

@@ -219,6 +219,21 @@ def test_cover_homology_nontransitive_rejected():
         cover_homology(free_group(2), [(0, 1), (0, 1)])
 
 
+def test_cover_homology_needs_a_homomorphism():
+    # <x | x^2> -> Z_3, x -> 1 is not a homomorphism: x^2 shifts by 2
+    P = parse_presentation("gens: x\nrels: x^2\n")
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        cover_homology(P, regular_cyclic_action(3, [1]))
+    assert cover_homology(P, regular_cyclic_action(2, [1])) == (0, [])
+
+
+def test_regular_cyclic_action_needs_generating_images():
+    for N, images in ((3, [0, 0]), (4, [2, 0]), (6, [2, 4])):
+        with pytest.raises(ValueError, match=f"do not generate Z_{N}"):
+            regular_cyclic_action(N, images)
+    assert len(regular_cyclic_action(6, [2, 3])) == 2
+
+
 def test_cover_b1_klein_bottle():
     # the orientation double cover of the Klein bottle is the torus
     P = nonorientable_surface_group(2)
