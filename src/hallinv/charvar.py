@@ -23,13 +23,14 @@ over finite fields.  In characteristic q > 0 the one field is F_{q^s}:
 at most 2^16 elements by Zech-logarithm elimination (_rank_codes), a
 larger one by rank_over_field on its elements.  In characteristic 0 the
 rank over Q(zeta_N) is the largest rank mod the split primes
-ell = 1 (mod N) below 2^30, counted down from 2^30, each reached by a
-ring map Z[zeta_N] -> F_ell, which can only lower rank, and taken by
-integer elimination (_rank_mod).  That lower bound r is exact once it
-meets the ceiling Fox's fundamental identity puts on a nontrivial
-character, or once the product of the primes tried outgrows a Hadamard
-bound on the norm of every minor of size r + 1 (see DepthEngine for the
-argument); a generic character needs one prime.  No arithmetic in Q or
+ell = 1 (mod N), counted down from 2^30 (and, past the primes below
+2^30, up from it), each reached by a ring map Z[zeta_N] -> F_ell, which
+can only lower rank, and taken by integer elimination (_rank_mod).  That
+lower bound r is exact once it meets the ceiling Fox's fundamental
+identity puts on a nontrivial character, or once the product of the
+primes tried outgrows a Hadamard bound on the norm of every minor of
+size r + 1 (see DepthEngine for the argument); a generic character needs
+one prime.  No arithmetic in Q or
 Q(zeta_N) is ever done.  The rows that were pivots when a character last
 reached the ceiling are ranked first, so a generic character is usually
 certified on l - 1 rows.
@@ -41,11 +42,9 @@ asked for.  Callers that combine invariants make one Group per request.
 
 from __future__ import annotations
 
-import sys
 from functools import cached_property
 from itertools import accumulate, count, islice, product
-from math import gcd, lcm, prod
-from operator import add
+from math import gcd, isqrt, lcm, prod
 
 from .fields import (_LOG_TABLE_LIMIT, euler_phi, factorize, is_prime,
                      log_tables, multiplicative_order,
@@ -66,11 +65,9 @@ class DepthEngine:
     zeta_N^{e_c}, so every entry of the evaluated matrix is a sum of
     coefficient * zeta^(form . e mod N) in Z[zeta_N].  The exponents
     form . e are taken once per character, from one column of form weights
-    per coordinate packed into an integer (_exponents), and serve every
-    field the character is ranked over.  N must be below 2^29, so that
-    the split primes below 2^30 exist and a packed field of 8 bytes holds
-    (N - 1)^2.  Every elimination stops once its rank reaches the ceiling
-    below.
+    per coordinate (_exponents), and serve every field the character is
+    ranked over.  Every elimination stops once its rank reaches the
+    ceiling below.
 
     For q > 0 the one field is K = F_{q^s}, and its rank is the answer:
     at most 2^16 elements (_LOG_TABLE_LIMIT) by Zech-logarithm elimination
@@ -78,13 +75,15 @@ class DepthEngine:
     entries as field elements, summed from K's table of zeta's N powers
     (mode "element").
 
-    For q = 0 (mode "modular") the fields are the primes ell = 1 (mod N)
-    below 2^30, counted down from 2^30 (_split_prime), with zeta_N sent to
-    a primitive N-th root of unity mod ell; each is ranked by integer
-    elimination mod ell (_rank_mod), every residue one CPython digit.  A
-    prime is found when a character first needs it, and kept for the
-    process; up to N = 2^10 it keeps a table of zeta's N powers, past
-    that zeta^k is taken by pow (_POWER_TABLE_LIMIT).  This is a ring map Z[zeta_N] -> F_ell, so no rank mod ell
+    For q = 0 (mode "modular") the fields are the primes ell = 1 (mod N),
+    those below 2^30 counted down from 2^30, then, if a character needs
+    more, those above it counted up (_split_prime), with zeta_N sent to a
+    primitive N-th root of unity mod ell; each is ranked by integer
+    elimination mod ell (_rank_mod), below 2^30 every residue one CPython
+    digit.  N must be below 2^29: past it at most one number = 1 (mod N)
+    lies below 2^30.  A prime is found when a character first needs it,
+    and kept for the process; its powers of zeta are taken when first met
+    (_Powers).  This is a ring map Z[zeta_N] -> F_ell, so no rank mod ell
     exceeds the rank over Q(zeta_N), and the largest rank r seen is a
     lower bound.  It is the rank once either
 
@@ -110,9 +109,9 @@ class DepthEngine:
     """
 
     def __init__(self, A, N, q):
-        if N >= _PRIME_LIMIT >> 1:
-            raise ValueError(f"characters of order N = {N}: N must be "
-                             f"below 2^29")
+        if not q and N >= 1 << 29:
+            raise ValueError(f"characters of order N = {N}: at q = 0 N "
+                             f"must be below 2^29")
         self.N = N
         self.q = q
         self.num_generators = A.num_generators
@@ -122,23 +121,9 @@ class DepthEngine:
                        for (free, tors), coeff in entry.terms.items()]
                       for entry in row] for row in A.entries]
         self.num_forms = len(forms)
-        # Coordinate c's column of form weights mod N, packed into one
-        # integer with a field of `width` bytes per form, so that a
-        # character's exponents are one sum of e_c * column_c (see
-        # _exponents).  A field holds at most (N - 1)^2 per coordinate, so
-        # the columns are split into groups whose sums cannot overflow it.
-        top = max((N - 1) ** 2, 1)
-        columns = [(c, column) for c, column in enumerate(zip(*forms))
-                   if any(column)]
-        self.width, self.format = next(
-            (width, code) for width, code in ((1, "B"), (2, "H"), (4, "I"),
-                                              (8, "Q"))
-            if top * len(columns) < 256 ** width or width == 8)
-        packed = [(c, sum((w % N) << (8 * self.width * f)
-                          for f, w in enumerate(column)))
-                  for c, column in columns]
-        size = max((256 ** self.width - 1) // top, 1)
-        self.groups = [packed[i:i + size] for i in range(0, len(packed), size)]
+        # coordinate c's column of form weights mod N (see _exponents)
+        self.columns = [(c, [w % N for w in column])
+                        for c, column in enumerate(zip(*forms)) if any(column)]
         self.ceiling = min(len(self.rows), self.num_generators)
         if q:
             self.field = sufficiently_large_field(N, q)
@@ -148,7 +133,7 @@ class DepthEngine:
             self.field = None
             self.mode = "modular"
             self.phi = euler_phi(N)
-            self.bounds = {}  # k -> B2^phi(N) for the minors of size k
+            self.roots = {}  # k -> isqrt(B2^phi(N)) for the minors of size k
         self.reductions = []
         self.pivots = None  # rows that last reached the ceiling
 
@@ -182,44 +167,37 @@ class DepthEngine:
             if self.q:
                 return rank
             tried *= self.reductions[i][0]
-            if tried * tried > self._bound(rank + 1):
+            if tried > self._root(rank + 1):  # tried^2 > B2^phi(N)
                 return rank
 
-    def _bound(self, k):
-        """B2^phi(N) for the minors of size k (_hadamard_bound)."""
-        if k not in self.bounds:
-            self.bounds[k] = _hadamard_bound(self.rows, k) ** self.phi
-        return self.bounds[k]
+    def _root(self, k):
+        """isqrt(B2^phi(N)) for the minors of size k (_hadamard_bound)."""
+        if k not in self.roots:
+            self.roots[k] = isqrt(_hadamard_bound(self.rows, k) ** self.phi)
+        return self.roots[k]
 
     def _exponents(self, e):
-        """form . e mod N for every form: zeta^(form . e) as its exponent.
-        Each group of packed columns gives sum_c e_c * column_c, whose
-        fields, read back through a memoryview, are the forms' sums."""
-        N, size = self.N, self.num_forms * self.width
+        """form . e mod N for every form: zeta^(form . e) as its exponent,
+        summed as e_c times coordinate c's column of weights."""
+        N = self.N
         sums = [0] * self.num_forms
-        for group in self.groups:
-            x = sum(e[c] % N * column for c, column in group)
-            sums = list(map(add, sums, memoryview(
-                x.to_bytes(size, sys.byteorder)).cast(self.format)))
-        return [v % N for v in sums]
+        for c, column in self.columns:
+            a = e[c] % N
+            if a:
+                sums = [s + a * w for s, w in zip(sums, column)]
+        return [s % N for s in sums]
 
     def _reduction(self, i):
-        """The i-th field, reduced, by mode: "modular", (ell, zeta mod
-        ell, its N powers or, past _POWER_TABLE_LIMIT, None, every term
-        (coefficient mod ell, form) in one flat list, each row's entries as
-        spans of it); "zech", (K's log tables, zeta's log, the rows with
-        coefficient codes); "element", (zeta's N powers in K, the rows with
-        coefficients in K).  Built when first needed, the fields taken in
-        order."""
+        """The i-th field, reduced, by mode: "modular", (ell, the powers of
+        zeta mod ell (_Powers), every term (coefficient mod ell, form) in
+        one flat list, each row's entries as spans of it); "zech", (K's log
+        tables, zeta's log, the rows with coefficient codes); "element",
+        (zeta's N powers in K, the rows with coefficients in K).  Built
+        when first needed, the fields taken in order."""
         if i == len(self.reductions):
             N = self.N
             if self.mode == "modular":
                 ell, zeta = _split_prime(N, i)
-                powers = None
-                if N <= _POWER_TABLE_LIMIT:
-                    powers = [1]
-                    for _ in range(N - 1):
-                        powers.append(powers[-1] * zeta % ell)
                 terms, rows = [], []
                 for row in self.rows:
                     spans = []
@@ -229,7 +207,7 @@ class DepthEngine:
                                      if c % ell)
                         spans.append((start, len(terms)))
                     rows.append(spans)
-                self.reductions.append((ell, zeta, powers, terms, rows))
+                self.reductions.append((ell, _Powers(zeta, ell), terms, rows))
             elif self.mode == "zech":
                 F = self.field
                 lt = log_tables(F)
@@ -262,9 +240,8 @@ class DepthEngine:
         if indices is not None:
             rows = [rows[k] for k in indices]
         if self.mode == "modular":
-            ell, zeta, powers, terms = reduction
-            values = ([powers[k] for k in exps] if powers else
-                      [pow(zeta, k, ell) for k in exps])
+            ell, powers, terms = reduction
+            values = list(map(powers.__getitem__, exps))
             # prefix sums of the terms: an entry is the difference of the
             # sums at the ends of its span
             sums = list(accumulate([c * values[f] for c, f in terms],
@@ -317,25 +294,40 @@ def _hadamard_bound(rows, k):
 
 
 _PRIME_LIMIT = 1 << 30
-# Up to this N each split prime keeps a table of zeta's N powers; past
-# it, as many primes may be tried as phi(N) grows, so the table would
-# take memory of order N * phi(N), and zeta^k is taken by pow instead.
-_POWER_TABLE_LIMIT = 1 << 10
-_SPLIT_PRIMES = {}  # N -> the (ell, zeta) found so far, in order
+_SPLIT_PRIMES = {}  # N -> ((ell, zeta) found so far, in order; candidates)
+
+
+class _Powers(dict):
+    """zeta^k mod ell by k, each power taken when first asked for, so
+    that the table holds only the exponents met, whatever N is."""
+
+    def __init__(self, zeta, ell):
+        super().__init__()
+        self.zeta = zeta
+        self.ell = ell
+
+    def __missing__(self, k):
+        self[k] = value = pow(self.zeta, k, self.ell)
+        return value
+
+
+def _split_candidates(N):
+    """The numbers ell = 1 (mod N) above N: those below 2^30 counting
+    down from 2^30, then those above it counting up."""
+    top = (_PRIME_LIMIT - 2) // N * N + 1
+    yield from range(top, N, -N)
+    yield from count(top + N, N)
 
 
 def _split_prime(N, i):
-    """The i-th prime ell = 1 (mod N) below 2^30, counting down from 2^30,
-    with zeta = x^((ell - 1)/N) mod ell for the least x >= 2 for which it
-    has order N.  Found when first asked for and kept for the process."""
-    found = _SPLIT_PRIMES.setdefault(N, [])
+    """The i-th prime of _split_candidates(N), with zeta =
+    x^((ell - 1)/N) mod ell for the least x >= 2 for which it has order N.
+    Found when first asked for and kept for the process.  Past the primes
+    below 2^30 residues take two CPython digits: slower, still exact."""
+    found, candidates = _SPLIT_PRIMES.setdefault(
+        N, ([], _split_candidates(N)))
     while len(found) <= i:
-        ell = found[-1][0] - N if found else (_PRIME_LIMIT - 2) // N * N + 1
-        while not is_prime(ell):
-            ell -= N
-            if ell <= N:
-                raise ValueError(f"too few primes = 1 (mod {N}) below 2^30 "
-                                 f"to certify a rank")
+        ell = next(ell for ell in candidates if is_prime(ell))
         radicals = [N // r for r in factorize(N)] if N > 1 else []
         for x in count(2):
             zeta = pow(x, (ell - 1) // N, ell)

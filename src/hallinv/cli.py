@@ -237,8 +237,6 @@ def _cmd_oracle(args):
         images = _parse_images("--cover-images", args.cover_images)
     P = _load_presentation(args)
     if args.cover_order is not None:
-        if len(images) != P.num_generators:
-            raise ValueError("one image per generator required")
         action = regular_cyclic_action(args.cover_order, images)
         betti, torsion = cover_homology(P, action)
         payload = {"betti": betti, "torsion": torsion,

@@ -578,16 +578,16 @@ def _word_permutation(w, gen_perms, k):
 def cover_homology(P, gen_perms):
     """H_1 of the index-k subgroup stabilizing 0 under the coset action.
 
-    gen_perms[j] is the permutation of {0..k-1} induced by generator j; the
-    action must be transitive, and every relator must act as the identity
-    so that the action comes from a homomorphism to S_k.  The Fox Jacobian
-    with each word replaced by its permutation matrix presents
-    H_1(K) + Z^{k-1}; its Smith form gives back (betti number of K,
-    torsion divisors of K).
+    gen_perms[j] is the permutation of {0..k-1} induced by generator j, its
+    image in S_k; the action must be transitive, and every relator must act
+    as the identity so that the action comes from a homomorphism to S_k.
+    The Fox Jacobian with each word replaced by its permutation matrix
+    presents H_1(K) + Z^{k-1}; its Smith form gives back (betti number of
+    K, torsion divisors of K).
     """
     l = P.num_generators
     if len(gen_perms) != l:
-        raise ValueError("one permutation per generator required")
+        raise ValueError("one image per generator required")
     k = len(gen_perms[0]) if gen_perms else 1
     for p in gen_perms:
         if sorted(p) != list(range(k)):

@@ -326,22 +326,19 @@ def _laurent_matrix(rows, num_coordinates):
     return AlexanderMatrix(None, entries, len(rows[0]))
 
 
-def test_packed_form_exponents():
-    # the engine reads form . e mod N off packed weight columns; at
-    # N = 2^29 - 3 a field holds only 63 coordinates' worth of products,
-    # so 70 coordinates take two groups
+def test_form_exponents():
+    # the engine sums form . e mod N as e_c times coordinate c's weight
+    # column: at small N, and with 70 coordinates at N = 2^29 - 3
     import random
     from hallinv.charvar import DepthEngine
     rng = random.Random(29)
-    for N, coords, width, groups in ((5, 6, 1, 1), (1000, 8, 4, 1),
-                                     (2 ** 29 - 3, 70, 8, 2)):
+    for N, coords in ((5, 6), (1000, 8), (2 ** 29 - 3, 70)):
         forms = list({tuple(rng.randint(-3, 3) for _ in range(coords))
                       for _ in range(40)})
         engine = DepthEngine(_laurent_matrix(
             [[{form: 1} for form in forms]], coords), N, 0)
-        assert (engine.width, len(engine.groups)) == (width, groups)
-        for _ in range(5):
-            e = [rng.randrange(N) for _ in range(coords)]
+        for e in [[N - 1] * coords] + [[rng.randrange(N) for _ in
+                                        range(coords)] for _ in range(5)]:
             assert engine._exponents(e) == \
                 [sum(w * a for w, a in zip(form, e)) % N for form in forms]
 
@@ -376,8 +373,7 @@ def test_pivot_rows_fall_back_to_the_full_matrix():
 
 def test_char0_uses_no_finite_field_arithmetic(monkeypatch):
     # q = 0 ranks by integers mod ell: no log tables, no field elements
-    # and no rank_over_field, at small N, at N = 1000 and, past the power
-    # table limit, at N = 2000
+    # and no rank_over_field, at small N and at N = 1000
     import hallinv.charvar as charvar
     import hallinv.fields as fields
     import hallinv.linalg as linalg
@@ -391,43 +387,47 @@ def test_char0_uses_no_finite_field_arithmetic(monkeypatch):
                          (fields.FieldElement, "__init__")):
         monkeypatch.setattr(module, name, forbidden)
     P = direct_product_with_Z(free_group(2))
-    for N in (3, 4, 12, 1000, 2000):
+    for N in (3, 4, 12, 1000):
         # the kernel is F_{N+1} x Z
         assert b1_cover_cyclic(P, N, [1, 0, 0], 0) == N + 2
 
 
-def test_char0_powers_past_the_table_limit(monkeypatch):
-    # past _POWER_TABLE_LIMIT a split prime keeps no table of zeta's
-    # powers and takes zeta^k by pow; with the limit at 1 the q = 0 depths
-    # of the braid arrangement (40 of its 728 order-3 characters have
-    # depth 1) must still match the tests' Q(zeta_3)
-    import hallinv.charvar as charvar
-    from hallinv.braids import fixture
-    monkeypatch.setattr(charvar, "_POWER_TABLE_LIMIT", 1)
-    A = alexander_matrix(fixture("braid_arrangement"))
-    engine = charvar.DepthEngine(A, 3, 0)
-    K = reference_field(3, 0)
-    positive = 0
-    for i, exps in enumerate(order_p_exponents(A.abel, 3)):
-        d = engine.depth_of_exponents(exps)
-        if d or i % 25 == 0:
-            assert d == depth(A, K, 3, exps)
-        positive += d > 0
-    assert engine.reductions[0][2] is None and positive == 40
-
-
 def test_char0_order_bound():
-    # every split prime lies below 2^30, so N must be below 2^29
+    # at q = 0 N must be below 2^29, past which at most one number
+    # = 1 (mod N) lies below 2^30
     from hallinv.charvar import DepthEngine, _split_prime
+    from hallinv.fields import factorize, is_prime
     A = _laurent_matrix([[{(0,): 1}]], 1)
     DepthEngine(A, 2 ** 29 - 1, 0)
-    for q in (0, 3):
-        with pytest.raises(ValueError, match="2\\^29"):
-            DepthEngine(A, 2 ** 29, q)
-    # below it a large N may still run out of primes: 2^30 - 1 and 2^29
-    # are the only candidates = 1 (mod 2^29 - 1), and neither is prime
-    with pytest.raises(ValueError, match="too few primes"):
-        _split_prime(2 ** 29 - 1, 0)
+    with pytest.raises(ValueError, match="2\\^29"):
+        DepthEngine(A, 2 ** 29, 0)
+    # below it the primes may still run out: 2^30 - 1 and 2^29 are the
+    # only numbers = 1 (mod 2^29 - 1) between N and 2^30, and neither is
+    # prime, so the first split prime lies above 2^30
+    N = 2 ** 29 - 1
+    ell, zeta = _split_prime(N, 0)
+    assert ell > 2 ** 30 and ell % N == 1 and is_prime(ell)
+    assert pow(zeta, N, ell) == 1 and \
+        all(pow(zeta, N // r, ell) != 1 for r in factorize(N))
+
+
+def test_char0_rank_certified_past_the_primes_below_the_limit(monkeypatch):
+    # with the prime limit at 64, 53 is the only split prime for N = 13
+    # below it; F_2 x Z's rank-1 characters need P^2 > 2^60, so the
+    # engine must go on to the primes above the limit
+    import hallinv.charvar as charvar
+    from hallinv.oracle import cover_b1, regular_cyclic_action
+    monkeypatch.setattr(charvar, "_PRIME_LIMIT", 64)
+    monkeypatch.setattr(charvar, "_SPLIT_PRIMES", {})
+    primes = []
+    rank = charvar._rank_mod
+    monkeypatch.setattr(charvar, "_rank_mod", lambda M, ell, ceiling: (
+        primes.append(ell) or rank(M, ell, ceiling)))
+    P = direct_product_with_Z(free_group(2))
+    assert b1_cover_cyclic(P, 13, [1, 0, 0], 0) == 15 == \
+        cover_b1(P, regular_cyclic_action(13, [1, 0, 0]), 0)
+    assert primes[0] == 53 and max(primes) > 64
+    assert all(ell % 13 == 1 for ell in primes)
 
 
 def test_char0_rank_falls_back_past_the_table_limit(monkeypatch):
