@@ -31,8 +31,8 @@ from .foxcalc import alexander_matrix
 from .hall import construct_mpqs
 from .linalg import InvariantViolation
 from .oracle import (BudgetExceeded, FiniteGroupTable, aut_order,
-                     check_table_budget, cover_b1, cover_homology, hom_count,
-                     regular_cyclic_action)
+                     check_table_budget, cover_homology, hom_count,
+                     mod_q_betti, regular_cyclic_action)
 from .presentations import ParseError, parse_presentation, render_presentation
 from .tables import delta_of, render_table, table1, table2
 
@@ -240,7 +240,7 @@ def _cmd_oracle(args):
         action = regular_cyclic_action(args.cover_order, images)
         betti, torsion = cover_homology(P, action)
         payload = {"betti": betti, "torsion": torsion,
-                   "b1_q": cover_b1(P, action, args.q)}
+                   "b1_q": mod_q_betti(betti, torsion, args.q)}
         _emit(args, payload,
               f"H1(K) = Z^{betti} + {torsion}; b1^({args.q}) = {payload['b1_q']}")
         return

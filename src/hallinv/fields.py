@@ -341,8 +341,39 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 # handle constructors
 
+# The first 13 primes, and psi_13, the least integer that is a strong
+# pseudoprime to all of them (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 2017): below it Miller-Rabin on these
+# bases decides primality exactly.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n):
-    return n >= 2 and all(n % p for p in range(2, int(n ** 0.5) + 1))
+    """Primality by Miller-Rabin on the first 13 prime bases, exact below
+    psi_13 = 3317044064679887385961981; at or above it, ValueError."""
+    if n >= _MILLER_RABIN_LIMIT:
+        raise ValueError(f"a {n.bit_length()}-bit number is too large: "
+                         f"primality is decided only below "
+                         f"{_MILLER_RABIN_LIMIT}")
+    if n < 2:
+        return False
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def prime_field(q):

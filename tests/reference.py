@@ -15,11 +15,15 @@ in for Q(zeta_N)).  The references here do neither:
   Fraction coefficients, duck-typed to the FieldHandle interface those
   use, so the same depths can be taken over Q(zeta_N);
 * irreducible_by_trial_division is the test the library's extension
-  moduli were once found by, against which Ben-Or's test is checked.
+  moduli were once found by, against which Ben-Or's test is checked;
+* determinant (Laplace expansion) and determinantal_divisors, the Smith
+  divisors of a small integer matrix from the gcds of its minors, with no
+  elimination at all.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 from hallinv.charvar import _character_moduli
 from hallinv.fields import (_fq_divmod, _fq_monic_polys,
@@ -288,3 +292,32 @@ def irreducible_by_trial_division(f, q):
             if not _fq_divmod(f, g, q)[1]:
                 return False
     return True
+
+
+def determinant(M):
+    """Determinant of a square list of integer rows, by Laplace expansion
+    along the first row."""
+    if not M:
+        return 1
+    return sum((-1) ** j * a
+               * determinant([row[:j] + row[j + 1:] for row in M[1:]])
+               for j, a in enumerate(M[0]) if a)
+
+
+def determinantal_divisors(rows, cols):
+    """Smith divisors of the integer matrix with these rows: d_1 ... d_k
+    is the gcd D_k of the k x k minors, so d_k = D_k / D_{k-1}, up to the
+    first k with D_k = 0.  Exponential in the size; for tiny matrices."""
+    divisors = []
+    previous = 1
+    for k in range(1, min(len(rows), cols) + 1):
+        D = 0
+        for r in combinations(range(len(rows)), k):
+            for c in combinations(range(cols), k):
+                D = gcd(D, determinant([[rows[i][j] for j in c]
+                                      for i in r]))
+        if D == 0:
+            break
+        divisors.append(D // previous)
+        previous = D
+    return divisors

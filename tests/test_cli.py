@@ -12,6 +12,11 @@ from hallinv.oracle import FiniteGroupTable
 from hallinv.tables import TABLE1_ROWS, TABLE2_ROWS
 
 
+# a prime past trial division's reach, and a number past the primality test's
+HUGE_PRIME = str(10 ** 18 + 3)
+TOO_LARGE = str(10 ** 400 + 1)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -211,6 +216,44 @@ def test_cover_over_a_field_too_large_to_factor(capsys):
     code, out, _ = run(capsys, "cover", "--order", "107", "--images", "1,0",
                        "--q", "3", "--fixture", "free:2")
     assert code == 0 and out == "b1^(3) of the cover = 108\n"
+
+
+def test_prime_past_trial_division(capsys):
+    # 10^18 + 3 is prime; trial division to its square root never ended
+    code, out, _ = run(capsys, "beta", "--p", "3", "--q", HUGE_PRIME,
+                       "--fixture", "free:2")
+    assert code == 0 and out.startswith(f"beta_3^({HUGE_PRIME}) = (4,)")
+
+
+@pytest.mark.parametrize("argv", [
+    ("beta", "--p", "3", "--q", TOO_LARGE),
+    ("delta", "--target", f"mpq:3,{TOO_LARGE}"),
+    ("cover", "--order", "2", "--images", "1,0", "--q", TOO_LARGE),
+])
+def test_number_past_the_primality_test_exits_1(capsys, argv):
+    # past psi_13 primality is refused, not guessed (this once ended in an
+    # OverflowError traceback)
+    code, out, err = run(capsys, *argv, "--fixture", "free:2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "too large" in err
+
+
+def test_oracle_cover_takes_one_smith_form(capsys, monkeypatch):
+    from hallinv import oracle
+    calls = []
+
+    def counted(rows, cols):
+        calls.append(cols)
+        return snf(rows, cols)
+
+    snf = oracle.sparse_smith_normal_form
+    monkeypatch.setattr(oracle, "sparse_smith_normal_form", counted)
+    code, out, _ = run(capsys, "oracle", "--cover-order", "3",
+                       "--cover-images", "1,1,1", "--q", "2", "--fixture",
+                       "rp:3")
+    assert code == 0 and len(calls) == 1
+    assert out == "H1(K) = Z^4 + [2]; b1^(2) = 5\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -431,15 +474,17 @@ FUZZ_OPTIONS = {
     "abelianize": INPUT_OPTIONS,
     "alexander": INPUT_OPTIONS,
     "beta": {**INPUT_OPTIONS, "--p": (["2", "3", "5"], ["1", "4"] + BAD_INT),
-             "--q": (["0", "2", "3", "7"], ["4", "-1", "x", ""]),
+             "--q": (["0", "2", "3", "7", HUGE_PRIME],
+                     ["4", "-1", "x", "", TOO_LARGE]),
              "--check-orbits": None},
     "delta": {**INPUT_OPTIONS,
-              "--target": (["s3", "a4", "mpq:3,7", "ab:2,2", "ab:4"],
+              "--target": (["s3", "a4", "mpq:3,7", "ab:2,2", "ab:4",
+                            f"mpq:3,{HUGE_PRIME}"],
                            ["sym:3", "mpq:3", "mpq:2,2", "ab:", "bogus",
-                            ""])},
+                            "", f"mpq:3,{TOO_LARGE}"])},
     "cover": {**INPUT_OPTIONS, "--order": (["1", "2", "3", "6"], BAD_INT),
               "--images": (["1,0", "1,1", "0,0"], ["1,0,2", "1,x", ""]),
-              "--q": (["0", "2", "3"], ["4", "x", ""])},
+              "--q": (["0", "2", "3", HUGE_PRIME], ["4", "x", "", TOO_LARGE])},
     "census": {**INPUT_OPTIONS, "--k": (["1", "2", "3"], BAD_INT),
                "--normal": None, "--abelian-quotient": None,
                "--conjugacy": None, "--all-counts": None},
@@ -448,12 +493,15 @@ FUZZ_OPTIONS = {
             "--out": (["file"], ["dir"])},
     "oracle": {**INPUT_OPTIONS,
                "--target": (["s3", "a4", "mpq:3,7", "ab:2,2", "sym:3",
-                             "sym:4", "cyclic:4", "sym:5", "mpq:11,2"],
-                            ["cyclic:0", "table:missing", "bogus", ""]),
+                             "sym:4", "cyclic:4", "sym:5", "mpq:11,2",
+                             f"mpq:3,{HUGE_PRIME}"],
+                            ["cyclic:0", "table:missing", "bogus", "",
+                             f"mpq:3,{TOO_LARGE}"]),
                "--mode": (["all", "epi", "delta"], ["bogus", ""]),
                "--cover-order": (["1", "2", "3"], BAD_INT),
                "--cover-images": (["1,0", "0,0"], ["1,x", ""]),
-               "--q": (["0", "2", "3"], ["4", "x", ""])},
+               "--q": (["0", "2", "3", HUGE_PRIME],
+                       ["4", "x", "", TOO_LARGE])},
     "table1": {"--rows": (["F2", "F2,T2#2", "RP2#2"], ["XX", ""])},
     "table2": {"--rows": (["A(123)", "A(1234),A(2134)"], ["F2", ""])},
 }

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hallinv.fields import (
-    extension_field, factorize, multiplicative_order, prime_field,
+    extension_field, factorize, is_prime, multiplicative_order, prime_field,
     primitive_root_of_unity, sufficiently_large_field,
 )
 from reference import (CyclotomicField, _poly_mul_int, cyclotomic_polynomial,
@@ -18,6 +18,28 @@ def test_multiplicative_order_values():
     assert multiplicative_order(2, 5) == 4
     with pytest.raises(ValueError):
         multiplicative_order(6, 3)
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(-3, 10 ** 5) if is_prime(n)] == \
+        [n for n in range(-3, 10 ** 5) if by_trial_division(n)]
+
+
+def test_is_prime_beyond_trial_division():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2 through 37
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(1000000000000000003)
+    assert is_prime(2 ** 61 - 1)
+    assert not is_prime((2 ** 31 - 1) * (10 ** 9 + 7))
+    # psi_13: Miller-Rabin on 13 prime bases is exact only below it
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(ValueError):
+        is_prime(10 ** 400 + 1)
 
 
 def test_sufficiently_large_field_shapes():

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from hallinv.linalg import IntMatrix, smith_normal_form, rank_over_field
+from hallinv.linalg import (IntMatrix, rank_over_field,
+                            smith_normal_form, sparse_smith_normal_form)
 from hallinv.fields import prime_field, extension_field
-from reference import CyclotomicField
+from reference import CyclotomicField, determinant, determinantal_divisors
 
 
 def snf_divisors(rows, cols=None):
@@ -42,23 +43,6 @@ def test_snf_transpose_invariance():
                 == smith_normal_form(A.transpose()).divisors)
 
 
-def _det(M):
-    # Laplace expansion; fine for the tiny unimodular matrices checked here
-    n = M.rows
-    if n == 0:
-        return 1
-    if n == 1:
-        return M.entries[0][0]
-    total = 0
-    for j in range(n):
-        if M.entries[0][j]:
-            minor = IntMatrix.from_rows(
-                [[M.entries[i][k] for k in range(n) if k != j]
-                 for i in range(1, n)], n - 1)
-            total += (-1) ** j * M.entries[0][j] * _det(minor)
-    return total
-
-
 def test_snf_transforms_random():
     rng = random.Random(11)
     for _ in range(60):
@@ -73,8 +57,8 @@ def test_snf_transforms_random():
             for j in range(n):
                 want = form.divisors[i] if i == j and i < form.rank else 0
                 assert D.entries[i][j] == want
-        assert _det(U) in (1, -1)
-        assert _det(V) in (1, -1)
+        assert determinant(U.entries) in (1, -1)
+        assert determinant(V.entries) in (1, -1)
         assert V.mul(form.vinv) == IntMatrix.identity(n)
 
 
@@ -107,6 +91,74 @@ def test_snf_divisibility_chain_stress():
         divs = snf_divisors(rows, n)
         for a, b in zip(divs, divs[1:]):
             assert b % a == 0
+
+
+def _random_snf_matrix(rng, m, n):
+    """An m x n integer matrix with zero rows and columns, units next to
+    non-units, and torsion: either seeded sparse entries, or a diagonal of
+    chosen divisors scrambled by unimodular row and column operations."""
+    if rng.random() < 0.5:
+        pool = rng.choice([(1, -1, 2, -3, 4, 6), (2, -2, 4, 6, 9),
+                           (1, -1, 12, -8), (1, -1)])
+        density = rng.random()
+        a = [[rng.choice(pool) if rng.random() < density else 0
+              for _ in range(n)] for _ in range(m)]
+    else:
+        a = [[0] * n for _ in range(m)]
+        for i in range(min(m, n)):
+            a[i][i] = rng.choice([0, 1, 1, 2, 3, 4, 6, 12])
+        for _ in range(rng.randint(0, 2 * (m + n))):
+            c = rng.choice([-2, -1, 1, 2])
+            if m >= 2 and rng.random() < 0.5:
+                i, j = rng.sample(range(m), 2)
+                a[j] = [x + c * y for x, y in zip(a[j], a[i])]
+            elif n >= 2:
+                i, j = rng.sample(range(n), 2)
+                for row in a:
+                    row[j] += c * row[i]
+    for i in range(m):
+        if rng.random() < 0.1:
+            a[i] = [0] * n
+    for j in range(n):
+        if rng.random() < 0.1:
+            for row in a:
+                row[j] = 0
+    return a
+
+
+def test_snf_unit_pivots_match_the_transform_route():
+    # the unit-pivot route (no transform) against the dense Euclidean loop
+    # (want_transform=True) on seeded matrices of shapes 0 x n, m x 1 and
+    # m x n up to 15, and against the gcds of minors up to 5 x 5
+    rng = random.Random(2003)
+    shapes = ([(0, n) for n in range(1, 6)] + [(m, 1) for m in range(1, 16)]
+              + [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(150)]
+              + [(rng.randint(1, 15), rng.randint(1, 15))
+                 for _ in range(150)])
+    torsion = 0
+    for m, n in shapes:
+        a = _random_snf_matrix(rng, m, n)
+        A = IntMatrix(m, n, a)
+        form = smith_normal_form(A)
+        dense = smith_normal_form(A, want_transform=True)
+        assert form.divisors == dense.divisors, a
+        assert form.coker_free_rank == dense.coker_free_rank, a
+        if m <= 5 and n <= 5:
+            assert form.divisors == determinantal_divisors(a, n), a
+        torsion += bool(form.coker_torsion())
+    assert torsion > 50
+
+
+def test_sparse_snf_rows_are_not_modified():
+    # explicit zeros are allowed, and the caller's rows come back intact
+    rows = [{0: 1, 1: 0, 2: 3}, {0: 2, 2: 6}, {1: 4}, {}]
+    copy = [dict(r) for r in rows]
+    form = sparse_smith_normal_form(rows, 4)
+    assert form.divisors == [1, 4]
+    assert form.coker_free_rank == 2
+    assert rows == copy
+    with pytest.raises(ValueError):
+        sparse_smith_normal_form([{4: 1}], 4)
 
 
 def test_rank_identity_over_F4():

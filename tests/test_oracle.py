@@ -440,6 +440,32 @@ def test_abelian_cover_matches_oracle():
         cases += 1
 
 
+def test_square_covers_of_arrangements_match_depth_formula():
+    # the Z_4^2 and Z_5^2 covers of two arrangement groups, up to 625 x 200
+    # Fox matrices: one Smith form per cover gives b1 at q = 0 and q > 0,
+    # equal to the depth formula
+    import random
+    from hallinv.charvar import Group, b1_cover_abelian
+    from hallinv.oracle import mod_q_betti, regular_abelian_action
+    rng = random.Random(25)
+    for name in ("deleted_b3", "non_fano"):
+        G = Group(fixture(name))
+        l = G.P.num_generators
+        for c, qs in ((4, (0, 3)), (5, (0, 2))):
+            while True:
+                images = [[rng.randrange(c) for _ in range(l)]
+                          for _ in range(2)]
+                if any((images[0][i] * images[1][j]
+                        - images[0][j] * images[1][i]) % c in (1, c - 1)
+                       for i in range(l) for j in range(l)):
+                    break
+            betti, torsion = cover_homology(
+                G.P, regular_abelian_action([c, c], images))
+            for q in qs:
+                assert mod_q_betti(betti, torsion, q) == \
+                    b1_cover_abelian(G, [c, c], images, q), (name, c, q)
+
+
 def test_cover_matches_depth_formula():
     # Fox/SNF value equals the depth formula for small cyclic covers
     from hallinv.charvar import b1_cover_cyclic
