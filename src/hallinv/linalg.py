@@ -13,8 +13,8 @@ homology based on efficient Smith normal form algorithms", 2003).  What is
 left, its zero rows and columns dropped, goes to the dense Euclidean loop,
 the one other elimination path, which also computes the transforms the
 abelianization needs.  Reidemeister-Schreier Fox matrices of the oracle's
-covers are a few percent nonzero, nearly all of it +-1, and reduce by unit
-pivots alone.
+covers are a few percent nonzero, nearly all of it +-1; those of the
+arrangement groups' abelian covers reduce by unit pivots alone.
 """
 
 from __future__ import annotations

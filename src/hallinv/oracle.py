@@ -12,7 +12,8 @@ The cover's Fox matrix is built as sparse rows and put in Smith form by
 unit pivots first, then the Euclidean loop on whatever is left (Dumas,
 Heckenbach, Saunders and Welker, "Computing simplicial homology based on
 efficient Smith normal form algorithms", 2003).  Its nonzeros are nearly
-all +-1, and on the covers checked so far the unit pivots leave nothing.
+all +-1, and on the abelian covers of the arrangement groups the unit
+pivots leave nothing.
 
 Homomorphisms are counted by one backtracking search over generator
 images.  Each relator is checked as soon as its last generator is
