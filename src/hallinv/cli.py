@@ -237,6 +237,11 @@ def _cmd_oracle(args):
         images = _parse_images("--cover-images", args.cover_images)
     P = _load_presentation(args)
     if args.cover_order is not None:
+        # the action permutes N cosets and the Fox matrix has N rows per
+        # relator: N is charged to the budget before either is built
+        if args.cover_order > args.budget:
+            raise BudgetExceeded(f"a cover of order {args.cover_order} "
+                                 "has more cosets than the budget")
         action = regular_cyclic_action(args.cover_order, images)
         betti, torsion = cover_homology(P, action)
         payload = {"betti": betti, "torsion": torsion,

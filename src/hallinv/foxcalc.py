@@ -83,24 +83,23 @@ def fox_derivative(w, j):
 
     Uses d(x^e)/dx = 1 + x + ... + x^{e-1} for e > 0 and
     -(x^{-1} + ... + x^{e}) for e < 0, together with
-    d(uv) = du + u dv (valid since e(v) = 1 for group elements).
+    d(uv) = du + u dv (valid since e(v) = 1 for group elements).  The
+    prefix u before a syllable of x_j is a slice of w's syllables.
     """
     terms = {}
-    prefix = Word()
-    for g, e in w.syllables:
-        if g == j:
-            x = Word.generator(g)
-            if e > 0:
-                contributions = [(prefix * x ** k, 1) for k in range(e)]
+    syllables = w.syllables
+    for i, (g, e) in enumerate(syllables):
+        if g != j:
+            continue
+        prefix = syllables[:i]
+        c = 1 if e > 0 else -1
+        for k in (range(e) if e > 0 else range(-1, e - 1, -1)):
+            u = Word(prefix + ((g, k),))
+            new = terms.get(u, 0) + c
+            if new:
+                terms[u] = new
             else:
-                contributions = [(prefix * x ** (-k), -1) for k in range(1, -e + 1)]
-            for u, c in contributions:
-                new = terms.get(u, 0) + c
-                if new:
-                    terms[u] = new
-                else:
-                    terms.pop(u, None)
-        prefix = prefix * Word.generator(g) ** e
+                terms.pop(u, None)
     return FreeRingElement(terms)
 
 

@@ -24,6 +24,19 @@ Kautz, SAT 2004).  A single relator whose letters fall into
 generator-disjoint blocks (a surface word) never splits; it is counted by
 convolving the value distributions of its blocks instead.
 
+A check is a relator completed at a node's generator g: every other
+generator in it is assigned higher up the path, so which values v of g
+pass depends only on v and the images the check reads.  The search keys
+each check's passing values, a bit mask over the table, by those images
+packed into one integer in base |T|, and builds the mask only on a miss:
+each maximal g-free segment of the relator, its tail rotated onto its
+head, is folded into one table element, and each v is tested against the
+folded relator through per-search tables of powers x^e.  A node keeps an
+orbit representative v when bit v of the AND of its checks' masks is set.
+The memos live for one search, since the plan is shared across tables.
+Nodes are visited and charged exactly as when every check was walked
+letter by letter, so every count and budget verdict is unchanged.
+
 The search runs up to conjugacy, along a stabilizer chain (Holt, Eick and
 O'Brien, Handbook of Computational Group Theory, the homomorphism
 search).  A node's generator ranges over the orbits of a subgroup S of
@@ -350,14 +363,45 @@ def tables_isomorphic(T1, T2):
 # ---------------------------------------------------------------------------
 # homomorphism counting
 
-def _eval_word(letters, images, T):
-    x = T.identity
-    mul = T.mul
-    inv = T.inv
-    for g, s in letters:
-        y = images[g]
-        x = mul[x][y if s > 0 else inv[y]]
-    return x
+def _power_tables(T, relators):
+    """pows[e][x] = x^e for each exponent e of the relators' syllables,
+    each list taken by repeated squaring over the whole table."""
+    mul, n = T.mul, T.order
+    pows = {}
+    for r in relators:
+        for _, e in r.syllables:
+            if e in pows:
+                continue
+            base = list(range(n)) if e > 0 else list(T.inv)
+            out = [T.identity] * n
+            k = abs(e)
+            while k:
+                if k & 1:
+                    out = [mul[a][b] for a, b in zip(out, base)]
+                k >>= 1
+                if k:
+                    base = [mul[b][b] for b in base]
+            pows[e] = out
+    return pows
+
+
+def _compile_check(number, relator, g):
+    """The relator numbered number, completed by generator g, as (number,
+    reads, exps, segments).  reads are its other generators, sorted.  The
+    rotation of the relator that starts at its first power of g reads
+    g^exps[0] segments[0] g^exps[1] segments[1] ..., each segment a tuple
+    of g-free syllables; the last one is the tail followed by the head."""
+    syllables = relator.syllables
+    first = next(i for i, (h, _) in enumerate(syllables) if h == g)
+    exps, segments = [], []
+    for h, e in syllables[first:] + syllables[:first]:
+        if h == g:
+            exps.append(e)
+            segments.append([])
+        else:
+            segments[-1].append((h, e))
+    return (number, tuple(sorted(relator.support() - {g})), tuple(exps),
+            tuple(map(tuple, segments)))
 
 
 @lru_cache(maxsize=128)
@@ -369,10 +413,12 @@ def _search_plan(relators, l):
     no remaining relator involves, and each node heads one connected
     component of the rest.  A node (g, checks, forest) assigns g, checks
     the relators that this assignment completes, and splits the still
-    unassigned generators of its component into the child forest.  Within
-    a component the branch is the generator in the most relators, then
-    with the most distinct unassigned neighbours, then completing the
-    most relators, then with the most letters, then the lowest index.
+    unassigned generators of its component into the child forest; each
+    check is a relator compiled by _compile_check, numbered by its index in
+    relators.  Within a component the branch is the generator in the most
+    relators, then with the most distinct unassigned neighbours, then
+    completing the most relators, then with the most letters, then the
+    lowest index.
     """
     occurrences = [0] * l
     for r in relators:
@@ -405,7 +451,8 @@ def _search_plan(relators, l):
             return (len(mine), len(set().union(*mine)),
                     sum(len(sup) == 1 for sup in mine), occurrences[g], -g)
         g = max(component, key=score)
-        checks = [relators[i].letters() for i, sup in rels if sup == {g}]
+        checks = [_compile_check(i, relators[i], g)
+                  for i, sup in rels if sup == {g}]
         rest = [(i, sup - {g}) for i, sup in rels if sup != {g}]
         return g, checks, forest(component - {g}, rest)
 
@@ -420,36 +467,80 @@ def _dfs_count(relators, l, T, budget):
     on its path, weighted by the orbit size.  A node reached through
     orbits of sizes s_1, ..., s_k stands for s_1 * ... * s_k nodes of the
     unreduced search, and is charged that many times T.order, so the
-    budget counts the partial assignments of the unreduced search."""
+    budget counts the partial assignments of the unreduced search.
+
+    The values of the node's generator that pass a check form a bit mask
+    over the table, which depends only on the images the check reads; it
+    is built once per assignment of those images and kept, for this
+    search only, in the check's memo under the images packed in base
+    T.order."""
     n = T.order
-    identity = T.identity
+    mul, identity = T.mul, T.identity
     images = [None] * l
     budget_left = budget
     orbits = T.conjugation_orbits
+    pows = _power_tables(T, relators)
+    memos = [{} for _ in relators]
+    everything = (1 << n) - 1
 
-    def count_forest(forest, sid, weight):
-        nodes, free = forest
-        total = n ** free
+    def check_mask(check):
+        _, _, exps, segments = check
+        folded = []
+        for segment in segments:
+            x = identity
+            for h, e in segment:
+                x = mul[x][pows[e][images[h]]]
+            folded.append(x)
+        # v passes iff v^e_0 s_0 ... v^e_{k-1} s_{k-1} = 1, that is iff
+        # v^e_0 s_0 ... v^e_{k-1} equals the inverse of s_{k-1}
+        xs = pows[exps[0]]
+        for s, e in zip(folded, exps[1:]):
+            xs = [mul[mul[x][s]][y] for x, y in zip(xs, pows[e])]
+        target = T.inv[folded[-1]]
+        mask = 0
+        for v, x in enumerate(xs):
+            if x == target:
+                mask |= 1 << v
+        return mask
+
+    def count_nodes(nodes, sid, weight):
+        total = 1
         for child in nodes:
+            total *= count_node(child, sid, weight)
             if not total:
                 break
-            total *= count_node(child, sid, weight)
         return total
 
     def count_node(node, sid, weight):
         nonlocal budget_left
-        g, checks, forest = node
+        g, checks, (nodes, free) = node
         budget_left -= weight * n
         if budget_left < 0:
             raise BudgetExceeded("homomorphism search budget exhausted")
+        passing = everything
+        for check in checks:
+            key = 0
+            for h in check[1]:
+                key = key * n + images[h]
+            memo = memos[check[0]]
+            mask = memo.get(key)
+            if mask is None:
+                mask = memo[key] = check_mask(check)
+            passing &= mask
+        if not passing:
+            return 0
         total = 0
         for v, size, child in orbits(sid):
-            images[g] = v
-            if all(_eval_word(prog, images, T) == identity for prog in checks):
-                total += size * count_forest(forest, child, weight * size)
-        return total
+            if passing >> v & 1:
+                if nodes:
+                    images[g] = v
+                    total += size * count_nodes(nodes, child, weight * size)
+                else:
+                    total += size
+        return total * n ** free
 
-    return count_forest(_search_plan(tuple(relators), l), 0, 1)
+    nodes, free = _search_plan(tuple(relators), l)
+    return n ** free * count_nodes(nodes, 0, 1)
 
 
 def _plan_blocks(relators, l, n_elements, budget):
@@ -457,10 +548,10 @@ def _plan_blocks(relators, l, n_elements, budget):
     blocks (surface-type words); None when the shape does not fit."""
     if len(relators) != 1:
         return None
-    letters = relators[0].letters()
+    syllables = relators[0].syllables
     support = relators[0].support()
     spans = {}
-    for pos, (g, _) in enumerate(letters):
+    for pos, (g, _) in enumerate(syllables):
         lo, hi = spans.get(g, (pos, pos))
         spans[g] = (min(lo, pos), max(hi, pos))
     intervals = sorted(spans.values())
@@ -475,7 +566,7 @@ def _plan_blocks(relators, l, n_elements, budget):
     blocks.append((cur_lo, cur_hi))
     if len(blocks) < 2:
         return None
-    block_gens = [sorted({g for g, _ in letters[lo:hi + 1]})
+    block_gens = [sorted({g for g, _ in syllables[lo:hi + 1]})
                   for lo, hi in blocks]
     if max(len(bg) for bg in block_gens) > 3:
         return None
@@ -485,12 +576,17 @@ def _plan_blocks(relators, l, n_elements, budget):
 
     def run(table):
         n = table.order
+        mul, identity = table.mul, table.identity
+        pows = _power_tables(table, relators)
         dist = None
         for (lo, hi), gens in zip(blocks, block_gens):
-            prog = [(gens.index(g), s) for g, s in letters[lo:hi + 1]]
+            prog = [(gens.index(g), pows[e]) for g, e in syllables[lo:hi + 1]]
             f = [0] * n
             for assignment in product(range(n), repeat=len(gens)):
-                f[_eval_word(prog, assignment, table)] += 1
+                x = identity
+                for i, p in prog:
+                    x = mul[x][p[assignment[i]]]
+                f[x] += 1
             if dist is None:
                 dist = f
             else:

@@ -17,6 +17,7 @@ Text format (whitespace insignificant, ';' may replace the newline):
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 
 class Word:
@@ -85,10 +86,8 @@ class Word:
 
     def substitute(self, images):
         """Apply the endomorphism sending generator g to images[g]."""
-        out = Word()
-        for g, e in self.syllables:
-            out = out * images[g] ** e
-        return out
+        return Word(chain.from_iterable((images[g] ** e).syllables
+                                        for g, e in self.syllables))
 
     def __eq__(self, other):
         return isinstance(other, Word) and other.syllables == self.syllables

@@ -18,7 +18,9 @@ in for Q(zeta_N)).  The references here do neither:
   moduli were once found by, against which Ben-Or's test is checked;
 * determinant (Laplace expansion) and determinantal_divisors, the Smith
   divisors of a small integer matrix from the gcds of its minors, with no
-  elimination at all.
+  elimination at all;
+* fox_derivative takes the product rule one letter at a time, rebuilding
+  each prefix as a fresh Word from its letters, quadratic in the length.
 """
 
 from fractions import Fraction
@@ -28,7 +30,9 @@ from math import gcd
 from hallinv.charvar import _character_moduli
 from hallinv.fields import (_fq_divmod, _fq_monic_polys,
                             primitive_root_of_unity, sufficiently_large_field)
+from hallinv.foxcalc import FreeRingElement
 from hallinv.linalg import rank_over_field
+from hallinv.presentations import Word
 
 
 def _trim(c):
@@ -321,3 +325,20 @@ def determinantal_divisors(rows, cols):
         divisors.append(D // previous)
         previous = D
     return divisors
+
+
+def fox_derivative(w, j):
+    """d w / d x_j letter by letter: with u the letters before it, a letter
+    x_j adds u and a letter x_j^-1 adds -u x_j^-1."""
+    letters = w.letters()
+    terms = {}
+    for i, (g, s) in enumerate(letters):
+        if g != j:
+            continue
+        u = Word(letters[:i] + ([] if s > 0 else [(g, -1)]))
+        new = terms.get(u, 0) + s
+        if new:
+            terms[u] = new
+        else:
+            terms.pop(u, None)
+    return FreeRingElement(terms)

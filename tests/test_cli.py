@@ -364,6 +364,26 @@ def test_table_budget_checked_before_build(capsys, monkeypatch):
     assert code == 2 and out == "" and err.startswith("infeasible: ")
 
 
+def test_cover_order_charged_before_the_action(capsys, monkeypatch):
+    # a cover of order N permutes N cosets: past the budget the oracle
+    # reports infeasible before it builds the N-point action
+    from hallinv import cli
+
+    def build(N, images):
+        raise AssertionError(f"a {N}-point action built")
+    monkeypatch.setattr(cli, "regular_cyclic_action", build)
+    for argv in (("--cover-order", HUGE_PRIME),
+                 ("--cover-order", "101", "--budget", "100")):
+        code, out, err = run(capsys, "oracle", *argv, "--cover-images",
+                             "1,0", "--fixture", "free:2")
+        assert code == 2 and out == "" and err.startswith("infeasible: ")
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "oracle", "--cover-order", "100",
+                       "--budget", "100", "--cover-images", "1,0",
+                       "--fixture", "free:2")
+    assert code == 0 and out.startswith("H1(K) = Z^101 + []")
+
+
 def test_lattice_budget_exits_2(capsys):
     # S_4's 576-entry table fits a budget of 1000, its subgroup lattice
     # does not; at the default budget the count goes through

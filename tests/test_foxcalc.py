@@ -53,6 +53,38 @@ def test_fox_fundamental_identity_random():
             assert fox_derivative(w, j).augmentation() == w.exponent_sum(j)
 
 
+def test_fox_derivative_matches_letter_by_letter():
+    # seeded words with exponents up to 5 in size and generators repeated
+    # many times, against the product rule taken one letter at a time
+    import reference
+    rng = random.Random(23)
+    for _ in range(300):
+        w = Word([(rng.randrange(3), rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]))
+                  for _ in range(rng.randrange(14))])
+        for j in range(3):
+            assert fox_derivative(w, j) == reference.fox_derivative(w, j), \
+                (w, j)
+
+
+def test_alexander_matrices_of_fixtures_unchanged(monkeypatch):
+    # every fixture's Alexander matrix, terms in their order included, is
+    # the one the letter-by-letter derivative gives
+    import reference
+    from hallinv import foxcalc
+    from hallinv.braids import FROZEN_FIXTURES, fixture
+
+    def terms(A):
+        return [[list(entry.terms.items()) for entry in row]
+                for row in A.entries]
+    for name in FROZEN_FIXTURES + ("rp:3", "surface:2", "product:2,1"):
+        P = fixture(name)
+        abel = abelianization(P)
+        got = terms(alexander_matrix(P, abel))
+        with monkeypatch.context() as m:
+            m.setattr(foxcalc, "fox_derivative", reference.fox_derivative)
+            assert terms(alexander_matrix(P, abel)) == got, name
+
+
 def test_augmentation_jacobian():
     P = parse_presentation("gens: x, y; rels: [x,y]")
     assert augmentation_jacobian(P).entries == [[0, 0]]

@@ -264,12 +264,20 @@ def test_counting_strategies_agree_random():
 
 
 def unreduced_count(relators, l, T):
-    """The component search without conjugation orbits: every node tries
-    every element.  Returns (|Hom|, the partial assignments it makes),
-    the count the budget is charged."""
+    """The component search without conjugation orbits or check masks:
+    every node tries every element and walks the letters of each relator
+    it completes.  Returns (|Hom|, the partial assignments it makes), the
+    count the budget is charged."""
     n = T.order
     images = [None] * l
     charges = 0
+    letters = [r.letters() for r in relators]
+
+    def value(letters):
+        x = T.identity
+        for g, s in letters:
+            x = T.mul[x][images[g] if s > 0 else T.inv[images[g]]]
+        return x
 
     def count_forest(forest):
         nodes, free = forest
@@ -287,8 +295,9 @@ def unreduced_count(relators, l, T):
         for v in range(n):
             charges += 1
             images[g] = v
-            if all(oracle._eval_word(prog, images, T) == T.identity
-                   for prog in checks):
+            # a check's first entry is the number of the relator it checks
+            if all(value(letters[check[0]]) == T.identity
+                   for check in checks):
                 total += count_forest(forest)
         return total
 
@@ -344,13 +353,14 @@ def random_presentation(rng):
                         [w for w in rels if not w.is_identity()])
 
 
-def check_search_up_to_conjugacy(P):
+def check_search_up_to_conjugacy(P, targets=tuple(DEEP_TARGETS)):
     """The search over conjugation orbits counts what the unreduced search
     and unpruned enumeration (up to 20000 image tuples) count, and trips
     the budget exactly past the unreduced charge."""
     relators = tuple(r for r in P.relators if not r.is_identity())
     l = P.num_generators
-    for name, T in DEEP_TARGETS.items():
+    for name in targets:
+        T = DEEP_TARGETS[name]
         count, charges = unreduced_count(relators, l, T)
         assert oracle._dfs_count(relators, l, T, charges) == count, (P, name)
         if charges:
@@ -369,18 +379,41 @@ def test_search_up_to_conjugacy_random(seed):
         random_presentation(random.Random(f"conjugacy:{seed}")))
 
 
-@pytest.mark.parametrize("P", [
+@pytest.mark.parametrize("P, targets", [
     # one component three nodes deep: each image shrinks the centralizer
-    parse_presentation("gens: x, y, z; rels: x*y*x*y, y*z*y*z, z*x*z*x"),
+    (parse_presentation("gens: x, y, z; rels: x*y*x*y, y*z*y*z, z*x*z*x"),
+     tuple(DEEP_TARGETS)),
     # a central generator, then two components under its centralizer
-    parse_presentation("gens: x, y, z; rels: [x,y], [y,z]"),
-    parse_presentation("gens: w, x, y, z; rels: [w,x], [x,y], [y,z], w^2"),
-    direct_product_with_Z(free_group(2)),
-    product_of_free_groups([2, 2]),
-    fixture("horizontal:2134"),
-], ids=["triangle", "chain3", "chain4", "F2xZ", "F2xF2", "horizontal2134"])
-def test_search_up_to_conjugacy_fixed(P):
-    check_search_up_to_conjugacy(P)
+    (parse_presentation("gens: x, y, z; rels: [x,y], [y,z]"),
+     tuple(DEEP_TARGETS)),
+    (parse_presentation("gens: w, x, y, z; rels: [w,x], [x,y], [y,z], w^2"),
+     tuple(DEEP_TARGETS)),
+    (direct_product_with_Z(free_group(2)), tuple(DEEP_TARGETS)),
+    (product_of_free_groups([2, 2]), tuple(DEEP_TARGETS)),
+    (fixture("horizontal:2134"), tuple(DEEP_TARGETS)),
+    # relators of 22 to 80 letters, one reading a generator 38 times, so a
+    # check folds long generator-free segments; the unreduced reference
+    # walks 4-8M partial assignments on M37 and S4 (half a minute each),
+    # so those two are left out
+    (fixture("horizontal:31425"), ("S3", "A4", "D4", "Q8")),
+], ids=["triangle", "chain3", "chain4", "F2xZ", "F2xF2", "horizontal2134",
+        "horizontal31425"])
+def test_search_up_to_conjugacy_fixed(P, targets):
+    check_search_up_to_conjugacy(P, targets)
+
+
+def test_one_plan_serves_every_table():
+    # the plan is cached across tables and the check masks are not: one
+    # plan searched against two tables in turn, and back, gives each
+    # table its own count
+    P = fixture("horizontal:2134")
+    relators, l = tuple(P.relators), P.num_generators
+    tables = [DEEP_TARGETS["S3"], DEEP_TARGETS["Q8"], DEEP_TARGETS["S3"]]
+    want = [unreduced_count(relators, l, T)[0] for T in tables]
+    oracle._search_plan.cache_clear()
+    got = [oracle._dfs_count(relators, l, T, 10 ** 8) for T in tables]
+    assert oracle._search_plan.cache_info().misses == 1
+    assert got == want and want[0] != want[1]
 
 
 @pytest.mark.parametrize("target", ["S4", "M37"])
