@@ -9,41 +9,47 @@ subgroup K with cyclic quotient the mod-q Betti number of K is recovered
 by summing depths of the powers of the defining character.
 
 Depth is constant on Galois orbits of characters (Frobenius orbits when
-q > 0), so every character walk evaluates one representative per orbit,
-weighted by its size, through one rule: _galois_orbits.  When q does not
-generate (Z/p)^*, an index-p subgroup's p - 1 characters may differ in
-depth; there is then no Betti distribution, while the Hall invariants,
-which sum over characters, are still defined.  The all-points path
-(check_orbits) verifies that depth is constant on each orbit.
+q > 0), and every character walk goes through one rule, _galois_orbits.
+It streams the cyclic subgroups, each built at its least generator with
+its orbits given as cosets of multipliers, and carries the generator's
+form exponents (see DepthEngine) from one subgroup to the next through a
+linear map each caller supplies; one representative per orbit is
+ranked, weighted by the orbit's size, and no list of characters is kept.
+When q does not generate (Z/p)^*, an index-p subgroup's p - 1 characters
+may differ in depth; there is then no Betti distribution, while the Hall
+invariants, which sum over characters, are still defined.  The
+all-points path (check_orbits) verifies that depth is constant on each
+orbit.
 
 Depth is a rank, and DepthEngine is the one evaluator of the Alexander
 matrix: it compiles the matrix once into integer coefficients and linear
-forms on e, evaluates a character's forms once, and ranks the result
-over finite fields.  In characteristic q > 0 the one field is F_{q^s}:
-at most 2^16 elements by Zech-logarithm elimination (_rank_codes), a
-larger one by rank_over_field on its elements.  In characteristic 0 the
-rank over Q(zeta_N) is the largest rank mod the split primes
-ell = 1 (mod N), counted down from 2^30 (and, past the primes below
-2^30, up from it), each reached by a ring map Z[zeta_N] -> F_ell, which
-can only lower rank, and taken by integer elimination (_rank_mod).  That
-lower bound r is exact once it meets the ceiling Fox's fundamental
-identity puts on a nontrivial character, or once the product of the
-primes tried outgrows a Hadamard bound on the norm of every minor of
-size r + 1 (see DepthEngine for the argument); a generic character needs
-one prime.  No arithmetic in Q or
-Q(zeta_N) is ever done.  The rows that were pivots when a character last
-reached the ceiling are ranked first, so a generic character is usually
-certified on l - 1 rows.
+forms on e, and ranks it at a character's form exponents over finite
+fields.  In characteristic q > 0 the one field is F_{q^s}: at most 2^16
+elements by Zech-logarithm elimination (_rank_codes), a larger one by
+rank_over_field on its elements.  In characteristic 0 the rank over
+Q(zeta_N) is the largest rank mod the split primes ell = 1 (mod N),
+counted down from 2^30 (and, past the primes below 2^30, up from it),
+each reached by a ring map Z[zeta_N] -> F_ell, which can only lower
+rank, and taken by integer elimination (_rank_mod).  That lower bound r
+is exact once it meets the ceiling Fox's fundamental identity puts on a
+nontrivial character, or once the product of the primes tried outgrows a
+Hadamard bound on the norm of every minor of size r + 1 (see DepthEngine
+for the argument); a generic character needs one prime.  No arithmetic
+in Q or Q(zeta_N) is ever done.  The rows that were pivots when a
+character last reached the ceiling are ranked first, and only they are
+evaluated, so a generic character is usually certified on l - 1 rows.
 
 A Group holds what several invariants of one presentation share: the
-abelianization, the Alexander matrix and the character depths already
-asked for.  Callers that combine invariants make one Group per request.
+abelianization, the Alexander matrix, its depth engines and the
+character depths already asked for.  Callers that combine invariants
+make one Group per request; its --jobs workers fork with the engine.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
-from itertools import accumulate, count, islice, product
+from itertools import accumulate, count, islice
 from math import gcd, isqrt, lcm, prod
 
 from .fields import (_LOG_TABLE_LIMIT, euler_phi, factorize, is_prime,
@@ -64,10 +70,11 @@ class DepthEngine:
     coordinate exponent vector e, its value on coordinate c being
     zeta_N^{e_c}, so every entry of the evaluated matrix is a sum of
     coefficient * zeta^(form . e mod N) in Z[zeta_N].  The exponents
-    form . e are taken once per character, from one column of form weights
-    per coordinate (_exponents), and serve every field the character is
-    ranked over.  Every elimination stops once its rank reaches the
-    ceiling below.
+    form . e are taken once per character and serve every field it is
+    ranked over: from one column of form weights per coordinate
+    (_exponents), or carried along a character walk, which passes them as
+    depth_of_exponents(forms=...).  Every elimination stops once its rank
+    reaches the ceiling below.
 
     For q > 0 the one field is K = F_{q^s}, and its rank is the answer:
     at most 2^16 elements (_LOG_TABLE_LIMIT) by Zech-logarithm elimination
@@ -83,9 +90,11 @@ class DepthEngine:
     digit.  N must be below 2^29: past it at most one number = 1 (mod N)
     lies below 2^30.  A prime is found when a character first needs it,
     and kept for the process; its powers of zeta are taken when first met
-    (_Powers).  This is a ring map Z[zeta_N] -> F_ell, so no rank mod ell
-    exceeds the rank over Q(zeta_N), and the largest rank r seen is a
-    lower bound.  It is the rank once either
+    (_Powers).  Each row keeps its own terms (coefficient mod ell, form),
+    so ranking some rows evaluates only theirs.  This is a ring map
+    Z[zeta_N] -> F_ell, so no rank mod ell exceeds the rank over
+    Q(zeta_N), and the largest rank r seen is a lower bound.  It is the
+    rank once either
 
     * it reaches a ceiling the rank cannot pass: min(m, l) for m relators
       and l generators, or l - 1 for a nontrivial character, whose vector
@@ -137,20 +146,23 @@ class DepthEngine:
         self.reductions = []
         self.pivots = None  # rows that last reached the ceiling
 
-    def depth_of_exponents(self, coord_exps):
-        """Depth of the character with coordinate exponent vector e."""
+    def depth_of_exponents(self, coord_exps=None, *, forms=None):
+        """Depth of the character with coordinate exponent vector e, or of
+        the nontrivial character whose form exponents (_exponents) a
+        character walk carries as forms."""
         ceiling = self.ceiling
-        if any(a % self.N for a in coord_exps):
+        if forms is not None or any(a % self.N for a in coord_exps):
             ceiling = min(ceiling, self.num_generators - 1)
-        return self.num_generators - self._certified_rank(coord_exps,
-                                                          ceiling) - 1
+        return self.num_generators - self._certified_rank(
+            coord_exps, ceiling, forms) - 1
 
-    def _certified_rank(self, e, ceiling):
-        """Rank at e: first on the pivot rows over the first field, then
-        the largest rank over the fields in order, until one reaches the
-        ceiling the true rank cannot pass or (q = 0) the norm bound
-        certifies the largest rank seen."""
-        exps = self._exponents(e)
+    def _certified_rank(self, e, ceiling, exps=None):
+        """Rank at e (or at the form exponents exps): first on the pivot
+        rows over the first field, then the largest rank over the fields
+        in order, until one reaches the ceiling the true rank cannot pass
+        or (q = 0) the norm bound certifies the largest rank seen."""
+        if exps is None:
+            exps = self._exponents(e)
         pivots = self.pivots
         if pivots is not None and ceiling <= len(pivots) < len(self.rows):
             rank, _ = self._rank(exps, 0, ceiling, pivots)
@@ -189,8 +201,9 @@ class DepthEngine:
 
     def _reduction(self, i):
         """The i-th field, reduced, by mode: "modular", (ell, the powers of
-        zeta mod ell (_Powers), every term (coefficient mod ell, form) in
-        one flat list, each row's entries as spans of it); "zech", (K's log
+        zeta mod ell (_Powers), the rows, each as its terms (coefficient
+        mod ell, form) in one flat list and its entries as spans of it,
+        so that ranking some rows evaluates only theirs); "zech", (K's log
         tables, zeta's log, the rows with coefficient codes); "element",
         (zeta's N powers in K, the rows with coefficients in K).  Built
         when first needed, the fields taken in order."""
@@ -198,16 +211,16 @@ class DepthEngine:
             N = self.N
             if self.mode == "modular":
                 ell, zeta = _split_prime(N, i)
-                terms, rows = [], []
+                rows = []
                 for row in self.rows:
-                    spans = []
+                    terms, spans = [], []
                     for entry in row:
                         start = len(terms)
                         terms.extend((c % ell, form) for c, form in entry
                                      if c % ell)
                         spans.append((start, len(terms)))
-                    rows.append(spans)
-                self.reductions.append((ell, _Powers(zeta, ell), terms, rows))
+                    rows.append((terms, spans))
+                self.reductions.append((ell, _Powers(zeta, ell), rows))
             elif self.mode == "zech":
                 F = self.field
                 lt = log_tables(F)
@@ -240,15 +253,15 @@ class DepthEngine:
         if indices is not None:
             rows = [rows[k] for k in indices]
         if self.mode == "modular":
-            ell, powers, terms = reduction
-            values = list(map(powers.__getitem__, exps))
-            # prefix sums of the terms: an entry is the difference of the
-            # sums at the ends of its span
-            sums = list(accumulate([c * values[f] for c, f in terms],
-                                   initial=0))
-            rank, pivots = _rank_mod(
-                [[(sums[b] - sums[a]) % ell for a, b in row] for row in rows],
-                ell, ceiling)
+            ell, powers = reduction
+            matrix = []
+            for terms, spans in rows:
+                # prefix sums of the row's terms: an entry is the difference
+                # of the sums at the ends of its span
+                sums = list(accumulate(
+                    [c * powers[exps[f]] for c, f in terms], initial=0))
+                matrix.append([(sums[b] - sums[a]) % ell for a, b in spans])
+            rank, pivots = _rank_mod(matrix, ell, ceiling)
         elif self.mode == "zech":
             lt, zeta = reduction
             order, zech = lt.n, lt.zech
@@ -457,12 +470,23 @@ def _unit_cosets(k, q):
     units = [j for j in range(1, k) if gcd(j, k) == 1]
     if not q:
         return [units]
-    s = multiplicative_order(q, k)
-    cosets = [[j * q ** i % k for i in range(s)] for j in units]
+    s, q = multiplicative_order(q, k), q % k
+    cosets = [list(accumulate(range(s - 1), lambda x, _: x * q % k,
+                              initial=j)) for j in units]
     return [coset for coset in cosets if min(coset) == coset[0]]
 
 
-def _galois_orbits(moduli, q):
+def _coordinate_columns(engine, moduli):
+    """The walk's linear map for the characters of order dividing
+    engine.N as _character_moduli: basis vector i has exponent N / m_i on
+    chi coordinate i, and its column is that character's form exponents."""
+    N = engine.N
+    return [engine._exponents([N // m if c == i else 0
+                               for c in range(len(moduli))])
+            for i, m in enumerate(moduli)]
+
+
+def _galois_orbits(moduli, q, columns=None, N=1):
     """Each nontrivial cyclic subgroup of Z_{m_1} + ... + Z_{m_r}, as its
     generators split into Galois orbits.
 
@@ -471,26 +495,68 @@ def _galois_orbits(moduli, q):
     q > 0 it is generated by Frobenius, rho -> rho^q, and at q = 0 it holds
     every rho -> rho^j, j prime to the order of rho.  So the generators of
     a subgroup of order k split into the orbits of <q mod k> <= (Z/k)^*,
-    or form one orbit at q = 0.  A subgroup is visited at its least
-    generator (as a tuple), vectors taken in code order, first coordinate
-    fastest, and yielded as a list of orbits, each a list of vectors
-    headed by its representative; the first is the least generator.
+    or form one orbit at q = 0.
+
+    Each subgroup is built at its least generator v, in increasing order.
+    v's first nonzero coordinate i holds a divisor d < m_i of m_i, the
+    least generator of the subgroup that coordinate i spans, and the later
+    coordinates take every value, the last fastest.  If d has order m_i / d
+    equal to the order k of v, v is least: only j = 1 keeps d at i.
+    Otherwise v is kept when no j = 1 (mod m_i / d) makes j v smaller; at
+    a prime order that never happens.  At its end the walk checks that the
+    subgroups' generators number the nonzero vectors.
+
+    columns[i] is the form exponents mod N of basis vector i under a
+    linear map (none by default).  The exponents of v are carried along,
+    one list pass per vector, and those of j v are j times them.  Each
+    subgroup is yielded as its orbits (rep, exps, coset), the first headed
+    by v: the multipliers j, jq, jq^2, ... in coset take v to the orbit's
+    members, rep = coset[0] v, and exps are rep's form exponents.
     """
-    cosets = {}
-    for reverse in product(*(range(m) for m in reversed(moduli))):
-        v = reverse[::-1]
-        # the least generator's first nonzero coordinate e is the least
-        # generator, gcd(e, m), of the subgroup of Z_m that e spans
-        i = next((i for i, e in enumerate(v) if e), None)
-        if i is None or v[i] != gcd(v[i], moduli[i]):
-            continue
-        k = lcm(*(m // gcd(e, m) for e, m in zip(v, moduli)))
-        if k not in cosets:
-            cosets[k] = _unit_cosets(k, q)
-        orbits = [[tuple(j * e % m for e, m in zip(v, moduli)) for j in coset]
-                  for coset in cosets[k]]
-        if min(min(orbit) for orbit in orbits) == v:
-            yield orbits
+    r = len(moduli)
+    columns = columns or [[]] * r
+    cosets, covered = {}, 0
+    for i in reversed(range(r)):
+        m = moduli[i]
+        tail = [t for t in range(i + 1, r) if moduli[t] > 1]
+        # steps[t]: the exponents' change as the odometer moves digit t up
+        # by one and every later digit back from m - 1 to 0
+        steps, back = {}, [0] * len(columns[i])
+        for t in reversed(tail):
+            steps[t] = [(a - b) % N for a, b in zip(columns[t], back)]
+            back = [(b + (moduli[t] - 1) * a) % N
+                    for a, b in zip(columns[t], back)]
+        for d in (d for d in range(1, m) if m % d == 0):
+            head = m // d
+            fixed = all(head % moduli[t] == 0 for t in tail)
+            v = [0] * r
+            v[i] = d
+            exps = [d * a % N for a in columns[i]]
+            while True:
+                k = head if fixed else lcm(head, *(
+                    moduli[t] // gcd(v[t], moduli[t]) for t in tail))
+                if k == head or all(
+                        [j * e % n for e, n in zip(v, moduli)] >= v
+                        for j in range(head + 1, k, head) if gcd(j, k) == 1):
+                    if k not in cosets:
+                        cosets[k] = _unit_cosets(k, q)
+                    first, *rest = cosets[k]
+                    covered += len(first) + sum(map(len, rest))
+                    yield [(tuple(v), exps, first)] + [
+                        (tuple(c[0] * e % n for e, n in zip(v, moduli)),
+                         [c[0] * a % N for a in exps], c) for c in rest]
+                for t in reversed(tail):
+                    if v[t] + 1 < moduli[t]:
+                        v[t] += 1
+                        exps = [(a + b) % N for a, b in zip(exps, steps[t])]
+                        break
+                    v[t] = 0
+                else:
+                    break
+    if covered != prod(moduli) - 1:
+        raise InvariantViolation(
+            f"the walk of Z_{moduli} met {covered} generators, not the "
+            f"{prod(moduli) - 1} nonzero vectors")
 
 
 class BettiDistribution:
@@ -505,7 +571,7 @@ class BettiDistribution:
         self.p = p
         self.q = q
         self.n_p = n_p
-        self.counts = {d: c for d, c in counts.items() if c}
+        self.counts = {d: c for d, c in sorted(counts.items()) if c}
         total = (p ** n_p - 1) // (p - 1)
         if sum(self.counts.values()) != total or \
                 any(c < 0 for c in self.counts.values()):
@@ -531,36 +597,63 @@ class BettiDistribution:
         return f"beta_{self.p}^({self.q}) = {self.positive_part()}"
 
 
-def _depth_tally(engine, exp_vectors):
-    """Map exponent vector -> depth, for a chunk of characters."""
-    return {exps: engine.depth_of_exponents(exps) for exps in exp_vectors}
+def _depth_tally(engine, walk, check_orbits, start=0, step=1):
+    """(characters, counts) over the subgroups start, start + step, ...
+    of _galois_orbits(*walk, engine.N): characters counts the characters
+    of each depth, and counts the subgroups all of whose characters have
+    one depth, or is None once a subgroup has two.  Each orbit's
+    representative is ranked, or with check_orbits each member, verifying
+    that depth is constant on it."""
+    N = engine.N
+    depth = engine.depth_of_exponents
+    characters, counts = Counter(), Counter()
+    for orbits in islice(_galois_orbits(*walk, N), start, None, step):
+        subgroup_depths = set()
+        _, v_exps, _ = orbits[0]
+        for rep, exps, coset in orbits:
+            found = ({depth(forms=[j * a % N for a in v_exps]) for j in coset}
+                     if check_orbits else {depth(forms=exps)})
+            if len(found) != 1:
+                raise InvariantViolation(f"depth not constant on the Galois "
+                                         f"orbit of {rep}: {found}")
+            (d,) = found
+            characters[d] += len(coset)
+            subgroup_depths.add(d)
+        if len(subgroup_depths) > 1:
+            counts = None
+        elif counts is not None:
+            counts[subgroup_depths.pop()] += 1
+    return characters, counts
 
 
-_POOL_ENGINE = None  # the engine forked --jobs workers inherit
+_POOL_TASK = None  # (engine, walk, check_orbits, jobs) forked workers inherit
 
 
-def _pool_depth_tally(exp_vectors):
-    return _depth_tally(_POOL_ENGINE, exp_vectors)
+def _pool_depth_tally(start):
+    engine, walk, check_orbits, jobs = _POOL_TASK
+    return _depth_tally(engine, walk, check_orbits, start, jobs)
 
 
-def _parallel_depth_tally(engine, exp_vectors, jobs):
+def _parallel_depth_tally(engine, walk, check_orbits, jobs):
     """_depth_tally spread over jobs forked workers, which inherit the
-    engine instead of each building (or unpickling) their own."""
-    global _POOL_ENGINE
+    engine instead of each building (or unpickling) their own; worker i
+    walks every subgroup, ranks every jobs-th from the i-th and sends
+    back only its tallies."""
+    global _POOL_TASK
     import multiprocessing as mp
 
-    chunks = [exp_vectors[i::jobs] for i in range(jobs)]
-    _POOL_ENGINE = engine
+    _POOL_TASK = engine, walk, check_orbits, jobs
     try:
         with mp.get_context("fork").Pool(jobs) as pool:
-            results = pool.map(_pool_depth_tally,
-                               [chunk for chunk in chunks if chunk])
+            results = pool.map(_pool_depth_tally, range(jobs))
     finally:
-        _POOL_ENGINE = None
-    merged = {}
-    for r in results:
-        merged.update(r)
-    return merged
+        _POOL_TASK = None
+    characters, counts = Counter(), Counter()
+    for part, part_counts in results:
+        characters += part
+        counts = None if None in (counts, part_counts) else \
+            counts + part_counts
+    return characters, counts
 
 
 def _order_p_depths(G, p, q, *, check_orbits=False):
@@ -570,48 +663,26 @@ def _order_p_depths(G, p, q, *, check_orbits=False):
     index-p subgroup has characters of two depths (possible only when q
     has order less than p - 1 mod p).
 
-    One character per Galois orbit is evaluated; check_orbits evaluates
-    every character instead and verifies that depth is constant on each
-    orbit.
+    Each subgroup is tallied as the walk produces it, one character per
+    Galois orbit ranked; check_orbits ranks every character instead and
+    verifies that depth is constant on each orbit.
     """
     if q == p:
         raise ValueError("q must differ from p")
     engine, abel = G.engine(p, q), G.abel
-    # flat lists, a pointer per orbit: the characters to evaluate, each
-    # orbit's size and each subgroup's number of orbits
-    vectors, sizes, shapes = [], [], []
-    for orbits in _galois_orbits(_character_moduli(abel, p), q):
-        shapes.append(len(orbits))
-        for orbit in orbits:
-            sizes.append(len(orbit))
-            vectors.extend(orbit if check_orbits else orbit[:1])
-    if G.jobs > 1 and len(vectors) > 64:
-        depths = _parallel_depth_tally(engine, vectors, G.jobs)
+    moduli = _character_moduli(abel, p)
+    walk = moduli, q, _coordinate_columns(engine, moduli)
+    ranks = prod(moduli) - 1
+    if not check_orbits:
+        ranks = ranks // (p - 1) * len(_unit_cosets(p, q))
+    if G.jobs > 1 and ranks > 64:
+        characters, counts = _parallel_depth_tally(engine, walk,
+                                                   check_orbits, G.jobs)
     else:
-        depths = _depth_tally(engine, vectors)
-
-    characters, counts = {}, {}
-    evaluated, orbit_sizes = iter(vectors), iter(sizes)
-    for n in shapes:
-        subgroup_depths = set()
-        for size in islice(orbit_sizes, n):
-            orbit = list(islice(evaluated, size if check_orbits else 1))
-            orbit_depths = {depths[v] for v in orbit}
-            if len(orbit_depths) != 1:
-                raise InvariantViolation(
-                    f"depth not constant on the Galois orbit of "
-                    f"{orbit[0]}: {orbit_depths}")
-            d = orbit_depths.pop()
-            characters[d] = characters.get(d, 0) + size
-            subgroup_depths.add(d)
-        if len(subgroup_depths) > 1:
-            counts = None
-        elif counts is not None:
-            d = subgroup_depths.pop()
-            counts[d] = counts.get(d, 0) + 1
+        characters, counts = _depth_tally(engine, walk, check_orbits)
     beta = None if counts is None else \
         BettiDistribution(p, q, abel.b1(p), counts)
-    return characters, beta
+    return dict(sorted(characters.items())), beta
 
 
 def beta_distribution(P, p, q, *, check_orbits=False, A=None, jobs=1):
@@ -735,16 +806,16 @@ def b1_cover_abelian(G, factors, images, q):
     _validate_epimorphism_abelian(G, factors, images)
     E = lcm(*factors)
     engine = G.engine(E, q)
-    A = G.alexander
-    total = A.abel.b1(q)
-    for orbits in _galois_orbits(factors, q):
-        for orbit in orbits:
-            rho = orbit[0]
-            gen_exps = [sum(E // c * r * row[j]
-                            for r, c, row in zip(rho, factors, images)) % E
-                        for j in range(G.P.num_generators)]
-            coords = coordinate_exponents_from_generators(A.abel, E, gen_exps)
-            total += len(orbit) * engine.depth_of_exponents(coords)
+    abel = G.alexander.abel
+    # basis vector i of the target pulls back to generator exponents
+    # (E / c_i) images[i]
+    columns = [engine._exponents(coordinate_exponents_from_generators(
+        abel, E, [E // c * g % E for g in row]))
+        for c, row in zip(factors, images)]
+    total = abel.b1(q)
+    for orbits in _galois_orbits(factors, q, columns, E):
+        for _, exps, coset in orbits:
+            total += len(coset) * engine.depth_of_exponents(forms=exps)
     return total
 
 
@@ -772,8 +843,8 @@ def check_bounds_congruence(b1_base, b1_cover, num_generators, k, q,
         if b1_cover > sharp:
             raise InvariantViolation(
                 f"cover Betti number {b1_cover} above sharpened bound {sharp}")
-    D = gcd(*(len(orbit) for orbits in _galois_orbits([k], q)
-              for orbit in orbits))
+    D = gcd(*(len(coset) for orbits in _galois_orbits([k], q)
+              for _, _, coset in orbits))
     if D > 1 and (b1_cover - b1_base) % D:
         raise InvariantViolation(
             f"jump {b1_cover - b1_base} not divisible by D = {D}")
@@ -787,7 +858,6 @@ def max_depth_of_order_dividing(G, k, q):
     G = Group.of(G)
     moduli = _character_moduli(G.abel, k)
     engine = G.engine(k, q)
-    return max((engine.depth_of_exponents(
-        tuple(k // m * e for m, e in zip(moduli, orbit[0])))
-        for orbits in _galois_orbits(moduli, q) for orbit in orbits),
-        default=0)
+    walk = _galois_orbits(moduli, q, _coordinate_columns(engine, moduli), k)
+    return max((engine.depth_of_exponents(forms=exps)
+                for orbits in walk for _, exps, _ in orbits), default=0)

@@ -162,20 +162,6 @@ class AbelStructure:
         tors = [t % d for t, d in zip(tors, self.torsion)]
         return tuple(free), tuple(tors)
 
-    def chi_word(self, w):
-        n = self.free_rank
-        free = [0] * n
-        tors = [0] * len(self.torsion)
-        for g, e in w.syllables:
-            gf = self._gen_free[g]
-            gt = self._gen_tors[g]
-            for i in range(n):
-                free[i] += e * gf[i]
-            for i in range(len(tors)):
-                tors[i] += e * gt[i]
-        tors = [t % d for t, d in zip(tors, self.torsion)]
-        return tuple(free), tuple(tors)
-
     def coordinate_in_generators(self, c):
         """Integer generator-exponent row representing coordinate basis vector c.
 
@@ -300,24 +286,42 @@ class AlexanderMatrix:
         return "\n".join(lines)
 
 
-def word_to_laurent(abel, w, coeff=1):
-    return LaurentElement({abel.chi_word(w): coeff})
-
-
-def ring_element_to_laurent(abel, elt):
-    out = LaurentElement()
-    for w, c in elt.terms.items():
-        out = out + word_to_laurent(abel, w, c)
-    return out
-
-
 def alexander_matrix(P, abel=None):
+    """The Alexander matrix of P in the chi basis of abel.  Every term of a
+    Fox derivative of a relator is a prefix of the relator's syllables,
+    the last one cut short, so its image under chi is read off the running
+    sums of the syllables' images along the relator."""
     if abel is None:
         abel = abelianization(P)
+    n, torsion = abel.free_rank, abel.torsion
+    images = [free + tors for free, tors in zip(abel._gen_free,
+                                                abel._gen_tors)]
     entries = []
     for r in P.relators:
-        row = [ring_element_to_laurent(abel, fox_derivative(r, j))
-               for j in range(P.num_generators)]
+        syllables = r.syllables
+        sums = [(0,) * (n + len(torsion))]  # images of the prefixes
+        for g, e in syllables:
+            sums.append([a + e * b for a, b in zip(sums[-1], images[g])])
+        row = []
+        for j in range(P.num_generators):
+            terms = {}
+            for w, c in fox_derivative(r, j).terms.items():
+                image = sums[0]
+                if w.syllables:
+                    *head, (g, e) = w.syllables
+                    if tuple(head) != syllables[:len(head)]:
+                        raise InvariantViolation(
+                            f"Fox term {w} is not a prefix of {r}")
+                    image = [a + e * b for a, b in zip(sums[len(head)],
+                                                       images[g])]
+                key = (tuple(image[:n]),
+                       tuple(t % d for t, d in zip(image[n:], torsion)))
+                new = terms.get(key, 0) + c
+                if new:
+                    terms[key] = new
+                else:
+                    terms.pop(key, None)
+            row.append(LaurentElement(terms))
         entries.append(row)
     A = AlexanderMatrix(abel, entries, P.num_generators)
     J = augmentation_jacobian(P)

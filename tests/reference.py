@@ -20,15 +20,19 @@ in for Q(zeta_N)).  The references here do neither:
   divisors of a small integer matrix from the gcds of its minors, with no
   elimination at all;
 * fox_derivative takes the product rule one letter at a time, rebuilding
-  each prefix as a fresh Word from its letters, quadratic in the length.
+  each prefix as a fresh Word from its letters, quadratic in the length;
+* galois_orbits_by_filter finds the subgroups by building every vector
+  and keeping those that are the least generator of their orbits, each
+  orbit listed in full, where the library builds least generators
+  directly and lists each orbit by the multipliers of its coset.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 from hallinv.charvar import _character_moduli
-from hallinv.fields import (_fq_divmod, _fq_monic_polys,
+from hallinv.fields import (_fq_divmod, _fq_monic_polys, multiplicative_order,
                             primitive_root_of_unity, sufficiently_large_field)
 from hallinv.foxcalc import FreeRingElement
 from hallinv.linalg import rank_over_field
@@ -342,3 +346,40 @@ def fox_derivative(w, j):
         else:
             terms.pop(u, None)
     return FreeRingElement(terms)
+
+
+def _unit_cosets(k, q):
+    """The cosets of <q mod k> in (Z/k)^*, or all of (Z/k)^* at q = 0, in
+    order of their least elements, each listed as j, jq, jq^2, ... from its
+    least element j."""
+    units = [j for j in range(1, k) if gcd(j, k) == 1]
+    if not q:
+        return [units]
+    s = multiplicative_order(q, k)
+    cosets = [[j * q ** i % k for i in range(s)] for j in units]
+    return [coset for coset in cosets if min(coset) == coset[0]]
+
+
+def galois_orbits_by_filter(moduli, q):
+    """Each nontrivial cyclic subgroup of Z_{m_1} + ... + Z_{m_r}, as its
+    generators split into the orbits of <q mod k> (all of (Z/k)^* at
+    q = 0), k the subgroup's order.  Every vector is built, in code order,
+    first coordinate fastest, and a subgroup is visited at its least
+    generator (as a tuple), found by listing all of its generators; it is
+    yielded as a list of orbits, each a list of vectors headed by its
+    representative, the first headed by the least generator."""
+    cosets = {}
+    for reverse in product(*(range(m) for m in reversed(moduli))):
+        v = reverse[::-1]
+        # the least generator's first nonzero coordinate e is the least
+        # generator, gcd(e, m), of the subgroup of Z_m that e spans
+        i = next((i for i, e in enumerate(v) if e), None)
+        if i is None or v[i] != gcd(v[i], moduli[i]):
+            continue
+        k = lcm(*(m // gcd(e, m) for e, m in zip(v, moduli)))
+        if k not in cosets:
+            cosets[k] = _unit_cosets(k, q)
+        orbits = [[tuple(j * e % m for e, m in zip(v, moduli)) for j in coset]
+                  for coset in cosets[k]]
+        if min(min(orbit) for orbit in orbits) == v:
+            yield orbits

@@ -550,6 +550,14 @@ def test_split_frobenius_orbits_match_oracle(P, p, q, delta, b1_cover):
             beta(P, p, q, check_orbits=check_orbits)
 
 
+def _members(orbits, moduli):
+    """Each orbit of a subgroup from _galois_orbits, listed in full: the
+    multipliers of its coset applied to the subgroup's least generator."""
+    head = orbits[0][0]
+    return [[tuple(j * e % m for e, m in zip(head, moduli)) for j in coset]
+            for _, _, coset in orbits]
+
+
 def test_galois_orbits_partition_the_characters():
     # a subgroup of order k splits into orbits of size ord_k(q) (phi(k) at
     # q = 0), each closed under rho -> rho^q, and is headed by its least
@@ -565,10 +573,128 @@ def test_galois_orbits_partition_the_characters():
             head = orbits[0][0]
             k = lcm(*(m // gcd(e, m) for e, m in zip(head, moduli)))
             size = multiplicative_order(q, k) if q else euler_phi(k)
-            assert head == min(v for orbit in orbits for v in orbit)
-            for orbit in orbits:
+            members = _members(orbits, moduli)
+            assert head == min(v for orbit in members for v in orbit)
+            for orbit in members:
                 assert len(orbit) == size
                 assert {tuple(q * e % m for e, m in zip(v, moduli))
                         for v in orbit} <= set(orbit) or q == 0
                 seen.extend(orbit)
         assert len(seen) == len(set(seen)) == prod(moduli) - 1
+
+
+def test_galois_orbits_match_the_enumerate_and_filter_walk():
+    # least generators built directly give the subgroups, orbits,
+    # representatives and sizes that filtering every vector gives, in
+    # increasing order of the least generator; a q that is not prime to
+    # some subgroup's order has no Frobenius orbits on either walk
+    from hallinv.charvar import _galois_orbits
+    from reference import galois_orbits_by_filter
+    for moduli in ([3, 3], [4, 2], [2, 4, 3], [1, 4], [6], [9, 3], [5, 5]):
+        for q in (0, 2, 3, 5, 7):
+            try:
+                want = list(galois_orbits_by_filter(moduli, q))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    list(_galois_orbits(moduli, q))
+                continue
+            walk = list(_galois_orbits(moduli, q))
+            heads = [orbits[0][0] for orbits in walk]
+            assert heads == sorted(heads)
+            assert all(rep == orbit[0] for orbits in walk
+                       for (rep, _, _), orbit in zip(orbits,
+                                                     _members(orbits, moduli)))
+            got = [_members(orbits, moduli) for orbits in walk]
+            assert sorted(got) == sorted(want), (moduli, q)
+
+
+def test_unit_cosets_of_a_huge_q():
+    # the cosets depend only on q mod k, and a q of 400 digits is
+    # reduced before any product is taken
+    from hallinv.charvar import _unit_cosets
+    for k, q in ((7, 2), (9, 2), (15, 7), (16, 3)):
+        assert _unit_cosets(k, q + k * 10 ** 400) == _unit_cosets(k, q)
+
+
+def test_galois_orbits_carry_form_exponents():
+    # the exponents carried along the walk are the engine's own form
+    # exponents of each orbit representative
+    from hallinv.braids import fixture
+    from hallinv.charvar import (_character_moduli, _coordinate_columns,
+                                 _galois_orbits)
+    for name, cases in (("deleted_b3", ((3, 0), (3, 7))),
+                        ("rp:3", ((3, 0), (6, 5), (9, 2))),
+                        ("product:2,1", ((4, 3), (6, 0), (6, 5)))):
+        G = Group(fixture(name))
+        for N, q in cases:
+            engine = G.engine(N, q)
+            moduli = _character_moduli(G.abel, N)
+            walk = _galois_orbits(moduli, q,
+                                  _coordinate_columns(engine, moduli), N)
+            for orbits in walk:
+                for rep, exps, _ in orbits:
+                    coords = [N // m * e for m, e in zip(moduli, rep)]
+                    assert exps == engine._exponents(coords), (name, N, q)
+
+
+@pytest.mark.parametrize("q, ranks", [(0, 3280), (7, 6560)])
+def test_depth_walk_counts(monkeypatch, q, ranks):
+    # deleted_b3 at p = 3: (3^8 - 1) / 2 subgroups, each one orbit at
+    # q = 0 and two (the cosets of <7> = 1 in (Z/3)^*) at q = 7
+    import hallinv.charvar as charvar
+    from hallinv.braids import fixture
+    walked, ranked = [], []
+    walk, depth = charvar._galois_orbits, charvar.DepthEngine.depth_of_exponents
+
+    def counted_walk(*args):
+        for orbits in walk(*args):
+            walked.append(len(orbits))
+            yield orbits
+
+    monkeypatch.setattr(charvar, "_galois_orbits", counted_walk)
+    monkeypatch.setattr(charvar.DepthEngine, "depth_of_exponents",
+                        lambda *a, **kw: ranked.append(1) or depth(*a, **kw))
+    characters, beta = Group(fixture("deleted_b3")).depths(3, q)
+    assert len(walked) == 3280 == beta.total()
+    assert len(ranked) == sum(walked) == ranks
+    assert sum(characters.values()) == 3 ** 8 - 1
+
+
+@pytest.mark.parametrize("name, p, q", [("deleted_b3", 3, 7),
+                                        ("braid_arrangement", 5, 2)])
+def test_depths_at_two_jobs_match_one(monkeypatch, name, p, q):
+    # the workers each rank every second subgroup of the same walk, and
+    # their tallies merge to the serial ones, orbit check included
+    import hallinv.charvar as charvar
+    from hallinv.braids import fixture
+    launches = []
+    pool = charvar._parallel_depth_tally
+    monkeypatch.setattr(charvar, "_parallel_depth_tally",
+                        lambda *a: launches.append(a) or pool(*a))
+    P = fixture(name)
+    for check_orbits in (False, True):
+        serial = Group(P).depths(p, q, check_orbits=check_orbits)
+        assert not launches
+        assert Group(P, jobs=2).depths(p, q, check_orbits=check_orbits) \
+            == serial
+        assert len(launches) == 1
+        launches.clear()
+
+
+def test_no_distribution_error_at_two_jobs(monkeypatch):
+    # BS(1,2) with three free generators has 40 index-3 subgroups, 80
+    # Frobenius orbits at q = 7: enough for a pool, and some subgroup
+    # still has two depths
+    import hallinv.charvar as charvar
+    launches = []
+    pool = charvar._parallel_depth_tally
+    monkeypatch.setattr(charvar, "_parallel_depth_tally",
+                        lambda *a: launches.append(a) or pool(*a))
+    P = parse_presentation("gens: x, a, y, z, w; rels: x*a*x^-1*a^-2")
+    errors = []
+    for jobs in (1, 2):
+        with pytest.raises(ValueError) as caught:
+            Group(P, jobs=jobs).beta(3, 7)
+        errors.append(str(caught.value))
+    assert len(launches) == 1
+    assert errors[0] == errors[1] and "p = 3, q = 7" in errors[0]
