@@ -147,21 +147,16 @@ def _abelianized_determinant_unit(rank, images):
     return form.rank == rank and all(d == 1 for d in form.divisors)
 
 
-def _elementary_action(i, k):
-    """Artin action of the elementary braid generator on strands i, i+1."""
+def _elementary_images(i, k, forward):
+    """Generator images of the Artin action of sigma_i (forward) or its
+    inverse, on strands i, i+1 of k."""
     images = [Word.generator(j) for j in range(k)]
-    a, b = i - 1, i
-    images[a] = Word.generator(a) * Word.generator(b) * Word.generator(a) ** -1
-    images[b] = Word.generator(a)
-    return FreeAutomorphism(k, images)
-
-
-def _elementary_action_inverse(i, k):
-    images = [Word.generator(j) for j in range(k)]
-    a, b = i - 1, i
-    images[a] = Word.generator(b)
-    images[b] = Word.generator(b) ** -1 * Word.generator(a) * Word.generator(b)
-    return FreeAutomorphism(k, images)
+    a, b = Word.generator(i - 1), Word.generator(i)
+    if forward:
+        images[i - 1], images[i] = a * b * a.inverse(), a
+    else:
+        images[i - 1], images[i] = b, b.inverse() * a * b
+    return images
 
 
 def artin_action(b, *, reversed_convention=False):
@@ -172,19 +167,15 @@ def artin_action(b, *, reversed_convention=False):
     braid group, as in the classical Artin representation).  With
     reversed_convention the opposite elementary action is used (the
     documented alternate, kept so the tests can demonstrate that the
-    golden values select the convention).
+    golden values select the convention).  The letters' actions are
+    composed on the image words, and the result is checked once.
     """
     k = b.strands
-    out = FreeAutomorphism.identity(k)
+    images = [Word.generator(j) for j in range(k)]
     for i, s in b.letters:
-        if reversed_convention:
-            phi = _elementary_action_inverse(i, k) if s > 0 \
-                else _elementary_action(i, k)
-        else:
-            phi = _elementary_action(i, k) if s > 0 \
-                else _elementary_action_inverse(i, k)
-        out = phi.compose(out)
-    return out
+        phi = _elementary_images(i, k, (s > 0) != reversed_convention)
+        images = [w.substitute(phi) for w in images]
+    return FreeAutomorphism(k, images)
 
 
 # ---------------------------------------------------------------------------

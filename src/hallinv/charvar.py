@@ -42,11 +42,12 @@ evaluated, so a generic character is usually certified on l - 1 rows.
 A Group holds what several invariants of one presentation share: the
 abelianization, the Alexander matrix, its depth engines and the
 character depths already asked for.  Callers that combine invariants
-make one Group per request; its --jobs workers fork with the engine.
+make one Group per request; its --jobs children fork with the engine.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from functools import cached_property
 from itertools import accumulate, count, islice
@@ -626,34 +627,85 @@ def _depth_tally(engine, walk, check_orbits, start=0, step=1):
     return characters, counts
 
 
-_POOL_TASK = None  # (engine, walk, check_orbits, jobs) forked workers inherit
+# Walks of at most this many ranks stay in the caller: timed in-process
+# at --jobs 1 and 2 on every walk of the queries request set (2 CPUs),
+# --jobs 2 lost at every size up to 255 and won from 364 on.
+_FORK_CUTOVER = 255
 
 
-def _pool_depth_tally(start):
-    engine, walk, check_orbits, jobs = _POOL_TASK
-    return _depth_tally(engine, walk, check_orbits, start, jobs)
+def _cpu_count():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _tally_share(engine, walk, check_orbits, start, step):
+    """(True, _depth_tally of one share), or (False, the exception)."""
+    try:
+        return True, _depth_tally(engine, walk, check_orbits, start, step)
+    except Exception as e:
+        return False, e
 
 
 def _parallel_depth_tally(engine, walk, check_orbits, jobs):
-    """_depth_tally spread over jobs forked workers, which inherit the
-    engine instead of each building (or unpickling) their own; worker i
-    walks every subgroup, ranks every jobs-th from the i-th and sends
-    back only its tallies."""
-    global _POOL_TASK
-    import multiprocessing as mp
+    """_depth_tally spread over jobs shares: share i ranks every jobs-th
+    subgroup of the walk from the i-th.  The caller ranks share 0 while
+    jobs - 1 forked children, which inherit the engine instead of
+    building their own, each rank one other share and pipe back only its
+    pickled tallies (the library starts no threads, so a fork copies a
+    consistent state).  Every child is reaped before this returns or
+    raises; if shares fail, the lowest share's exception is raised."""
+    import pickle  # imported here to spare non-forking runs 0.3 MB
 
-    _POOL_TASK = engine, walk, check_orbits, jobs
+    pids, pipes = [], []
     try:
-        with mp.get_context("fork").Pool(jobs) as pool:
-            results = pool.map(_pool_depth_tally, range(jobs))
+        for i in range(1, jobs):
+            r, w = os.pipe()
+            pipes.append(os.fdopen(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child_share(w, engine, walk, check_orbits, i, jobs)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        shares = [_tally_share(engine, walk, check_orbits, 0, jobs)]
+        for pipe in pipes:
+            data = pipe.read()
+            shares.append(pickle.loads(data) if data else (False, RuntimeError(
+                "a --jobs child exited without sending its tallies")))
     finally:
-        _POOL_TASK = None
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
     characters, counts = Counter(), Counter()
-    for part, part_counts in results:
+    for ok, result in shares:
+        if not ok:
+            raise result
+        part, part_counts = result
         characters += part
         counts = None if None in (counts, part_counts) else \
             counts + part_counts
     return characters, counts
+
+
+def _child_share(fd, engine, walk, check_orbits, start, step):
+    """In a forked child: write one share's pickled _tally_share to fd,
+    then exit without returning to the caller's frames."""
+    import pickle
+
+    code = 1
+    try:
+        data = pickle.dumps(_tally_share(engine, walk, check_orbits,
+                                         start, step))
+        with os.fdopen(fd, "wb") as out:
+            out.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _order_p_depths(G, p, q, *, check_orbits=False):
@@ -672,12 +724,12 @@ def _order_p_depths(G, p, q, *, check_orbits=False):
     engine, abel = G.engine(p, q), G.abel
     moduli = _character_moduli(abel, p)
     walk = moduli, q, _coordinate_columns(engine, moduli)
-    ranks = prod(moduli) - 1
-    if not check_orbits:
-        ranks = ranks // (p - 1) * len(_unit_cosets(p, q))
-    if G.jobs > 1 and ranks > 64:
+    subgroups = (prod(moduli) - 1) // (p - 1)
+    ranks = subgroups * (p - 1 if check_orbits else len(_unit_cosets(p, q)))
+    jobs = min(G.jobs, _cpu_count(), subgroups)
+    if jobs > 1 and ranks > _FORK_CUTOVER:
         characters, counts = _parallel_depth_tally(engine, walk,
-                                                   check_orbits, G.jobs)
+                                                   check_orbits, jobs)
     else:
         characters, counts = _depth_tally(engine, walk, check_orbits)
     beta = None if counts is None else \
@@ -699,7 +751,7 @@ class Group:
     H_1 (one Smith normal form, shared with the Alexander matrix), the
     Alexander matrix, the augmentation Jacobian, the depth engines by
     (N, q), and the order-p character depths already asked for, keyed on
-    (p, q).  jobs only spreads the character enumeration over workers; A=
+    (p, q).  jobs only spreads the character walk over processes; A=
     fixes the chi basis, as for beta_distribution."""
 
     def __init__(self, P, *, A=None, jobs=1):

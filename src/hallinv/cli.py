@@ -291,7 +291,7 @@ def main(argv=None):
     common.add_argument("--json", action="store_true", default=False,
                         help="emit JSON instead of text")
     common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for character enumeration")
+                        help="processes for character enumeration, this one included")
     common.add_argument("--budget", type=int, default=10 ** 8,
                         help="partial-assignment budget for enumerations")
     parser = _Parser(

@@ -493,10 +493,10 @@ def test_engine_past_the_table_limit_matches_reference(monkeypatch):
     assert roots == [(K, 19)]
 
 
-def test_one_engine_per_group_and_field(monkeypatch):
+def test_one_engine_per_group_and_field(monkeypatch, fork_launches):
     # delta_mpqs and b1_cover_cyclic on one Group share its DepthEngine,
-    # and --jobs workers inherit it rather than build their own (a build
-    # in a worker raises, and the pool re-raises it here)
+    # and forked --jobs children inherit it rather than build their own
+    # (a build in a child raises, and the caller re-raises it here)
     import os
     import hallinv.charvar as charvar
     from hallinv.hall import delta_mpqs
@@ -510,16 +510,12 @@ def test_one_engine_per_group_and_field(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(charvar.DepthEngine, "__init__", counted_init)
-    launches = []
-    pool = charvar._parallel_depth_tally
-    monkeypatch.setattr(charvar, "_parallel_depth_tally",
-                        lambda *a: launches.append(a) or pool(*a))
     G = Group(orientable_surface_group(2))
     delta = delta_mpqs(G, 3, 7)
     b1 = b1_cover_cyclic(G, 3, [1, 0, 0, 0], 7)
-    assert builds == [(3, 7)] and not launches
+    assert builds == [(3, 7)] and not fork_launches
     parallel = Group(orientable_surface_group(2), jobs=2)
-    assert delta_mpqs(parallel, 3, 7) == delta and launches
+    assert delta_mpqs(parallel, 3, 7) == delta and fork_launches
     assert b1_cover_cyclic(parallel, 3, [1, 0, 0, 0], 7) == b1
     assert parallel.depths(3, 7) == G.depths(3, 7)
     assert builds == [(3, 7)] * 2
@@ -662,39 +658,105 @@ def test_depth_walk_counts(monkeypatch, q, ranks):
 
 @pytest.mark.parametrize("name, p, q", [("deleted_b3", 3, 7),
                                         ("braid_arrangement", 5, 2)])
-def test_depths_at_two_jobs_match_one(monkeypatch, name, p, q):
-    # the workers each rank every second subgroup of the same walk, and
-    # their tallies merge to the serial ones, orbit check included
-    import hallinv.charvar as charvar
+def test_depths_at_two_jobs_match_one(fork_launches, name, p, q):
+    # the caller and a forked child each rank every second subgroup of
+    # the same walk, and their tallies merge to the serial ones, orbit
+    # check included
     from hallinv.braids import fixture
-    launches = []
-    pool = charvar._parallel_depth_tally
-    monkeypatch.setattr(charvar, "_parallel_depth_tally",
-                        lambda *a: launches.append(a) or pool(*a))
     P = fixture(name)
     for check_orbits in (False, True):
         serial = Group(P).depths(p, q, check_orbits=check_orbits)
-        assert not launches
+        assert not fork_launches
         assert Group(P, jobs=2).depths(p, q, check_orbits=check_orbits) \
             == serial
-        assert len(launches) == 1
-        launches.clear()
+        assert len(fork_launches) == 1
+        fork_launches.clear()
 
 
-def test_no_distribution_error_at_two_jobs(monkeypatch):
-    # BS(1,2) with three free generators has 40 index-3 subgroups, 80
-    # Frobenius orbits at q = 7: enough for a pool, and some subgroup
-    # still has two depths
+def test_fork_cutover_and_worker_count(monkeypatch):
+    # a walk of at most _FORK_CUTOVER ranks stays in the caller; a larger
+    # one forks min(jobs, CPUs, subgroups) - 1 children, so --jobs 100000
+    # on three CPUs forks two (os.fork is counted, and only real
+    # children are started)
+    import os
     import hallinv.charvar as charvar
-    launches = []
-    pool = charvar._parallel_depth_tally
-    monkeypatch.setattr(charvar, "_parallel_depth_tally",
-                        lambda *a: launches.append(a) or pool(*a))
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.setattr(charvar, "_FORK_CUTOVER", 2 ** 6 - 1)
+
+    def forked(P, p, q, jobs):
+        forks.clear()
+        depths = Group(P, jobs=jobs).depths(p, q)
+        assert depths == Group(P).depths(p, q)
+        return len(forks)
+
+    assert forked(free_group(6), 2, 3, 100000) == 0  # 63 ranks
+    assert forked(free_group(7), 2, 3, 100000) == 2  # 127 ranks
+    assert forked(free_group(7), 2, 3, 2) == 1
+    monkeypatch.setattr(charvar, "_FORK_CUTOVER", 0)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(1000)), raising=False)
+    assert forked(free_group(2), 2, 3, 100000) == 2  # 3 subgroups
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert forked(free_group(7), 2, 3, 100000) == 1
+
+
+def test_worker_errors_reach_the_caller(monkeypatch, fork_launches):
+    # a failure in a forked child reaches the caller as the same failure
+    # at --jobs 1 would; when the caller's own share fails too, the
+    # caller's exception wins; a child that dies without its tallies is
+    # an error; and no child outlives the call
+    import os
+    import hallinv.charvar as charvar
+    parent, depth = os.getpid(), charvar.DepthEngine.depth_of_exponents
+
+    def fail(where, failure):
+        def patched(self, **kw):
+            here = "caller" if os.getpid() == parent else "child"
+            if here in where:
+                failure(here)
+            return depth(self, **kw)
+        monkeypatch.setattr(charvar.DepthEngine, "depth_of_exponents",
+                            patched)
+
+    def raised(jobs):
+        with pytest.raises(Exception) as caught:
+            Group(orientable_surface_group(2), jobs=jobs).depths(3, 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return type(caught.value), str(caught.value)
+
+    def violation(here):
+        raise InvariantViolation("rank failed")
+
+    fail({"child"}, violation)
+    at_two = raised(2)
+    fail({"caller"}, violation)
+    assert at_two == raised(1) == (InvariantViolation, "rank failed")
+
+    def named(here):
+        raise ValueError(f"rank failed in the {here}")
+
+    fail({"caller", "child"}, named)
+    assert raised(2) == (ValueError, "rank failed in the caller")
+    fail({"child"}, lambda here: os._exit(3))
+    assert raised(2) == (RuntimeError, "a --jobs child exited without "
+                         "sending its tallies")
+    assert len(fork_launches) == 3
+
+
+def test_no_distribution_error_at_two_jobs(fork_launches):
+    # BS(1,2) with three free generators has 40 index-3 subgroups, 80
+    # Frobenius orbits at q = 7, and some subgroup still has two depths
+    # when the walk forks
     P = parse_presentation("gens: x, a, y, z, w; rels: x*a*x^-1*a^-2")
     errors = []
     for jobs in (1, 2):
         with pytest.raises(ValueError) as caught:
             Group(P, jobs=jobs).beta(3, 7)
         errors.append(str(caught.value))
-    assert len(launches) == 1
+    assert len(fork_launches) == 1
     assert errors[0] == errors[1] and "p = 3, q = 7" in errors[0]

@@ -123,18 +123,14 @@ def test_budget_exit_code(capsys):
     assert code == 0 or code == 2
 
 
-def test_tables_deterministic(capsys, monkeypatch):
-    # F3xF2 has 121 order-3 character orbits, enough for --jobs 2 to
-    # spread them over a worker pool
-    launches = []
-    parallel = charvar._parallel_depth_tally
-    monkeypatch.setattr(charvar, "_parallel_depth_tally",
-                        lambda *a: launches.append(a) or parallel(*a))
+def test_tables_deterministic(capsys, fork_launches):
+    # F3xF2's 121 order-3 character orbits are spread over a forked
+    # child at --jobs 2
     code, out1, _ = run(capsys, "table1", "--rows", "F2,F3xF2", "--json")
-    assert code == 0 and not launches
+    assert code == 0 and not fork_launches
     code, out2, _ = run(capsys, "table1", "--rows", "F2,F3xF2", "--json",
                         "--jobs", "2")
-    assert code == 0 and launches
+    assert code == 0 and fork_launches
     assert out1 == out2
     payload = json.loads(out1)
     first = payload["table"][0]
