@@ -42,7 +42,9 @@ evaluated, so a generic character is usually certified on l - 1 rows.
 A Group holds what several invariants of one presentation share: the
 abelianization, the Alexander matrix, its depth engines and the
 character depths already asked for.  Callers that combine invariants
-make one Group per request; its --jobs children fork with the engine.
+make one Group per request.  With --jobs, a walk is cut into contiguous
+blocks of subgroups, one per process: the caller ranks the first, and
+forked children, which inherit the engine, rank the others.
 """
 
 from __future__ import annotations
@@ -598,17 +600,20 @@ class BettiDistribution:
         return f"beta_{self.p}^({self.q}) = {self.positive_part()}"
 
 
-def _depth_tally(engine, walk, check_orbits, start=0, step=1):
-    """(characters, counts) over the subgroups start, start + step, ...
-    of _galois_orbits(*walk, engine.N): characters counts the characters
-    of each depth, and counts the subgroups all of whose characters have
-    one depth, or is None once a subgroup has two.  Each orbit's
-    representative is ranked, or with check_orbits each member, verifying
-    that depth is constant on it."""
+def _depth_tally(engine, walk, check_orbits, start=0, stop=None):
+    """(characters, counts) over the subgroups start, ..., stop - 1 of
+    _galois_orbits(*walk, engine.N), or from start to the walk's end when
+    stop is None: characters counts the characters of each depth, and
+    counts the subgroups all of whose characters have one depth, or is
+    None once a subgroup has two.  Each orbit's representative is ranked,
+    or with check_orbits each member, verifying that depth is constant on
+    it.  The subgroups before start are walked unranked; only a tally run
+    to the walk's end (stop None) meets the walk's closing check that the
+    subgroups cover every nonzero vector."""
     N = engine.N
     depth = engine.depth_of_exponents
     characters, counts = Counter(), Counter()
-    for orbits in islice(_galois_orbits(*walk, N), start, None, step):
+    for orbits in islice(_galois_orbits(*walk, N), start, stop):
         subgroup_depths = set()
         _, v_exps, _ = orbits[0]
         for rep, exps, coset in orbits:
@@ -628,9 +633,10 @@ def _depth_tally(engine, walk, check_orbits, start=0, step=1):
 
 
 # Walks of at most this many ranks stay in the caller: timed in-process
-# at --jobs 1 and 2 on every walk of the queries request set (2 CPUs),
-# --jobs 2 lost at every size up to 255 and won from 364 on.
-_FORK_CUTOVER = 255
+# at --jobs 1 and 2 on every walk of the queries request set (2 CPUs,
+# contiguous shares), --jobs 2 lost at every size up to 121 and won from
+# 127 on.
+_FORK_CUTOVER = 121
 
 
 def _cpu_count():
@@ -641,17 +647,20 @@ def _cpu_count():
         return os.cpu_count() or 1
 
 
-def _tally_share(engine, walk, check_orbits, start, step):
+def _tally_share(engine, walk, check_orbits, start, stop):
     """(True, _depth_tally of one share), or (False, the exception)."""
     try:
-        return True, _depth_tally(engine, walk, check_orbits, start, step)
+        return True, _depth_tally(engine, walk, check_orbits, start, stop)
     except Exception as e:
         return False, e
 
 
-def _parallel_depth_tally(engine, walk, check_orbits, jobs):
-    """_depth_tally spread over jobs shares: share i ranks every jobs-th
-    subgroup of the walk from the i-th.  The caller ranks share 0 while
+def _parallel_depth_tally(engine, walk, check_orbits, jobs, subgroups):
+    """_depth_tally spread over jobs shares of the walk's subgroups: share
+    i ranks the contiguous block [n i / jobs, n (i + 1) / jobs) of the
+    n = subgroups, so that consecutive ranks stay neighbours and keep the
+    engine's remembered pivot rows, and the last share runs the walk to
+    its end and its closing check.  The caller ranks share 0 while
     jobs - 1 forked children, which inherit the engine instead of
     building their own, each rank one other share and pipe back only its
     pickled tallies (the library starts no threads, so a fork copies a
@@ -659,6 +668,7 @@ def _parallel_depth_tally(engine, walk, check_orbits, jobs):
     raises; if shares fail, the lowest share's exception is raised."""
     import pickle  # imported here to spare non-forking runs 0.3 MB
 
+    bounds = [subgroups * i // jobs for i in range(jobs)] + [None]
     pids, pipes = [], []
     try:
         for i in range(1, jobs):
@@ -667,11 +677,12 @@ def _parallel_depth_tally(engine, walk, check_orbits, jobs):
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child_share(w, engine, walk, check_orbits, i, jobs)
+                    _child_share(w, engine, walk, check_orbits,
+                                 bounds[i], bounds[i + 1])
             finally:
                 os.close(w)
             pids.append(pid)
-        shares = [_tally_share(engine, walk, check_orbits, 0, jobs)]
+        shares = [_tally_share(engine, walk, check_orbits, 0, bounds[1])]
         for pipe in pipes:
             data = pipe.read()
             shares.append(pickle.loads(data) if data else (False, RuntimeError(
@@ -692,7 +703,7 @@ def _parallel_depth_tally(engine, walk, check_orbits, jobs):
     return characters, counts
 
 
-def _child_share(fd, engine, walk, check_orbits, start, step):
+def _child_share(fd, engine, walk, check_orbits, start, stop):
     """In a forked child: write one share's pickled _tally_share to fd,
     then exit without returning to the caller's frames."""
     import pickle
@@ -700,7 +711,7 @@ def _child_share(fd, engine, walk, check_orbits, start, step):
     code = 1
     try:
         data = pickle.dumps(_tally_share(engine, walk, check_orbits,
-                                         start, step))
+                                         start, stop))
         with os.fdopen(fd, "wb") as out:
             out.write(data)
         code = 0
@@ -729,7 +740,8 @@ def _order_p_depths(G, p, q, *, check_orbits=False):
     jobs = min(G.jobs, _cpu_count(), subgroups)
     if jobs > 1 and ranks > _FORK_CUTOVER:
         characters, counts = _parallel_depth_tally(engine, walk,
-                                                   check_orbits, jobs)
+                                                   check_orbits, jobs,
+                                                   subgroups)
     else:
         characters, counts = _depth_tally(engine, walk, check_orbits)
     beta = None if counts is None else \

@@ -12,6 +12,7 @@
     hallinv table1 [--rows F2,F3]
     hallinv table2
 
+--json, --jobs and --budget may come before the subcommand or after it.
 Exit codes: 0 success, 1 bad input (a malformed command line included),
 2 enumeration budget exceeded.
 """
@@ -19,6 +20,7 @@ Exit codes: 0 success, 1 bad input (a malformed command line included),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from math import factorial, prod
@@ -286,20 +288,35 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def main(argv=None):
+def _common_options(subcommand):
+    """--json, --jobs and --budget, which the top-level parser and every
+    subcommand take.  A subcommand's copies default to SUPPRESS, so that
+    a value given before the subcommand is not overwritten by a default."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", default=False,
+
+    def default(value):
+        return argparse.SUPPRESS if subcommand else value
+
+    common.add_argument("--json", action="store_true", default=default(False),
                         help="emit JSON instead of text")
-    common.add_argument("--jobs", type=int, default=1,
+    common.add_argument("--jobs", type=int, default=default(1),
                         help="processes for character enumeration, this one included")
-    common.add_argument("--budget", type=int, default=10 ** 8,
+    common.add_argument("--budget", type=int, default=default(10 ** 8),
                         help="partial-assignment budget for enumerations")
+    return common
+
+
+@functools.cache
+def _parser():
+    """The command-line parser, built once per process: parse_args keeps
+    its state in the Namespace it returns."""
     parser = _Parser(
         prog="hallinv",
-        parents=[common],
+        parents=[_common_options(subcommand=False)],
         description="Hall invariants and homology of finite-index subgroups"
                     " of finitely presented groups")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _common_options(subcommand=True)
 
     def add_parser(name, **kw):
         return sub.add_parser(name, parents=[common], **kw)
@@ -375,8 +392,12 @@ def main(argv=None):
     s.add_argument("--rows", help="comma-separated row labels")
     s.set_defaults(func=lambda a: _cmd_table(a, table2))
 
+    return parser
+
+
+def main(argv=None):
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         _check_options(args)
         args.func(args)
     except BudgetExceeded as e:

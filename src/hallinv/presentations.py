@@ -104,7 +104,9 @@ def commutator(u, v):
 
 
 class Presentation:
-    """Generator names plus freely reduced relator words."""
+    """Generator names plus freely reduced relator words, fixed once
+    built: a presentation may be shared between callers (see
+    braids.fixture), so its attributes refuse assignment."""
 
     __slots__ = ("generators", "relators")
 
@@ -116,8 +118,19 @@ class Presentation:
         for r in relators:
             if r.max_generator() >= len(generators):
                 raise ValueError("relator uses an undeclared generator")
-        self.generators = generators
-        self.relators = relators
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Presentation is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Presentation is immutable: cannot delete "
+                             f"{name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by assignment
+        return Presentation, (self.generators, self.relators)
 
     @property
     def num_generators(self):

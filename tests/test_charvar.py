@@ -1,3 +1,6 @@
+from collections import Counter
+from math import prod
+
 import pytest
 
 from hallinv.charvar import (
@@ -659,9 +662,8 @@ def test_depth_walk_counts(monkeypatch, q, ranks):
 @pytest.mark.parametrize("name, p, q", [("deleted_b3", 3, 7),
                                         ("braid_arrangement", 5, 2)])
 def test_depths_at_two_jobs_match_one(fork_launches, name, p, q):
-    # the caller and a forked child each rank every second subgroup of
-    # the same walk, and their tallies merge to the serial ones, orbit
-    # check included
+    # the caller and a forked child each rank one half of the same walk,
+    # and their tallies merge to the serial ones, orbit check included
     from hallinv.braids import fixture
     P = fixture(name)
     for check_orbits in (False, True):
@@ -671,6 +673,61 @@ def test_depths_at_two_jobs_match_one(fork_launches, name, p, q):
             == serial
         assert len(fork_launches) == 1
         fork_launches.clear()
+
+
+def order_p_walk(P, p, q):
+    """(engine, walk, subgroups): the tally arguments of the order-p walk
+    of P over a field of characteristic q, and its number of subgroups."""
+    import hallinv.charvar as charvar
+    G = Group(P)
+    engine = G.engine(p, q)
+    moduli = charvar._character_moduli(G.abel, p)
+    walk = moduli, q, charvar._coordinate_columns(engine, moduli)
+    return engine, walk, (prod(moduli) - 1) // (p - 1)
+
+
+@pytest.mark.parametrize("name, p, q", [("deleted_b3", 3, 7),
+                                        ("non_fano", 3, 2),
+                                        ("free:7", 2, 3)])
+def test_contiguous_shares_partition_the_walk(monkeypatch, name, p, q):
+    # at jobs 2..4, share i ranks the block [n i / jobs, n (i + 1) / jobs)
+    # of the walk's n subgroups, the last share up to the walk's end, and
+    # the shares' tallies merge to the serial one, orbit check included
+    import hallinv.charvar as charvar
+    from hallinv.braids import fixture
+    engine, walk, n = order_p_walk(fixture(name), p, q)
+    for check_orbits in (False, True):
+        serial = charvar._depth_tally(engine, walk, check_orbits)
+        for jobs in (2, 3, 4):
+            assert charvar._parallel_depth_tally(
+                engine, walk, check_orbits, jobs, n) == serial
+    # each share sends back its bounds as its tally
+    monkeypatch.setattr(charvar, "_depth_tally",
+                        lambda engine, walk, check_orbits, start, stop:
+                        (Counter({(start, stop): 1}), Counter()))
+    for jobs in (2, 3, 4):
+        starts = [n * i // jobs for i in range(jobs)]
+        blocks, _ = charvar._parallel_depth_tally(engine, walk, False,
+                                                  jobs, n)
+        assert blocks == Counter(zip(starts, starts[1:] + [None]))
+
+
+def test_walk_missing_a_generator_fails_at_any_jobs(monkeypatch,
+                                                    fork_launches):
+    # a walk that meets one generator too few per subgroup fails its
+    # closing check at --jobs 1, and at --jobs 2, where a forked child
+    # ranks the block that ends the walk
+    import hallinv.charvar as charvar
+    cosets = charvar._unit_cosets
+    monkeypatch.setattr(charvar, "_unit_cosets",
+                        lambda k, q: [c[:-1] or c for c in cosets(k, q)])
+    messages = []
+    for jobs in (1, 2):
+        with pytest.raises(InvariantViolation) as caught:
+            Group(orientable_surface_group(2), jobs=jobs).depths(3, 0)
+        messages.append(str(caught.value))
+    assert len(fork_launches) == 1
+    assert messages[0] == messages[1] and "met 40 generators" in messages[0]
 
 
 def test_fork_cutover_and_worker_count(monkeypatch):

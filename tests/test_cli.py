@@ -6,7 +6,7 @@ import random
 import pytest
 
 import hallinv
-from hallinv import charvar, foxcalc
+from hallinv import charvar, cli, foxcalc
 from hallinv.cli import main
 from hallinv.oracle import FiniteGroupTable
 from hallinv.tables import TABLE1_ROWS, TABLE2_ROWS
@@ -542,10 +542,8 @@ def fuzz_argv(rng, files):
     return argv + ["--budget", "10000"]
 
 
-def test_argv_fuzz(capsys, tmp_path):
-    # seeded argv lists over every subcommand and option: each ends in
-    # exit 0, in exit 1 with an error: line, or in exit 2 with an
-    # infeasible: line, never in an exception
+def fuzz_argvs(tmp_path):
+    """The fuzzer's 200 seeded command lines, their files in tmp_path."""
     (tmp_path / "good.txt").write_text("gens: x, y\nrels: [x,y]\n")
     (tmp_path / "bad.txt").write_text("gens: x\nrels: y\n")
     files = {"good": str(tmp_path / "good.txt"),
@@ -554,9 +552,15 @@ def test_argv_fuzz(capsys, tmp_path):
              "table:missing": f"table:{tmp_path / 'missing.json'}",
              "file": str(tmp_path / "out.txt"), "dir": str(tmp_path)}
     rng = random.Random(2000)
+    return [fuzz_argv(rng, files) for _ in range(200)]
+
+
+def test_argv_fuzz(capsys, tmp_path):
+    # seeded argv lists over every subcommand and option: each ends in
+    # exit 0, in exit 1 with an error: line, or in exit 2 with an
+    # infeasible: line, never in an exception
     codes = []
-    for _ in range(200):
-        argv = fuzz_argv(rng, files)
+    for argv in fuzz_argvs(tmp_path):
         try:
             code = main(argv)
         except Exception as e:
@@ -573,3 +577,37 @@ def test_argv_fuzz(capsys, tmp_path):
         codes.append(code)
     # the draw reaches every outcome
     assert set(codes) == {0, 1, 2}
+
+
+def test_cached_parser_keeps_no_state(capsys, tmp_path):
+    # the parser built once per process answers every fuzzed command line
+    # as a parser built afresh for it does, and a usage error or a leading
+    # option leaves nothing behind for the next call
+    argvs = fuzz_argvs(tmp_path)
+    cached = [run(capsys, *argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    for argv, one, other in zip(argvs, cached, fresh):
+        assert one == other, argv
+    valid = run(capsys, "abelianize", "--fixture", "free:2")
+    assert valid[0] == 0
+    assert run(capsys, "beta", "--p")[0] == 1
+    assert run(capsys, "--json", "abelianize", "--fixture", "free:2")[1] \
+        != valid[1]
+    assert run(capsys, "abelianize", "--fixture", "free:2") == valid
+
+
+@pytest.mark.parametrize("leading, rest, code", [
+    (["--budget", "5"], ["oracle", "--target", "s3", "--fixture", "free:2"],
+     2),
+    (["--json"], ["abelianize", "--fixture", "free:2"], 0),
+    (["--jobs", "0"], ["abelianize", "--fixture", "free:2"], 1),
+])
+def test_common_options_before_the_subcommand(capsys, leading, rest, code):
+    # --json, --jobs and --budget act the same before the subcommand as
+    # after it
+    before = run(capsys, *leading, *rest)
+    assert before == run(capsys, *rest, *leading)
+    assert before[0] == code

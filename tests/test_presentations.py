@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -85,6 +87,19 @@ def test_round_trip():
                 rels.append(w)
         P = Presentation([f"g{i}" for i in range(n)], rels)
         assert parse_presentation(render_presentation(P)) == P
+
+
+def test_presentation_refuses_assignment():
+    P = free_group(2)
+    for name, value in (("relators", ()), ("generators", ("x",)),
+                        ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(P, name, value)
+    with pytest.raises(AttributeError):
+        del P.relators
+    assert P == free_group(2) and P.relators == ()
+    S = orientable_surface_group(2)
+    assert copy.copy(S) == S == pickle.loads(pickle.dumps(S))
 
 
 def test_standard_families():
