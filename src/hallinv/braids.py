@@ -16,8 +16,6 @@ the now-adjacent block, and slides back.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .linalg import IntMatrix, smith_normal_form
 from .presentations import Presentation, Word, direct_product_with_Z
 
@@ -412,22 +410,12 @@ _FIXTURE_SHAPES = {
 }
 
 
-# named presentations kept per process by fixture; a request builds its
-# own Group, matrices and depths from the shared, immutable presentation
-_FIXTURE_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_FIXTURE_CACHE_SIZE)
 def fixture(name):
     """A named presentation: the frozen arrangement fixtures (regenerated
     from braid data only by the regression tests, so golden values do not
     ride on the braid code), a horizontal:<perm> built on the fly, or a
     standard family like free:3, product:2,2, surface:2, rp:4.  A family
-    parameter that does not parse is a ValueError naming the shape.
-
-    Each name is parsed or built once per process, and every caller gets
-    the same Presentation, which refuses attribute assignment; a name that
-    raises is tried afresh on each call."""
+    parameter that does not parse is a ValueError naming the shape."""
     from .presentations import (free_group, nonorientable_surface_group,
                                 orientable_surface_group, parse_presentation,
                                 product_of_free_groups)

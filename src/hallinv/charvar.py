@@ -634,9 +634,10 @@ def _depth_tally(engine, walk, check_orbits, start=0, stop=None):
 
 # Walks of at most this many ranks stay in the caller: timed in-process
 # at --jobs 1 and 2 on every walk of the queries request set (2 CPUs,
-# contiguous shares), --jobs 2 lost at every size up to 121 and won from
-# 127 on.
-_FORK_CUTOVER = 121
+# contiguous shares), --jobs 2 lost at every size up to 121, was mixed
+# from 127 to 364 and won from 728 on; whole requests forking from 127
+# on and from 364 on could not be told apart.
+_FORK_CUTOVER = 255
 
 
 def _cpu_count():

@@ -288,35 +288,29 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _common_options(subcommand):
-    """--json, --jobs and --budget, which the top-level parser and every
-    subcommand take.  A subcommand's copies default to SUPPRESS, so that
-    a value given before the subcommand is not overwritten by a default."""
-    common = argparse.ArgumentParser(add_help=False)
-
-    def default(value):
-        return argparse.SUPPRESS if subcommand else value
-
-    common.add_argument("--json", action="store_true", default=default(False),
-                        help="emit JSON instead of text")
-    common.add_argument("--jobs", type=int, default=default(1),
-                        help="processes for character enumeration, this one included")
-    common.add_argument("--budget", type=int, default=default(10 ** 8),
-                        help="partial-assignment budget for enumerations")
-    return common
-
-
 @functools.cache
 def _parser():
-    """The command-line parser, built once per process: parse_args keeps
+    """The command-line parser, built once per process so that repeated
+    main calls in one process (tests, scripts) do not rebuild it; a
+    one-shot `hallinv` run builds it once either way.  parse_args keeps
     its state in the Namespace it returns."""
+    # --json, --jobs and --budget may come before the subcommand or after
+    # it: both parsers take them, with no default that could overwrite a
+    # value given to the other; main supplies the defaults
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument("--json", action="store_true",
+                        help="emit JSON instead of text")
+    common.add_argument("--jobs", type=int,
+                        help="processes for character enumeration, this one included")
+    common.add_argument("--budget", type=int,
+                        help="partial-assignment budget for enumerations")
     parser = _Parser(
         prog="hallinv",
-        parents=[_common_options(subcommand=False)],
+        parents=[common],
         description="Hall invariants and homology of finite-index subgroups"
                     " of finitely presented groups")
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _common_options(subcommand=True)
 
     def add_parser(name, **kw):
         return sub.add_parser(name, parents=[common], **kw)
@@ -397,7 +391,8 @@ def _parser():
 
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(argv, argparse.Namespace(
+            json=False, jobs=1, budget=10 ** 8))
         _check_options(args)
         args.func(args)
     except BudgetExceeded as e:

@@ -42,6 +42,22 @@ class Word:
         self.syllables = tuple(reduced)
 
     @classmethod
+    def _reduced(cls, syllables):
+        """The Word of syllables taken from Words, which are already
+        checked, so only their free reduction is left to do."""
+        reduced = []
+        for s in syllables:
+            if reduced and reduced[-1][0] == s[0]:
+                e = reduced.pop()[1] + s[1]
+                if e:
+                    reduced.append((s[0], e))
+            else:
+                reduced.append(s)
+        w = cls.__new__(cls)
+        w.syllables = tuple(reduced)
+        return w
+
+    @classmethod
     def generator(cls, g, e=1):
         return cls(((g, e),))
 
@@ -50,16 +66,16 @@ class Word:
         return cls()
 
     def __mul__(self, other):
-        return Word(self.syllables + other.syllables)
+        return Word._reduced(self.syllables + other.syllables)
 
     def inverse(self):
-        return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
+        return Word._reduced(tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __pow__(self, n):
         if n == 0:
             return Word()
         base = self if n > 0 else self.inverse()
-        return Word(base.syllables * abs(n))
+        return Word._reduced(base.syllables * abs(n))
 
     def is_identity(self):
         return not self.syllables
@@ -86,8 +102,13 @@ class Word:
 
     def substitute(self, images):
         """Apply the endomorphism sending generator g to images[g]."""
-        return Word(chain.from_iterable((images[g] ** e).syllables
-                                        for g, e in self.syllables))
+        out = []
+        for g, e in self.syllables:
+            image = images[g].syllables
+            if e < 0:
+                image = tuple((h, -f) for h, f in reversed(image))
+            out.extend(image * abs(e))
+        return Word._reduced(out)
 
     def __eq__(self, other):
         return isinstance(other, Word) and other.syllables == self.syllables
@@ -104,9 +125,7 @@ def commutator(u, v):
 
 
 class Presentation:
-    """Generator names plus freely reduced relator words, fixed once
-    built: a presentation may be shared between callers (see
-    braids.fixture), so its attributes refuse assignment."""
+    """Generator names plus freely reduced relator words."""
 
     __slots__ = ("generators", "relators")
 
@@ -118,19 +137,8 @@ class Presentation:
         for r in relators:
             if r.max_generator() >= len(generators):
                 raise ValueError("relator uses an undeclared generator")
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relators", relators)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Presentation is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Presentation is immutable: cannot delete "
-                             f"{name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, not by assignment
-        return Presentation, (self.generators, self.relators)
+        self.generators = generators
+        self.relators = relators
 
     @property
     def num_generators(self):
@@ -221,10 +229,7 @@ def _parse_word(tokens, gen_index):
     while tokens.peek() == "*":
         tokens.next()
         factors.append(_parse_factor(tokens, gen_index))
-    out = Word()
-    for f in factors:
-        out = out * f
-    return out
+    return Word._reduced(chain.from_iterable(f.syllables for f in factors))
 
 
 def _parse_factor(tokens, gen_index):

@@ -7,8 +7,7 @@ from hallinv.braids import (
     xi_from_permutation, FROZEN_FIXTURES,
 )
 from hallinv.foxcalc import abelianization
-from hallinv.presentations import (Word, free_group, parse_presentation,
-                                   render_presentation)
+from hallinv.presentations import Word, free_group, render_presentation
 
 
 def braid(k, *letters):
@@ -152,31 +151,6 @@ def test_fixture_families():
     assert fixture("rp:3").num_generators == 3
     with pytest.raises(ValueError):
         fixture("nonsense")
-
-
-def test_fixture_parsed_once_per_name():
-    # every caller shares one immutable presentation per name, equal to a
-    # fresh parse of its frozen file; a bad name raises the same error on
-    # every call and takes no place in the cache
-    from hallinv.braids import _frozen_path
-    for name in FROZEN_FIXTURES:
-        P = fixture(name)
-        assert fixture(name) is P
-        assert P == parse_presentation(_frozen_path(name).read_text())
-        with pytest.raises(AttributeError):
-            P.relators = ()
-        with pytest.raises(AttributeError):
-            del P.generators
-    assert fixture("free:3") is fixture("free:3")
-    cached = fixture.cache_info().currsize
-    for bad in ("nonsense", "free:x", "horizontal:11"):
-        messages = set()
-        for _ in range(2):
-            with pytest.raises(ValueError) as caught:
-                fixture(bad)
-            messages.add(str(caught.value))
-        assert len(messages) == 1, bad
-    assert fixture.cache_info().currsize == cached
 
 
 def test_reversed_convention_differs():
