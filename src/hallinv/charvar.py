@@ -35,9 +35,13 @@ is exact once it meets the ceiling Fox's fundamental identity puts on a
 nontrivial character, or once the product of the primes tried outgrows a
 Hadamard bound on the norm of every minor of size r + 1 (see DepthEngine
 for the argument); a generic character needs one prime.  No arithmetic
-in Q or Q(zeta_N) is ever done.  The rows that were pivots when a
-character last reached the ceiling are ranked first, and only they are
-evaluated, so a generic character is usually certified on l - 1 rows.
+in Q or Q(zeta_N) is ever done.  Both eliminations stream the rows: a
+row is evaluated only when the elimination reaches it, reduced against
+the echelon basis of the rows kept so far, and the elimination stops at
+the ceiling.  The rows that were pivots when a character last reached
+the ceiling come first, so a generic character is usually certified on
+the l - 1 rows it builds, and one that misses on them goes on from the
+basis it has.
 
 A Group holds what several invariants of one presentation share: the
 abelianization, the Alexander matrix, its depth engines and the
@@ -76,26 +80,32 @@ class DepthEngine:
     form . e are taken once per character and serve every field it is
     ranked over: from one column of form weights per coordinate
     (_exponents), or carried along a character walk, which passes them as
-    depth_of_exponents(forms=...).  Every elimination stops once its rank
-    reaches the ceiling below.
+    depth_of_exponents(forms=...).
 
-    For q > 0 the one field is K = F_{q^s}, and its rank is the answer:
-    at most 2^16 elements (_LOG_TABLE_LIMIT) by Zech-logarithm elimination
-    (_rank_codes, mode "zech"), a larger K by rank_over_field on the
-    entries as field elements, summed from K's table of zeta's N powers
-    (mode "element").
+    Over Zech fields and mod a prime an entry is a plain integer: each
+    coefficient c has a table t, filled as exponents x are met, with t[x]
+    the integer code of c * zeta^x, and an entry sums t[x] over its terms
+    (_reduction).  The rank kernels (_rank_codes, _rank_mod) build a row
+    only when the elimination reaches it, reduce it against an echelon
+    basis, and stop once the rank reaches the ceiling below.
+
+    For q > 0 the one field is K = F_{q^s}, and its rank is the answer: at
+    most 2^16 elements (_LOG_TABLE_LIMIT) by elimination on Zech logs, an
+    entry summed as packed base-q digits and turned into its log by
+    _Reducer (_rank_codes, mode "zech"), a larger K by rank_over_field on
+    the entries as field elements, summed from K's table of zeta's N
+    powers (mode "element").
 
     For q = 0 (mode "modular") the fields are the primes ell = 1 (mod N),
     those below 2^30 counted down from 2^30, then, if a character needs
     more, those above it counted up (_split_prime), with zeta_N sent to a
     primitive N-th root of unity mod ell; each is ranked by integer
-    elimination mod ell (_rank_mod), below 2^30 every residue one CPython
-    digit.  N must be below 2^29: past it at most one number = 1 (mod N)
-    lies below 2^30.  A prime is found when a character first needs it,
-    and kept for the process; its powers of zeta are taken when first met
-    (_Powers).  Each row keeps its own terms (coefficient mod ell, form),
-    so ranking some rows evaluates only theirs.  This is a ring map
-    Z[zeta_N] -> F_ell, so no rank mod ell exceeds the rank over
+    elimination mod ell (_rank_mod), which takes an entry mod ell only
+    when it reads it.  N must be below 2^29: past it at most one number
+    = 1 (mod N) lies below 2^30.  A prime is found when a character first
+    needs it, and kept for the process; its tables take each power of
+    zeta by pow when first met, since N can reach 2^29.  This is a ring
+    map Z[zeta_N] -> F_ell, so no rank mod ell exceeds the rank over
     Q(zeta_N), and the largest rank r seen is a lower bound.  It is the
     rank once either
 
@@ -111,13 +121,12 @@ class DepthEngine:
       of norm ell; P then divides the norm N(D), while
       |N(D)| <= B2^(phi(N)/2) < P, so D = 0.
 
-    Pivot rows: the rows that were pivots the last time a character's rank
-    reached the ceiling are kept.  When they are fewer than all the rows,
-    the next character is first ranked, over the first field only, on just
-    those rows; a submatrix's rank is a lower bound, so if it reaches the
-    ceiling that is the rank, and otherwise the full matrix is ranked as
-    above.  Nearly every character is generic (rank l - 1), and its test
-    then builds and eliminates l - 1 rows instead of m.
+    Row order: the kernels take the rows in one order, the pivot rows of
+    the last rank that reached the ceiling first, rebuilt only when those
+    pivots change; any order gives the same rank.  Nearly every character
+    is generic (rank l - 1), and its rank then builds and eliminates the
+    l - 1 pivot rows instead of m; one on which they fall short goes on to
+    the next rows with the basis it has.
     """
 
     def __init__(self, A, N, q):
@@ -148,6 +157,7 @@ class DepthEngine:
             self.roots = {}  # k -> isqrt(B2^phi(N)) for the minors of size k
         self.reductions = []
         self.pivots = None  # rows that last reached the ceiling
+        self.order = list(range(len(self.rows)))  # pivots first
 
     def depth_of_exponents(self, coord_exps=None, *, forms=None):
         """Depth of the character with coordinate exponent vector e, or of
@@ -160,28 +170,34 @@ class DepthEngine:
             coord_exps, ceiling, forms) - 1
 
     def _certified_rank(self, e, ceiling, exps=None):
-        """Rank at e (or at the form exponents exps): first on the pivot
-        rows over the first field, then the largest rank over the fields
-        in order, until one reaches the ceiling the true rank cannot pass
-        or (q = 0) the norm bound certifies the largest rank seen."""
+        """Rank at e (or at the form exponents exps): the largest rank over
+        the fields in order, each taken on the rows in the engine's order,
+        until one reaches the ceiling the true rank cannot pass or (q = 0)
+        the norm bound certifies the largest rank seen.  A rank that
+        reaches the ceiling puts the rows that raised it first in the
+        order."""
         if exps is None:
             exps = self._exponents(e)
-        pivots = self.pivots
-        if pivots is not None and ceiling <= len(pivots) < len(self.rows):
-            rank, _ = self._rank(exps, 0, ceiling, pivots)
-            if rank >= ceiling:
-                return rank
         rank, tried = 0, 1
         for i in count():
-            r, pivots = self._rank(exps, i, ceiling)
+            head, rows = self._reduction(i)
+            if self.mode == "element":
+                F = self.field
+                return rank_over_field(
+                    [[sum((c * head[exps[f]] for c, f in terms), F.zero())
+                      for terms in row] for row in rows], F)
+            r, pivots = (_rank_codes if self.q else _rank_mod)(
+                rows, self.num_generators, self.order, exps, head, ceiling)
             rank = max(rank, r)
             if rank >= ceiling:
-                if pivots is not None:
+                if pivots != self.pivots:
                     self.pivots = pivots
+                    self.order = pivots + [k for k in range(len(self.rows))
+                                           if k not in pivots]
                 return rank
             if self.q:
                 return rank
-            tried *= self.reductions[i][0]
+            tried *= head  # ell
             if tried > self._root(rank + 1):  # tried^2 > B2^phi(N)
                 return rank
 
@@ -203,40 +219,17 @@ class DepthEngine:
         return [s % N for s in sums]
 
     def _reduction(self, i):
-        """The i-th field, reduced, by mode: "modular", (ell, the powers of
-        zeta mod ell (_Powers), the rows, each as its terms (coefficient
-        mod ell, form) in one flat list and its entries as spans of it,
-        so that ranking some rows evaluates only theirs); "zech", (K's log
-        tables, zeta's log, the rows with coefficient codes); "element",
-        (zeta's N powers in K, the rows with coefficients in K).  Built
-        when first needed, the fields taken in order."""
+        """The i-th field, reduced, by mode: "modular", (ell, the rows);
+        "zech", (the field's _Reducer, the rows); "element", (zeta's N
+        powers in K, the rows with coefficients in K).  In the first two a
+        row lists its nonzero entries as (column, terms), each term
+        (table, form) worth table[x] at form exponent x: its coefficient
+        times zeta^x as an integer, mod ell or packed (_Reducer); terms
+        that vanish in the field are dropped.  Built when first needed,
+        the fields taken in order."""
         if i == len(self.reductions):
             N = self.N
-            if self.mode == "modular":
-                ell, zeta = _split_prime(N, i)
-                rows = []
-                for row in self.rows:
-                    terms, spans = [], []
-                    for entry in row:
-                        start = len(terms)
-                        terms.extend((c % ell, form) for c, form in entry
-                                     if c % ell)
-                        spans.append((start, len(terms)))
-                    rows.append((terms, spans))
-                self.reductions.append((ell, _Powers(zeta, ell), rows))
-            elif self.mode == "zech":
-                F = self.field
-                lt = log_tables(F)
-                if lt.n % N:
-                    raise InvariantViolation(
-                        f"{F!r} has no primitive {N}-th root of unity")
-                codes = {c: lt.encode(F.from_int(c)) for row in self.rows
-                         for terms in row for c, _ in terms}
-                rows = [[[(codes[c], form) for c, form in terms
-                          if codes[c] != -1] for terms in row]
-                        for row in self.rows]
-                self.reductions.append((lt, lt.n // N, rows))
-            else:
+            if self.mode == "element":
                 F = self.field
                 zeta = primitive_root_of_unity(F, N)
                 powers = [F.one()]
@@ -246,54 +239,41 @@ class DepthEngine:
                           if c % F.char] for terms in row]
                         for row in self.rows]
                 self.reductions.append((powers, rows))
-        return self.reductions[i]
+                return self.reductions[i]
+            if self.mode == "modular":
+                ell, zeta = _split_prime(N, i)
+                head = modulus = ell
 
-    def _rank(self, exps, i, ceiling, indices=None):
-        """Rank over the i-th field at the form exponents exps, of the rows
-        numbered in indices (all rows by default), with the numbers of its
-        pivot rows (None on the element route)."""
-        *reduction, rows = self._reduction(i)
-        if indices is not None:
-            rows = [rows[k] for k in indices]
-        if self.mode == "modular":
-            ell, powers = reduction
-            matrix = []
-            for terms, spans in rows:
-                # prefix sums of the row's terms: an entry is the difference
-                # of the sums at the ends of its span
-                sums = list(accumulate(
-                    [c * powers[exps[f]] for c, f in terms], initial=0))
-                matrix.append([(sums[b] - sums[a]) % ell for a, b in spans])
-            rank, pivots = _rank_mod(matrix, ell, ceiling)
-        elif self.mode == "zech":
-            lt, zeta = reduction
-            order, zech = lt.n, lt.zech
-            logs = [zeta * k for k in exps]  # zeta is held as its log
-            matrix = []
-            for row in rows:
-                out_row = []
-                for terms in row:
-                    acc = -1
-                    for c, f in terms:
-                        # acc += coefficient * zeta^(form . e), by Zech logs
-                        b = (c + logs[f]) % order
-                        if acc == -1:
-                            acc = b
-                        else:
-                            d = zech[(acc - b) % order]
-                            acc = -1 if d == -1 else (b + d) % order
-                    out_row.append(acc)
-                matrix.append(out_row)
-            rank, pivots = _rank_codes(matrix, lt, ceiling)
-        else:
-            (powers,) = reduction
-            F = self.field
-            return rank_over_field(
-                [[sum((c * powers[exps[f]] for c, f in terms), F.zero())
-                  for terms in row] for row in rows], F), None
-        if indices is not None:
-            pivots = [indices[k] for k in pivots]
-        return rank, pivots
+                def value(c):
+                    return lambda x: c * pow(zeta, x, ell) % ell
+            else:
+                lt, modulus = log_tables(self.field), self.field.char
+                if lt.n % N:
+                    raise InvariantViolation(
+                        f"{self.field!r} has no primitive {N}-th root of "
+                        f"unity")
+                widest = max((sum(1 for c, _ in entry if c % modulus)
+                              for row in self.rows for entry in row),
+                             default=0)
+                head = _Reducer(lt, modulus, self.field.degree, widest)
+                step = lt.n // N  # zeta = g^step
+
+                def value(c):
+                    c = lt.log[c]
+                    return lambda x: head.pack(lt.codes[(c + step * x)
+                                                        % lt.n])
+            # one table per coefficient mod the characteristic
+            tables = _Table(lambda c: _Table(value(c)))
+            rows = []
+            for row in self.rows:
+                rows.append([])
+                for j, entry in enumerate(row):
+                    terms = [(tables[c % modulus], form)
+                             for c, form in entry if c % modulus]
+                    if terms:
+                        rows[-1].append((j, terms))
+            self.reductions.append((head, rows))
+        return self.reductions[i]
 
 
 def _hadamard_bound(rows, k):
@@ -313,18 +293,73 @@ _PRIME_LIMIT = 1 << 30
 _SPLIT_PRIMES = {}  # N -> ((ell, zeta) found so far, in order; candidates)
 
 
-class _Powers(dict):
-    """zeta^k mod ell by k, each power taken when first asked for, so
-    that the table holds only the exponents met, whatever N is."""
+class _Table(dict):
+    """value(x) by x, each taken when first asked for, so that the table
+    holds only the exponents met, whatever N is."""
 
-    def __init__(self, zeta, ell):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
         super().__init__()
-        self.zeta = zeta
-        self.ell = ell
+        self.value = value
 
-    def __missing__(self, k):
-        self[k] = value = pow(self.zeta, k, self.ell)
-        return value
+    def __missing__(self, x):
+        self[x] = v = self.value(x)
+        return v
+
+
+class _Reducer(dict):
+    """The Zech log of an entry of F_{q^s} summed as packed integers.
+
+    An element is packed as its base-q digits (its coefficients), digit i
+    in the slot of bits [w i, w (i + 1)), so that adding packed elements
+    adds their digits slot by slot.  An entry of at most `terms` terms
+    sums to digits d <= D = terms (q - 1) < 2^k, k = bits(D), which no
+    slot carries out of.  Its digits mod q are taken in every slot at once:
+    floor(d / q) = floor(d R / 2^m) for R = ceil(2^m / q) and m = k +
+    bits(q), since d (R q - 2^m) < 2^k q <= 2^m (Granlund and Montgomery,
+    "Division by invariant integers using multiplication", 1994), and the
+    slot, w = bits(D R), holds every d R.  Indexed by a sum so reduced,
+    whose digits are < q, the reducer gives the element's Zech log
+    (LogTables), each found when first asked for: at most q^s of them."""
+
+    __slots__ = ("tables", "q", "degree", "width", "factor", "shift",
+                 "mask")
+
+    def __init__(self, lt, q, degree, terms):
+        super().__init__()
+        self.tables = lt
+        self.q = q
+        self.degree = degree
+        top = max(terms, 1) * (q - 1)
+        self.shift = top.bit_length() + q.bit_length()
+        self.factor = -(-(1 << self.shift) // q)
+        self.width = (top * self.factor).bit_length()
+        # the quotient's bits in every slot
+        self.mask = sum(((1 << (self.width - self.shift)) - 1)
+                        << (self.width * i) for i in range(degree))
+
+    def pack(self, code):
+        """The packed digits of the element with this code."""
+        out, q, i = 0, self.q, 0
+        while code:
+            code, d = divmod(code, q)
+            out |= d << (self.width * i)
+            i += 1
+        return out
+
+    def __missing__(self, r):
+        q, w = self.q, self.width
+        digits = [r >> (w * i) & ((1 << w) - 1) for i in range(self.degree)]
+        if r >> (w * self.degree) or max(digits) >= q:
+            raise InvariantViolation(
+                f"a packed entry reduced to digits {digits}, not all below "
+                f"q = {q}")
+        code = 0
+        for d in reversed(digits):
+            code = code * q + d
+        self[r] = log = self.tables.log[code]
+        return log
 
 
 def _split_candidates(N):
@@ -353,90 +388,102 @@ def _split_prime(N, i):
     return found[i]
 
 
-def _rank_codes(matrix, lt, ceiling):
-    """Rank of a matrix of discrete-log codes by elimination, stopped at
-    the ceiling, with the positions of its pivot rows."""
-    m = len(matrix)
-    n = len(matrix[0]) if matrix else 0
-    zech, order, minus_one = lt.zech, lt.n, lt.minus_one
-    numbers = list(range(m))
-    rank = 0
-    col = 0
-    while rank < ceiling and col < n:
-        piv = None
-        for i in range(rank, m):
-            if matrix[i][col] != -1:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        matrix[rank], matrix[piv] = matrix[piv], matrix[rank]
-        numbers[rank], numbers[piv] = numbers[piv], numbers[rank]
-        prow = matrix[rank]
-        pval = prow[col]
-        rank += 1
-        if rank == ceiling:
+def _rank_codes(rows, n, order, exps, logs, ceiling):
+    """Rank over F_{q^s} of the reduced rows (DepthEngine._reduction), of
+    n columns, at the form exponents exps, and the numbers of the rows
+    that raised it.  The rows are taken in order, each built when reached:
+    an entry sums its terms as packed integers and logs, the field's
+    _Reducer, gives its Zech log.  The row is then reduced, through the
+    Zech table, by each basis row in turn, clearing that row's pivot
+    column, and joins the basis if anything is left; the rank stops at the
+    ceiling.  A basis row is zero at the pivot columns of those before it,
+    so clearing a column never refills one cleared earlier."""
+    lt = logs.tables
+    zech, size, minus_one = lt.zech, lt.n, lt.minus_one
+    q, factor, shift, mask = logs.q, logs.factor, logs.shift, logs.mask
+    rank, pivots = 0, []
+    basis = []  # (pivot column, its log, the later nonzero (column, log))
+    for k in order:
+        if rank >= ceiling:
             break
-        pivot_terms = [(j, prow[j]) for j in range(col + 1, n)
-                       if prow[j] != -1]
-        for i in range(rank, m):
-            row = matrix[i]
+        row = [-1] * n
+        for j, entry in rows[k]:
+            a = 0
+            for t, f in entry:
+                a += t[exps[f]]
+            row[j] = logs[a - q * (a * factor >> shift & mask)]
+        for col, pval, terms in basis:
             c = row[col]
             if c != -1:
-                # row -= (c / pval) * prow, in logs: add factor + prow[j]
+                # row -= (c / pval) * pivot row, in logs: add b + scale
                 # to row[j] through the Zech table; column col becomes 0
-                factor = (c - pval + minus_one) % order
+                scale = (c - pval + minus_one) % size
                 row[col] = -1
-                for j, b in pivot_terms:
-                    b = (b + factor) % order
+                for j, b in terms:
+                    b = (b + scale) % size
                     a = row[j]
                     if a == -1:
                         row[j] = b
-                    else:
-                        d = zech[(a - b) % order]
-                        row[j] = -1 if d == -1 else (b + d) % order
-        col += 1
-    return rank, numbers[:rank]
-
-
-def _rank_mod(matrix, ell, ceiling):
-    """Rank of an integer matrix mod the prime ell, its entries reduced,
-    by elimination stopped at the ceiling, with the positions of its pivot
-    rows."""
-    m = len(matrix)
-    n = len(matrix[0]) if matrix else 0
-    numbers = list(range(m))
-    rank = 0
-    col = 0
-    while rank < ceiling and col < n:
-        piv = None
-        for i in range(rank, m):
-            if matrix[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        matrix[rank], matrix[piv] = matrix[piv], matrix[rank]
-        numbers[rank], numbers[piv] = numbers[piv], numbers[rank]
-        prow = matrix[rank]
-        rank += 1
-        if rank == ceiling:
-            break
-        inverse = ell - pow(prow[col], -1, ell)
-        pivot_terms = [(j, prow[j]) for j in range(col + 1, n) if prow[j]]
-        for i in range(rank, m):
-            row = matrix[i]
+                    else:  # a, b < size: a negative a - b counts from the end
+                        d = zech[a - b]
+                        row[j] = -1 if d == -1 else (b + d) % size
+        for col in range(n):
             c = row[col]
+            if c != -1:
+                pivots.append(k)
+                rank += 1
+                if rank < ceiling:
+                    terms = []
+                    for j in range(col + 1, n):
+                        b = row[j]
+                        if b != -1:
+                            terms.append((j, b))
+                    basis.append((col, c, terms))
+                break
+    return rank, pivots
+
+
+def _rank_mod(rows, n, order, exps, ell, ceiling):
+    """Rank mod the prime ell of the reduced rows (DepthEngine._reduction),
+    of n columns, at the form exponents exps, and the numbers of the rows
+    that raised it.  The rows are taken in order, each built when reached,
+    its entries summed as plain integers; the row is reduced by each basis
+    row in turn, as _rank_codes does, each entry taken mod ell only when
+    it is read, and joins the basis if anything is left; the rank stops at
+    the ceiling."""
+    rank, pivots = 0, []
+    basis = []  # (pivot column, -1/pivot, the later nonzero (column, entry))
+    for k in order:
+        if rank >= ceiling:
+            break
+        row = [0] * n
+        for j, entry in rows[k]:
+            a = 0
+            for t, f in entry:
+                a += t[exps[f]]
+            row[j] = a
+        for col, inverse, terms in basis:
+            c = row[col] % ell
             if c:
-                # row -= (c / pivot) * prow; column col becomes 0
-                factor = c * inverse % ell
+                # row -= (c / pivot) * pivot row; column col becomes 0
+                scale = c * inverse % ell
                 row[col] = 0
-                for j, b in pivot_terms:
-                    row[j] = (row[j] + factor * b) % ell
-        col += 1
-    return rank, numbers[:rank]
+                for j, b in terms:
+                    row[j] += scale * b
+        for col in range(n):
+            c = row[col] % ell
+            if c:
+                pivots.append(k)
+                rank += 1
+                if rank < ceiling:
+                    terms = []
+                    for j in range(col + 1, n):
+                        b = row[j] % ell
+                        if b:
+                            terms.append((j, b))
+                    basis.append((col, ell - pow(c, -1, ell), terms))
+                break
+    return rank, pivots
 
 
 def coordinate_exponents_from_generators(abel, N, gen_exps):
@@ -634,9 +681,9 @@ def _depth_tally(engine, walk, check_orbits, start=0, stop=None):
 
 # Walks of at most this many ranks stay in the caller: timed in-process
 # at --jobs 1 and 2 on every walk of the queries request set (2 CPUs,
-# contiguous shares), --jobs 2 lost at every size up to 121, was mixed
-# from 127 to 364 and won from 728 on; whole requests forking from 127
-# on and from 364 on could not be told apart.
+# contiguous shares, streamed rank kernels), --jobs 2 lost at every size
+# up to 121, was mixed from 127 to 728 and won from 1093 on; whole
+# requests forking past 255 and past 727 could not be told apart.
 _FORK_CUTOVER = 255
 
 

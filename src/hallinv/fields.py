@@ -19,9 +19,13 @@ charvar.DepthEngine, by one rule: a field of at most 2^16 elements
 (_LOG_TABLE_LIMIT) has LogTables and is ranked by Zech codes; a larger
 one is ranked by elimination on its elements (linalg.rank_over_field),
 each entry summed from one table of zeta's N powers per field.
-Characteristic 0 takes its ranks mod split primes below 2^30 in plain
-integers (charvar._rank_mod), so LogTables serve only q > 0.  The same
-F_{q^s} and root of unity build the metabelian group tables of
+LogTables give the depth engine the code of each power of the generator
+(codes), from which it packs each coefficient times zeta^x; the log of
+each code (log), which turns a summed entry, its digits reduced mod q,
+into a Zech log; and the Zech table its elimination adds through.
+Characteristic 0 takes its ranks mod split primes in plain integers
+(charvar._rank_mod), so LogTables serve only q > 0.  The same F_{q^s}
+and root of unity build the metabelian group tables of
 hall.MetabelianGroup.
 """
 
@@ -425,38 +429,34 @@ def _find_generator(K):
 class LogTables:
     """Discrete-log arithmetic for a small finite field.
 
-    Elements are coded by their exponent with respect to the fixed
-    generator (zero coded as -1); addition goes through the Zech logarithm
-    z(d) = log(1 + g^d).  Everything is a plain int, which makes the inner
-    loops of rank computations cheap.
+    Nonzero elements are coded by their exponent with respect to the fixed
+    generator g, zero by -1: log[c] is the log of the element with code c
+    (FieldElement.code), codes[k] the code of g^k, and addition goes
+    through the Zech logarithm zech[d] = log(1 + g^d).  Everything is a
+    plain int, which makes the inner loops of rank computations cheap.
     """
 
-    __slots__ = ("n", "log", "zech", "minus_one")
+    __slots__ = ("n", "log", "codes", "zech", "minus_one")
 
     def __init__(self, K):
         n = K.order() - 1
         g = _find_generator(K) if n > 1 else K.one()
         self.n = n
-        powers = []
-        self.log = {}
+        self.codes = []
+        self.log = [-1] * K.order()
         x = K.one()
         for k in range(n):
-            powers.append(x)
-            self.log[x.coeffs] = k
+            code = x.code()
+            self.codes.append(code)
+            self.log[code] = k
             x = x * g
         if not x.is_one():
             raise InvariantViolation("the generator's order is not q^s - 1")
-        one = K.one()
-        self.zech = []
-        for k in range(n):
-            s = powers[k] + one
-            self.zech.append(-1 if s.is_zero() else self.log[s.coeffs])
+        # g^k + 1 differs from g^k in its constant coefficient, the lowest
+        # base-q digit of its code
+        q = K.char
+        self.zech = [self.log[c - c % q + (c + 1) % q] for c in self.codes]
         self.minus_one = 0 if K.char == 2 else n // 2
-
-    def encode(self, elt):
-        if elt.is_zero():
-            return -1
-        return self.log[elt.coeffs]
 
 
 _LOG_TABLE_LIMIT = 1 << 16

@@ -361,7 +361,7 @@ def test_char0_rank_certified_past_two_bad_primes():
 def test_pivot_rows_fall_back_to_the_full_matrix():
     # rows t1 - 1 and t2 - 1 at N = 2: the character (1, 0) has rank 1 on
     # row 0, which is remembered; at (0, 1) row 0 vanishes, so the pivot
-    # rows alone see rank 0 and the full matrix must be ranked
+    # rows alone see rank 0 and the elimination goes on to row 1
     from hallinv.charvar import DepthEngine
     A = _laurent_matrix([[{(1, 0): 1, (0, 0): -1}],
                          [{(0, 1): 1, (0, 0): -1}]], 2)
@@ -372,6 +372,108 @@ def test_pivot_rows_fall_back_to_the_full_matrix():
         assert engine._certified_rank((0, 1), 1) == 1
         assert engine.pivots == [1]
         assert engine._certified_rank((1, 1), 1) == 1
+
+
+@pytest.mark.parametrize("q, N", [(0, 5), (2, 1), (2, 3), (2, 5), (3, 2),
+                                  (7, 3), (3, 4), (5, 3), (3, 13)])
+def test_packed_codes_never_carry(q, N):
+    # q = 0 and F_2, F_4, F_16, F_3, F_7, F_9, F_25, F_27.  Every term of
+    # the widest entries has coefficient q - 1 (-1 at q = 0) and a monomial
+    # t^(a + jN), so at each character all of an entry's terms are one
+    # element: the digit sums of its slots reach terms * (q - 1) in every
+    # slot where that element has digit q - 1 (slot 0 at a = 0; here each
+    # slot does at some character).  The engine's rank must equal
+    # rank_over_field on the entries evaluated as field elements, at the
+    # engine's own zeta
+    from hallinv.charvar import DepthEngine
+    from hallinv.fields import log_tables
+    from hallinv.linalg import rank_over_field
+    c, T = (q - 1 if q else -1), 6
+    widest = [{(a + j * N,): c for j in range(T)} for a in (0, 1, 2)]
+    rows = [[widest[0], {(1,): 1, (0,): 1}],
+            [{(1,): 1}, widest[1]],
+            [widest[2], {(2,): c, (N + 2,): c}]]
+    engine = DepthEngine(_laurent_matrix(rows, 1), N, q)
+    if q:
+        K, lt = engine.field, log_tables(engine.field)
+        assert engine.mode == "zech" and K.char == q
+        zeta = K.from_code(lt.codes[lt.n // N % lt.n])  # g^(n / N)
+    else:
+        K = reference_field(N, 0)
+        zeta = K.root_of_unity(N)
+    for e in range(N):
+        grid = [[sum((K.from_int(coeff) * zeta ** (k * e % N)
+                      for (k,), coeff in entry.items()), K.zero())
+                 for entry in row] for row in rows]
+        assert engine._certified_rank((e,), 2) == \
+            rank_over_field(grid, K), (q, N, e)
+
+
+def _count_rows_built(monkeypatch):
+    """A list that counts the rows every DepthEngine builds from now on:
+    each reduced row the rank kernels read is counted once."""
+    import hallinv.charvar as charvar
+    built = []
+
+    class Rows(list):
+        def __getitem__(self, k):
+            built.append(k)
+            return list.__getitem__(self, k)
+
+    reduction = charvar.DepthEngine._reduction
+
+    def counted(engine, i):
+        head, rows = reduction(engine, i)
+        return head, Rows(rows)
+
+    monkeypatch.setattr(charvar.DepthEngine, "_reduction", counted)
+    return built
+
+
+@pytest.mark.parametrize("q", [0, 2, 7])
+def test_rank_does_not_depend_on_the_row_order(q):
+    # ranks taken with the remembered pivots and row order scrambled
+    # before every call equal those of a fresh engine per character
+    import random
+    from hallinv.braids import fixture
+    from hallinv.charvar import DepthEngine
+    A = alexander_matrix(fixture("deleted_b3"))
+    engine = DepthEngine(A, 3, q)
+    rng = random.Random(17)
+    m = len(engine.rows)
+    for _ in range(40):
+        e = tuple(rng.randrange(3) for _ in range(8))
+        engine.order = rng.sample(range(m), m)
+        engine.pivots = engine.order[:rng.randrange(m)]
+        assert engine.depth_of_exponents(e) == \
+            DepthEngine(A, 3, q).depth_of_exponents(e), e
+
+
+def test_warm_pivots_build_only_the_pivot_rows(monkeypatch):
+    # deleted_b3 at (3, 2): a generic character (rank 7 = l - 1 of 19
+    # rows) remembers its 7 pivot rows, and its Frobenius conjugate, whose
+    # matrix is the entrywise square, builds exactly those 7
+    from hallinv.braids import fixture
+    engine = Group(fixture("deleted_b3")).engine(3, 2)
+    built = _count_rows_built(monkeypatch)
+    e = (1, 0, 2, 1, 1, 0, 2, 1)
+    assert engine.depth_of_exponents(e) == 0
+    assert len(built) > 7 and len(engine.pivots) == 7
+    built.clear()
+    assert engine.depth_of_exponents(tuple(2 * a % 3 for a in e)) == 0
+    assert sorted(built) == sorted(engine.pivots)
+
+
+@pytest.mark.parametrize("name, rows", [("deleted_b3", 24617),
+                                        ("non_fano", 8307)])
+def test_rows_built_per_walk(monkeypatch, name, rows):
+    # the order-3 walk over F_4 builds each row of a rank only when the
+    # rank reaches it, the pivot rows of the last full rank first; a
+    # change that loses that locality builds more rows
+    from hallinv.braids import fixture
+    built = _count_rows_built(monkeypatch)
+    Group(fixture(name)).depths(3, 2)
+    assert len(built) == rows
 
 
 def test_char0_uses_no_finite_field_arithmetic(monkeypatch):
@@ -422,13 +524,12 @@ def test_char0_rank_certified_past_the_primes_below_the_limit(monkeypatch):
     from hallinv.oracle import cover_b1, regular_cyclic_action
     monkeypatch.setattr(charvar, "_PRIME_LIMIT", 64)
     monkeypatch.setattr(charvar, "_SPLIT_PRIMES", {})
-    primes = []
-    rank = charvar._rank_mod
-    monkeypatch.setattr(charvar, "_rank_mod", lambda M, ell, ceiling: (
-        primes.append(ell) or rank(M, ell, ceiling)))
     P = direct_product_with_Z(free_group(2))
-    assert b1_cover_cyclic(P, 13, [1, 0, 0], 0) == 15 == \
+    G = Group(P)
+    assert b1_cover_cyclic(G, 13, [1, 0, 0], 0) == 15 == \
         cover_b1(P, regular_cyclic_action(13, [1, 0, 0]), 0)
+    # the engine reduces mod a prime when a rank first needs it, in order
+    primes = [ell for ell, _ in G.engine(13, 0).reductions]
     assert primes[0] == 53 and max(primes) > 64
     assert all(ell % 13 == 1 for ell in primes)
 
@@ -444,26 +545,24 @@ def test_char0_rank_falls_back_past_the_table_limit(monkeypatch):
     assert beta(P, 3, 5).counts == {0: 1}  # F_25: element mode throughout
 
 
-def test_char0_large_primes_match_the_cover_snf(monkeypatch):
+def test_char0_large_primes_match_the_cover_snf():
     # the q = 0 cover Betti numbers, ranked mod split primes below 2^30,
     # must equal the oracle's, read off a Smith normal form of the cover's
     # relations.  On F_2 x Z the characters have rank 1, below every
     # ceiling, so only the norm bound certifies them: its minors of size 2
     # have B2 = 32, so at N = 13 (phi = 12) P^2 must pass 2^60, which no
     # one prime below 2^30 does
-    import hallinv.charvar as charvar
     from hallinv.oracle import cover_b1, regular_cyclic_action
     cases = {"F2xZ": (direct_product_with_Z(free_group(2)), [1, 0, 0]),
              "x^7": (parse_presentation("gens: x, y\nrels: x^7\n"), [0, 1])}
     primes = {}
-    rank = charvar._rank_mod
-    monkeypatch.setattr(charvar, "_rank_mod", lambda M, ell, ceiling: (
-        primes.setdefault((name, N), set()).add(ell) or rank(M, ell, ceiling)))
     for name, (P, images) in cases.items():
         G = Group(P)
         for N in (3, 4, 6, 12, 13):
             assert b1_cover_cyclic(G, N, images, 0) == \
                 cover_b1(P, regular_cyclic_action(N, images), 0)
+            # the primes the engine reduced mod, each when a rank needed it
+            primes[name, N] = {ell for ell, _ in G.engine(N, 0).reductions}
     assert len(primes["F2xZ", 13]) > 1
     assert all(ell < 2 ** 30 and ell % N == 1
                for (_, N), ells in primes.items() for ell in ells)
