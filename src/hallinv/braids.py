@@ -70,27 +70,6 @@ def conjugate_braid(a, b):
     return b.inverse() * a * b
 
 
-def linking_matrix(b):
-    """Halved signed crossing counts between strand pairs; for a pure braid
-    A_{i,j} this is 1 at the pair (i, j) and 0 elsewhere."""
-    strand_at = list(range(b.strands))
-    counts = {}
-    for i, s in b.letters:
-        a, c = strand_at[i - 1], strand_at[i]
-        key = (min(a, c), max(a, c))
-        counts[key] = counts.get(key, 0) + s
-        strand_at[i - 1], strand_at[i] = c, a
-    if strand_at != list(range(b.strands)):
-        raise ValueError("linking numbers need a pure braid")
-    out = {}
-    for key, c in counts.items():
-        if c % 2:
-            raise ValueError("odd crossing count on a pure braid")
-        if c:
-            out[(key[0] + 1, key[1] + 1)] = c // 2
-    return out
-
-
 class FreeAutomorphism:
     """An automorphism of a free group, stored by generator images."""
 
@@ -115,13 +94,6 @@ class FreeAutomorphism:
 
     def apply(self, w):
         return w.substitute(self.images)
-
-    def compose(self, other):
-        """self after other: x -> self(other(x))."""
-        if other.rank != self.rank:
-            raise ValueError("rank mismatch")
-        return FreeAutomorphism(self.rank,
-                                [self.apply(w) for w in other.images])
 
     def is_identity(self):
         return all(w == Word.generator(i) for i, w in enumerate(self.images))

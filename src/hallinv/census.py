@@ -15,7 +15,7 @@ from math import factorial
 
 from .charvar import Group
 from .fields import factorize
-from .hall import AbelianGroupSpec, delta_abelian, delta_mpqs
+from .hall import AbelianGroupSpec, Partition, delta_abelian, delta_mpqs
 from .linalg import InvariantViolation
 from .oracle import (BudgetExceeded, FiniteGroupTable, check_table_budget,
                      hom_count)
@@ -67,30 +67,6 @@ def a_k_via_hall_recursion(P, k, hom_counter=None, budget=10 ** 8):
                 f"a_{j} = {total} is not a nonnegative integer")
         a[j] = int(total)
     return a[k]
-
-
-def a_k_free(n, k):
-    """Index-k subgroups of a free group of rank n (closed recursion)."""
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    a = {1: 1}
-    for j in range(2, k + 1):
-        total = j * factorial(j) ** (n - 1)
-        for l in range(1, j):
-            total -= factorial(j - l) ** (n - 1) * a[l]
-        a[j] = total
-    return a[k]
-
-
-def a_k_Zn(n, k):
-    """Index-k subgroups (sublattices) of Z^n, by the divisor recursion
-    a_k(Z^n) = sum_{d | k} a_d(Z^{n-1}) (k/d)^{n-1}."""
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    if n == 1:
-        return 1
-    return sum(a_k_Zn(n - 1, d) * (k // d) ** (n - 1)
-               for d in range(1, k + 1) if k % d == 0)
 
 
 def a2_a3(G):
@@ -150,23 +126,15 @@ def abelian_groups_of_order(k):
     deterministic order."""
     if k < 1:
         raise ValueError("k must be positive")
-    per_prime = []
-    for p in sorted(factorize(k)):
-        e = factorize(k)[p]
-        per_prime.append((p, list(_partitions(e))))
     specs = [{}]
-    for p, parts in per_prime:
-        specs = [{**s, p: lam} for s in specs for lam in parts]
-    from .hall import Partition as _Partition
-    return [AbelianGroupSpec({p: _Partition(lam) for p, lam in s.items()})
+    for p, e in sorted(factorize(k).items()):
+        specs = [{**s, p: lam} for s in specs for lam in _partitions(e)]
+    return [AbelianGroupSpec({p: Partition(lam) for p, lam in s.items()})
             for s in specs]
 
 
 def _partitions(n):
     """Partitions of n as weakly decreasing tuples, lexicographically."""
-    if n == 0:
-        yield ()
-        return
     def rec(remaining, cap):
         if remaining == 0:
             yield ()
@@ -194,14 +162,6 @@ def c_p(G, p, *, a_p=None, budget=10 ** 8):
     if total % p:
         raise InvariantViolation("conjugacy-class count not an integer")
     return total // p
-
-
-def a_p_product_with_Z(G, p, *, a_p=None, budget=10 ** 8):
-    """Index-p count of G x Z from that of G: a_p(G x Z) = a_p(G) + p^n."""
-    G = Group.of(G)
-    if a_p is None:
-        a_p = a_k_via_hall_recursion(G.P, p, budget=budget)
-    return a_p + p ** G.abel.b1(p)
 
 
 class CensusReport:

@@ -139,7 +139,7 @@ class DepthEngine:
         forms = {}
         self.rows = [[[(coeff, forms.setdefault(tuple(tors) + tuple(free),
                                                 len(forms)))
-                       for (free, tors), coeff in entry.terms.items()]
+                       for (free, tors), coeff in entry.items()]
                       for entry in row] for row in A.entries]
         self.num_forms = len(forms)
         # coordinate c's column of form weights mod N (see _exponents)
@@ -929,47 +929,3 @@ def b1_cover_abelian(G, factors, images, q):
         for _, exps, coset in orbits:
             total += len(coset) * engine.depth_of_exponents(forms=exps)
     return total
-
-
-def check_bounds_congruence(b1_base, b1_cover, num_generators, k, q,
-                            depth_sup=None):
-    """Validate the bounds and congruence a finite abelian cover of order k
-    must obey in characteristic q.
-
-    b1(G) <= b1(K) <= b1(G) + (k-1)(l-1), sharpened to (k-1) * depth_sup
-    when the maximal depth over nontrivial characters of order dividing k
-    is supplied; and b1(K) = b1(G) mod D, D the gcd of the Galois-orbit
-    sizes, since each orbit adds its size times a depth.  D is the gcd of
-    ord_p(q) (p - 1 at q = 0) over the primes p dividing k, the same for
-    every abelian group of order k, so it is read off the orbits of Z_k.
-    Returns a report dict; raises InvariantViolation on any breach.
-    """
-    lower = b1_base
-    upper = b1_base + (k - 1) * (num_generators - 1)
-    if not lower <= b1_cover <= upper:
-        raise InvariantViolation(
-            f"cover Betti number {b1_cover} outside [{lower}, {upper}]")
-    sharp = None
-    if depth_sup is not None:
-        sharp = b1_base + (k - 1) * depth_sup
-        if b1_cover > sharp:
-            raise InvariantViolation(
-                f"cover Betti number {b1_cover} above sharpened bound {sharp}")
-    D = gcd(*(len(coset) for orbits in _galois_orbits([k], q)
-              for _, _, coset in orbits))
-    if D > 1 and (b1_cover - b1_base) % D:
-        raise InvariantViolation(
-            f"jump {b1_cover - b1_base} not divisible by D = {D}")
-    return {"lower": lower, "upper": upper, "sharpened": sharp,
-            "modulus": D, "jump": b1_cover - b1_base}
-
-
-def max_depth_of_order_dividing(G, k, q):
-    """sup of depth over nontrivial characters whose order divides k, one
-    per Galois orbit; G is a presentation or a Group."""
-    G = Group.of(G)
-    moduli = _character_moduli(G.abel, k)
-    engine = G.engine(k, q)
-    walk = _galois_orbits(moduli, q, _coordinate_columns(engine, moduli), k)
-    return max((engine.depth_of_exponents(forms=exps)
-                for orbits in walk for _, exps, _ in orbits), default=0)

@@ -99,7 +99,10 @@ def _target_table(kind, params, budget):
     """The target's multiplication table, once its size fits the budget."""
     if kind == "table":
         with open(params[0], encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError:  # not JSON, or not UTF-8: the shape error
+                data = None
         mul = data.get("mul") if isinstance(data, dict) else None
         n = len(mul) if isinstance(mul, list) else 0
         if not n or any(not isinstance(row, list) or len(row) != n

@@ -8,6 +8,11 @@ becomes the Alexander matrix, with entries in the Laurent ring
 
     Z[t_1^{+-1}, ..., t_n^{+-1}, s_1, ..., s_h] / (s_i^{e_i} - 1).
 
+Nothing downstream does arithmetic in either ring; it only reads terms.
+So an element of the free group ring is a plain dict {Word: coefficient},
+and a Laurent polynomial a plain dict {(free exponents, torsion
+residues): coefficient}, each without zero coefficients.
+
 chi itself comes from the Smith normal form of the augmented Jacobian and
 is therefore deterministic; every count computed downstream is independent
 of this choice, up to the usual monomial change of basis.
@@ -19,67 +24,9 @@ from .linalg import IntMatrix, InvariantViolation, smith_normal_form
 from .presentations import Word
 
 
-class FreeRingElement:
-    """Finite integer combination of freely reduced words."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for w, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c:
-                    new = self.terms.get(w, 0) + c
-                    if new:
-                        self.terms[w] = new
-                    else:
-                        self.terms.pop(w, None)
-
-    @classmethod
-    def from_word(cls, w, coeff=1):
-        return cls({w: coeff})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            new = out.get(w, 0) + c
-            if new:
-                out[w] = new
-            else:
-                out.pop(w, None)
-        return FreeRingElement(out)
-
-    def __neg__(self):
-        return FreeRingElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, k):
-        return FreeRingElement({w: k * c for w, c in self.terms.items()})
-
-    def mul(self, other):
-        out = FreeRingElement()
-        for u, a in self.terms.items():
-            for v, b in other.terms.items():
-                out = out + FreeRingElement({u * v: a * b})
-        return out
-
-    def augmentation(self):
-        return sum(self.terms.values())
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, FreeRingElement) and other.terms == self.terms
-
-    def __repr__(self):
-        return f"FreeRingElement({self.terms})"
-
-
 def fox_derivative(w, j):
-    """Fox derivative of the group element w with respect to generator j.
+    """Fox derivative of the group element w with respect to generator j,
+    as a dict {Word: coefficient} with no zero coefficients.
 
     Uses d(x^e)/dx = 1 + x + ... + x^{e-1} for e > 0 and
     -(x^{-1} + ... + x^{e}) for e < 0, together with
@@ -100,18 +47,7 @@ def fox_derivative(w, j):
                 terms[u] = new
             else:
                 terms.pop(u, None)
-    return FreeRingElement(terms)
-
-
-def fox_fundamental_identity_holds(w, num_generators):
-    """Check sum_j dw/dx_j (x_j - 1) = w - 1 in the free group ring."""
-    total = FreeRingElement()
-    for j in range(num_generators):
-        d = fox_derivative(w, j)
-        xj = FreeRingElement.from_word(Word.generator(j)) - FreeRingElement.from_word(Word())
-        total = total + d.mul(xj)
-    want = FreeRingElement.from_word(w) - FreeRingElement.from_word(Word())
-    return total == want
+    return terms
 
 
 def augmentation_jacobian(P):
@@ -211,52 +147,14 @@ def abelianization(P):
     return abel
 
 
-class LaurentElement:
-    """Element of the Laurent ring attached to an AbelStructure.
-
-    terms maps (free exponent tuple, torsion residue tuple) -> coefficient.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            new = out.get(k, 0) + c
-            if new:
-                out[k] = new
-            else:
-                out.pop(k, None)
-        return LaurentElement(out)
-
-    def __neg__(self):
-        return LaurentElement({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def is_zero(self):
-        return not self.terms
-
-    def augmentation(self):
-        return sum(self.terms.values())
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentElement) and other.terms == self.terms
-
-    def __repr__(self):
-        return f"LaurentElement({self.terms})"
-
-
 class AlexanderMatrix:
     """The Fox Jacobian of a presentation pushed through chi.
 
-    entries is an m x l grid of LaurentElement (m relators, l generators);
-    augmenting every entry (all variables -> 1) recovers the integer
-    augmented Jacobian.
+    entries is an m x l grid (m relators, l generators) of dicts
+    {(free exponent tuple, torsion residue tuple): coefficient}, zero
+    coefficients left out; augmenting every entry (all variables -> 1),
+    that is summing its coefficients, recovers the integer augmented
+    Jacobian.
     """
 
     __slots__ = ("abel", "entries", "num_relators", "num_generators")
@@ -272,10 +170,10 @@ class AlexanderMatrix:
         lines = []
         for i, row in enumerate(self.entries):
             for j, entry in enumerate(row):
-                if entry.is_zero():
+                if not entry:
                     continue
                 parts = []
-                for (free, tors), coeff in sorted(entry.terms.items()):
+                for (free, tors), coeff in sorted(entry.items()):
                     piece = f"{coeff}"
                     if any(free):
                         piece += f" * t^{list(free)}"
@@ -305,7 +203,7 @@ def alexander_matrix(P, abel=None):
         row = []
         for j in range(P.num_generators):
             terms = {}
-            for w, c in fox_derivative(r, j).terms.items():
+            for w, c in fox_derivative(r, j).items():
                 image = sums[0]
                 if w.syllables:
                     *head, (g, e) = w.syllables
@@ -321,13 +219,13 @@ def alexander_matrix(P, abel=None):
                     terms[key] = new
                 else:
                     terms.pop(key, None)
-            row.append(LaurentElement(terms))
+            row.append(terms)
         entries.append(row)
     A = AlexanderMatrix(abel, entries, P.num_generators)
     J = augmentation_jacobian(P)
     for i in range(A.num_relators):
         for j in range(A.num_generators):
-            if A.entries[i][j].augmentation() != J.entries[i][j]:
+            if sum(A.entries[i][j].values()) != J.entries[i][j]:
                 raise InvariantViolation(
                     f"Alexander entry ({i},{j}) does not augment to the "
                     "Jacobian")

@@ -16,7 +16,6 @@ from fractions import Fraction
 from .charvar import Group
 from .fields import (extension_field, factorize, multiplicative_order,
                      primitive_root_of_unity)
-from .foxcalc import abelianization
 from .linalg import InvariantViolation
 from .oracle import FiniteGroupTable
 
@@ -78,12 +77,6 @@ def theta_total(lam, tau):
     return sum(theta(lam, tau, i) for i in range(1, lam.length() + 1))
 
 
-def _theta_padded(lam, tau, i):
-    """Like theta but treating parts beyond the length as zero."""
-    li = lam.part(i) if i <= lam.length() else 0
-    return sum(min(li, t) for t in tau.parts)
-
-
 class AbelianGroupSpec:
     """A finite abelian group as a partition per prime: the group is the
     direct sum over p of Z_{p^part} for each part."""
@@ -109,12 +102,6 @@ class AbelianGroupSpec:
         out = 1
         for p, lam in self.partitions.items():
             out *= p ** lam.weight()
-        return out
-
-    def exponent(self):
-        out = 1
-        for p, lam in self.partitions.items():
-            out *= p ** max(lam.parts)
         return out
 
     def cyclic_factors(self):
@@ -175,7 +162,9 @@ def delta_abelian(abel, spec):
         epis = p ** ((lam.weight() - lam.length()) * n
                      + theta_total(lam_d, tau))
         for i in range(1, lam.length() + 1):
-            exponent = n + theta(lam, tau, i) - _theta_padded(lam_d, tau, i)
+            # theta_i(lam', tau) is 0 past the length of lam'
+            exponent = n + theta(lam, tau, i) - (
+                theta(lam_d, tau, i) if i <= lam_d.length() else 0)
             factor = p ** exponent - p ** (i - 1)
             if factor < 0:
                 if epis:
@@ -198,13 +187,6 @@ def _p_adic_valuation(e, p):
         e //= p
         v += 1
     return v
-
-
-def delta_abelian_of(P, factors):
-    """delta of a presentation against the abelian group with the given
-    cyclic factors."""
-    return delta_abelian(abelianization(P),
-                         AbelianGroupSpec.from_cyclic_factors(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +255,3 @@ def delta_mpqs(G, p, q, *, A=None, jobs=1):
         raise InvariantViolation("metabelian count not an integer")
     return num // den
 
-
-def hom_epi_count_mpqs(G, p, q):
-    """(|Hom|, |Epi|) into M_{p,q^s}, from depths of the order-p characters:
-    each rho contributes q^{s(depth+1)} homomorphisms, of which q^s are
-    abelian when rho is nontrivial; the trivial rho contributes
-    q^{s b_1^{(q)}}."""
-    G = Group.of(G)
-    qs = q ** multiplicative_order(q, p)
-    hom = qs ** G.abel.b1(q)  # trivial rho, via depth(1) = b_1^{(q)} - 1
-    epi = 0
-    characters, _ = G.depths(p, q)
-    for d, count in characters.items():
-        hom += count * qs ** (d + 1)
-        epi += count * qs * (qs ** d - 1)
-    return hom, epi

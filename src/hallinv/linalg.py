@@ -57,22 +57,6 @@ class IntMatrix:
             cols = len(rows_list[0])
         return cls(rows, cols, [list(r) for r in rows_list])
 
-    def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         [[self.entries[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = IntMatrix.zeros(self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.entries[i]
-            for j in range(other.cols):
-                out.entries[i][j] = sum(row[k] * other.entries[k][j]
-                                        for k in range(self.cols))
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)

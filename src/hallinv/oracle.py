@@ -128,36 +128,14 @@ class FiniteGroupTable:
 
     @classmethod
     def cyclic(cls, n):
-        return cls([[(a + b) % n for b in range(n)] for a in range(n)],
-                   check=False)
+        return cls.abelian([n])
 
     @classmethod
     def abelian(cls, factors):
-        """Direct sum of cyclic groups of the given orders."""
-        factors = list(factors)
-        n = 1
-        for c in factors:
-            n *= c
-
-        def decode(i):
-            out = []
-            for c in factors:
-                out.append(i % c)
-                i //= c
-            return out
-
-        def encode(v):
-            i = 0
-            base = 1
-            for c, x in zip(factors, v):
-                i += x * base
-                base *= c
-            return i
-
-        mul = [[encode([(a + b) % c for a, b, c in
-                        zip(decode(i), decode(j), factors)])
-                for j in range(n)] for i in range(n)]
-        return cls(mul, check=False)
+        """Direct sum of cyclic groups of the given orders, numbered as
+        _translations numbers it: row a is the translation by element a."""
+        vectors = [v[::-1] for v in product(*map(range, reversed(factors)))]
+        return cls(_translations(factors, vectors), check=False)
 
     @classmethod
     def symmetric(cls, k):
@@ -168,22 +146,6 @@ class FiniteGroupTable:
         return cls(mul, check=False)
 
     # -- structure queries
-
-    def power(self, x, e):
-        out = self.identity
-        if e < 0:
-            x, e = self.inv[x], -e
-        for _ in range(e):
-            out = self.mul[out][x]
-        return out
-
-    def element_order(self, x):
-        n = 1
-        y = x
-        while y != self.identity:
-            y = self.mul[y][x]
-            n += 1
-        return n
 
     def closure(self, elements):
         """Subgroup generated by the given elements, as a frozenset."""
@@ -299,10 +261,6 @@ class FiniteGroupTable:
             current = self.closure(gens)
         return gens
 
-    def is_abelian(self):
-        return all(self.mul[a][b] == self.mul[b][a]
-                   for a in range(self.order) for b in range(a))
-
 
 def _bfs_tree(T, gens):
     """Spanning words: element -> (parent, generator index), root = identity."""
@@ -319,14 +277,15 @@ def _bfs_tree(T, gens):
     return tree, order
 
 
-def _count_generator_images(T1, T2, bijective_only=True, budget=10 ** 8):
-    """Homomorphisms T1 -> T2 determined by images of a minimal generating
-    set of T1, checked against the whole table; counts the bijective ones.
+def _count_generator_images(T1, T2, budget=10 ** 8):
+    """Isomorphisms T1 -> T2: maps determined by images of a minimal
+    generating set of T1, kept when bijective and checked against the
+    whole table.
     Raises BudgetExceeded before it starts if the image tuples outnumber
     budget."""
     gens = T1.minimal_generating_set()
     if not gens:
-        return 1 if T2.order == 1 or not bijective_only else int(T2.order == 1)
+        return int(T2.order == 1)
     if T2.order ** len(gens) > budget:
         raise BudgetExceeded(f"{T2.order}^{len(gens)} generator images "
                              "exceed the budget")
@@ -339,7 +298,7 @@ def _count_generator_images(T1, T2, bijective_only=True, budget=10 ** 8):
         for y in order[1:]:
             x, gi = tree[y]
             phi[y] = T2.mul[phi[x]][images[gi]]
-        if bijective_only and len(set(phi.values())) != T1.order:
+        if len(set(phi.values())) != T1.order:
             continue
         if all(phi[T1.mul[a][b]] == T2.mul[phi[a]][phi[b]]
                for a in range(T1.order) for b in range(T1.order)):
@@ -350,14 +309,7 @@ def _count_generator_images(T1, T2, bijective_only=True, budget=10 ** 8):
 def aut_order(T, budget=10 ** 8):
     """|Aut(T)| by enumerating generator images and checking the table,
     within budget image tuples."""
-    return _count_generator_images(T, T, True, budget)
-
-
-def tables_isomorphic(T1, T2):
-    """Brute-force isomorphism test for small tables."""
-    if T1.order != T2.order:
-        return False
-    return _count_generator_images(T1, T2, bijective_only=True) > 0
+    return _count_generator_images(T, T, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +670,7 @@ def cover_homology(P, gen_perms):
     rows = [{} for _ in range(len(P.relators) * k)]
     for i, r in enumerate(P.relators):
         for j in range(l):
-            d = fox_derivative(r, j)
-            for w, coeff in d.terms.items():
+            for w, coeff in fox_derivative(r, j).items():
                 perm = _word_permutation(w, gen_perms, k)
                 for b in range(k):
                     row, col = rows[i * k + perm[b]], j * k + b
@@ -751,36 +702,25 @@ def regular_cyclic_action(N, images):
         raise ValueError("N must be positive")
     if gcd(N, *images) != 1:
         raise ValueError(f"images do not generate Z_{N}")
-    return [tuple((b + a) % N for b in range(N)) for a in images]
+    return _translations([N], ((a,) for a in images))
 
 
 def regular_abelian_action(factors, images):
     """Coset action of the kernel of a map onto a direct sum of cyclic
     groups Z_{factors[i]}; images[i][j] is the i-th coordinate of the
     image of generator j."""
-    n = 1
-    for c in factors:
-        n *= c
+    return _translations(factors, zip(*images))
 
-    def decode(code):
-        out = []
-        for c in factors:
-            out.append(code % c)
-            code //= c
-        return out
 
-    def encode(vec):
-        code = 0
-        base = 1
-        for c, x in zip(factors, vec):
-            code += x * base
-            base *= c
-        return code
-
+def _translations(factors, shifts):
+    """For each shift vector, the permutation b -> b + shift of
+    Z_{factors[0]} + ... + Z_{factors[-1]}, element b numbered in mixed
+    radix with the first coordinate least significant."""
     perms = []
-    for j in range(len(images[0])):
-        shift = [images[i][j] for i in range(len(factors))]
-        perms.append(tuple(encode([(x + s) % c for x, s, c in
-                                   zip(decode(b), shift, factors)])
-                           for b in range(n)))
+    for shift in shifts:
+        perm, base = [0], 1
+        for c, x in zip(factors, shift):
+            perm = [a + (y + x) % c * base for y in range(c) for a in perm]
+            base *= c
+        perms.append(tuple(perm))
     return perms

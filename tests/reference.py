@@ -25,17 +25,52 @@ in for Q(zeta_N)).  The references here do neither:
   and keeping those that are the least generator of their orbits, each
   orbit listed in full, where the library builds least generators
   directly and lists each orbit by the multipliers of its coset.
+
+The closed forms and checks below are what the tests compare the
+library's counts and constructions against; no command needs them:
+
+* fox_fundamental_identity_holds checks sum_j dw/dx_j (x_j - 1) = w - 1
+  on the library's Fox derivatives, multiplying in the free group ring;
+* a_k_free is the closed recursion for index-k subgroups of a free
+  group, checked against Hall's recursion on free_group(n);
+* a_k_Zn counts the sublattices of Z^n by the divisor recursion, checked
+  against alpha_k on groups with H_1 = Z^n;
+* a_p_product_with_Z gives a_p(G x Z) = a_p(G) + p^n, checked against
+  Hall's recursion on direct_product_with_Z;
+* delta_abelian_of is delta_abelian on a presentation and a list of
+  cyclic factors, checked against the oracle's Epi / Aut count;
+* hom_epi_count_mpqs gives (|Hom|, |Epi|) into M_{p,q^s} from the
+  character depths, checked against the oracle's hom_count;
+* tables_isomorphic checks, by brute force over generator images, that
+  the constructed M_{p,q^s} tables are the groups they name;
+* check_bounds_congruence checks a cover's Betti number against
+  b1(G) <= b1(K) <= b1(G) + (k-1)(l-1), or (k-1) times the largest depth
+  max_depth_of_order_dividing finds, and against the congruence mod the
+  gcd of the Galois-orbit sizes, on every cyclic cover of small groups
+  and small orders;
+* linking_matrix reads the pairwise linking numbers off a pure braid,
+  checked against the band generators A_{i,j} and full twists;
+* compose, the composite of two free automorphisms, checks that the
+  Artin action is a homomorphism;
+* transpose and matmul, the integer matrix transpose and product, check
+  the Smith form's transforms (U A V = D) and its transpose invariance.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
-from hallinv.charvar import _character_moduli
+from hallinv import foxcalc
+from hallinv.braids import FreeAutomorphism
+from hallinv.census import a_k_via_hall_recursion
+from hallinv.charvar import (Group, _character_moduli, _coordinate_columns,
+                             _galois_orbits)
 from hallinv.fields import (_fq_divmod, _fq_monic_polys, multiplicative_order,
                             primitive_root_of_unity, sufficiently_large_field)
-from hallinv.foxcalc import FreeRingElement
-from hallinv.linalg import rank_over_field
+from hallinv.foxcalc import abelianization
+from hallinv.hall import AbelianGroupSpec, delta_abelian
+from hallinv.linalg import IntMatrix, InvariantViolation, rank_over_field
+from hallinv.oracle import _count_generator_images
 from hallinv.presentations import Word
 
 
@@ -262,7 +297,7 @@ def evaluate(A, K, N, e):
         out = []
         for entry in row:
             acc = K.zero()
-            for (free, tors), coeff in entry.terms.items():
+            for (free, tors), coeff in entry.items():
                 k = sum(a * b for a, b in zip(tors + free, e))
                 acc = acc + K.from_int(coeff) * zeta ** (k % N)
             out.append(acc)
@@ -331,6 +366,15 @@ def determinantal_divisors(rows, cols):
     return divisors
 
 
+def _add_term(terms, key, c):
+    """terms[key] += c in a dict of nonzero coefficients."""
+    new = terms.get(key, 0) + c
+    if new:
+        terms[key] = new
+    else:
+        terms.pop(key, None)
+
+
 def fox_derivative(w, j):
     """d w / d x_j letter by letter: with u the letters before it, a letter
     x_j adds u and a letter x_j^-1 adds -u x_j^-1."""
@@ -340,12 +384,8 @@ def fox_derivative(w, j):
         if g != j:
             continue
         u = Word(letters[:i] + ([] if s > 0 else [(g, -1)]))
-        new = terms.get(u, 0) + s
-        if new:
-            terms[u] = new
-        else:
-            terms.pop(u, None)
-    return FreeRingElement(terms)
+        _add_term(terms, u, s)
+    return terms
 
 
 def _unit_cosets(k, q):
@@ -383,3 +423,168 @@ def galois_orbits_by_filter(moduli, q):
                   for coset in cosets[k]]
         if min(min(orbit) for orbit in orbits) == v:
             yield orbits
+
+
+def fox_fundamental_identity_holds(w, num_generators):
+    """Check sum_j dw/dx_j (x_j - 1) = w - 1 in the free group ring, on the
+    library's derivatives, elements as dicts {Word: coefficient}."""
+    total = {}
+    for j in range(num_generators):
+        x = Word.generator(j)
+        for u, c in foxcalc.fox_derivative(w, j).items():
+            _add_term(total, u * x, c)
+            _add_term(total, u, -c)
+    want = {}
+    _add_term(want, w, 1)
+    _add_term(want, Word(), -1)
+    return total == want
+
+
+def a_k_free(n, k):
+    """Index-k subgroups of a free group of rank n (closed recursion)."""
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
+    a = {1: 1}
+    for j in range(2, k + 1):
+        total = j * factorial(j) ** (n - 1)
+        for l in range(1, j):
+            total -= factorial(j - l) ** (n - 1) * a[l]
+        a[j] = total
+    return a[k]
+
+
+def a_k_Zn(n, k):
+    """Index-k subgroups (sublattices) of Z^n, by the divisor recursion
+    a_k(Z^n) = sum_{d | k} a_d(Z^{n-1}) (k/d)^{n-1}."""
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
+    if n == 1:
+        return 1
+    return sum(a_k_Zn(n - 1, d) * (k // d) ** (n - 1)
+               for d in range(1, k + 1) if k % d == 0)
+
+
+def a_p_product_with_Z(G, p, *, a_p=None, budget=10 ** 8):
+    """Index-p count of G x Z from that of G: a_p(G x Z) = a_p(G) + p^n."""
+    G = Group.of(G)
+    if a_p is None:
+        a_p = a_k_via_hall_recursion(G.P, p, budget=budget)
+    return a_p + p ** G.abel.b1(p)
+
+
+def delta_abelian_of(P, factors):
+    """delta of a presentation against the abelian group with the given
+    cyclic factors."""
+    return delta_abelian(abelianization(P),
+                         AbelianGroupSpec.from_cyclic_factors(factors))
+
+
+def hom_epi_count_mpqs(G, p, q):
+    """(|Hom|, |Epi|) into M_{p,q^s}, from depths of the order-p characters:
+    each rho contributes q^{s(depth+1)} homomorphisms, of which q^s are
+    abelian when rho is nontrivial; the trivial rho contributes
+    q^{s b_1^{(q)}}."""
+    G = Group.of(G)
+    qs = q ** multiplicative_order(q, p)
+    hom = qs ** G.abel.b1(q)  # trivial rho, via depth(1) = b_1^{(q)} - 1
+    epi = 0
+    characters, _ = G.depths(p, q)
+    for d, count in characters.items():
+        hom += count * qs ** (d + 1)
+        epi += count * qs * (qs ** d - 1)
+    return hom, epi
+
+
+def tables_isomorphic(T1, T2):
+    """Brute-force isomorphism test for small tables."""
+    if T1.order != T2.order:
+        return False
+    return _count_generator_images(T1, T2) > 0
+
+
+def check_bounds_congruence(b1_base, b1_cover, num_generators, k, q,
+                            depth_sup=None):
+    """Validate the bounds and congruence a finite abelian cover of order k
+    must obey in characteristic q.
+
+    b1(G) <= b1(K) <= b1(G) + (k-1)(l-1), sharpened to (k-1) * depth_sup
+    when the maximal depth over nontrivial characters of order dividing k
+    is supplied; and b1(K) = b1(G) mod D, D the gcd of the Galois-orbit
+    sizes, since each orbit adds its size times a depth.  D is the gcd of
+    ord_p(q) (p - 1 at q = 0) over the primes p dividing k, the same for
+    every abelian group of order k, so it is read off the orbits of Z_k.
+    Returns a report dict; raises InvariantViolation on any breach.
+    """
+    lower = b1_base
+    upper = b1_base + (k - 1) * (num_generators - 1)
+    if not lower <= b1_cover <= upper:
+        raise InvariantViolation(
+            f"cover Betti number {b1_cover} outside [{lower}, {upper}]")
+    sharp = None
+    if depth_sup is not None:
+        sharp = b1_base + (k - 1) * depth_sup
+        if b1_cover > sharp:
+            raise InvariantViolation(
+                f"cover Betti number {b1_cover} above sharpened bound {sharp}")
+    D = gcd(*(len(coset) for orbits in _galois_orbits([k], q)
+              for _, _, coset in orbits))
+    if D > 1 and (b1_cover - b1_base) % D:
+        raise InvariantViolation(
+            f"jump {b1_cover - b1_base} not divisible by D = {D}")
+    return {"lower": lower, "upper": upper, "sharpened": sharp,
+            "modulus": D, "jump": b1_cover - b1_base}
+
+
+def max_depth_of_order_dividing(G, k, q):
+    """sup of depth over nontrivial characters whose order divides k, one
+    per Galois orbit; G is a presentation or a Group."""
+    G = Group.of(G)
+    moduli = _character_moduli(G.abel, k)
+    engine = G.engine(k, q)
+    walk = _galois_orbits(moduli, q, _coordinate_columns(engine, moduli), k)
+    return max((engine.depth_of_exponents(forms=exps)
+                for orbits in walk for _, exps, _ in orbits), default=0)
+
+
+def linking_matrix(b):
+    """Halved signed crossing counts between strand pairs; for a pure braid
+    A_{i,j} this is 1 at the pair (i, j) and 0 elsewhere."""
+    strand_at = list(range(b.strands))
+    counts = {}
+    for i, s in b.letters:
+        a, c = strand_at[i - 1], strand_at[i]
+        key = (min(a, c), max(a, c))
+        counts[key] = counts.get(key, 0) + s
+        strand_at[i - 1], strand_at[i] = c, a
+    if strand_at != list(range(b.strands)):
+        raise ValueError("linking numbers need a pure braid")
+    out = {}
+    for key, c in counts.items():
+        if c % 2:
+            raise ValueError("odd crossing count on a pure braid")
+        if c:
+            out[(key[0] + 1, key[1] + 1)] = c // 2
+    return out
+
+
+def compose(f, g):
+    """The free automorphism f after g: x -> f(g(x))."""
+    if g.rank != f.rank:
+        raise ValueError("rank mismatch")
+    return FreeAutomorphism(f.rank, [f.apply(w) for w in g.images])
+
+
+def transpose(M):
+    """The transpose of an IntMatrix."""
+    return IntMatrix(M.cols, M.rows,
+                     [[M.entries[i][j] for i in range(M.rows)]
+                      for j in range(M.cols)])
+
+
+def matmul(A, B):
+    """The product of two IntMatrix."""
+    if A.cols != B.rows:
+        raise ValueError("shape mismatch")
+    return IntMatrix(A.rows, B.cols,
+                     [[sum(row[k] * B.entries[k][j] for k in range(A.cols))
+                       for j in range(B.cols)] for row in A.entries])

@@ -1,15 +1,15 @@
 import pytest
 
 from hallinv.census import (
-    UnsupportedIndexError, a2_a3, a_k_Zn, a_k_free, a_k_via_hall_recursion,
-    a_normal, a_p_product_with_Z, abelian_groups_of_order, alpha_k, c_p,
-    census,
+    UnsupportedIndexError, a2_a3, a_k_via_hall_recursion, a_normal,
+    abelian_groups_of_order, alpha_k, c_p, census,
 )
-from hallinv.hall import delta_abelian_of, delta_mpqs
+from hallinv.hall import delta_mpqs
 from hallinv.presentations import (
     direct_product_with_Z, free_group, orientable_surface_group,
     parse_presentation, product_of_free_groups,
 )
+from reference import a_k_free, a_k_Zn, a_p_product_with_Z, delta_abelian_of
 
 Z2_PRES = parse_presentation("gens: x, y; rels: [x,y]")
 

@@ -5,8 +5,7 @@ import pytest
 
 from hallinv.charvar import (
     Group, InvariantViolation, b1_cover_abelian, b1_cover_cyclic, beta_distribution,
-    check_bounds_congruence, coordinate_exponents_from_generators,
-    max_depth_of_order_dividing,
+    coordinate_exponents_from_generators,
 )
 from hallinv.fields import prime_field, sufficiently_large_field
 from hallinv.foxcalc import alexander_matrix
@@ -14,7 +13,9 @@ from hallinv.presentations import (
     direct_product_with_Z, free_group, nonorientable_surface_group,
     orientable_surface_group, parse_presentation, product_of_free_groups,
 )
-from reference import depth, order_p_exponents, reference_field
+from reference import (check_bounds_congruence, depth,
+                       max_depth_of_order_dividing, order_p_exponents,
+                       reference_field)
 
 
 # BS(1,2) and Z x| Z^3: at (p, q) = (3, 7) and (7, 2), q has order less
@@ -323,8 +324,8 @@ def test_char0_rank_certified_past_a_bad_prime():
 def _laurent_matrix(rows, num_coordinates):
     """An AlexanderMatrix of Laurent polynomials in num_coordinates free
     variables, each entry given as {exponent tuple: coefficient}."""
-    from hallinv.foxcalc import AlexanderMatrix, LaurentElement
-    entries = [[LaurentElement({(exps, ()): c for exps, c in entry.items()})
+    from hallinv.foxcalc import AlexanderMatrix
+    entries = [[{(exps, ()): c for exps, c in entry.items()}
                 for entry in row] for row in rows]
     return AlexanderMatrix(None, entries, len(rows[0]))
 

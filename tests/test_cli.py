@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -305,15 +306,37 @@ def test_bad_perm_names_its_shape(capsys):
     {"mul": []},
     {"mul": [[0, 2], [1, 0]]},
     {"mul": [[0, 1], [1, "0"]]},
+    b"",  # bytes are written as they are: an empty file, then plain text
+    b"mul: 0 1\n     1 0\n",
 ])
 def test_malformed_table_file_exits_1(capsys, tmp_path, table):
     path = tmp_path / "t.json"
-    path.write_text(json.dumps(table))
+    if isinstance(table, bytes):
+        path.write_bytes(table)
+    else:
+        path.write_text(json.dumps(table))
     code, out, err = run(capsys, "oracle", "--target", f"table:{path}",
                          "--fixture", "free:2")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "n x n table" in err
+
+
+def test_alexander_bytes(capsys):
+    # the Alexander matrix dump, byte for byte
+    code, out, _ = run(capsys, "alexander", "--fixture", "rp:3")
+    assert code == 0 and out == (
+        "(0,0): 1 * t^[-1, -1] * s^[1] + 1\n"
+        "(0,1): 1 * t^[-2, -2] + 1 * t^[-1, -2]\n"
+        "(0,2): 1 * t^[0, -2] + 1 * t^[0, -1]\n")
+    code, out, _ = run(capsys, "alexander", "--fixture", "rp:3", "--json")
+    assert code == 0 and out == (
+        '{"entries": ["(0,0): 1 * t^[-1, -1] * s^[1] + 1", '
+        '"(0,1): 1 * t^[-2, -2] + 1 * t^[-1, -2]", '
+        '"(0,2): 1 * t^[0, -2] + 1 * t^[0, -1]"], "shape": [1, 3]}\n')
+    code, out, _ = run(capsys, "alexander", "--fixture", "deleted_b3")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == \
+        "a0dbee019b5f3b053962bcdaf022cdd0b6f6b491a5a399be3c4129efd10ea7f9"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,13 +1,13 @@
 import random
 
 from hallinv.foxcalc import (
-    FreeRingElement, abelianization, alexander_matrix, augmentation_jacobian,
-    fox_derivative, fox_fundamental_identity_holds,
+    abelianization, alexander_matrix, augmentation_jacobian, fox_derivative,
 )
 from hallinv.presentations import (
     Word, commutator, free_group, nonorientable_surface_group,
     orientable_surface_group, parse_presentation, product_of_free_groups,
 )
+from reference import fox_fundamental_identity_holds
 
 
 def W(*sylls):
@@ -18,18 +18,16 @@ x, y = W((0, 1)), W((1, 1))
 
 
 def test_fox_basic_rules():
-    assert fox_derivative(x * y, 0) == FreeRingElement.from_word(Word())
-    assert fox_derivative(x * y, 1) == FreeRingElement.from_word(x)
-    assert fox_derivative(x.inverse(), 0) == \
-        FreeRingElement.from_word(x.inverse(), -1)
+    assert fox_derivative(x * y, 0) == {Word(): 1}
+    assert fox_derivative(x * y, 1) == {x: 1}
+    assert fox_derivative(x.inverse(), 0) == {x.inverse(): -1}
 
 
 def test_fox_commutator():
     # d([x,y])/dx = 1 - x y x^-1
     d = fox_derivative(commutator(x, y), 0)
-    assert d == (FreeRingElement.from_word(Word())
-                 - FreeRingElement.from_word(x * y * x.inverse()))
-    assert d.augmentation() == 0
+    assert d == {Word(): 1, x * y * x.inverse(): -1}
+    assert sum(d.values()) == 0
 
 
 def test_fox_fundamental_identity_fixtures():
@@ -50,7 +48,7 @@ def test_fox_fundamental_identity_random():
                   for _ in range(rng.randrange(8))])
         assert fox_fundamental_identity_holds(w, 3)
         for j in range(3):
-            assert fox_derivative(w, j).augmentation() == w.exponent_sum(j)
+            assert sum(fox_derivative(w, j).values()) == w.exponent_sum(j)
 
 
 def test_fox_derivative_matches_letter_by_letter():
@@ -74,7 +72,7 @@ def test_alexander_matrices_of_fixtures_unchanged(monkeypatch):
     from hallinv.braids import FROZEN_FIXTURES, fixture
 
     def terms(A):
-        return [[list(entry.terms.items()) for entry in row]
+        return [[list(entry.items()) for entry in row]
                 for row in A.entries]
     for name in FROZEN_FIXTURES + ("rp:3", "surface:2", "product:2,1"):
         P = fixture(name)
@@ -114,9 +112,9 @@ def test_alexander_matrix_z2():
     A = alexander_matrix(P)
     assert A.num_relators == 1 and A.num_generators == 2
     e1, e2 = A.entries[0]
-    assert sorted(c for c in e1.terms.values()) == [-1, 1]
-    assert sorted(c for c in e2.terms.values()) == [-1, 1]
-    assert e1.augmentation() == 0
+    assert sorted(e1.values()) == [-1, 1]
+    assert sorted(e2.values()) == [-1, 1]
+    assert sum(e1.values()) == 0
 
 
 def test_alexander_matrix_free():
@@ -129,8 +127,7 @@ def test_alexander_matrix_reduction_independent():
     base = parse_presentation("gens: x, y; rels: x^2*y^2")
     padded = parse_presentation("gens: x, y; rels: x^2*y*x*x^-1*y")
     A1, A2 = alexander_matrix(base), alexander_matrix(padded)
-    assert [[e.terms for e in row] for row in A1.entries] == \
-        [[e.terms for e in row] for row in A2.entries]
+    assert A1.entries == A2.entries
 
 
 def test_surface_relator_jacobian_is_zero_augmented():

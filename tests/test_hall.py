@@ -4,15 +4,14 @@ from hallinv.fields import multiplicative_order
 from hallinv.foxcalc import abelianization
 from hallinv.hall import (
     AbelianGroupSpec, Partition, aut_order_abelian,
-    construct_mpqs, delta_abelian, delta_abelian_of, delta_mpqs,
-    hom_epi_count_mpqs, theta, theta_total,
+    construct_mpqs, delta_mpqs, theta, theta_total,
 )
-from hallinv.oracle import (FiniteGroupTable, aut_order, hom_count,
-                            tables_isomorphic)
+from hallinv.oracle import FiniteGroupTable, aut_order, hom_count
 from hallinv.presentations import (
     free_group, nonorientable_surface_group, orientable_surface_group,
     parse_presentation, product_of_free_groups,
 )
+from reference import delta_abelian_of, hom_epi_count_mpqs, tables_isomorphic
 
 
 # reference closed forms and enumeration-principle data, independent of

@@ -47,12 +47,24 @@ def test_table_axioms_checked():
         FiniteGroupTable([[0, 1], [1, 1]])
     T = FiniteGroupTable.cyclic(6)
     assert T.identity == 0 and T.inv[2] == 4
-    assert T.element_order(2) == 3
+    # the mixed-radix numbering, first coordinate least significant:
+    # row a of an abelian table is the regular action of element a
+    assert T.mul == [[(a + b) % 6 for b in range(6)] for a in range(6)]
+    assert FiniteGroupTable.abelian([2, 4]).mul == [
+        [0, 1, 2, 3, 4, 5, 6, 7], [1, 0, 3, 2, 5, 4, 7, 6],
+        [2, 3, 4, 5, 6, 7, 0, 1], [3, 2, 5, 4, 7, 6, 1, 0],
+        [4, 5, 6, 7, 0, 1, 2, 3], [5, 4, 7, 6, 1, 0, 3, 2],
+        [6, 7, 0, 1, 2, 3, 4, 5], [7, 6, 1, 0, 3, 2, 5, 4]]
+    assert oracle.regular_abelian_action([2, 3], [[1, 0, 1], [0, 1, 2]]) \
+        == [(1, 0, 3, 2, 5, 4), (2, 3, 4, 5, 0, 1), (5, 4, 1, 0, 3, 2)]
+    assert regular_cyclic_action(5, [2, 0]) == [(2, 3, 4, 0, 1),
+                                                (0, 1, 2, 3, 4)]
 
 
 def test_symmetric_table():
     S3 = FiniteGroupTable.symmetric(3)
-    assert S3.order == 6 and not S3.is_abelian()
+    assert S3.order == 6
+    assert any(S3.mul[a][b] != S3.mul[b][a] for a in range(6) for b in range(a))
     assert sorted(len(H) for H in S3.all_subgroups()) == [1, 2, 2, 2, 3, 6]
     mu = S3.moebius()
     by_size = {}
