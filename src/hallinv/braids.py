@@ -92,15 +92,8 @@ class FreeAutomorphism:
     def identity(cls, rank):
         return cls(rank, [Word.generator(i) for i in range(rank)])
 
-    def apply(self, w):
-        return w.substitute(self.images)
-
     def is_identity(self):
         return all(w == Word.generator(i) for i, w in enumerate(self.images))
-
-    def abelianized(self):
-        return [[w.exponent_sum(j) for j in range(self.rank)]
-                for w in self.images]
 
     def __eq__(self, other):
         return (isinstance(other, FreeAutomorphism)

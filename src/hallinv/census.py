@@ -46,7 +46,7 @@ def symmetric_hom_counter(P, budget=10 ** 8):
     return counter
 
 
-def a_k_via_hall_recursion(P, k, hom_counter=None, budget=10 ** 8):
+def a_k_via_hall_recursion(P, k, budget=10 ** 8):
     """Number of index-k subgroups by M. Hall's recursion
 
         a_k = h_k/(k-1)! - sum_{l<k} h_{k-l}/(k-l)! a_l,
@@ -54,8 +54,7 @@ def a_k_via_hall_recursion(P, k, hom_counter=None, budget=10 ** 8):
     h_l the number of homomorphisms into S_l."""
     if k < 1:
         raise ValueError("k must be positive")
-    if hom_counter is None:
-        hom_counter = symmetric_hom_counter(P, budget)
+    hom_counter = symmetric_hom_counter(P, budget)
     h = {l: hom_counter(l) for l in range(1, k + 1)}
     a = {1: 1}
     for j in range(2, k + 1):
@@ -152,12 +151,12 @@ def alpha_k(G, k):
     return sum(delta_abelian(abel, spec) for spec in abelian_groups_of_order(k))
 
 
-def c_p(G, p, *, a_p=None, budget=10 ** 8):
+def c_p(G, p, *, a_p=None):
     """Number of conjugacy classes of index-p subgroups:
     (p^n + a_p - 1)/p with n = b_1^{(p)}."""
     G = Group.of(G)
     if a_p is None:
-        a_p = a_k_via_hall_recursion(G.P, p, budget=budget)
+        a_p = a_k_via_hall_recursion(G.P, p)
     total = p ** G.abel.b1(p) + a_p - 1
     if total % p:
         raise InvariantViolation("conjugacy-class count not an integer")
@@ -196,26 +195,24 @@ class CensusReport:
         return out
 
 
-def census(G, k, *, want_all=True, want_normal=True, want_alpha=True,
-           want_conjugacy=False, budget=10 ** 8):
+def census(G, k, *, want_normal=True, want_alpha=True, want_conjugacy=False,
+           budget=10 ** 8):
     """Assemble a CensusReport for G (a presentation or a charvar.Group);
     infeasible pieces are recorded as the string 'infeasible' rather than
     guessed."""
     G = Group.of(G)
     report = CensusReport(k)
-    a_p = None
-    if want_all:
-        if k in (2, 3):
-            # a_2 = 2^{n_2} - 1 needs no Betti distribution
-            a_p = 2 ** G.abel.b1(2) - 1 if k == 2 else a2_a3(G)[1]
-            report.add("a_k", a_p, "closed-form")
-        else:
-            try:
-                a_p = a_k_via_hall_recursion(G.P, k, budget=budget)
-                report.add("a_k", a_p, "hall-recursion")
-            except BudgetExceeded:
-                report.add("a_k", "infeasible", "hall-recursion")
-                a_p = None
+    if k in (2, 3):
+        # a_2 = 2^{n_2} - 1 needs no Betti distribution
+        a_p = 2 ** G.abel.b1(2) - 1 if k == 2 else a2_a3(G)[1]
+        report.add("a_k", a_p, "closed-form")
+    else:
+        try:
+            a_p = a_k_via_hall_recursion(G.P, k, budget=budget)
+            report.add("a_k", a_p, "hall-recursion")
+        except BudgetExceeded:
+            report.add("a_k", "infeasible", "hall-recursion")
+            a_p = None
     if want_normal:
         try:
             report.add("a_k_normal", a_normal(G, k), "delta-sum")

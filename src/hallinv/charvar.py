@@ -159,25 +159,19 @@ class DepthEngine:
         self.pivots = None  # rows that last reached the ceiling
         self.order = list(range(len(self.rows)))  # pivots first
 
-    def depth_of_exponents(self, coord_exps=None, *, forms=None):
-        """Depth of the character with coordinate exponent vector e, or of
-        the nontrivial character whose form exponents (_exponents) a
-        character walk carries as forms."""
-        ceiling = self.ceiling
-        if forms is not None or any(a % self.N for a in coord_exps):
-            ceiling = min(ceiling, self.num_generators - 1)
+    def depth_of_exponents(self, *, forms):
+        """Depth of the nontrivial character whose form exponents
+        (_exponents) a character walk carries as forms."""
         return self.num_generators - self._certified_rank(
-            coord_exps, ceiling, forms) - 1
+            forms, min(self.ceiling, self.num_generators - 1)) - 1
 
-    def _certified_rank(self, e, ceiling, exps=None):
-        """Rank at e (or at the form exponents exps): the largest rank over
-        the fields in order, each taken on the rows in the engine's order,
+    def _certified_rank(self, exps, ceiling):
+        """Rank at the form exponents exps: the largest rank over the
+        fields in order, each taken on the rows in the engine's order,
         until one reaches the ceiling the true rank cannot pass or (q = 0)
         the norm bound certifies the largest rank seen.  A rank that
         reaches the ceiling puts the rows that raised it first in the
         order."""
-        if exps is None:
-            exps = self._exponents(e)
         rank, tried = 0, 1
         for i in count():
             head, rows = self._reduction(i)

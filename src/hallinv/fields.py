@@ -217,13 +217,6 @@ class FieldHandle:
             coeffs.append(c)
         return FieldElement(self, tuple(coeffs))
 
-    def element(self, coeffs):
-        coeffs = list(coeffs)
-        if len(coeffs) > self.degree:
-            coeffs = self._reduce(coeffs)
-        coeffs += [0] * (self.degree - len(coeffs))
-        return FieldElement(self, tuple(c % self.char for c in coeffs))
-
     def order(self):
         """Number of elements."""
         return self.char ** self.degree

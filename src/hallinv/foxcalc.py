@@ -9,9 +9,12 @@ becomes the Alexander matrix, with entries in the Laurent ring
     Z[t_1^{+-1}, ..., t_n^{+-1}, s_1, ..., s_h] / (s_i^{e_i} - 1).
 
 Nothing downstream does arithmetic in either ring; it only reads terms.
-So an element of the free group ring is a plain dict {Word: coefficient},
-and a Laurent polynomial a plain dict {(free exponents, torsion
-residues): coefficient}, each without zero coefficients.
+Every term of a Fox derivative of a word is a prefix of the word, so the
+free group ring never appears: fox_terms names each term by its place in
+the word, and each consumer reads the term's image (in H_1, or as a
+permutation of cosets) off the images of the word's prefixes.  A Laurent
+polynomial is a plain dict {(free exponents, torsion residues):
+coefficient} without zero coefficients.
 
 chi itself comes from the Smith normal form of the augmented Jacobian and
 is therefore deterministic; every count computed downstream is independent
@@ -21,33 +24,27 @@ of this choice, up to the usual monomial change of basis.
 from __future__ import annotations
 
 from .linalg import IntMatrix, InvariantViolation, smith_normal_form
-from .presentations import Word
 
 
-def fox_derivative(w, j):
-    """Fox derivative of the group element w with respect to generator j,
-    as a dict {Word: coefficient} with no zero coefficients.
+def fox_terms(w):
+    """The terms of every Fox derivative of the group element w, syllable
+    by syllable.
 
-    Uses d(x^e)/dx = 1 + x + ... + x^{e-1} for e > 0 and
-    -(x^{-1} + ... + x^{e}) for e < 0, together with
-    d(uv) = du + u dv (valid since e(v) = 1 for group elements).  The
-    prefix u before a syllable of x_j is a slice of w's syllables.
+    For syllable i = (g, e) of w, with u_i its first i syllables, yields
+    (i, g, k, c) for each term c * u_i g^k of dw/dx_g, from
+    d(x^e)/dx = 1 + x + ... + x^{e-1} for e > 0 and
+    -(x^{-1} + ... + x^{e}) for e < 0, together with d(uv) = du + u dv
+    (valid since e(v) = 1 for group elements): k runs 0, ..., e - 1 with
+    c = 1 when e > 0, and -1, ..., e with c = -1 when e < 0.  Each term is
+    a prefix of w, and as w is reduced no two of them are equal.
     """
-    terms = {}
-    syllables = w.syllables
-    for i, (g, e) in enumerate(syllables):
-        if g != j:
-            continue
-        prefix = syllables[:i]
-        c = 1 if e > 0 else -1
-        for k in (range(e) if e > 0 else range(-1, e - 1, -1)):
-            u = Word(prefix + ((g, k),))
-            new = terms.get(u, 0) + c
-            if new:
-                terms[u] = new
-            else:
-                terms.pop(u, None)
-    return terms
+    for i, (g, e) in enumerate(w.syllables):
+        if e > 0:
+            for k in range(e):
+                yield i, g, k, 1
+        else:
+            for k in range(-1, e - 1, -1):
+                yield i, g, k, -1
 
 
 def augmentation_jacobian(P):
@@ -185,10 +182,10 @@ class AlexanderMatrix:
 
 
 def alexander_matrix(P, abel=None):
-    """The Alexander matrix of P in the chi basis of abel.  Every term of a
-    Fox derivative of a relator is a prefix of the relator's syllables,
-    the last one cut short, so its image under chi is read off the running
-    sums of the syllables' images along the relator."""
+    """The Alexander matrix of P in the chi basis of abel.  The Fox term
+    c * u_i g^k of a relator maps under chi to the image of its prefix u_i,
+    a running sum of the syllables' images along the relator, plus k times
+    the image of g."""
     if abel is None:
         abel = abelianization(P)
     n, torsion = abel.free_rank, abel.torsion
@@ -196,30 +193,20 @@ def alexander_matrix(P, abel=None):
                                                 abel._gen_tors)]
     entries = []
     for r in P.relators:
-        syllables = r.syllables
         sums = [(0,) * (n + len(torsion))]  # images of the prefixes
-        for g, e in syllables:
+        for g, e in r.syllables:
             sums.append([a + e * b for a, b in zip(sums[-1], images[g])])
-        row = []
-        for j in range(P.num_generators):
-            terms = {}
-            for w, c in fox_derivative(r, j).items():
-                image = sums[0]
-                if w.syllables:
-                    *head, (g, e) = w.syllables
-                    if tuple(head) != syllables[:len(head)]:
-                        raise InvariantViolation(
-                            f"Fox term {w} is not a prefix of {r}")
-                    image = [a + e * b for a, b in zip(sums[len(head)],
-                                                       images[g])]
-                key = (tuple(image[:n]),
-                       tuple(t % d for t, d in zip(image[n:], torsion)))
-                new = terms.get(key, 0) + c
-                if new:
-                    terms[key] = new
-                else:
-                    terms.pop(key, None)
-            row.append(terms)
+        row = [{} for _ in range(P.num_generators)]
+        for i, g, k, c in fox_terms(r):
+            image = [a + k * b for a, b in zip(sums[i], images[g])]
+            key = (tuple(image[:n]),
+                   tuple(t % d for t, d in zip(image[n:], torsion)))
+            terms = row[g]
+            new = terms.get(key, 0) + c
+            if new:
+                terms[key] = new
+            else:
+                terms.pop(key, None)
         entries.append(row)
     A = AlexanderMatrix(abel, entries, P.num_generators)
     J = augmentation_jacobian(P)

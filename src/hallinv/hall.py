@@ -235,7 +235,7 @@ def construct_mpqs(p, q):
     return MetabelianGroup(p, q)
 
 
-def delta_mpqs(G, p, q, *, A=None, jobs=1):
+def delta_mpqs(G, p, q, *, A=None):
     """Hall invariant of G (a presentation or a charvar.Group) against
     M_{p,q^s}, from the depths d(rho) of the order-p characters rho over a
     field of characteristic q:
@@ -244,10 +244,9 @@ def delta_mpqs(G, p, q, *, A=None, jobs=1):
 
     which is (p - 1) / (s (q^s - 1)) * sum_{d >= 1} beta_{p,d} (q^{sd} - 1)
     whenever the Betti distribution beta = beta_p^{(q)} exists.  For a
-    presentation, A= evaluates in the chi basis of that Alexander matrix
-    and jobs spreads the character enumeration over workers.
+    presentation, A= evaluates in the chi basis of that Alexander matrix.
     """
-    characters, _ = Group.of(G, A=A, jobs=jobs).depths(p, q)
+    characters, _ = Group.of(G, A=A).depths(p, q)
     s = multiplicative_order(q, p)
     num = sum(c * (q ** (s * d) - 1) for d, c in characters.items())
     den = s * (q ** s - 1)

@@ -8,12 +8,14 @@ derivatives, permutation matrices, Smith normal form).  Nothing in this
 module touches Alexander matrices, characters, or depth, so its numbers
 check the closed formulas from the outside.
 
-The cover's Fox matrix is built as sparse rows and put in Smith form by
-unit pivots first, then the Euclidean loop on whatever is left (Dumas,
-Heckenbach, Saunders and Welker, "Computing simplicial homology based on
-efficient Smith normal form algorithms", 2003).  Its nonzeros are nearly
-all +-1, and on the abelian covers of the arrangement groups the unit
-pivots leave nothing.
+The cover's Fox matrix is built as sparse rows, one walk along each
+relator: every Fox term is a prefix of the relator, so its permutation of
+the cosets is the running composite of the letters read so far.  The
+matrix is put in Smith form by unit pivots first, then the Euclidean
+loop on whatever is left (Dumas, Heckenbach, Saunders and Welker,
+"Computing simplicial homology based on efficient Smith normal form
+algorithms", 2003).  Its nonzeros are nearly all +-1, and on the abelian
+covers of the arrangement groups the unit pivots leave nothing.
 
 Homomorphisms are counted by one backtracking search over generator
 images.  Each relator is checked as soon as its last generator is
@@ -70,7 +72,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import gcd
 
-from .foxcalc import fox_derivative
+from .foxcalc import fox_terms
 from .linalg import InvariantViolation, sparse_smith_normal_form
 
 
@@ -597,10 +599,10 @@ def _epi_by_moebius(P, T, budget):
     return total
 
 
-def delta_oracle(P, T, budget=10 ** 8):
+def delta_oracle(P, T):
     """Hall invariant by pure enumeration: |Epi(P, T)| / |Aut(T)|."""
-    epi = hom_count(P, T, "epi", budget)
-    aut = aut_order(T, budget)
+    epi = hom_count(P, T, "epi")
+    aut = aut_order(T)
     if epi % aut:
         raise InvariantViolation("epimorphism count not divisible by |Aut|")
     return epi // aut
@@ -608,27 +610,6 @@ def delta_oracle(P, T, budget=10 ** 8):
 
 # ---------------------------------------------------------------------------
 # cover homology (finite-index subgroups via coset actions)
-
-def _compose_perm(p, q):
-    """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def _invert_perm(p):
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
-def _word_permutation(w, gen_perms, k):
-    out = tuple(range(k))
-    for g, e in w.syllables:
-        p = gen_perms[g] if e > 0 else _invert_perm(gen_perms[g])
-        for _ in range(abs(e)):
-            out = _compose_perm(out, p)
-    return out
-
 
 def cover_homology(P, gen_perms):
     """H_1 of the index-k subgroup stabilizing 0 under the coset action.
@@ -649,9 +630,10 @@ def cover_homology(P, gen_perms):
     for p in gen_perms:
         if sorted(p) != list(range(k)):
             raise ValueError("not a permutation")
+    inverses = [tuple(sorted(range(k), key=p.__getitem__))
+                for p in gen_perms]
     orbit = {0}
     frontier = [0]
-    inverses = [_invert_perm(p) for p in gen_perms]
     while frontier:
         x = frontier.pop()
         for p in list(gen_perms) + inverses:
@@ -661,20 +643,26 @@ def cover_homology(P, gen_perms):
                 frontier.append(y)
     if len(orbit) != k:
         raise ValueError("coset action is not transitive")
-    identity = tuple(range(k))
-    for i, r in enumerate(P.relators):
-        if _word_permutation(r, gen_perms, k) != identity:
-            raise ValueError(f"not a homomorphism: relator {i + 1} does "
-                             f"not act as the identity on the cosets")
 
+    identity = tuple(range(k))
     rows = [{} for _ in range(len(P.relators) * k)]
     for i, r in enumerate(P.relators):
-        for j in range(l):
-            for w, coeff in fox_derivative(r, j).items():
-                perm = _word_permutation(w, gen_perms, k)
-                for b in range(k):
-                    row, col = rows[i * k + perm[b]], j * k + b
-                    row[col] = row.get(col, 0) + coeff
+        # act is the prefix read so far acting on the cosets, its letters
+        # applied right to left.  A term of a positive syllable of g is the
+        # prefix before a letter g, one of a negative syllable the prefix
+        # ending in a letter g^-1.
+        act = identity
+        for _, g, _, c in fox_terms(r):
+            if c < 0:
+                act = tuple(act[b] for b in inverses[g])
+            for b in range(k):
+                row, col = rows[i * k + act[b]], g * k + b
+                row[col] = row.get(col, 0) + c
+            if c > 0:
+                act = tuple(act[b] for b in gen_perms[g])
+        if act != identity:
+            raise ValueError(f"not a homomorphism: relator {i + 1} does "
+                             f"not act as the identity on the cosets")
     form = sparse_smith_normal_form(rows, l * k)
     betti = form.coker_free_rank - (k - 1)
     if betti < 0:

@@ -58,8 +58,8 @@ class Word:
         return w
 
     @classmethod
-    def generator(cls, g, e=1):
-        return cls(((g, e),))
+    def generator(cls, g):
+        return cls(((g, 1),))
 
     @classmethod
     def identity(cls):
@@ -79,17 +79,6 @@ class Word:
 
     def is_identity(self):
         return not self.syllables
-
-    def letters(self):
-        """Expand to single letters (g, +-1)."""
-        out = []
-        for g, e in self.syllables:
-            step = 1 if e > 0 else -1
-            out.extend((g, step) for _ in range(abs(e)))
-        return out
-
-    def length(self):
-        return sum(abs(e) for _, e in self.syllables)
 
     def exponent_sum(self, g):
         return sum(e for h, e in self.syllables if h == g)
@@ -386,12 +375,12 @@ def nonorientable_surface_group(n):
     return Presentation(_numbered("x", n), [rel])
 
 
-def direct_product_with_Z(P, z_name="z"):
-    """P x Z: one new central generator commuting with every old one."""
-    if z_name in P.generators:
-        raise ValueError(f"generator name {z_name!r} already in use")
+def direct_product_with_Z(P):
+    """P x Z: one new central generator z commuting with every old one."""
+    if "z" in P.generators:
+        raise ValueError("generator name 'z' already in use")
     z = len(P.generators)
     relators = list(P.relators)
     for i in range(len(P.generators)):
         relators.append(commutator(Word.generator(z), Word.generator(i)))
-    return Presentation(tuple(P.generators) + (z_name,), relators)
+    return Presentation(tuple(P.generators) + ("z",), relators)

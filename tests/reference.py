@@ -21,6 +21,12 @@ in for Q(zeta_N)).  The references here do neither:
   elimination at all;
 * fox_derivative takes the product rule one letter at a time, rebuilding
   each prefix as a fresh Word from its letters, quadratic in the length;
+  alexander_entries pushes those derivatives through AbelStructure.chi,
+  and cover_fox_rows replaces each by its permutation matrix, every
+  term's permutation composed letter by letter from the identity, where
+  the library reads both off the images of the relator's prefixes;
+* depth_at ranks a character given by its coordinate exponent vector,
+  where the library's character walk carries form exponents;
 * galois_orbits_by_filter finds the subgroups by building every vector
   and keeping those that are the least generator of their orbits, each
   orbit listed in full, where the library builds least generators
@@ -30,7 +36,8 @@ The closed forms and checks below are what the tests compare the
 library's counts and constructions against; no command needs them:
 
 * fox_fundamental_identity_holds checks sum_j dw/dx_j (x_j - 1) = w - 1
-  on the library's Fox derivatives, multiplying in the free group ring;
+  on derivatives assembled from the library's fox_terms
+  (derivative_from_terms), multiplying in the free group ring;
 * a_k_free is the closed recursion for index-k subgroups of a free
   group, checked against Hall's recursion on free_group(n);
 * a_k_Zn counts the sublattices of Z^n by the divisor recursion, checked
@@ -51,7 +58,11 @@ library's counts and constructions against; no command needs them:
 * linking_matrix reads the pairwise linking numbers off a pure braid,
   checked against the band generators A_{i,j} and full twists;
 * compose, the composite of two free automorphisms, checks that the
-  Artin action is a homomorphism;
+  Artin action is a homomorphism, and apply_automorphism and abelianized
+  check that pure braids fix the boundary word and act trivially on
+  homology;
+* field_element builds a finite-field element from its coefficients, as
+  the field tests write their operands;
 * transpose and matmul, the integer matrix transpose and product, check
   the Smith form's transforms (U A V = D) and its transpose invariance.
 """
@@ -65,8 +76,9 @@ from hallinv.braids import FreeAutomorphism
 from hallinv.census import a_k_via_hall_recursion
 from hallinv.charvar import (Group, _character_moduli, _coordinate_columns,
                              _galois_orbits)
-from hallinv.fields import (_fq_divmod, _fq_monic_polys, multiplicative_order,
-                            primitive_root_of_unity, sufficiently_large_field)
+from hallinv.fields import (FieldElement, _fq_divmod, _fq_monic_polys,
+                            multiplicative_order, primitive_root_of_unity,
+                            sufficiently_large_field)
 from hallinv.foxcalc import abelianization
 from hallinv.hall import AbelianGroupSpec, delta_abelian
 from hallinv.linalg import IntMatrix, InvariantViolation, rank_over_field
@@ -375,17 +387,79 @@ def _add_term(terms, key, c):
         terms.pop(key, None)
 
 
+def letters(w):
+    """The word w as single letters (g, +-1)."""
+    return [(g, 1 if e > 0 else -1) for g, e in w.syllables
+            for _ in range(abs(e))]
+
+
 def fox_derivative(w, j):
     """d w / d x_j letter by letter: with u the letters before it, a letter
     x_j adds u and a letter x_j^-1 adds -u x_j^-1."""
-    letters = w.letters()
+    word = letters(w)
     terms = {}
-    for i, (g, s) in enumerate(letters):
+    for i, (g, s) in enumerate(word):
         if g != j:
             continue
-        u = Word(letters[:i] + ([] if s > 0 else [(g, -1)]))
+        u = Word(word[:i] + ([] if s > 0 else [(g, -1)]))
         _add_term(terms, u, s)
     return terms
+
+
+def derivative_from_terms(w, j):
+    """d w / d x_j as a dict {Word: coefficient}, assembled from the
+    library's foxcalc.fox_terms."""
+    terms = {}
+    for i, g, k, c in foxcalc.fox_terms(w):
+        if g == j:
+            _add_term(terms, Word(w.syllables[:i] + ((g, k),)), c)
+    return terms
+
+
+def alexander_entries(P, abel):
+    """The Alexander matrix entries of P, every term of fox_derivative
+    mapped to H_1 by abel.chi."""
+    l = P.num_generators
+    entries = []
+    for r in P.relators:
+        row = []
+        for j in range(l):
+            entry = {}
+            for u, c in fox_derivative(r, j).items():
+                _add_term(entry, abel.chi([u.exponent_sum(g)
+                                           for g in range(l)]), c)
+            row.append(entry)
+        entries.append(row)
+    return entries
+
+
+def word_permutation(w, gen_perms):
+    """The permutation of the cosets by which w acts, b -> w(b): the
+    composite of its letters' permutations, applied right to left, built
+    letter by letter from the identity."""
+    k = len(gen_perms[0])
+    perm = list(range(k))
+    for g, s in letters(w):
+        p = gen_perms[g]
+        if s < 0:
+            p = [p.index(b) for b in range(k)]
+        perm = [perm[p[b]] for b in range(k)]
+    return perm
+
+
+def cover_fox_rows(P, gen_perms):
+    """The sparse rows of the cover's Fox matrix, zero entries left out:
+    each term u of d r_i / d x_j adds its coefficient at row i k + u(b),
+    column j k + b, for every coset b."""
+    k = len(gen_perms[0])
+    rows = [{} for _ in range(len(P.relators) * k)]
+    for i, r in enumerate(P.relators):
+        for j in range(P.num_generators):
+            for u, c in fox_derivative(r, j).items():
+                perm = word_permutation(u, gen_perms)
+                for b in range(k):
+                    _add_term(rows[i * k + perm[b]], j * k + b, c)
+    return rows
 
 
 def _unit_cosets(k, q):
@@ -427,11 +501,12 @@ def galois_orbits_by_filter(moduli, q):
 
 def fox_fundamental_identity_holds(w, num_generators):
     """Check sum_j dw/dx_j (x_j - 1) = w - 1 in the free group ring, on the
-    library's derivatives, elements as dicts {Word: coefficient}."""
+    derivatives the library's fox_terms give, elements as dicts
+    {Word: coefficient}."""
     total = {}
     for j in range(num_generators):
         x = Word.generator(j)
-        for u, c in foxcalc.fox_derivative(w, j).items():
+        for u, c in derivative_from_terms(w, j).items():
             _add_term(total, u * x, c)
             _add_term(total, u, -c)
     want = {}
@@ -571,7 +646,40 @@ def compose(f, g):
     """The free automorphism f after g: x -> f(g(x))."""
     if g.rank != f.rank:
         raise ValueError("rank mismatch")
-    return FreeAutomorphism(f.rank, [f.apply(w) for w in g.images])
+    return FreeAutomorphism(f.rank, [apply_automorphism(f, w)
+                                     for w in g.images])
+
+
+def apply_automorphism(f, w):
+    """The image of the word w under the free automorphism f."""
+    return w.substitute(f.images)
+
+
+def abelianized(f):
+    """The integer matrix of f on H_1 of the free group: row i holds the
+    exponent sums of the image of generator i."""
+    return [[w.exponent_sum(j) for j in range(f.rank)] for w in f.images]
+
+
+def field_element(K, coeffs):
+    """The element sum_i coeffs[i] x^i of the finite field K."""
+    coeffs = list(coeffs)
+    if len(coeffs) > K.degree:
+        coeffs = K._reduce(coeffs)
+    coeffs += [0] * (K.degree - len(coeffs))
+    return FieldElement(K, tuple(c % K.char for c in coeffs))
+
+
+def depth_at(engine, e):
+    """The DepthEngine's depth at the character with coordinate exponent
+    vector e: its rank at the form exponents of e, capped at l - 1 for a
+    nontrivial character (Fox's fundamental identity) and at min(m, l)
+    for the trivial one."""
+    ceiling = engine.ceiling
+    if any(a % engine.N for a in e):
+        ceiling = min(ceiling, engine.num_generators - 1)
+    return engine.num_generators - engine._certified_rank(
+        engine._exponents(e), ceiling) - 1
 
 
 def transpose(M):

@@ -9,6 +9,7 @@ from hallinv.presentations import (
     direct_product_with_Z, free_group, orientable_surface_group,
     parse_presentation, product_of_free_groups,
 )
+import reference
 from reference import a_k_free, a_k_Zn, a_p_product_with_Z, delta_abelian_of
 
 Z2_PRES = parse_presentation("gens: x, y; rels: [x,y]")
@@ -165,7 +166,7 @@ def test_a_k_matches_transitive_action_count():
         T = FiniteGroupTable.symmetric(k)
         from itertools import permutations
         perms = sorted(permutations(range(k)))
-        letters = [r.letters() for r in P.relators]
+        letters = [reference.letters(r) for r in P.relators]
         count = 0
         for images in iproduct(range(T.order), repeat=P.num_generators):
             ok = True

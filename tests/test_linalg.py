@@ -225,7 +225,8 @@ def test_certified_rank_matches_generic():
                         for vec in row] for row in coeff_rows]
             engine = DepthEngine(AlexanderMatrix(None, entries, n), N, 0)
             assert engine.mode == "modular"
-            assert engine._certified_rank((1,), min(m, n)) == want
+            assert engine._certified_rank(engine._exponents((1,)),
+                                          min(m, n)) == want
 
 
 def test_library_has_no_bare_asserts():

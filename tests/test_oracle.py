@@ -19,6 +19,7 @@ from hallinv.presentations import (
     direct_product_with_Z, free_group, nonorientable_surface_group,
     orientable_surface_group, parse_presentation, product_of_free_groups,
 )
+from reference import letters
 
 Z2_PRES = parse_presentation("gens: x, y; rels: [x,y]")
 
@@ -33,7 +34,7 @@ def brute_counts(P, T):
             x = T.mul[x][images[g] if s > 0 else T.inv[images[g]]]
         return x
 
-    relators = [r.letters() for r in P.relators]
+    relators = [letters(r) for r in P.relators]
     hom = epi = 0
     for images in product(range(T.order), repeat=P.num_generators):
         if all(value(r, images) == T.identity for r in relators):
@@ -204,6 +205,40 @@ def test_cover_homology_free_group():
     assert (betti, torsion) == (3, [])
 
 
+@pytest.mark.parametrize("action", [
+    # the regular action of Z_3 + Z_2, and S_4 on 4 points, not regular
+    oracle.regular_abelian_action([3, 2], [[1, 0, 2], [0, 1, 1]]),
+    [(1, 2, 3, 0), (1, 0, 2, 3), (0, 1, 3, 2)],
+])
+def test_cover_fox_rows_match_letter_by_letter(monkeypatch, action):
+    # the rows cover_homology reduces, against every Fox term's
+    # permutation composed letter by letter: seeded relators with
+    # exponents up to +-5, each a random word raised to the order of its
+    # permutation so that it acts as the identity
+    import random
+    from hallinv.presentations import Presentation, Word
+    from reference import cover_fox_rows, word_permutation
+    rows = []
+    smith = oracle.sparse_smith_normal_form
+    monkeypatch.setattr(oracle, "sparse_smith_normal_form",
+                        lambda r, cols: rows.append(r) or smith(r, cols))
+    rng = random.Random(31)
+    for _ in range(20):
+        relators = []
+        for _ in range(rng.randrange(1, 4)):
+            w = Word([(rng.randrange(3), rng.choice([-5, -3, -2, -1,
+                                                     1, 2, 3, 5]))
+                      for _ in range(rng.randrange(1, 7))])
+            # both groups have exponent dividing 12
+            relators.append(next(w ** m for m in range(1, 13)
+                                 if word_permutation(w ** m, action)
+                                 == sorted(action[0])))
+        P = Presentation(("a", "b", "c"), relators)
+        cover_homology(P, action)
+        got = [{col: v for col, v in row.items() if v} for row in rows.pop()]
+        assert got == cover_fox_rows(P, action), relators
+
+
 def test_regular_cyclic_action_needs_positive_order():
     for N in (0, -3):
         with pytest.raises(ValueError):
@@ -283,7 +318,7 @@ def unreduced_count(relators, l, T):
     n = T.order
     images = [None] * l
     charges = 0
-    letters = [r.letters() for r in relators]
+    words = [letters(r) for r in relators]
 
     def value(letters):
         x = T.identity
@@ -308,7 +343,7 @@ def unreduced_count(relators, l, T):
             charges += 1
             images[g] = v
             # a check's first entry is the number of the relator it checks
-            if all(value(letters[check[0]]) == T.identity
+            if all(value(words[check[0]]) == T.identity
                    for check in checks):
                 total += count_forest(forest)
         return total
@@ -539,7 +574,7 @@ def test_invariant_checks_survive_optimize():
         "from hallinv import cli, oracle",
         "from hallinv.linalg import InvariantViolation",
         "from hallinv.presentations import free_group",
-        "oracle.aut_order = cli.aut_order = lambda T, budget: 4",
+        "oracle.aut_order = cli.aut_order = lambda T, budget=None: 4",
         "S3 = oracle.FiniteGroupTable.symmetric(3)",
         "for call in (lambda: oracle.delta_oracle(free_group(2), S3),",
         "             lambda: cli.main(['oracle', '--target', 's3',",
@@ -574,4 +609,4 @@ def test_oracle_independent_of_formula_routes():
                 internal |= {(module, a.name) for a in node.names}
     assert {m for m, _ in internal} == {"linalg", "foxcalc"}
     assert {name for m, name in internal if m == "foxcalc"} == \
-        {"fox_derivative"}
+        {"fox_terms"}

@@ -7,6 +7,7 @@ from hallinv.presentations import (
     free_group, nonorientable_surface_group, orientable_surface_group,
     parse_presentation, product_of_free_groups, render_presentation,
 )
+from reference import letters
 
 
 def W(*sylls):
@@ -41,7 +42,7 @@ def test_word_multiply_associative_random():
                                reversed(u.syllables)] * -n)
         images = [v, w, u * w]
         assert u.substitute(images) == Word(
-            [s for g, e in u.letters() for s in
+            [s for g, e in letters(u) for s in
              (images[g].syllables if e > 0 else
               [(h, -f) for h, f in reversed(images[g].syllables)])])
 
