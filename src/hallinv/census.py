@@ -151,12 +151,10 @@ def alpha_k(G, k):
     return sum(delta_abelian(abel, spec) for spec in abelian_groups_of_order(k))
 
 
-def c_p(G, p, *, a_p=None):
-    """Number of conjugacy classes of index-p subgroups:
-    (p^n + a_p - 1)/p with n = b_1^{(p)}."""
+def c_p(G, p, *, a_p):
+    """Number of conjugacy classes of index-p subgroups, from the number
+    a_p of index-p subgroups: (p^n + a_p - 1)/p with n = b_1^{(p)}."""
     G = Group.of(G)
-    if a_p is None:
-        a_p = a_k_via_hall_recursion(G.P, p)
     total = p ** G.abel.b1(p) + a_p - 1
     if total % p:
         raise InvariantViolation("conjugacy-class count not an integer")

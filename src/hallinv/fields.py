@@ -306,9 +306,6 @@ class FieldElement:
             return FieldElement(K, (pow(self.coeffs[0], K.char - 2, K.char),))
         return self ** (K.order() - 2)
 
-    def __truediv__(self, other):
-        return self * other.inv()
-
     def __pow__(self, e):
         K = self.owner
         if e == 0:

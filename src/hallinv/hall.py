@@ -98,12 +98,6 @@ class AbelianGroupSpec:
                 per_prime.setdefault(p, []).append(e)
         return cls({p: Partition(parts) for p, parts in per_prime.items()})
 
-    def order(self):
-        out = 1
-        for p, lam in self.partitions.items():
-            out *= p ** lam.weight()
-        return out
-
     def cyclic_factors(self):
         """Invariant-factor-free flat list of prime power orders."""
         out = []

@@ -61,10 +61,6 @@ class Word:
     def generator(cls, g):
         return cls(((g, 1),))
 
-    @classmethod
-    def identity(cls):
-        return cls()
-
     def __mul__(self, other):
         return Word._reduced(self.syllables + other.syllables)
 
@@ -373,14 +369,3 @@ def nonorientable_surface_group(n):
     for i in range(n):
         rel = rel * Word.generator(i) ** 2
     return Presentation(_numbered("x", n), [rel])
-
-
-def direct_product_with_Z(P):
-    """P x Z: one new central generator z commuting with every old one."""
-    if "z" in P.generators:
-        raise ValueError("generator name 'z' already in use")
-    z = len(P.generators)
-    relators = list(P.relators)
-    for i in range(len(P.generators)):
-        relators.append(commutator(Word.generator(z), Word.generator(i)))
-    return Presentation(tuple(P.generators) + ("z",), relators)

@@ -60,7 +60,17 @@ library's counts and constructions against; no command needs them:
 * compose, the composite of two free automorphisms, checks that the
   Artin action is a homomorphism, and apply_automorphism and abelianized
   check that pure braids fix the boundary word and act trivially on
-  homology;
+  homology; identity_automorphism and is_identity are the trivial
+  automorphism and the test for it;
+* build_fixture builds each named arrangement fixture from braid
+  monodromy (Cohen and Suciu 1997), through pure_braid_presentation,
+  monodromy_presentation, full_twist, conjugate_braid and
+  direct_product_with_Z; the regression tests check that it reproduces
+  every frozen file in FROZEN_FIXTURES, which the library reads instead;
+* artin_action_reversed and full_twist(opposite=True) are the rejected
+  conventions, which the tests show differ from the frozen ones and, for
+  the full twist (non_fano_group(opposite=True)), break the non-Fano
+  golden values;
 * field_element builds a finite-field element from its coefficients, as
   the field tests write their operands;
 * transpose and matmul, the integer matrix transpose and product, check
@@ -72,7 +82,9 @@ from itertools import combinations, product
 from math import factorial, gcd, lcm
 
 from hallinv import foxcalc
-from hallinv.braids import FreeAutomorphism
+from hallinv.braids import (BraidWord, FreeAutomorphism, _elementary_images,
+                            artin_action, horizontal_arrangement_group,
+                            pure_generator, semidirect_presentation)
 from hallinv.census import a_k_via_hall_recursion
 from hallinv.charvar import (Group, _character_moduli, _coordinate_columns,
                              _galois_orbits)
@@ -83,7 +95,7 @@ from hallinv.foxcalc import abelianization
 from hallinv.hall import AbelianGroupSpec, delta_abelian
 from hallinv.linalg import IntMatrix, InvariantViolation, rank_over_field
 from hallinv.oracle import _count_generator_images
-from hallinv.presentations import Word
+from hallinv.presentations import Presentation, Word, commutator
 
 
 def _trim(c):
@@ -696,3 +708,197 @@ def matmul(A, B):
     return IntMatrix(A.rows, B.cols,
                      [[sum(row[k] * B.entries[k][j] for k in range(A.cols))
                        for j in range(B.cols)] for row in A.entries])
+
+
+def identity_automorphism(rank):
+    """The identity automorphism of the free group of this rank."""
+    return FreeAutomorphism(rank, [Word.generator(i) for i in range(rank)])
+
+
+def is_identity(f):
+    """Whether the free automorphism f fixes every generator."""
+    return all(w == Word.generator(i) for i, w in enumerate(f.images))
+
+
+def artin_action_reversed(b):
+    """The Artin action under the rejected convention: each letter acts
+    by the opposite elementary images (sigma_i by those of its inverse,
+    and the inverse by those of sigma_i)."""
+    k = b.strands
+    images = [Word.generator(j) for j in range(k)]
+    for i, s in b.letters:
+        phi = _elementary_images(i, k, s < 0)
+        images = [w.substitute(phi) for w in images]
+    return FreeAutomorphism(k, images)
+
+
+# ---------------------------------------------------------------------------
+# the named arrangement fixtures from braid monodromy
+
+def conjugate_braid(a, b):
+    """a conjugated by b: b^-1 a b."""
+    return b ** -1 * a * b
+
+
+def _adjacent_full_twist(a, size, k):
+    """Full twist on the adjacent strands a, a+1, ..., a+size-1."""
+    single = [(t, 1) for t in range(a, a + size - 1)]
+    return BraidWord(k, single * size)
+
+
+def full_twist(indices, k, *, opposite=False):
+    """Full twist A_I on an arbitrary strand set I.
+
+    The strands of I are slid next to min(I) by a permutation braid C of
+    positive crossings (passing over the strands in between), the
+    adjacent block is fully twisted, and C is undone: A_I = C T C^-1.
+    Conjugating on the other side (`opposite`, the first candidate
+    convention) fails the non-Fano golden values, which is how this side
+    was frozen.
+    """
+    indices = sorted(set(indices))
+    if len(indices) < 2:
+        raise ValueError("a full twist needs at least two strands")
+    if not 1 <= indices[0] and indices[-1] <= k:
+        raise ValueError("strand index out of range")
+    base = indices[0]
+    slide = []
+    for m, strand in enumerate(indices[1:], start=1):
+        slide += [(t, 1) for t in range(strand - 1, base + m - 1, -1)]
+    C = BraidWord(k, slide)
+    T = _adjacent_full_twist(base, len(indices), k)
+    if opposite:
+        return C ** -1 * T * C
+    return C * T * C ** -1
+
+
+def direct_product_with_Z(P):
+    """P x Z: one new central generator z commuting with every old one."""
+    if "z" in P.generators:
+        raise ValueError("generator name 'z' already in use")
+    z = len(P.generators)
+    relators = list(P.relators)
+    for i in range(len(P.generators)):
+        relators.append(commutator(Word.generator(z), Word.generator(i)))
+    return Presentation(tuple(P.generators) + ("z",), relators)
+
+
+def monodromy_presentation(phis):
+    """Quotient of F_k by the relations phi_j(x_i) = x_i: the standard
+    complement presentation from braid monodromy generators."""
+    phis = list(phis)
+    if not phis:
+        raise ValueError("need at least one automorphism")
+    k = phis[0].rank
+    if any(phi.rank != k for phi in phis):
+        raise ValueError("all automorphisms must share a rank")
+    names = [f"x{i}" for i in range(1, k + 1)]
+    relators = []
+    for phi in phis:
+        for i in range(k):
+            rel = phi.images[i] * Word.generator(i) ** -1
+            if not rel.is_identity():
+                relators.append(rel)
+    return Presentation(names, relators)
+
+
+def pure_braid_presentation(k):
+    """The pure braid group on k strands, presented iteratively: forgetting
+    the last strand splits off a free group, with the smaller pure braid
+    group acting through the Artin representation.
+
+    Generators are the band generators, ordered (1,2), (1,3), (2,3),
+    (1,4), ...; each earlier generator conjugates the A_{m,t}, with
+    g^-1 x g = artin(g)(x) (the side is pinned by the golden values of
+    this group's characteristic varieties, like every convention here).
+    """
+    if k < 2:
+        raise ValueError("need at least two strands")
+    names = []
+    pair_index = {}
+    for t in range(2, k + 1):
+        for m in range(1, t):
+            pair_index[(m, t)] = len(names)
+            names.append(f"a{m}{t}")
+    relators = []
+    for t in range(3, k + 1):
+        # the earlier generators, as braids on t-1 strands, act on the
+        # free group generated by the pairs (m, t)
+        for (i, j), g_idx in sorted(pair_index.items(),
+                                    key=lambda kv: (kv[0][1], kv[0][0])):
+            if j >= t:
+                continue
+            phi = artin_action(pure_generator(i, j, t - 1))
+            g = Word.generator(g_idx)
+            for m in range(1, t):
+                x = Word.generator(pair_index[(m, t)])
+                image = phi.images[m - 1].substitute(
+                    [Word.generator(pair_index[(r + 1, t)])
+                     for r in range(t - 1)])
+                rel = g.inverse() * x * g * image.inverse()
+                if not rel.is_identity():
+                    relators.append(rel)
+    return Presentation(names, relators)
+
+
+# the braid monodromy data of the two named line arrangements
+NON_FANO_STRANDS = 6
+DELETED_B3_STRANDS = 4
+
+
+def non_fano_group(*, opposite=False):
+    """The non-Fano arrangement group: the monodromy presentation of its
+    braid monodromy generators, times Z; opposite conjugates the full
+    twists on the rejected side."""
+    A = pure_generator
+    conj = conjugate_braid
+    k = NON_FANO_STRANDS
+
+    def F(indices):
+        return full_twist(indices, k, opposite=opposite)
+
+    braids = [
+        F([3, 4, 5]),
+        conj(F([1, 2, 5]), A(3, 5, k) * A(4, 5, k)),
+        conj(A(1, 4, k), A(3, 4, k)),
+        F([1, 3, 6]),
+        conj(F([2, 4, 6]), A(3, 4, k) * A(3, 6, k)),
+    ]
+    phis = [artin_action(b) for b in braids]
+    return direct_product_with_Z(monodromy_presentation(phis))
+
+
+def deleted_b3_group():
+    """The deleted B3 arrangement group: F_4 extended by its three braid
+    monodromy generators, times Z."""
+    A = pure_generator
+    conj = conjugate_braid
+    k = DELETED_B3_STRANDS
+    braids = [
+        A(2, 3, k),
+        conj(A(1, 3, k), A(2, 3, k)) * A(2, 4, k),
+        conj(A(1, 4, k), A(2, 4, k)),
+    ]
+    phis = [artin_action(b) for b in braids]
+    return direct_product_with_Z(semidirect_presentation(phis))
+
+
+def build_fixture(name):
+    """A named arrangement-group presentation built from braid data."""
+    if name == "braid_arrangement":
+        return pure_braid_presentation(4)
+    if name == "non_fano":
+        return non_fano_group()
+    if name == "deleted_b3":
+        return deleted_b3_group()
+    if name.startswith("horizontal:"):
+        tau = [int(c) for c in name.split(":", 1)[1]]
+        return horizontal_arrangement_group(tau)
+    raise ValueError(f"unknown fixture {name!r}")
+
+
+FROZEN_FIXTURES = ("braid_arrangement", "non_fano", "deleted_b3",
+                   "horizontal:123", "horizontal:1234", "horizontal:2134",
+                   "horizontal:12345", "horizontal:21345",
+                   "horizontal:21435", "horizontal:31425",
+                   "horizontal:123456")

@@ -1,15 +1,16 @@
 import pytest
 
 from hallinv.braids import (
-    BraidWord, FreeAutomorphism, artin_action, build_fixture, conjugate_braid,
-    fixture, full_twist, monodromy_presentation, pure_braid_presentation,
-    pure_generator, semidirect_presentation, xi_from_permutation,
-    FROZEN_FIXTURES,
+    BraidWord, artin_action, fixture, pure_generator,
+    semidirect_presentation, xi_from_permutation,
 )
 from hallinv.foxcalc import abelianization
 from hallinv.presentations import Word, free_group, render_presentation
-from reference import (abelianized, apply_automorphism, compose,
-                       linking_matrix)
+from reference import (FROZEN_FIXTURES, abelianized, apply_automorphism,
+                       artin_action_reversed, build_fixture, compose,
+                       conjugate_braid, full_twist, identity_automorphism,
+                       is_identity, linking_matrix, monodromy_presentation,
+                       non_fano_group, pure_braid_presentation)
 
 
 def braid(k, *letters):
@@ -22,12 +23,12 @@ def test_artin_elementary():
     a2 = artin_action(braid(2, (1, 1), (1, 1)))
     assert a2.images == (Word([(0, 1), (1, 1), (0, 1), (1, -1), (0, -1)]),
                          Word([(0, 1), (1, 1), (0, -1)]))
-    assert artin_action(BraidWord.identity(3)).is_identity()
+    assert is_identity(artin_action(BraidWord.identity(3)))
 
 
 def test_artin_inverse_letters_cancel():
     b = braid(3, (1, 1), (2, 1), (1, -1))
-    assert artin_action(b * b.inverse()).is_identity()
+    assert is_identity(artin_action(b * b ** -1))
 
 
 def test_braid_relations_hold():
@@ -51,7 +52,7 @@ def test_conjugation_functoriality():
     b = pure_generator(2, 3, 3)
     lhs = artin_action(conjugate_braid(a, b))
     rhs = compose(compose(artin_action(b), artin_action(a)),
-                  artin_action(b.inverse()))
+                  artin_action(b ** -1))
     assert lhs == rhs
     assert conjugate_braid(a, BraidWord.identity(3)) == a
 
@@ -110,7 +111,7 @@ def test_xi_from_permutation():
 
 
 def test_semidirect_presentation_shapes():
-    phi = FreeAutomorphism.identity(1)
+    phi = identity_automorphism(1)
     P = semidirect_presentation([phi])
     abel = abelianization(P)
     assert (abel.free_rank, abel.torsion) == (2, [])
@@ -124,7 +125,7 @@ def test_semidirect_presentation_shapes():
 
 
 def test_monodromy_presentation_drops_trivial_relators():
-    phi = FreeAutomorphism.identity(2)
+    phi = identity_automorphism(2)
     P = monodromy_presentation([phi])
     assert P.relators == ()
 
@@ -158,34 +159,17 @@ def test_fixture_families():
 def test_reversed_convention_differs():
     # the alternate elementary action is documented and really is different
     b = braid(3, (1, 1), (2, 1))
-    assert artin_action(b) != artin_action(b, reversed_convention=True)
+    assert artin_action(b) != artin_action_reversed(b)
 
 
 def test_full_twist_convention_selected_by_goldens():
     # building the non-Fano group with the opposite conjugation side for
     # full twists breaks the published distribution; the frozen side is
-    # the one that reproduces it (see the module docstring)
-    from hallinv.braids import (_NON_FANO_STRANDS, _non_fano_braids,
-                                artin_action, monodromy_presentation)
+    # the one that reproduces it (see reference.full_twist)
     from hallinv.charvar import beta_distribution
 
-    k = _NON_FANO_STRANDS
-    A = pure_generator
-
-    def opposite_braids():
-        F = lambda I: full_twist(I, k, opposite=True)
-        return [
-            F([3, 4, 5]),
-            conjugate_braid(F([1, 2, 5]), A(3, 5, k) * A(4, 5, k)),
-            conjugate_braid(A(1, 4, k), A(3, 4, k)),
-            F([1, 3, 6]),
-            conjugate_braid(F([2, 4, 6]), A(3, 4, k) * A(3, 6, k)),
-        ]
-
-    frozen = monodromy_presentation(
-        [artin_action(b) for b in _non_fano_braids()], add_central_Z=True)
-    flipped = monodromy_presentation(
-        [artin_action(b) for b in opposite_braids()], add_central_Z=True)
+    frozen = build_fixture("non_fano")
+    flipped = non_fano_group(opposite=True)
     assert beta_distribution(frozen, 2, 3).positive_part() == (24, 1)
     assert beta_distribution(flipped, 2, 3).positive_part() != (24, 1)
 

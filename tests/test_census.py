@@ -6,11 +6,12 @@ from hallinv.census import (
 )
 from hallinv.hall import delta_mpqs
 from hallinv.presentations import (
-    direct_product_with_Z, free_group, orientable_surface_group,
-    parse_presentation, product_of_free_groups,
+    free_group, orientable_surface_group, parse_presentation,
+    product_of_free_groups,
 )
 import reference
-from reference import a_k_free, a_k_Zn, a_p_product_with_Z, delta_abelian_of
+from reference import (a_k_free, a_k_Zn, a_p_product_with_Z,
+                       delta_abelian_of, direct_product_with_Z)
 
 Z2_PRES = parse_presentation("gens: x, y; rels: [x,y]")
 
@@ -123,9 +124,11 @@ def test_alpha_k():
 
 
 def test_c_p():
-    assert c_p(free_group(2), 2) == 3
-    assert c_p(free_group(2), 3) == 7
-    assert c_p(Z2_PRES, 3) == 4  # all sublattices normal
+    def c(P, p):
+        return c_p(P, p, a_p=a_k_via_hall_recursion(P, p))
+    assert c(free_group(2), 2) == 3
+    assert c(free_group(2), 3) == 7
+    assert c(Z2_PRES, 3) == 4  # all sublattices normal
 
 
 def test_a_p_product_with_Z():

@@ -10,12 +10,12 @@ from hallinv.charvar import (
 from hallinv.fields import prime_field, sufficiently_large_field
 from hallinv.foxcalc import alexander_matrix
 from hallinv.presentations import (
-    direct_product_with_Z, free_group, nonorientable_surface_group,
-    orientable_surface_group, parse_presentation, product_of_free_groups,
+    free_group, nonorientable_surface_group, orientable_surface_group,
+    parse_presentation, product_of_free_groups,
 )
 from reference import (check_bounds_congruence, depth, depth_at,
-                       max_depth_of_order_dividing, order_p_exponents,
-                       reference_field)
+                       direct_product_with_Z, max_depth_of_order_dividing,
+                       order_p_exponents, reference_field)
 
 
 # BS(1,2) and Z x| Z^3: at (p, q) = (3, 7) and (7, 2), q has order less

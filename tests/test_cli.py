@@ -279,13 +279,14 @@ def test_help_exits_0(capsys):
 
 def test_python_m_hallinv_help():
     # python -m hallinv runs the same command line as the hallinv script
+    import os
     import pathlib
     import subprocess
     import sys
     src = str(pathlib.Path(hallinv.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "hallinv", "--help"],
                           capture_output=True, text=True,
-                          env={"PYTHONPATH": src}, timeout=120)
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.startswith("usage: hallinv") and "cover" in proc.stdout
     # a walk over the package's modules imports it without running main

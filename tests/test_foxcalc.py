@@ -71,8 +71,8 @@ def test_fox_derivative_matches_letter_by_letter():
 def test_alexander_matrices_of_fixtures_unchanged():
     # every fixture's Alexander matrix, terms in their order included, is
     # the one the letter-by-letter derivative mapped through chi gives
-    from hallinv.braids import FROZEN_FIXTURES, fixture
-    from reference import alexander_entries
+    from hallinv.braids import fixture
+    from reference import FROZEN_FIXTURES, alexander_entries
 
     def terms(entries):
         return [[list(entry.items()) for entry in row] for row in entries]

@@ -1,4 +1,5 @@
 import ast
+import os
 import subprocess
 import sys
 from itertools import product
@@ -16,10 +17,10 @@ from hallinv.oracle import (
     delta_oracle, hom_count, regular_cyclic_action,
 )
 from hallinv.presentations import (
-    direct_product_with_Z, free_group, nonorientable_surface_group,
-    orientable_surface_group, parse_presentation, product_of_free_groups,
+    free_group, nonorientable_surface_group, orientable_surface_group,
+    parse_presentation, product_of_free_groups,
 )
-from reference import letters
+from reference import direct_product_with_Z, letters
 
 Z2_PRES = parse_presentation("gens: x, y; rels: [x,y]")
 
@@ -589,7 +590,7 @@ def test_invariant_checks_survive_optimize():
     src = str(Path(hallinv.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True,
-                          env={"PYTHONPATH": src}, timeout=120)
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.stdout.split() == ["raised", "raised"], proc.stderr
 
 

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from hallinv.presentations import (
-    ParseError, Presentation, Word, commutator, direct_product_with_Z,
-    free_group, nonorientable_surface_group, orientable_surface_group,
+    ParseError, Presentation, Word, commutator, free_group,
+    nonorientable_surface_group, orientable_surface_group,
     parse_presentation, product_of_free_groups, render_presentation,
 )
-from reference import letters
+from reference import direct_product_with_Z, letters
 
 
 def W(*sylls):

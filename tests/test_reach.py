@@ -15,10 +15,21 @@ so a call to another function of the same name can make a dead parameter
 look passed: the check may miss one, but flags none that a call names
 directly.  A parameter reached only through a variable is listed in
 EXEMPT with its reason.
+
+Names cannot show a function reached only through another that tests
+alone call, nor methods; the traced check runs the README's command
+lines and one request per route under sys.setprofile, and fails on any
+library function or method that none of them enters.
 """
 
 import ast
+import importlib
+import json
+import os
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,10 +78,6 @@ EXEMPT = {
     # cli._cmd_table calls either table through the variable `builder`
     ("tables.table1", "rows"), ("tables.table1", "jobs"),
     ("tables.table2", "rows"), ("tables.table2", "jobs"),
-    # the rejected conventions, kept as the references the golden-value
-    # tests select the frozen ones against
-    ("braids.artin_action", "reversed_convention"),
-    ("braids.full_twist", "opposite"),
 }
 
 
@@ -136,3 +143,126 @@ def test_every_defaulted_parameter_is_passed():
                     unpassed.append(f"{qualified}({param}=)")
     assert not unpassed, ("defaulted parameters no library or benchmark "
                           f"call passes: {unpassed}")
+
+
+# The command lines the traced check runs, besides the README's: one
+# request per route the README lines do not take.
+ROUTES = [
+    ["beta", "--p", "3", "--q", "0", "--fixture", "non_fano"],
+    # the element route (F_{3^11}, past the Zech limit) on a matrix whose
+    # elimination subtracts rows
+    ["cover", "--order", "23", "--images", "1,1,0", "--q", "3",
+     "--fixture", "product:2,1"],
+    # a horizontal arrangement with no frozen file, built from its braid
+    ["alexander", "--fixture", "horizontal:21534"],
+    ["beta", "--p", "3", "--q", "2", "--fixture", "deleted_b3",
+     "--jobs", "2"],
+    ["beta", "--p", "3", "--q", "2", "--fixture", "free:2",
+     "--check-orbits"],
+    # surface:2 takes the blocks plan, braid_arrangement the DFS
+    *(["oracle", "--target", "s3", "--mode", mode, "--fixture", name]
+      for name in ("surface:2", "braid_arrangement")
+      for mode in ("all", "epi", "delta")),
+    ["oracle", "--target", "cyclic:6", "--fixture", "free:2"],
+    ["census", "--k", "4", "--all-counts", "--fixture", "free:2"],
+]
+# (command line, exit code) of the requests that fail
+FAILING = [
+    (["oracle", "--target", "s3", "--fixture", "free:2", "--budget", "5"], 2),
+    (["beta", "--p"], 1),
+    (["parse", "--in", "malformed.txt"], 1),
+]
+
+# Library functions no traced command line enters, with the reason.
+ENTRY_EXEMPT = {
+    # runs only in a forked --jobs child, whose profiler record is lost
+    "charvar._child_share",
+    # called by AbelianGroupSpec.table, which only perfbench/ calls
+    "hall.AbelianGroupSpec.cyclic_factors",
+    # perfbench/ indexes a distribution (b[depth]), a use no name shows
+    "charvar.BettiDistribution.__getitem__",
+}
+# methods Python calls implicitly, which no command's output relies on
+IMPLICIT = {"__repr__", "__eq__", "__hash__"}
+
+# Runs the command lines of argv[1] (JSON) through cli.main in a fresh
+# interpreter, where no cache of an earlier test hides a function, and
+# writes (exit codes, (file, first line) of every code object entered) as
+# JSON to argv[2].  --jobs 2 forks on any machine: the process is told it
+# may use two CPUs.
+TRACE = """
+import contextlib, io, json, os, sys
+from hallinv.cli import main
+os.sched_getaffinity = lambda pid: {0, 1}
+entered = set()
+def profile(frame, event, arg):
+    entered.add(frame.f_code)
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    sys.setprofile(profile)
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+    sys.setprofile(None)
+with open(sys.argv[2], "w") as out:
+    json.dump([codes, [(c.co_filename, c.co_firstlineno)
+                       for c in entered]], out)
+"""
+
+
+def _library_functions():
+    """(qualified name, code object) of every module-level function and
+    every method of a module-level class in src/hallinv; a method is
+    unwrapped from its classmethod, staticmethod, property or cache."""
+    for path in LIBRARY:
+        module = importlib.import_module(f"hallinv.{path.stem}")
+        for name, obj in vars(module).items():
+            members = [(name, obj)]
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                members = [(f"{name}.{attr}", value)
+                           for attr, value in vars(obj).items()]
+            for qualified, value in members:
+                for inner in ("__func__", "fget", "func", "__wrapped__"):
+                    value = getattr(value, inner, value)
+                code = getattr(value, "__code__", None)
+                if code is not None and code.co_filename == str(path):
+                    yield f"{path.stem}.{qualified}", code
+
+
+def test_every_library_function_is_entered(tmp_path):
+    """Every library function and method is entered by some command line:
+    the README's, and one request per route, run through cli.main under
+    sys.setprofile.  A function no command enters is dead or test-only,
+    and a test-only function belongs in tests/reference.py.  Names that
+    perfbench/ uses are exempt, matched by name as the check above does
+    (dunder names excepted, which a use does not call), and so are the
+    methods in IMPLICIT and the functions in ENTRY_EXEMPT.  Nested
+    functions are out of scope."""
+    from test_readme import readme_commands
+
+    (tmp_path / "pres.txt").write_text("gens: x, y\nrels: [x,y]\n")
+    # a trailing token, reported through _Tokens.error
+    (tmp_path / "malformed.txt").write_text("gens: x\nrels: x)\n")
+    runs = [(shlex.split(line)[1:], 0) for line in readme_commands()]
+    runs += [(argv, 0) for argv in ROUTES] + FAILING
+    result = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACE, json.dumps([argv for argv, _ in runs]),
+         str(result)], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, entered = json.loads(result.read_text())
+    assert codes == [want for _, want in runs], list(zip(runs, codes))
+    entered = {tuple(place) for place in entered}
+    perfbench = set()
+    for path in CALLERS[len(LIBRARY):]:
+        perfbench.update(_uses(ast.parse(path.read_text(), str(path)), ()))
+    functions = list(_library_functions())
+    assert functions, "the library imported is not the one in src/hallinv"
+    unentered = [name for name, code in functions
+                 if (code.co_filename, code.co_firstlineno) not in entered
+                 and name not in ENTRY_EXEMPT
+                 and code.co_name not in IMPLICIT
+                 and not (code.co_name in perfbench
+                          and not code.co_name.startswith("__"))]
+    assert not unentered, ("library functions no command enters; delete "
+                           f"them or move them to tests/reference.py: "
+                           f"{unentered}")
