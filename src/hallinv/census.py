@@ -1,11 +1,14 @@
 """Counting finite-index subgroups: all, normal, abelian-quotient, and
 conjugacy classes.
 
-The index-k count comes from M. Hall's recursion through homomorphism
-counts into symmetric groups; index 2 and 3 also have closed forms in the
-mod-p Betti data, which is how the recursion gets checked.  Normal counts
-for index p, p^2, pq are sums of Hall invariants over the few groups of
-those orders; the abelian-quotient count alpha_k sums the abelian ones.
+Every normal count is a sum of Hall invariants: a_k_normal is the sum of
+delta over the groups of order k.  For k prime, p^2 or pq those are the
+abelian groups and, when k = uv with u | v - 1, the metabelian M_{u,v};
+other k report unsupported.  The abelian-quotient count alpha_k is the
+abelian part of that sum.  The index-k count of all subgroups comes from
+M. Hall's recursion through homomorphism counts into symmetric groups;
+index 2 and 3 also have closed forms in the Hall invariants, which is
+how the recursion gets checked.
 """
 
 from __future__ import annotations
@@ -15,35 +18,15 @@ from math import factorial
 
 from .charvar import Group
 from .fields import factorize
-from .hall import AbelianGroupSpec, Partition, delta_abelian, delta_mpqs
+from .hall import AbelianGroupSpec, delta_abelian, delta_mpqs
 from .linalg import InvariantViolation
 from .oracle import (BudgetExceeded, FiniteGroupTable, check_table_budget,
                      hom_count)
 
 
 class UnsupportedIndexError(ValueError):
-    """Indices whose normal count needs Hall invariants outside the
-    implemented family (k = 8, 12, or three-factor shapes)."""
-
-
-def symmetric_hom_counter(P, budget=10 ** 8):
-    """l -> |Hom(G, S_l)| by enumeration; the input to Hall's recursion.
-
-    The budget is checked before the S_l multiplication table (of l!^2
-    entries) is even built, so an oversized request fails fast."""
-    tables = {}
-
-    def counter(l):
-        size = factorial(l)
-        if size ** P.num_generators > budget:
-            raise BudgetExceeded(
-                f"counting maps into S_{l} exceeds the budget")
-        check_table_budget(size, budget)
-        if l not in tables:
-            tables[l] = FiniteGroupTable.symmetric(l)
-        return hom_count(P, tables[l], "all", budget)
-
-    return counter
+    """Indices with a group of order k outside the abelian groups and the
+    implemented metabelian family (k = 8, 12, or three-factor shapes)."""
 
 
 def a_k_via_hall_recursion(P, k, budget=10 ** 8):
@@ -51,11 +34,19 @@ def a_k_via_hall_recursion(P, k, budget=10 ** 8):
 
         a_k = h_k/(k-1)! - sum_{l<k} h_{k-l}/(k-l)! a_l,
 
-    h_l the number of homomorphisms into S_l."""
+    h_l = |Hom(G, S_l)| by enumeration.  The budget is checked before the
+    S_l multiplication table (of l!^2 entries) is even built, so an
+    oversized request fails fast."""
     if k < 1:
         raise ValueError("k must be positive")
-    hom_counter = symmetric_hom_counter(P, budget)
-    h = {l: hom_counter(l) for l in range(1, k + 1)}
+    h = {}
+    for l in range(1, k + 1):
+        size = factorial(l)
+        if size ** P.num_generators > budget:
+            raise BudgetExceeded(
+                f"counting maps into S_{l} exceeds the budget")
+        check_table_budget(size, budget)
+        h[l] = hom_count(P, FiniteGroupTable.symmetric(l), "all", budget)
     a = {1: 1}
     for j in range(2, k + 1):
         total = Fraction(h[j], factorial(j - 1))
@@ -69,79 +60,51 @@ def a_k_via_hall_recursion(P, k, budget=10 ** 8):
 
 
 def a2_a3(G):
-    """(a_2, a_3) from homological data: a_2 = 2^{n_2} - 1 and
-    a_3 = (3^{n_3} - 1)/2 + 3 delta_{S_3}."""
+    """(a_2, a_3) from Hall invariants: every index-2 subgroup is normal,
+    and an index-3 subgroup is normal or one of the three conjugates whose
+    core has quotient S_3, so a_2 = a_2^normal and
+    a_3 = a_3^normal + 3 delta_{S_3}."""
     G = Group.of(G)
-    a2 = 2 ** G.abel.b1(2) - 1
-    a3 = (3 ** G.abel.b1(3) - 1) // 2 + 3 * delta_mpqs(G, 2, 3)
-    return a2, a3
+    return a_normal(G, 2), a_normal(G, 3) + 3 * delta_mpqs(G, 2, 3)
 
 
 def a_normal(G, k):
-    """Number of index-k normal subgroups, for k prime, p^2, or pq.
-
-    These are the indices where every group of order k is abelian or in
-    the implemented metabelian family, so the count is a sum of computed
-    Hall invariants.  Other composite shapes raise UnsupportedIndexError.
-    """
+    """Number of index-k normal subgroups: the sum of delta over the groups
+    of order k, for k prime, p^2 or pq.  Those are the abelian groups,
+    summed by alpha_k, and M_{u,v} when k = uv with u | v - 1; other k
+    raise UnsupportedIndexError."""
     if k < 1:
         raise ValueError("k must be positive")
-    if k == 1:
-        return 1
-    G = Group.of(G)
-    abel = G.abel
     fac = factorize(k)
-    primes = sorted(fac)
-    if len(primes) == 1:
-        p = primes[0]
-        e = fac[p]
-        n = abel.b1(p)
-        if e == 1:
-            return (p ** n - 1) // (p - 1)
-        if e == 2:
-            m = abel.free_rank + sum(1 for d in abel.torsion
-                                     if d % (p * p) == 0)
-            part = (p ** n - 1) * (p ** (n - 1) - 1) \
-                // ((p * p - 1) * (p - 1))
-            return part + p ** (n - 1) * (p ** m - 1) // (p - 1)
+    if sorted(fac.values()) not in ([], [1], [2], [1, 1]):
         raise UnsupportedIndexError(
             f"index {k} needs Hall invariants outside the abelian and"
             " M_{p,q^s} families")
-    if len(primes) == 2 and all(fac[p] == 1 for p in primes):
-        u, v = primes
-        n = abel.b1(u)
-        m = abel.b1(v)
-        total = (u ** n - 1) * (v ** m - 1) // ((u - 1) * (v - 1))
+    G = Group.of(G)
+    total = alpha_k(G, k)
+    if len(fac) == 2:
+        u, v = sorted(fac)
         if (v - 1) % u == 0:
             total += delta_mpqs(G, u, v)
-        return total
-    raise UnsupportedIndexError(
-        f"index {k} needs Hall invariants outside the abelian and"
-        " M_{p,q^s} families")
+    return total
 
 
 def abelian_groups_of_order(k):
     """All abelian groups of order k, one spec per isomorphism type, in a
     deterministic order."""
-    if k < 1:
-        raise ValueError("k must be positive")
     specs = [{}]
     for p, e in sorted(factorize(k).items()):
-        specs = [{**s, p: lam} for s in specs for lam in _partitions(e)]
-    return [AbelianGroupSpec({p: Partition(lam) for p, lam in s.items()})
-            for s in specs]
+        specs = [{**s, p: lam} for s in specs for lam in _partitions(e, e)]
+    return [AbelianGroupSpec(s) for s in specs]
 
 
-def _partitions(n):
-    """Partitions of n as weakly decreasing tuples, lexicographically."""
-    def rec(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-    yield from rec(n, n)
+def _partitions(n, cap):
+    """Partitions of n into parts at most cap, as weakly decreasing
+    tuples, lexicographically decreasing."""
+    if n == 0:
+        return [()]
+    return [(first,) + rest for first in range(min(n, cap), 0, -1)
+            for rest in _partitions(n - first, first)]
 
 
 def alpha_k(G, k):
@@ -161,70 +124,46 @@ def c_p(G, p, *, a_p):
     return total // p
 
 
-class CensusReport:
-    """Collected index-k counts with per-value provenance tags."""
-
-    __slots__ = ("k", "values", "methods")
-
-    def __init__(self, k):
-        self.k = k
-        self.values = {}
-        self.methods = {}
-
-    def add(self, key, value, method):
-        self.values[key] = value
-        self.methods[key] = method
-
-    def validate(self):
-        ks = {key: v for key, v in self.values.items() if isinstance(v, int)}
-        if ("a_k" in ks and "a_k_normal" in ks
-                and not ks["a_k"] >= ks["a_k_normal"]):
-            raise InvariantViolation("normal count exceeds subgroup count")
-        if ("a_k_normal" in ks and "alpha_k" in ks
-                and not ks["a_k_normal"] >= ks["alpha_k"]):
-            raise InvariantViolation(
-                "abelian-quotient count exceeds normal count")
-
-    def as_dict(self):
-        out = {"k": self.k}
-        for key, value in sorted(self.values.items()):
-            out[key] = value
-            out[key + "_method"] = self.methods[key]
-        return out
-
-
 def census(G, k, *, want_normal=True, want_alpha=True, want_conjugacy=False,
            budget=10 ** 8):
-    """Assemble a CensusReport for G (a presentation or a charvar.Group);
-    infeasible pieces are recorded as the string 'infeasible' rather than
-    guessed."""
+    """The index-k counts of G (a presentation or a charvar.Group) as the
+    dict the CLI prints: {"k": k}, then each count and its method tag
+    (key + "_method"), sorted by key.  Infeasible pieces are recorded as
+    the string 'infeasible' rather than guessed, and InvariantViolation is
+    raised unless a_k >= a_k_normal >= alpha_k over those that are
+    numbers."""
     G = Group.of(G)
-    report = CensusReport(k)
+    found = {}
     if k in (2, 3):
-        # a_2 = 2^{n_2} - 1 needs no Betti distribution
-        a_p = 2 ** G.abel.b1(2) - 1 if k == 2 else a2_a3(G)[1]
-        report.add("a_k", a_p, "closed-form")
+        # every index-2 subgroup is normal
+        found["a_k"] = (a_normal(G, 2) if k == 2 else a2_a3(G)[1],
+                        "closed-form")
     else:
         try:
-            a_p = a_k_via_hall_recursion(G.P, k, budget=budget)
-            report.add("a_k", a_p, "hall-recursion")
+            found["a_k"] = (a_k_via_hall_recursion(G.P, k, budget=budget),
+                            "hall-recursion")
         except BudgetExceeded:
-            report.add("a_k", "infeasible", "hall-recursion")
-            a_p = None
+            found["a_k"] = "infeasible", "hall-recursion"
     if want_normal:
         try:
-            report.add("a_k_normal", a_normal(G, k), "delta-sum")
+            found["a_k_normal"] = a_normal(G, k), "delta-sum"
         except UnsupportedIndexError as e:
-            report.add("a_k_normal", f"unsupported: {e}", "delta-sum")
+            found["a_k_normal"] = f"unsupported: {e}", "delta-sum"
     if want_alpha:
-        report.add("alpha_k", alpha_k(G, k), "abelian-delta-sum")
+        found["alpha_k"] = alpha_k(G, k), "abelian-delta-sum"
     if want_conjugacy:
-        if k in factorize(k) and isinstance(a_p, int):
-            report.add("c_k", c_p(G, k, a_p=a_p), "closed-form")
-        elif k in factorize(k):
-            report.add("c_k", "infeasible", "closed-form")
+        a_p = found["a_k"][0]
+        if k not in factorize(k):
+            c_k = "unsupported: conjugacy counts need prime k"
         else:
-            report.add("c_k", "unsupported: conjugacy counts need prime k",
-                       "closed-form")
-    report.validate()
-    return report
+            c_k = c_p(G, k, a_p=a_p) if isinstance(a_p, int) else "infeasible"
+        found["c_k"] = c_k, "closed-form"
+    chain = [found[key][0] for key in ("a_k", "a_k_normal", "alpha_k")
+             if key in found and isinstance(found[key][0], int)]
+    if chain != sorted(chain, reverse=True):
+        raise InvariantViolation(f"not a_k >= a_k_normal >= alpha_k: {chain}")
+    out = {"k": k}
+    for key, (value, method) in sorted(found.items()):
+        out[key] = value
+        out[key + "_method"] = method
+    return out

@@ -202,12 +202,11 @@ def _cmd_cover(args):
 
 def _cmd_census(args):
     G = Group(_load_presentation(args), jobs=args.jobs)
-    report = census(G, args.k,
-                    want_normal=args.normal or args.all_counts,
-                    want_alpha=args.abelian_quotient or args.all_counts,
-                    want_conjugacy=args.conjugacy,
-                    budget=args.budget)
-    d = report.as_dict()
+    d = census(G, args.k,
+               want_normal=args.normal or args.all_counts,
+               want_alpha=args.abelian_quotient or args.all_counts,
+               want_conjugacy=args.conjugacy,
+               budget=args.budget)
     text = "\n".join(f"{k} = {v}" for k, v in d.items() if not
                      k.endswith("_method"))
     _emit(args, d, text)

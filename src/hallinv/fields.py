@@ -53,8 +53,17 @@ def factorize(n):
     return out
 
 
+# The largest degree s of a field F_{q^s} the library builds.  Finding the
+# modulus of F_{3^100} takes about 2 s, of F_{3^128} 4 s and of F_{3^200}
+# 10 s (Python 3.11, one core); cover --order 1000 --q 3 needs s = 100.
+MAX_FIELD_DEGREE = 128
+
+
 def multiplicative_order(q, N):
-    """Least s >= 1 with q^s = 1 mod N.  Requires gcd(q, N) = 1 and N >= 2."""
+    """Least s >= 1 with q^s = 1 mod N, the degree of the field F_{q^s}
+    that holds the N-th roots of unity.  Requires gcd(q, N) = 1 and
+    N >= 2; a ValueError past MAX_FIELD_DEGREE, since every caller goes
+    on to build that field or a group table over it."""
     if N < 2:
         raise ValueError("N must be at least 2")
     if gcd(q, N) != 1:
@@ -62,6 +71,11 @@ def multiplicative_order(q, N):
     s = 1
     x = q % N
     while x != 1:
+        if s == MAX_FIELD_DEGREE:
+            raise ValueError(
+                f"the order of {q} mod {N} exceeds {MAX_FIELD_DEGREE}: a "
+                f"field F_{{{q}^s}} with s > {MAX_FIELD_DEGREE} is too large "
+                "to build")
         x = (x * q) % N
         s += 1
     return s

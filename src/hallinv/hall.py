@@ -2,16 +2,19 @@
 
 Two computation routes live here.  For a finite abelian target the count
 is a closed product-formula over primes in partition data (theta sums and
-automorphism orders).  For the split metabelian groups M_{p,q^s} =
+automorphism orders), each partition a weakly decreasing tuple of
+positive parts.  For the split metabelian groups M_{p,q^s} =
 F_{q^s} x| <zeta_p> (s the order of q mod p, zeta_p a primitive p-th root
 of unity acting by multiplication) the count is assembled from the
 depths of the order-p characters over that same field F_{q^s}, and the
 group's own table, for the brute-force oracle, is built on it too.
+
+census sums these invariants: a_k_normal is the sum of delta over the
+groups of order k.  For k prime, p^2 or pq those are the abelian groups
+and, when k = uv with u | v - 1, M_{u,v}; other k report unsupported.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .charvar import Group
 from .fields import (extension_field, factorize, multiplicative_order,
@@ -20,72 +23,31 @@ from .linalg import InvariantViolation
 from .oracle import FiniteGroupTable
 
 
-class Partition:
-    """Weakly decreasing positive parts, with the combinatorial helpers the
-    abelian counting formula needs."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts=()):
-        parts = tuple(sorted((int(p) for p in parts), reverse=True))
-        if any(p <= 0 for p in parts):
-            raise ValueError("parts must be positive")
-        self.parts = parts
-
-    def length(self):
-        return len(self.parts)
-
-    def weight(self):
-        return sum(self.parts)
-
-    def angle(self):
-        """sum (i - 1) * parts[i], 1-indexed."""
-        return sum(i * p for i, p in enumerate(self.parts))
-
-    def multiplicity(self, k):
-        return sum(1 for p in self.parts if p == k)
-
-    def part(self, i):
-        """1-indexed part, zero beyond the length."""
-        if i < 1:
-            raise IndexError("parts are 1-indexed")
-        return self.parts[i - 1] if i <= len(self.parts) else 0
-
-    def derived(self):
-        """Each part lowered by one, zeros dropped."""
-        return Partition([p - 1 for p in self.parts if p > 1])
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and other.parts == self.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
-
-
 def theta(lam, tau, i):
-    """sum_j min(lam_i, tau_j), for 1 <= i <= length of lam."""
-    if not 1 <= i <= lam.length():
+    """sum_j min(lam_i, tau_j), for 1 <= i <= len(lam); partitions are
+    weakly decreasing tuples of positive parts."""
+    if not 1 <= i <= len(lam):
         raise IndexError(f"index {i} out of range for {lam}")
-    li = lam.part(i)
-    return sum(min(li, t) for t in tau.parts)
+    return sum(min(lam[i - 1], t) for t in tau)
 
 
 def theta_total(lam, tau):
-    return sum(theta(lam, tau, i) for i in range(1, lam.length() + 1))
+    return sum(theta(lam, tau, i) for i in range(1, len(lam) + 1))
 
 
 class AbelianGroupSpec:
     """A finite abelian group as a partition per prime: the group is the
-    direct sum over p of Z_{p^part} for each part."""
+    direct sum over p of Z_{p^part} for each part.  Each partition is
+    stored once as a weakly decreasing tuple of positive parts, and empty
+    ones are dropped."""
 
     __slots__ = ("partitions",)
 
     def __init__(self, partitions):
-        self.partitions = {p: lam for p, lam in partitions.items()
-                           if lam.length() > 0}
+        self.partitions = {p: tuple(sorted(map(int, parts), reverse=True))
+                           for p, parts in partitions.items() if parts}
+        if any(lam[-1] <= 0 for lam in self.partitions.values()):
+            raise ValueError("parts must be positive")
 
     @classmethod
     def from_cyclic_factors(cls, factors):
@@ -96,14 +58,12 @@ class AbelianGroupSpec:
                 raise ValueError("cyclic factors must be positive")
             for p, e in factorize(c).items():
                 per_prime.setdefault(p, []).append(e)
-        return cls({p: Partition(parts) for p, parts in per_prime.items()})
+        return cls(per_prime)
 
     def cyclic_factors(self):
         """Invariant-factor-free flat list of prime power orders."""
-        out = []
-        for p in sorted(self.partitions):
-            out.extend(p ** e for e in self.partitions[p].parts)
-        return out
+        return [p ** e for p in sorted(self.partitions)
+                for e in self.partitions[p]]
 
     def table(self):
         return FiniteGroupTable.abelian(self.cyclic_factors())
@@ -112,25 +72,22 @@ class AbelianGroupSpec:
         return "Z" + repr(self.cyclic_factors())
 
 
-def _phi_factor(m, p):
-    """prod_{i=1..m} (1 - p^{-i}) as an exact fraction."""
-    out = Fraction(1)
-    for i in range(1, m + 1):
-        out *= 1 - Fraction(1, p ** i)
-    return out
-
-
 def aut_order_abelian(spec):
-    """Order of the automorphism group of a finite abelian group."""
-    out = Fraction(1)
+    """Order of the automorphism group of a finite abelian group: per
+    prime, p^{|lam| + 2 n(lam)} prod_k prod_{i=1..m_k} (1 - p^{-i}), with
+    n(lam) = sum (i - 1) lam_i and m_k the multiplicity of the part k,
+    taken in integers as p^{e - i} (p^i - 1) for each factor."""
+    out = 1
     for p, lam in spec.partitions.items():
-        factor = Fraction(p ** (lam.weight() + 2 * lam.angle()))
-        for k in set(lam.parts):
-            factor *= _phi_factor(lam.multiplicity(k), p)
-        out *= factor
-    if out.denominator != 1 or out <= 0:
-        raise InvariantViolation(f"|Aut| = {out} is not a positive integer")
-    return int(out)
+        e = sum(lam) + 2 * sum(i * part for i, part in enumerate(lam))
+        for k in set(lam):
+            for i in range(1, lam.count(k) + 1):
+                out *= p ** i - 1
+                e -= i
+        if e < 0:
+            raise InvariantViolation(f"|Aut| of {spec} is not an integer")
+        out *= p ** e
+    return out
 
 
 def delta_abelian(abel, spec):
@@ -150,20 +107,18 @@ def delta_abelian(abel, spec):
     n = abel.free_rank
     total = 1
     for p, lam in spec.partitions.items():
-        tau = Partition([_p_adic_valuation(e, p) for e in abel.torsion
-                         if e % p == 0])
-        lam_d = lam.derived()
-        epis = p ** ((lam.weight() - lam.length()) * n
-                     + theta_total(lam_d, tau))
-        for i in range(1, lam.length() + 1):
+        tau = [_p_adic_valuation(e, p) for e in abel.torsion if e % p == 0]
+        # lam' lowers each part by one and drops the zeros
+        lam_d = tuple(part - 1 for part in lam if part > 1)
+        epis = p ** ((sum(lam) - len(lam)) * n + theta_total(lam_d, tau))
+        for i in range(1, len(lam) + 1):
             # theta_i(lam', tau) is 0 past the length of lam'
             exponent = n + theta(lam, tau, i) - (
-                theta(lam_d, tau, i) if i <= lam_d.length() else 0)
+                theta(lam_d, tau, i) if i <= len(lam_d) else 0)
             factor = p ** exponent - p ** (i - 1)
-            if factor < 0:
-                if epis:
-                    raise InvariantViolation(
-                        "negative factor without a prior zero")
+            if factor < 0 and epis:
+                raise InvariantViolation(
+                    "negative factor without a prior zero")
             epis *= factor
         if epis == 0:
             return 0

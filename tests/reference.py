@@ -44,6 +44,11 @@ library's counts and constructions against; no command needs them:
   against alpha_k on groups with H_1 = Z^n;
 * a_p_product_with_Z gives a_p(G x Z) = a_p(G) + p^n, checked against
   Hall's recursion on direct_product_with_Z;
+* a_normal_closed gives the index-k normal count for k prime, p^2 or pq
+  by closed forms in the mod-p Betti numbers, and a_normal_by_enumeration
+  sums the oracle's Epi / Aut count over the groups of order k listed in
+  GROUPS_OF_ORDER; both are checked against a_normal, which sums the
+  library's Hall invariants, and against each other;
 * delta_abelian_of is delta_abelian on a presentation and a list of
   cyclic factors, checked against the oracle's Epi / Aut count;
 * hom_epi_count_mpqs gives (|Hom|, |Epi|) into M_{p,q^s} from the
@@ -89,12 +94,14 @@ from hallinv.census import a_k_via_hall_recursion
 from hallinv.charvar import (Group, _character_moduli, _coordinate_columns,
                              _galois_orbits)
 from hallinv.fields import (FieldElement, _fq_divmod, _fq_monic_polys,
-                            multiplicative_order, primitive_root_of_unity,
-                            sufficiently_large_field)
+                            factorize, multiplicative_order,
+                            primitive_root_of_unity, sufficiently_large_field)
 from hallinv.foxcalc import abelianization
-from hallinv.hall import AbelianGroupSpec, delta_abelian
+from hallinv.hall import (AbelianGroupSpec, construct_mpqs, delta_abelian,
+                          delta_mpqs)
 from hallinv.linalg import IntMatrix, InvariantViolation, rank_over_field
-from hallinv.oracle import _count_generator_images
+from hallinv.oracle import (FiniteGroupTable, _count_generator_images,
+                            delta_oracle)
 from hallinv.presentations import Presentation, Word, commutator
 
 
@@ -557,6 +564,53 @@ def a_p_product_with_Z(G, p, *, a_p=None, budget=10 ** 8):
     if a_p is None:
         a_p = a_k_via_hall_recursion(G.P, p, budget=budget)
     return a_p + p ** G.abel.b1(p)
+
+
+def a_normal_closed(G, k):
+    """Index-k normal subgroups for k prime, p^2 or pq, by closed forms in
+    the mod-p Betti numbers n = b_1^{(p)}: (p^n - 1)/(p - 1) at k = p;
+    (p^n - 1)(p^{n-1} - 1)/((p^2 - 1)(p - 1)) + p^{n-1}(p^m - 1)/(p - 1) at
+    k = p^2, m the number of Z and Z_d (p^2 | d) summands of H_1; and
+    (u^n - 1)(v^m - 1)/((u - 1)(v - 1)), m = b_1^{(v)}, plus
+    delta_{M_{u,v}} when u | v - 1, at k = uv with u < v."""
+    abel = Group.of(G).abel
+    if k == 1:
+        return 1
+    fac = factorize(k)
+    primes = sorted(fac)
+    if len(primes) == 1 and fac[primes[0]] <= 2:
+        p = primes[0]
+        n = abel.b1(p)
+        if fac[p] == 1:
+            return (p ** n - 1) // (p - 1)
+        m = abel.free_rank + sum(1 for d in abel.torsion if d % (p * p) == 0)
+        return ((p ** n - 1) * (p ** (n - 1) - 1) // ((p * p - 1) * (p - 1))
+                + p ** (n - 1) * (p ** m - 1) // (p - 1))
+    if len(primes) == 2 and set(fac.values()) == {1}:
+        u, v = primes
+        n, m = abel.b1(u), abel.b1(v)
+        total = (u ** n - 1) * (v ** m - 1) // ((u - 1) * (v - 1))
+        if (v - 1) % u == 0:
+            total += delta_mpqs(G, u, v)
+        return total
+    raise ValueError(f"no closed form at index {k}")
+
+
+# The groups of order k, for the k a_normal_by_enumeration takes: the
+# abelian ones by their cyclic factors, and M_{u,v} by (u, v).
+GROUPS_OF_ORDER = {
+    2: ([[2]], []), 3: ([[3]], []), 4: ([[4], [2, 2]], []), 5: ([[5]], []),
+    6: ([[6]], [(2, 3)]), 9: ([[9], [3, 3]], []), 10: ([[10]], [(2, 5)]),
+}
+
+
+def a_normal_by_enumeration(P, k):
+    """Index-k normal subgroups as the sum of the oracle's Epi / Aut count
+    over the groups of order k listed in GROUPS_OF_ORDER."""
+    abelian, metabelian = GROUPS_OF_ORDER[k]
+    tables = [FiniteGroupTable.abelian(factors) for factors in abelian]
+    tables += [construct_mpqs(u, v).table for u, v in metabelian]
+    return sum(delta_oracle(P, T) for T in tables)
 
 
 def delta_abelian_of(P, factors):

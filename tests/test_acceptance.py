@@ -19,9 +19,10 @@ from hallinv.oracle import (FiniteGroupTable, cover_b1, delta_oracle,
                             regular_cyclic_action)
 from hallinv.presentations import parse_presentation
 from hallinv.tables import table1, table2, values_grid
-from reference import (a_k_free, a_k_Zn, check_bounds_congruence,
-                       delta_abelian_of, fox_fundamental_identity_holds,
-                       matmul, max_depth_of_order_dividing)
+from reference import (a_k_free, a_k_Zn, a_normal_closed,
+                       check_bounds_congruence, delta_abelian_of,
+                       fox_fundamental_identity_holds, matmul,
+                       max_depth_of_order_dividing)
 
 
 def _report(number, label):
@@ -197,7 +198,8 @@ def test_criterion_6_censuses():
     for k in (2, 3, 4, 6):
         assert alpha_k(Z2, k) == a_k_Zn(2, k)
 
-    # normal counts against independent delta sums
+    # normal counts: the closed forms against independent delta sums, and
+    # a_normal, which sums the library's Hall invariants, against both
     for name in ("free:2", "free:3"):
         P = fixture(name)
         for k in (4, 6, 9, 10, 15):
@@ -211,8 +213,9 @@ def test_criterion_6_censuses():
                 want = delta_abelian_of(P, [k])
                 if (v - 1) % u == 0:
                     want += delta_mpqs(P, u, v)
-            assert a_normal(P, k) == want, (name, k)
-        assert a_normal(P, 2) == delta_abelian_of(P, [2])
+            assert a_normal_closed(P, k) == want == a_normal(P, k), (name, k)
+        assert a_normal_closed(P, 2) == delta_abelian_of(P, [2]) \
+            == a_normal(P, 2)
 
 
 # --------------------------------------------------------------------------

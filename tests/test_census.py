@@ -10,8 +10,9 @@ from hallinv.presentations import (
     product_of_free_groups,
 )
 import reference
-from reference import (a_k_free, a_k_Zn, a_p_product_with_Z,
-                       delta_abelian_of, direct_product_with_Z)
+from reference import (a_k_free, a_k_Zn, a_normal_by_enumeration,
+                       a_normal_closed, a_p_product_with_Z, delta_abelian_of,
+                       direct_product_with_Z)
 
 Z2_PRES = parse_presentation("gens: x, y; rels: [x,y]")
 
@@ -77,13 +78,14 @@ def test_a_normal_small_indices():
     F2 = free_group(2)
     assert a_normal(F2, 2) == 3
     assert a_normal(F2, 4) == 7          # = delta_{Z4} + delta_{Z2^2}
-    assert a_normal(F2, 4) == delta_abelian_of(F2, [4]) + \
+    assert a_normal_closed(F2, 4) == delta_abelian_of(F2, [4]) + \
         delta_abelian_of(F2, [2, 2])
     assert a_normal(F2, 6) == 15         # = delta_{Z6} + delta_{S3}
-    assert a_normal(F2, 6) == delta_abelian_of(F2, [6]) + \
+    assert a_normal_closed(F2, 6) == delta_abelian_of(F2, [6]) + \
         delta_mpqs(F2, 2, 3)
     # 15 = 3 * 5: 3 does not divide 4, so only Z_15 counts
-    assert a_normal(F2, 15) == delta_abelian_of(F2, [15])
+    assert a_normal_closed(F2, 15) == delta_abelian_of(F2, [15])
+    assert a_normal(F2, 15) == a_normal_closed(F2, 15)
     with pytest.raises(UnsupportedIndexError):
         a_normal(F2, 8)
     with pytest.raises(UnsupportedIndexError):
@@ -91,18 +93,29 @@ def test_a_normal_small_indices():
 
 
 def test_a_normal_delta_sum_consistency():
-    # a_k^normal = sum of delta over all groups of order k, recomputed
-    # independently from the hall module outputs
+    # the closed forms against the sum of delta over all groups of order
+    # k, recomputed from the hall module outputs: neither side is a_normal
     for P in (free_group(2), free_group(3)):
         for k in (4, 9):
             p = 2 if k == 4 else 3
             want = delta_abelian_of(P, [k]) + delta_abelian_of(P, [p, p])
-            assert a_normal(P, k) == want
+            assert a_normal_closed(P, k) == want
         for k, (u, v) in ((6, (2, 3)), (10, (2, 5)), (15, (3, 5))):
             want = delta_abelian_of(P, [k])
             if (v - 1) % u == 0:
                 want += delta_mpqs(P, u, v)
-            assert a_normal(P, k) == want
+            assert a_normal_closed(P, k) == want
+
+
+def test_a_normal_matches_enumeration():
+    # a_normal sums the library's Hall invariants; the oracle counts
+    # Epi / Aut over every group of order k by enumeration
+    from hallinv.presentations import nonorientable_surface_group
+    for P in (free_group(2), nonorientable_surface_group(3),
+              orientable_surface_group(2)):
+        for k in (2, 3, 4, 5, 6, 9, 10):
+            want = a_normal_by_enumeration(P, k)
+            assert a_normal(P, k) == want == a_normal_closed(P, k), (P, k)
 
 
 def test_abelian_groups_of_order():
@@ -205,10 +218,13 @@ def test_a_k_matches_transitive_action_count():
 
 
 def test_census_report():
-    rep = census(free_group(2), 3, want_conjugacy=True)
-    d = rep.as_dict()
+    d = census(free_group(2), 3, want_conjugacy=True)
     assert d["a_k"] == 13 and d["a_k_normal"] == 4 and d["alpha_k"] == 4
     assert d["c_k"] == 7
-    rep = census(free_group(2), 8)
-    assert str(rep.as_dict()["a_k_normal"]).startswith("unsupported")
-    assert rep.as_dict()["a_k"] == "infeasible"  # S_8 is over budget
+    # "k" first, then the counts and their method tags sorted by key
+    assert list(d) == ["k", "a_k", "a_k_method", "a_k_normal",
+                       "a_k_normal_method", "alpha_k", "alpha_k_method",
+                       "c_k", "c_k_method"]
+    d = census(free_group(2), 8)
+    assert str(d["a_k_normal"]).startswith("unsupported")
+    assert d["a_k"] == "infeasible"  # S_8 is over budget

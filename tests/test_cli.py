@@ -3,6 +3,7 @@ import importlib
 import json
 import pkgutil
 import random
+import time
 
 import pytest
 
@@ -234,6 +235,46 @@ def test_number_past_the_primality_test_exits_1(capsys, argv):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "too large" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("beta", "--p", HUGE_PRIME, "--q", "2"),
+    ("delta", "--target", f"mpq:{HUGE_PRIME},2"),
+    ("oracle", "--target", f"mpq:{HUGE_PRIME},2"),
+])
+def test_field_degree_past_the_cap_exits_1(capsys, argv):
+    # the order of 2 mod 10^18 + 3 is far past MAX_FIELD_DEGREE: counting
+    # it out ran past any timeout, and its field could never be built
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--fixture", "free:2")
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"the order of 2 mod {HUGE_PRIME} exceeds" in err
+
+
+def test_large_table_checked_in_time(capsys):
+    # M_{2,809} has 1618 elements, 2.6M table entries: checking every
+    # triple for associativity ran past 90 s, Light's test takes seconds
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "oracle", "--target", "mpq:2,809",
+                       "--mode", "all", "--fixture", "free:1")
+    assert code == 0 and out == "all count = 1618\n"
+    assert time.perf_counter() - start < 20
+
+
+def test_non_associative_table_file_exits_1(tmp_path, capsys):
+    # a loop of order 5: identity 0, each element its own inverse, every
+    # row and column a permutation, yet (1*2)*2 = 3*2 = 4 and
+    # 1*(2*2) = 1*0 = 1
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"mul": loop}))
+    code, out, err = run(capsys, "oracle", "--target", f"table:{path}",
+                         "--fixture", "free:2")
+    assert code == 1 and out == ""
+    assert err == "error: multiplication not associative\n"
 
 
 def test_oracle_cover_takes_one_smith_form(capsys, monkeypatch):

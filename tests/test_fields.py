@@ -3,8 +3,9 @@ import random
 import pytest
 
 from hallinv.fields import (
-    extension_field, factorize, is_prime, multiplicative_order, prime_field,
-    primitive_root_of_unity, sufficiently_large_field,
+    MAX_FIELD_DEGREE, extension_field, factorize, is_prime,
+    multiplicative_order, prime_field, primitive_root_of_unity,
+    sufficiently_large_field,
 )
 from reference import (CyclotomicField, _poly_mul_int, cyclotomic_polynomial,
                        field_element, irreducible_by_trial_division,
@@ -16,6 +17,12 @@ def test_multiplicative_order_values():
     assert multiplicative_order(2, 3) == 2
     assert multiplicative_order(2, 7) == 3
     assert multiplicative_order(2, 5) == 4
+    # cover --order 1000 --q 3 builds F_{3^100}, under the cap
+    assert multiplicative_order(3, 1000) == 100 <= MAX_FIELD_DEGREE
+    assert multiplicative_order(2, 257) == 16
+    # ord_{2^{MAX_FIELD_DEGREE + 1}}(3) = 2^{MAX_FIELD_DEGREE - 1} is refused
+    with pytest.raises(ValueError, match=f"exceeds {MAX_FIELD_DEGREE}"):
+        multiplicative_order(3, 2 ** (MAX_FIELD_DEGREE + 1))
     with pytest.raises(ValueError):
         multiplicative_order(6, 3)
 

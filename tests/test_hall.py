@@ -3,7 +3,7 @@ import pytest
 from hallinv.fields import multiplicative_order
 from hallinv.foxcalc import abelianization
 from hallinv.hall import (
-    AbelianGroupSpec, Partition, aut_order_abelian,
+    AbelianGroupSpec, aut_order_abelian,
     construct_mpqs, delta_mpqs, theta, theta_total,
 )
 from hallinv.oracle import FiniteGroupTable, aut_order, hom_count
@@ -72,20 +72,30 @@ def delta_free_alternating4(n):
 
 
 def test_partition_helpers():
-    pi = Partition([2, 1])
-    assert pi.length() == 2 and pi.weight() == 3 and pi.angle() == 1
-    assert pi.derived() == Partition([1])
-    assert pi.part(3) == 0
-    assert Partition([1, 2]).parts == (2, 1)  # sorted decreasing
+    # partitions are weakly decreasing tuples, normalized once by the spec
+    spec = AbelianGroupSpec({2: [1, 2], 3: []})
+    assert spec.partitions == {2: (2, 1)}  # sorted decreasing, empty dropped
+    assert AbelianGroupSpec.from_cyclic_factors([2, 4, 3]).partitions \
+        == {2: (2, 1), 3: (1,)}
+    with pytest.raises(ValueError):
+        AbelianGroupSpec({2: [1, 0]})
+    # length 2, weight 3 and angle sum (i - 1) lam_i = 1 give
+    # |Aut(Z_4 + Z_2)| = 2^{3 + 2 * 1} (1 - 1/2)^2
+    assert aut_order_abelian(spec) == 2 ** (3 + 2 * 1) // 4
+    # theta reads the derived partition (1,) of (2, 1), and a part past
+    # the length is out of range
+    assert theta_total((1,), (1, 1)) == 2
+    with pytest.raises(IndexError):
+        theta((2, 1), (1,), 3)
 
 
 def test_theta_examples():
-    assert theta_total(Partition([2, 1]), Partition()) == 0
-    assert theta(Partition([2, 1]), Partition([1]), 1) == 1
-    assert theta(Partition([2, 1]), Partition([1]), 2) == 1
-    assert theta_total(Partition([3, 1]), Partition([2, 2])) == 6
+    assert theta_total((2, 1), ()) == 0
+    assert theta((2, 1), (1,), 1) == 1
+    assert theta((2, 1), (1,), 2) == 1
+    assert theta_total((3, 1), (2, 2)) == 6
     with pytest.raises(IndexError):
-        theta(Partition([2]), Partition([1]), 2)
+        theta((2,), (1,), 2)
 
 
 def test_aut_order_abelian():

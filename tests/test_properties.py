@@ -1,7 +1,8 @@
 """Property-based checks on generated presentations: the character/depth
 formulas against brute-force enumeration where q has order less than
 p - 1 mod p, so that one index-p subgroup's characters fall into several
-Frobenius orbits.  Derandomized, so every run draws the same examples."""
+Frobenius orbits, and the normal counts against the oracle's sum over the
+groups of order k.  Derandomized, so every run draws the same examples."""
 
 from math import gcd
 
@@ -10,11 +11,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from hallinv.census import a_normal  # noqa: E402
 from hallinv.charvar import b1_cover_cyclic  # noqa: E402
 from hallinv.hall import construct_mpqs, delta_mpqs  # noqa: E402
 from hallinv.oracle import (cover_b1, delta_oracle,  # noqa: E402
                             regular_cyclic_action)
 from hallinv.presentations import Presentation, Word  # noqa: E402
+from reference import a_normal_by_enumeration  # noqa: E402
 
 M37 = construct_mpqs(3, 7).table
 
@@ -67,3 +70,10 @@ def test_cyclic_cover_matches_oracle(P):
             assert b1_cover_cyclic(P, N, images, q) == \
                 cover_b1(P, regular_cyclic_action(N, images), q), \
                 (P, N, images, q)
+
+
+@SETTINGS
+@given(presentations())
+def test_a_normal_matches_enumeration(P):
+    for k in (2, 3, 4, 5, 6, 9, 10):
+        assert a_normal(P, k) == a_normal_by_enumeration(P, k), (P, k)

@@ -174,11 +174,17 @@ FAILING = [
 ]
 
 # Library functions no traced command line enters, with the reason.
+# perfbench/'s module-level calls are matched by their attribute chains;
+# the methods it calls on objects are listed here.
 ENTRY_EXEMPT = {
     # runs only in a forked --jobs child, whose profiler record is lost
     "charvar._child_share",
+    # perfbench/ builds each abelian target's oracle table by spec.table()
+    "hall.AbelianGroupSpec.table",
     # called by AbelianGroupSpec.table, which only perfbench/ calls
     "hall.AbelianGroupSpec.cyclic_factors",
+    # perfbench/ checks that a distribution totals (p^n - 1)/(p - 1)
+    "charvar.BettiDistribution.total",
     # perfbench/ indexes a distribution (b[depth]), a use no name shows
     "charvar.BettiDistribution.__getitem__",
 }
@@ -208,6 +214,36 @@ with open(sys.argv[2], "w") as out:
 """
 
 
+def _library_uses(tree):
+    """Every library path tree names as an attribute chain rooted at a
+    module it imports from hallinv: in a file that imports hall,
+    hall.AbelianGroupSpec.from_cyclic_factors names hall.AbelianGroupSpec
+    and hall.AbelianGroupSpec.from_cyclic_factors.  A name imported from
+    a module (from hallinv.presentations import Word) roots a chain at
+    that module's attribute.  A method called on an object is named by
+    no chain."""
+    roots = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "hallinv":
+            roots.update({a.asname or a.name: a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and node.module.startswith("hallinv."):
+            stem = node.module.partition(".")[2]
+            roots.update({a.asname or a.name: f"{stem}.{a.name}"
+                          for a in node.names})
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in roots:
+            path = roots[node.id]
+            yield path
+            for attr in reversed(chain):
+                path += "." + attr
+                yield path
+
+
 def _library_functions():
     """(qualified name, code object) of every module-level function and
     every method of a module-level class in src/hallinv; a method is
@@ -231,11 +267,11 @@ def test_every_library_function_is_entered(tmp_path):
     """Every library function and method is entered by some command line:
     the README's, and one request per route, run through cli.main under
     sys.setprofile.  A function no command enters is dead or test-only,
-    and a test-only function belongs in tests/reference.py.  Names that
-    perfbench/ uses are exempt, matched by name as the check above does
-    (dunder names excepted, which a use does not call), and so are the
-    methods in IMPLICIT and the functions in ENTRY_EXEMPT.  Nested
-    functions are out of scope."""
+    and a test-only function belongs in tests/reference.py.  Functions
+    perfbench/ names as attribute chains of the hallinv modules it
+    imports (_library_uses) are exempt, and so are the methods in
+    IMPLICIT and the functions in ENTRY_EXEMPT.  Nested functions are out
+    of scope."""
     from test_readme import readme_commands
 
     (tmp_path / "pres.txt").write_text("gens: x, y\nrels: [x,y]\n")
@@ -254,15 +290,14 @@ def test_every_library_function_is_entered(tmp_path):
     entered = {tuple(place) for place in entered}
     perfbench = set()
     for path in CALLERS[len(LIBRARY):]:
-        perfbench.update(_uses(ast.parse(path.read_text(), str(path)), ()))
+        perfbench.update(_library_uses(ast.parse(path.read_text(), str(path))))
     functions = list(_library_functions())
     assert functions, "the library imported is not the one in src/hallinv"
     unentered = [name for name, code in functions
                  if (code.co_filename, code.co_firstlineno) not in entered
                  and name not in ENTRY_EXEMPT
                  and code.co_name not in IMPLICIT
-                 and not (code.co_name in perfbench
-                          and not code.co_name.startswith("__"))]
+                 and name not in perfbench]
     assert not unentered, ("library functions no command enters; delete "
                            f"them or move them to tests/reference.py: "
                            f"{unentered}")
