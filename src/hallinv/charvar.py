@@ -26,7 +26,7 @@ matrix: it compiles the matrix once into integer coefficients and linear
 forms on e, and ranks it at a character's form exponents over finite
 fields.  In characteristic q > 0 the one field is F_{q^s}: at most 2^16
 elements by Zech-logarithm elimination (_rank_codes), a larger one by
-rank_over_field on its elements.  In characteristic 0 the rank over
+rank_over_field on its codes.  In characteristic 0 the rank over
 Q(zeta_N) is the largest rank mod the split primes ell = 1 (mod N),
 counted down from 2^30 (and, past the primes below 2^30, up from it),
 each reached by a ring map Z[zeta_N] -> F_ell, which can only lower
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, count, islice
 from math import gcd, isqrt, lcm, prod
 
@@ -93,8 +93,7 @@ class DepthEngine:
     most 2^16 elements (_LOG_TABLE_LIMIT) by elimination on Zech logs, an
     entry summed as packed base-q digits and turned into its log by
     _Reducer (_rank_codes, mode "zech"), a larger K by rank_over_field on
-    the entries as field elements, summed from K's table of zeta's N
-    powers (mode "element").
+    the entries' codes, each summed by K's add (mode "element").
 
     For q = 0 (mode "modular") the fields are the primes ell = 1 (mod N),
     those below 2^30 counted down from 2^30, then, if a character needs
@@ -176,10 +175,12 @@ class DepthEngine:
         for i in count():
             head, rows = self._reduction(i)
             if self.mode == "element":
-                F = self.field
-                return rank_over_field(
-                    [[sum((c * head[exps[f]] for c, f in terms), F.zero())
-                      for terms in row] for row in rows], F)
+                matrix = [[0] * self.num_generators for _ in rows]
+                for out, row in zip(matrix, rows):
+                    for j, terms in row:
+                        out[j] = reduce(head.add, [table[exps[f]]
+                                                   for table, f in terms])
+                return rank_over_field(matrix, head)
             r, pivots = (_rank_codes if self.q else _rank_mod)(
                 rows, self.num_generators, self.order, exps, head, ceiling)
             rank = max(rank, r)
@@ -213,28 +214,23 @@ class DepthEngine:
         return [s % N for s in sums]
 
     def _reduction(self, i):
-        """The i-th field, reduced, by mode: "modular", (ell, the rows);
-        "zech", (the field's _Reducer, the rows); "element", (zeta's N
-        powers in K, the rows with coefficients in K).  In the first two a
-        row lists its nonzero entries as (column, terms), each term
-        (table, form) worth table[x] at form exponent x: its coefficient
-        times zeta^x as an integer, mod ell or packed (_Reducer); terms
-        that vanish in the field are dropped.  Built when first needed,
-        the fields taken in order."""
+        """The i-th field, reduced, as (head, rows), head by mode: "modular",
+        ell; "zech", the field's _Reducer; "element", the field K.  A row
+        lists its nonzero entries as (column, terms), each term (table,
+        form) worth table[x] at form exponent x: its coefficient times
+        zeta^x as an integer, mod ell, packed (_Reducer) or a code of K;
+        terms that vanish in the field are dropped.  Built when first
+        needed, the fields taken in order."""
         if i == len(self.reductions):
             N = self.N
             if self.mode == "element":
-                F = self.field
-                zeta = primitive_root_of_unity(F, N)
-                powers = [F.one()]
-                for _ in range(N - 1):
-                    powers.append(powers[-1] * zeta)
-                rows = [[[(F.from_int(c), form) for c, form in terms
-                          if c % F.char] for terms in row]
-                        for row in self.rows]
-                self.reductions.append((powers, rows))
-                return self.reductions[i]
-            if self.mode == "modular":
+                head = self.field
+                modulus = head.char
+                zeta = primitive_root_of_unity(head, N)
+
+                def value(c):
+                    return lambda x: head.mul(c, head.power(zeta, x))
+            elif self.mode == "modular":
                 ell, zeta = _split_prime(N, i)
                 head = modulus = ell
 
@@ -904,9 +900,8 @@ def b1_cover_abelian(G, factors, images, q):
     Group.
 
     It is b1(G) plus the depth of every nontrivial character rho of the
-    target pulled back along the map.  Depth is constant on the Galois
-    orbits of _galois_orbits, so each orbit adds its size times the depth
-    of its representative.
+    target pulled back along the map, tallied by _depth_tally over the
+    walk of the target's characters.
     """
     G = Group.of(G)
     _validate_epimorphism_abelian(G, factors, images)
@@ -918,8 +913,5 @@ def b1_cover_abelian(G, factors, images, q):
     columns = [engine._exponents(coordinate_exponents_from_generators(
         abel, E, [E // c * g % E for g in row]))
         for c, row in zip(factors, images)]
-    total = abel.b1(q)
-    for orbits in _galois_orbits(factors, q, columns, E):
-        for _, exps, coset in orbits:
-            total += len(coset) * engine.depth_of_exponents(forms=exps)
-    return total
+    characters, _ = _depth_tally(engine, (factors, q, columns), False)
+    return abel.b1(q) + sum(d * c for d, c in characters.items())

@@ -1,9 +1,14 @@
 """Exact arithmetic in the finite fields F_q and F_{q^s}, with roots of unity.
 
-A FieldHandle owns its elements; elements are coefficient vectors of
-residues modulo the handle's defining polynomial (length 1 for prime
-fields).  An element's code is the integer whose base-q digits are its
-coefficients, lowest first, which fixes one enumeration of the field.
+An element of F_{q^s} = F_q[x] / (f), f the field's modulus, is its
+code: the integer whose base-q digits are its coefficients in x, lowest
+first.  So 0 is zero, 1 is one, c < q is the constant c, x is q (for
+s > 1), and the codes 0, ..., q^s - 1 enumerate the field (at s = 1 a
+code is a residue mod q).  A FieldHandle's add, sub, mul, power and inv
+take and return codes: add and sub digit by digit mod q, the others
+through _mulmod, the one product mod f, which Ben-Or's irreducibility
+test shares.
+
 All choices (extension modulus, multiplicative generator, roots of
 unity) are deterministic so that repeated runs produce identical output.
 The modulus is the least irreducible polynomial of its degree, found by
@@ -17,8 +22,9 @@ In characteristic q > 0 every rank the library takes is over one of
 these fields, from the Alexander matrix compiled once by
 charvar.DepthEngine, by one rule: a field of at most 2^16 elements
 (_LOG_TABLE_LIMIT) has LogTables and is ranked by Zech codes; a larger
-one is ranked by elimination on its elements (linalg.rank_over_field),
-each entry summed from one table of zeta's N powers per field.
+one is ranked by elimination on the codes of its entries
+(linalg.rank_over_field), each term's coefficient times a power of zeta
+taken by the handle when first met.
 LogTables give the depth engine the code of each power of the generator
 (codes), from which it packs each coefficient times zeta^x; the log of
 each code (log), which turns a summed entry, its digits reduced mod q,
@@ -31,6 +37,7 @@ hall.MetabelianGroup.
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from math import gcd
 
 from .linalg import InvariantViolation
@@ -54,8 +61,9 @@ def factorize(n):
 
 
 # The largest degree s of a field F_{q^s} the library builds.  Finding the
-# modulus of F_{3^100} takes about 2 s, of F_{3^128} 4 s and of F_{3^200}
-# 10 s (Python 3.11, one core); cover --order 1000 --q 3 needs s = 100.
+# modulus of F_{3^100} takes about 0.6 s, of F_{3^128} 1.4 s and of
+# F_{2^200} 0.3 s (Python 3.11, one core); cover --order 1000 --q 3 needs
+# s = 100.
 MAX_FIELD_DEGREE = 128
 
 
@@ -128,14 +136,42 @@ def _fq_monic_polys(q, degree, start=0):
         yield coeffs + [1]
 
 
-def _fq_mulmod(a, b, f, q):
-    """a * b mod the monic f, over F_q."""
-    out = [0] * max(len(a) + len(b) - 1, 0)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _fq_divmod(out, f, q)[1]
+def _tail(f, q):
+    """The terms of the monic f below its leading one that _mulmod
+    reduces by: (j, -f_j mod q) for each nonzero f_j, so that x^s, s the
+    degree of f, is the sum of the tail's terms x^j times their values."""
+    return [(j, -m % q) for j, m in enumerate(f[:-1]) if m % q]
+
+
+def _mulmod(a, b, tail, degree, q):
+    """a * b mod the monic f of the given degree and tail (_tail), over
+    F_q: a and b are coefficient lists, low degree first, and the product
+    is reduced from its top term down.  The result has at most degree
+    coefficients, each below q."""
+    out = [0] * (len(a) + len(b) - 1)
+    b = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in b:
+                out[i + j] += x * y
+    for k in range(len(out) - 1, degree - 1, -1):
+        c = out[k] % q
+        if c:
+            for j, t in tail:
+                out[k - degree + j] += c * t
+    return [c % q for c in out[:degree]]
+
+
+def _powmod(a, e, tail, degree, q):
+    """a^e mod f (as _mulmod), e >= 0, by repeated squaring."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _mulmod(out, a, tail, degree, q)
+        e >>= 1
+        if e:
+            a = _mulmod(a, a, tail, degree, q)
+    return out
 
 
 def _fq_is_irreducible(f, q):
@@ -146,15 +182,10 @@ def _fq_is_irreducible(f, q):
     deg = len(f) - 1
     if deg <= 0:
         return False
+    tail = _tail(f, q)
     h = [0, 1]  # x^(q^i) mod f, from i = 0
     for _ in range(deg // 2):
-        power, base, e = [1], h, q
-        while e:
-            if e & 1:
-                power = _fq_mulmod(power, base, f, q)
-            base = _fq_mulmod(base, base, f, q)
-            e >>= 1
-        h = power
+        h = _powmod(h, q, tail, deg, q)
         # gcd(h - x, f) by Euclid's algorithm
         g = h + [0] * (2 - len(h))
         g[1] -= 1
@@ -186,164 +217,93 @@ def _extension_modulus(q, s):
 
 
 # ---------------------------------------------------------------------------
-# field handles and elements
+# field handles
 
 class FieldHandle:
-    """A finite field of q^s elements: F_q (s = 1) or F_{q^s}.
+    """The finite field F_{q^s} (F_q at s = 1), its elements named by
+    their codes (see the module docstring).
 
-    A field of at most 2^16 elements also carries LogTables (log_tables),
-    through which the depth engine ranks by Zech codes; a larger one is
-    ranked on its elements (linalg.rank_over_field).  Use the module-level
+    add, sub, mul, power and inv are its arithmetic, on codes.  A field
+    of at most 2^16 elements also carries LogTables (log_tables), through
+    which the depth engine ranks by Zech codes; a larger one is ranked on
+    its codes (linalg.rank_over_field).  Use the module-level
     constructors (`prime_field`, `extension_field`,
     `sufficiently_large_field`) rather than calling this directly.
     """
 
-    __slots__ = ("char", "degree", "modulus", "_tail",
-                 "_zero", "_one", "_generator", "_log_tables")
+    __slots__ = ("char", "degree", "modulus", "_tail", "_generator",
+                 "_log_tables")
 
     def __init__(self, char, degree, modulus):
         self.char = char
         self.degree = degree
         self.modulus = modulus  # defining polynomial, low degree first
-        # its nonzero terms below the leading one, which _reduce subtracts
-        self._tail = [(j, m) for j, m in enumerate(modulus[:degree]) if m]
-        self._zero = FieldElement(self, (0,) * degree)
-        self._one = FieldElement(self, (1,) + (0,) * (degree - 1))
+        self._tail = _tail(modulus, char)
         self._generator = None
-
-    # -- basic element constructors
-
-    def zero(self):
-        return self._zero
-
-    def one(self):
-        return self._one
-
-    def from_int(self, n):
-        return FieldElement(self, (n % self.char,) + (0,) * (self.degree - 1))
-
-    def from_code(self, code):
-        """The element whose coefficients, lowest first, are the base-q
-        digits of code, 0 <= code < q^s."""
-        coeffs = []
-        for _ in range(self.degree):
-            code, c = divmod(code, self.char)
-            coeffs.append(c)
-        return FieldElement(self, tuple(coeffs))
 
     def order(self):
         """Number of elements."""
         return self.char ** self.degree
 
-    # -- internal coefficient arithmetic
+    def add(self, a, b):
+        return self._digitwise(a, b, 1)
 
-    def _reduce(self, coeffs):
-        out = list(coeffs)
-        d = self.degree
-        for k in range(len(out) - 1, d - 1, -1):
-            c = out[k]
-            if c:
-                for j, m in self._tail:
-                    out[k - d + j] -= c * m
-                out[k] = 0
-        del out[d:]
+    def sub(self, a, b):
+        return self._digitwise(a, b, -1)
+
+    def mul(self, a, b):
+        if self.degree == 1:
+            return a * b % self.char
+        return self._code(_mulmod(self._digits(a), self._digits(b),
+                                  self._tail, self.degree, self.char))
+
+    def power(self, a, e):
+        """a^e by repeated squaring (a^0 = 1); e < 0 inverts a first."""
+        if e < 0:
+            a, e = self.inv(a), -e
+        if self.degree == 1:
+            return pow(a, e, self.char)
+        return self._code(_powmod(self._digits(a), e, self._tail,
+                                  self.degree, self.char))
+
+    def inv(self, a):
+        """The inverse a^(q^s - 2) of a nonzero a (Fermat)."""
+        if not a:
+            raise ZeroDivisionError("inverting zero field element")
+        return self.power(a, self.order() - 2)
+
+    def _digitwise(self, a, b, sign):
+        """a + sign b, digit by digit mod q."""
+        q = self.char
+        if self.degree == 1:
+            return (a + sign * b) % q
+        out, place = 0, 1
+        while a or b:
+            a, x = divmod(a, q)
+            b, y = divmod(b, q)
+            out += (x + sign * y) % q * place
+            place *= q
         return out
 
-    def _mul_coeffs(self, a, b):
-        out = [0] * (2 * self.degree - 1) if self.degree > 1 else [a[0] * b[0]]
-        if self.degree > 1:
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] += ai * bj
-            out = self._reduce(out)
-        return [c % self.char for c in out]
+    def _digits(self, a):
+        """The coefficients of the element of code a, lowest first, up to
+        its last nonzero one."""
+        out = []
+        while a:
+            a, c = divmod(a, self.char)
+            out.append(c)
+        return out
+
+    def _code(self, coeffs):
+        out = 0
+        for c in reversed(coeffs):
+            out = out * self.char + c
+        return out
 
     def __repr__(self):
         if self.degree == 1:
             return f"F_{self.char}"
         return f"F_{self.char}^{self.degree}"
-
-
-class FieldElement:
-    """Element of a FieldHandle: an immutable coefficient vector."""
-
-    __slots__ = ("owner", "coeffs")
-
-    def __init__(self, owner, coeffs):
-        self.owner = owner
-        self.coeffs = coeffs
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def is_one(self):
-        return self.coeffs == self.owner._one.coeffs
-
-    def code(self):
-        """The integer whose base-q digits are the coefficients, lowest
-        first: the inverse of FieldHandle.from_code."""
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * self.owner.char + c
-        return out
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement) or other.owner is not self.owner:
-            raise ValueError("operands belong to different field handles")
-
-    def __add__(self, other):
-        self._check(other)
-        K = self.owner
-        return FieldElement(K, tuple((a + b) % K.char
-                                     for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        K = self.owner
-        return FieldElement(K, tuple((-a) % K.char for a in self.coeffs))
-
-    def __mul__(self, other):
-        self._check(other)
-        K = self.owner
-        return FieldElement(K, tuple(K._mul_coeffs(list(self.coeffs),
-                                                   list(other.coeffs))))
-
-    def inv(self):
-        """Multiplicative inverse, a^(|K| - 2) (Fermat)."""
-        K = self.owner
-        if self.is_zero():
-            raise ZeroDivisionError("inverting zero field element")
-        if K.degree == 1:
-            return FieldElement(K, (pow(self.coeffs[0], K.char - 2, K.char),))
-        return self ** (K.order() - 2)
-
-    def __pow__(self, e):
-        K = self.owner
-        if e == 0:
-            return K.one()
-        if e < 0:
-            return self.inv() ** (-e)
-        result = K.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement) and other.owner is self.owner
-                and other.coeffs == self.coeffs)
-
-    def __hash__(self):
-        return hash((id(self.owner), self.coeffs))
-
-    def __repr__(self):
-        return f"{self.owner!r}({list(self.coeffs)})"
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +381,8 @@ def _find_generator(K):
         return K._generator
     n = K.order() - 1
     prime_divs = list(factorize(n))
-    for code in range(2, K.order()):
-        g = K.from_code(code)
-        if all(not (g ** (n // p)).is_one() for p in prime_divs):
+    for g in range(2, K.order()):
+        if all(K.power(g, n // p) != 1 for p in prime_divs):
             K._generator = g
             return g
     raise InvariantViolation(  # pragma: no cover
@@ -434,28 +393,32 @@ class LogTables:
     """Discrete-log arithmetic for a small finite field.
 
     Nonzero elements are coded by their exponent with respect to the fixed
-    generator g, zero by -1: log[c] is the log of the element with code c
-    (FieldElement.code), codes[k] the code of g^k, and addition goes
-    through the Zech logarithm zech[d] = log(1 + g^d).  Everything is a
-    plain int, which makes the inner loops of rank computations cheap.
+    generator g, zero by -1: log[c] is the log of the element with code c,
+    codes[k] the code of g^k, and addition goes through the Zech logarithm
+    zech[d] = log(1 + g^d).  Everything is a plain int, which makes the
+    inner loops of rank computations cheap.  At s > 1 the powers g^k are
+    built as coefficient lists, each multiplied by g's (_mulmod), so that
+    g is decoded once.
     """
 
     __slots__ = ("n", "log", "codes", "zech", "minus_one")
 
     def __init__(self, K):
         n = K.order() - 1
-        g = _find_generator(K) if n > 1 else K.one()
+        g = _find_generator(K) if n > 1 else 1
+        if K.degree == 1:
+            powers = accumulate(repeat(g, n), K.mul, initial=1)
+        else:
+            powers = map(K._code, accumulate(
+                repeat(K._digits(g), n), initial=[1],
+                func=lambda x, y: _mulmod(x, y, K._tail, K.degree, K.char)))
         self.n = n
-        self.codes = []
-        self.log = [-1] * K.order()
-        x = K.one()
-        for k in range(n):
-            code = x.code()
-            self.codes.append(code)
-            self.log[code] = k
-            x = x * g
-        if not x.is_one():
+        self.codes = list(powers)
+        if self.codes.pop() != 1:
             raise InvariantViolation("the generator's order is not q^s - 1")
+        self.log = [-1] * K.order()
+        for k, code in enumerate(self.codes):
+            self.log[code] = k
         # g^k + 1 differs from g^k in its constant coefficient, the lowest
         # base-q digit of its code
         q = K.char
@@ -478,20 +441,20 @@ def log_tables(K):
 
 
 def primitive_root_of_unity(K, N):
-    """A primitive N-th root of unity in K, chosen deterministically:
-    z = x^((q^s-1)/N) for the first x, in the enumeration by code, for
-    which z has order exactly N.  Such a z has z^N = 1, so only the primes
-    of N are tested, and q^s - 1 is never factored: a field of any size
-    costs a few exponentiations."""
+    """The code of a primitive N-th root of unity in K, chosen
+    deterministically: z = x^((q^s-1)/N) for the first x, in the
+    enumeration by code, for which z has order exactly N.  Such a z has
+    z^N = 1, so only the primes of N are tested, and q^s - 1 is never
+    factored: a field of any size costs a few exponentiations."""
     if N == 1:
-        return K.one()
+        return 1
     n = K.order() - 1
     if n % N != 0:
         raise ValueError(f"{K!r} contains no primitive {N}-th root of unity")
     primes = list(factorize(N))
-    for code in range(2, K.order()):
-        zeta = K.from_code(code) ** (n // N)
-        if all(not (zeta ** (N // r)).is_one() for r in primes):
+    for x in range(2, K.order()):
+        zeta = K.power(x, n // N)
+        if all(K.power(zeta, N // r) != 1 for r in primes):
             return zeta
     raise InvariantViolation(  # pragma: no cover
         f"{K!r} has no primitive {N}-th root of unity")

@@ -7,7 +7,8 @@ positive parts.  For the split metabelian groups M_{p,q^s} =
 F_{q^s} x| <zeta_p> (s the order of q mod p, zeta_p a primitive p-th root
 of unity acting by multiplication) the count is assembled from the
 depths of the order-p characters over that same field F_{q^s}, and the
-group's own table, for the brute-force oracle, is built on it too.
+group's own table, for the brute-force oracle, is built from that
+field's add and mul on codes (fields.FieldHandle).
 
 census sums these invariants: a_k_normal is the sum of delta over the
 groups of order k.  For k prime, p^2 or pq those are the abelian groups
@@ -150,9 +151,9 @@ class MetabelianGroup:
     isomorphic group, by (u, k) -> (u, jk).  The companion matrix of any
     factor of 1 + t + ... + t^{p-1} over F_q is multiplication by such a
     root, so this is the group of the literature.  The element (u, k)
-    stands for u b^k, with index k * q^s + code(u), code(u) the integer
-    whose base-q digits are u's coefficients; (u, k)(v, m) =
-    (u + zeta^k v, k + m).
+    stands for u b^k, with index k * q^s + u, u an element of K by its
+    code (the integer whose base-q digits are u's coefficients);
+    (u, k)(v, m) = (u + zeta^k v, k + m).
     """
 
     __slots__ = ("p", "q", "s", "table", "aut_order")
@@ -166,10 +167,10 @@ class MetabelianGroup:
         K = extension_field(q, self.s)
         zeta = primitive_root_of_unity(K, p)
         span = K.order()
-        elements = [K.from_code(c) for c in range(span)]
-        add = [[(u + v).code() for v in elements] for u in elements]
-        # turn[k][c] = code(zeta^k v) for v of code c
-        turn = [[(zeta ** k * v).code() for v in elements] for k in range(p)]
+        add = [[K.add(u, v) for v in range(span)] for u in range(span)]
+        # turn[k][v] = zeta^k v
+        turn = [[K.mul(z, v) for v in range(span)]
+                for z in [K.power(zeta, k) for k in range(p)]]
         mul = [[((k + m) % p) * span + add[uc][w]
                 for m in range(p) for w in turn[k]]
                for k in range(p) for uc in range(span)]

@@ -1,9 +1,10 @@
 """Exact linear algebra kernels: integer Smith normal form and rank over a field.
 
-Everything here works with arbitrary-precision Python integers or with
-exact field elements; there is no floating point anywhere.  The single
-convention used throughout the package: an m x n integer matrix A presents
-the abelian group Z^n / (row space of A).
+Everything here works with arbitrary-precision Python integers, finite
+field elements included (by their codes, fields.FieldHandle); there is
+no floating point anywhere.  The single convention used throughout the
+package: an m x n integer matrix A presents the abelian group
+Z^n / (row space of A).
 
 A Smith form without a transform starts with a unit-pivot phase on sparse
 rows {column: value}: every +-1 entry that can serve as a pivot is
@@ -355,40 +356,43 @@ def _euclidean_snf(a, rows, cols, want_transform=False):
 
 
 def rank_over_field(M, K):
-    """Rank of a matrix of field elements by exact Gaussian elimination.
-
-    M is a list of rows of FieldElement, all owned by the handle K.  The
-    depth engine ranks fields past the Zech table limit with it.
-    An empty matrix (or one with no columns) has rank 0.
+    """Rank of a matrix over the finite field K (fields.FieldHandle) by
+    Gaussian elimination, its entries the codes of elements of K, each an
+    int in 0..q^s - 1; a ValueError on any other entry.  The depth engine
+    ranks fields past the Zech table limit with it.  An empty matrix (or
+    one with no columns) has rank 0.
     """
     if not M or not M[0]:
         return 0
     rows = [list(r) for r in M]
     m, n = len(rows), len(rows[0])
+    size = K.order()
     for r in rows:
         if len(r) != n:
             raise ValueError("ragged matrix")
         for x in r:
-            if x.owner is not K:
-                raise ValueError("entry from a different field handle")
+            if not 0 <= x < size:
+                raise ValueError(f"{x!r} is not the code of an element of "
+                                 f"{K!r}")
     rank = 0
     col = 0
     while rank < m and col < n:
         piv = None
         for i in range(rank, m):
-            if not rows[i][col].is_zero():
+            if rows[i][col]:
                 piv = i
                 break
         if piv is None:
             col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [x * inv for x in rows[rank]]
+        inv = K.inv(rows[rank][col])
+        rows[rank] = [K.mul(x, inv) for x in rows[rank]]
         for i in range(rank + 1, m):
             c = rows[i][col]
-            if not c.is_zero():
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
+            if c:
+                rows[i] = [K.sub(x, K.mul(c, y))
+                           for x, y in zip(rows[i], rows[rank])]
         rank += 1
         col += 1
     return rank

@@ -7,13 +7,17 @@ in for Q(zeta_N)).  The references here do neither:
 
 * evaluate() and depth() evaluate each Laurent term of the matrix at the
   character, as coefficient * zeta^(exponents . e), and rank the result
-  with plain division-based elimination (linalg.rank_over_field);
+  with plain division-based elimination on field elements
+  (rank_of_elements), where the library eliminates on codes
+  (linalg.rank_over_field);
 * cyclotomic_polynomial gives Phi_N over the integers, by dividing
   x^N - 1 by the Phi_d of the proper divisors d of N; the library never
   needs it, since its roots of unity are powers in F_{q^s};
 * CyclotomicField does exact arithmetic in Q(zeta_N) = Q[x] / Phi_N on
-  Fraction coefficients, duck-typed to the FieldHandle interface those
-  use, so the same depths can be taken over Q(zeta_N);
+  Fraction coefficients, so the same depths can be taken over Q(zeta_N);
+  FiniteField gives a library FieldHandle the same interface, its
+  elements (FiniteElement) wrapping codes, every operation one of the
+  handle's methods;
 * irreducible_by_trial_division is the test the library's extension
   moduli were once found by, against which Ben-Or's test is checked;
 * determinant (Laplace expansion) and determinantal_divisors, the Smith
@@ -76,8 +80,6 @@ library's counts and constructions against; no command needs them:
   conventions, which the tests show differ from the frozen ones and, for
   the full twist (non_fano_group(opposite=True)), break the non-Fano
   golden values;
-* field_element builds a finite-field element from its coefficients, as
-  the field tests write their operands;
 * transpose and matmul, the integer matrix transpose and product, check
   the Smith form's transforms (U A V = D) and its transpose invariance.
 """
@@ -93,13 +95,13 @@ from hallinv.braids import (BraidWord, FreeAutomorphism, _elementary_images,
 from hallinv.census import a_k_via_hall_recursion
 from hallinv.charvar import (Group, _character_moduli, _coordinate_columns,
                              _galois_orbits)
-from hallinv.fields import (FieldElement, _fq_divmod, _fq_monic_polys,
+from hallinv.fields import (FieldHandle, _fq_divmod, _fq_monic_polys,
                             factorize, multiplicative_order,
                             primitive_root_of_unity, sufficiently_large_field)
 from hallinv.foxcalc import abelianization
 from hallinv.hall import (AbelianGroupSpec, construct_mpqs, delta_abelian,
                           delta_mpqs)
-from hallinv.linalg import IntMatrix, InvariantViolation, rank_over_field
+from hallinv.linalg import IntMatrix, InvariantViolation
 from hallinv.oracle import (FiniteGroupTable, _count_generator_images,
                             delta_oracle)
 from hallinv.presentations import Presentation, Word, commutator
@@ -305,24 +307,154 @@ class CyclotomicElement:
         return f"{self.owner!r}({[str(c) for c in self.coeffs]})"
 
 
+class FiniteField:
+    """A library FieldHandle with the interface of CyclotomicField: its
+    elements are FiniteElements, each wrapping a code."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.char = handle.char
+        self.degree = handle.degree
+
+    def zero(self):
+        return FiniteElement(self, 0)
+
+    def one(self):
+        return FiniteElement(self, 1)
+
+    def from_int(self, n):
+        return FiniteElement(self, n % self.char)
+
+    def element(self, coeffs):
+        """sum_i coeffs[i] x^i, for at most degree coefficients."""
+        if len(coeffs) > self.degree:
+            raise ValueError(f"{len(coeffs)} coefficients in {self!r}")
+        code = 0
+        for c in reversed(coeffs):
+            code = code * self.char + c % self.char
+        return FiniteElement(self, code)
+
+    def order(self):
+        return self.handle.order()
+
+    def root_of_unity(self, n):
+        return FiniteElement(self, primitive_root_of_unity(self.handle, n))
+
+    def __repr__(self):
+        return repr(self.handle)
+
+
+class FiniteElement:
+    """An element of a FiniteField: the code of an element of its handle,
+    with the operators of CyclotomicElement, each taken by the handle."""
+
+    __slots__ = ("owner", "code")
+
+    def __init__(self, owner, code):
+        self.owner = owner
+        self.code = code
+
+    @property
+    def coeffs(self):
+        """The coefficients, lowest first: the code's base-q digits."""
+        q, code = self.owner.char, self.code
+        return tuple(code // q ** i % q for i in range(self.owner.degree))
+
+    def is_zero(self):
+        return self.code == 0
+
+    def is_one(self):
+        return self.code == 1
+
+    def _other(self, other):
+        if not isinstance(other, FiniteElement) or \
+                other.owner.handle is not self.owner.handle:
+            raise ValueError("operands belong to different fields")
+        return other.code
+
+    def _new(self, code):
+        return FiniteElement(self.owner, code)
+
+    def __add__(self, other):
+        return self._new(self.owner.handle.add(self.code, self._other(other)))
+
+    def __neg__(self):
+        return self._new(self.owner.handle.sub(0, self.code))
+
+    def __sub__(self, other):
+        return self._new(self.owner.handle.sub(self.code, self._other(other)))
+
+    def __mul__(self, other):
+        return self._new(self.owner.handle.mul(self.code, self._other(other)))
+
+    def inv(self):
+        return self._new(self.owner.handle.inv(self.code))
+
+    def __pow__(self, e):
+        return self._new(self.owner.handle.power(self.code, e))
+
+    def __eq__(self, other):
+        return isinstance(other, FiniteElement) and \
+            other.owner.handle is self.owner.handle and other.code == self.code
+
+    def __hash__(self):
+        return hash((id(self.owner.handle), self.code))
+
+    def __repr__(self):
+        return f"{self.owner!r}({list(self.coeffs)})"
+
+
+def elements_of(K):
+    """K as a field of elements: a reference field as it is, a library
+    FieldHandle as a FiniteField."""
+    return FiniteField(K) if isinstance(K, FieldHandle) else K
+
+
 def reference_field(N, q):
     """A field of characteristic q holding the N-th roots of unity:
     Q(zeta_N) at q = 0, else the library's F_{q^s}."""
-    return CyclotomicField(N) if q == 0 else sufficiently_large_field(N, q)
+    if q == 0:
+        return CyclotomicField(N)
+    return FiniteField(sufficiently_large_field(N, q))
 
 
 def root_of_unity(K, N):
-    """A primitive N-th root of unity of a reference or library field."""
-    if isinstance(K, CyclotomicField):
-        return K.root_of_unity(N)
-    return primitive_root_of_unity(K, N)
+    """A primitive N-th root of unity of a reference or library field, as
+    an element."""
+    return elements_of(K).root_of_unity(N)
+
+
+def rank_of_elements(M):
+    """Rank of a matrix of field elements (CyclotomicElement or
+    FiniteElement) by Gaussian elimination, each pivot row divided by its
+    pivot."""
+    rows = [list(r) for r in M]
+    rank, col, m, n = 0, 0, len(rows), len(rows[0]) if rows else 0
+    while rank < m and col < n:
+        piv = next((i for i in range(rank, m) if not rows[i][col].is_zero()),
+                   None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = rows[rank][col].inv()
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(rank + 1, m):
+            c = rows[i][col]
+            if not c.is_zero():
+                rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
 
 
 def evaluate(A, K, N, e):
     """The Alexander matrix A at the character of order dividing N with
-    coordinate exponent vector e (torsion coordinates first), over K: the
-    term c * t^v * s^w goes to c * zeta_N^(w . e_tors + v . e_free)."""
-    zeta = root_of_unity(K, N)
+    coordinate exponent vector e (torsion coordinates first), over K
+    (elements_of): the term c * t^v * s^w goes to
+    c * zeta_N^(w . e_tors + v . e_free)."""
+    K = elements_of(K)
+    zeta = K.root_of_unity(N)
     grid = []
     for row in A.entries:
         out = []
@@ -338,7 +470,7 @@ def evaluate(A, K, N, e):
 
 def depth(A, K, N, e):
     """corank of A evaluated at e over K, minus one."""
-    return A.num_generators - rank_over_field(evaluate(A, K, N, e), K) - 1
+    return A.num_generators - rank_of_elements(evaluate(A, K, N, e)) - 1
 
 
 def order_p_exponents(abel, p):
@@ -725,15 +857,6 @@ def abelianized(f):
     """The integer matrix of f on H_1 of the free group: row i holds the
     exponent sums of the image of generator i."""
     return [[w.exponent_sum(j) for j in range(f.rank)] for w in f.images]
-
-
-def field_element(K, coeffs):
-    """The element sum_i coeffs[i] x^i of the finite field K."""
-    coeffs = list(coeffs)
-    if len(coeffs) > K.degree:
-        coeffs = K._reduce(coeffs)
-    coeffs += [0] * (K.degree - len(coeffs))
-    return FieldElement(K, tuple(c % K.char for c in coeffs))
 
 
 def depth_at(engine, e):

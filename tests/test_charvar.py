@@ -383,11 +383,11 @@ def test_packed_codes_never_carry(q, N):
     # element: the digit sums of its slots reach terms * (q - 1) in every
     # slot where that element has digit q - 1 (slot 0 at a = 0; here each
     # slot does at some character).  The engine's rank must equal
-    # rank_over_field on the entries evaluated as field elements, at the
-    # engine's own zeta
+    # the reference's elimination on the entries evaluated as field
+    # elements, at the engine's own zeta
     from hallinv.charvar import DepthEngine
     from hallinv.fields import log_tables
-    from hallinv.linalg import rank_over_field
+    from reference import FiniteElement, FiniteField, rank_of_elements
     c, T = (q - 1 if q else -1), 6
     widest = [{(a + j * N,): c for j in range(T)} for a in (0, 1, 2)]
     rows = [[widest[0], {(1,): 1, (0,): 1}],
@@ -395,9 +395,9 @@ def test_packed_codes_never_carry(q, N):
             [widest[2], {(2,): c, (N + 2,): c}]]
     engine = DepthEngine(_laurent_matrix(rows, 1), N, q)
     if q:
-        K, lt = engine.field, log_tables(engine.field)
+        K, lt = FiniteField(engine.field), log_tables(engine.field)
         assert engine.mode == "zech" and K.char == q
-        zeta = K.from_code(lt.codes[lt.n // N % lt.n])  # g^(n / N)
+        zeta = FiniteElement(K, lt.codes[lt.n // N % lt.n])  # g^(n / N)
     else:
         K = reference_field(N, 0)
         zeta = K.root_of_unity(N)
@@ -406,7 +406,7 @@ def test_packed_codes_never_carry(q, N):
                       for (k,), coeff in entry.items()), K.zero())
                  for entry in row] for row in rows]
         assert engine._certified_rank(engine._exponents((e,)), 2) == \
-            rank_over_field(grid, K), (q, N, e)
+            rank_of_elements(grid), (q, N, e)
 
 
 def _count_rows_built(monkeypatch):
@@ -476,8 +476,8 @@ def test_rows_built_per_walk(monkeypatch, name, rows):
 
 
 def test_char0_uses_no_finite_field_arithmetic(monkeypatch):
-    # q = 0 ranks by integers mod ell: no log tables, no field elements
-    # and no rank_over_field, at small N and at N = 1000
+    # q = 0 ranks by integers mod ell: no log tables, no finite field
+    # arithmetic and no rank_over_field, at small N and at N = 1000
     import hallinv.charvar as charvar
     import hallinv.fields as fields
     import hallinv.linalg as linalg
@@ -488,7 +488,8 @@ def test_char0_uses_no_finite_field_arithmetic(monkeypatch):
     for module, name in ((fields, "log_tables"), (charvar, "log_tables"),
                          (linalg, "rank_over_field"),
                          (charvar, "rank_over_field"),
-                         (fields.FieldElement, "__init__")):
+                         *((fields.FieldHandle, name) for name in
+                           ("add", "sub", "mul", "power", "inv"))):
         monkeypatch.setattr(module, name, forbidden)
     P = direct_product_with_Z(free_group(2))
     for N in (3, 4, 12, 1000):
@@ -570,8 +571,8 @@ def test_char0_large_primes_match_the_cover_snf():
 def test_engine_past_the_table_limit_matches_reference(monkeypatch):
     # ord_19(2) = 18: the order-19 characters of rp:3 take values in
     # F_{2^18}, past the real 2^16 Zech table limit, so every rank is
-    # taken on field elements; the engine builds zeta and its power table
-    # once, however many characters it ranks
+    # taken on the codes of field elements; the engine builds zeta once,
+    # however many characters it ranks
     import hallinv.charvar as charvar
     from hallinv.braids import fixture
     from hallinv.oracle import cover_b1, regular_cyclic_action
@@ -592,6 +593,20 @@ def test_engine_past_the_table_limit_matches_reference(monkeypatch):
         G.abel.b1(2) + 18 * max_depth_of_order_dividing(G, 19, 2) == \
         cover_b1(G.P, regular_cyclic_action(19, images), 2)
     assert roots == [(K, 19)]
+
+
+@pytest.mark.parametrize("N, images, q, b1", [(3, [1, 1, 1], 65539, 3),
+                                              (5, [1, 2, 0], 65551, 7)])
+def test_element_route_on_a_prime_field(N, images, q, b1):
+    # q = 1 mod N, so the N-th roots of unity lie in F_q itself, a prime
+    # field past the 2^16 Zech table limit: the element route at s = 1
+    from hallinv.braids import fixture
+    from hallinv.oracle import cover_b1, regular_cyclic_action
+    G = Group(fixture("product:2,1"))
+    engine = G.engine(N, q)
+    assert (engine.field.degree, engine.mode) == (1, "element")
+    assert b1_cover_cyclic(G, N, images, q) == b1 == \
+        cover_b1(G.P, regular_cyclic_action(N, images), q)
 
 
 def test_one_engine_per_group_and_field(monkeypatch, fork_launches):

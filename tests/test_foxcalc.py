@@ -140,11 +140,11 @@ def test_surface_relator_jacobian_is_zero_augmented():
 
 def test_evaluate_at_trivial_character_gives_augmentation():
     from hallinv.fields import prime_field
-    from reference import evaluate
+    from reference import FiniteField, evaluate
     for P in (parse_presentation("gens: x, y; rels: x^2*y^2, [x,y]"),
               nonorientable_surface_group(3)):
         A = alexander_matrix(P)
-        K = prime_field(5)
+        K = FiniteField(prime_field(5))
         J = augmentation_jacobian(P)
         evaluated = evaluate(A, K, 1, (0,) * A.abel.num_coordinates)
         for i in range(A.num_relators):
@@ -205,8 +205,8 @@ def test_nonorientable_matrix_matches_explicit_form():
     from itertools import product as iproduct
     from hallinv.charvar import DepthEngine
     from hallinv.foxcalc import alexander_matrix
-    from hallinv.linalg import rank_over_field
-    from reference import depth_at, reference_field, root_of_unity
+    from reference import (depth_at, rank_of_elements, reference_field,
+                           root_of_unity)
 
     for n, N, q in ((2, 4, 0), (3, 4, 3), (3, 2, 7), (4, 4, 5)):
         P = nonorientable_surface_group(n)
@@ -240,6 +240,6 @@ def test_nonorientable_matrix_matches_explicit_form():
             for v in t:
                 tail_inv = tail_inv * v.inv()
             row.append(prefix * (one + tail_inv * s))
-            paper_rank = rank_over_field([row], K)
+            paper_rank = rank_of_elements([row])
             ours = n - depth_at(engine, exps) - 1
             assert paper_rank == ours
