@@ -21,7 +21,7 @@ differ across the literature.
 
 from __future__ import annotations
 
-from .linalg import IntMatrix, smith_normal_form
+from .linalg import smith_normal_form
 from .presentations import Presentation, Word
 
 
@@ -91,9 +91,8 @@ class FreeAutomorphism:
 def _abelianized_determinant_unit(rank, images):
     """True when the abelianized image matrix is unimodular (a necessary
     condition for the images to generate)."""
-    M = IntMatrix(rank, rank, [[w.exponent_sum(j) for j in range(rank)]
-                               for w in images])
-    form = smith_normal_form(M)
+    form = smith_normal_form([{j: w.exponent_sum(j) for j in range(rank)}
+                              for w in images], rank)
     return form.rank == rank and all(d == 1 for d in form.divisors)
 
 

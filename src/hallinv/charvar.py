@@ -879,16 +879,16 @@ def _validate_epimorphism_abelian(G, factors, images):
     if any(len(row) != l for row in images):
         raise ValueError("one image per generator required")
     for i, c in enumerate(factors):
-        for row in G.jacobian.entries:
+        for row in G.jacobian:
             if sum(a * b for a, b in zip(row, images[i])) % c:
                 raise ValueError("not a homomorphism: a relator has nonzero image")
     # surjectivity: the quotient of sum Z_{c_i} by the generator images
     # must vanish; present it and reduce
-    from .linalg import IntMatrix, smith_normal_form
+    from .linalg import smith_normal_form
     k = len(factors)
-    rows = [[images[i][j] for i in range(k)] for j in range(l)]
-    rows += [[factors[i] if i == c else 0 for i in range(k)] for c in range(k)]
-    form = smith_normal_form(IntMatrix.from_rows(rows, k))
+    rows = [{i: images[i][j] for i in range(k)} for j in range(l)]
+    rows += [{c: factors[c]} for c in range(k)]
+    form = smith_normal_form(rows, k)
     if form.coker_free_rank or form.coker_torsion():
         raise ValueError("images do not generate Z_"
                          + " + Z_".join(map(str, factors)))

@@ -231,15 +231,13 @@ class FieldHandle:
     `sufficiently_large_field`) rather than calling this directly.
     """
 
-    __slots__ = ("char", "degree", "modulus", "_tail", "_generator",
-                 "_log_tables")
+    __slots__ = ("char", "degree", "modulus", "_tail", "_log_tables")
 
     def __init__(self, char, degree, modulus):
         self.char = char
         self.degree = degree
         self.modulus = modulus  # defining polynomial, low degree first
         self._tail = _tail(modulus, char)
-        self._generator = None
 
     def order(self):
         """Number of elements."""
@@ -372,40 +370,24 @@ def sufficiently_large_field(N, q):
     return extension_field(q, s)
 
 
-def _find_generator(K):
-    """Deterministic generator of the multiplicative group of a finite field:
-    the first element, in the fixed enumeration by code, whose order is
-    q^s - 1 (tested against the prime factorization, so LogTables, which
-    stop at 2^16 elements, are its only caller)."""
-    if K._generator is not None:
-        return K._generator
-    n = K.order() - 1
-    prime_divs = list(factorize(n))
-    for g in range(2, K.order()):
-        if all(K.power(g, n // p) != 1 for p in prime_divs):
-            K._generator = g
-            return g
-    raise InvariantViolation(  # pragma: no cover
-        "no multiplicative generator found")
-
-
 class LogTables:
     """Discrete-log arithmetic for a small finite field.
 
     Nonzero elements are coded by their exponent with respect to the fixed
-    generator g, zero by -1: log[c] is the log of the element with code c,
-    codes[k] the code of g^k, and addition goes through the Zech logarithm
-    zech[d] = log(1 + g^d).  Everything is a plain int, which makes the
-    inner loops of rank computations cheap.  At s > 1 the powers g^k are
-    built as coefficient lists, each multiplied by g's (_mulmod), so that
-    g is decoded once.
+    generator g, the primitive (q^s - 1)-th root of unity that
+    primitive_root_of_unity picks, zero by -1: log[c] is the log of the
+    element with code c, codes[k] the code of g^k, and addition goes
+    through the Zech logarithm zech[d] = log(1 + g^d).  Everything is a
+    plain int, which makes the inner loops of rank computations cheap.  At
+    s > 1 the powers g^k are built as coefficient lists, each multiplied
+    by g's (_mulmod), so that g is decoded once.
     """
 
     __slots__ = ("n", "log", "codes", "zech", "minus_one")
 
     def __init__(self, K):
         n = K.order() - 1
-        g = _find_generator(K) if n > 1 else 1
+        g = primitive_root_of_unity(K, n)
         if K.degree == 1:
             powers = accumulate(repeat(g, n), K.mul, initial=1)
         else:
@@ -444,8 +426,9 @@ def primitive_root_of_unity(K, N):
     """The code of a primitive N-th root of unity in K, chosen
     deterministically: z = x^((q^s-1)/N) for the first x, in the
     enumeration by code, for which z has order exactly N.  Such a z has
-    z^N = 1, so only the primes of N are tested, and q^s - 1 is never
-    factored: a field of any size costs a few exponentiations."""
+    z^N = 1, so only the primes of N are tested: q^s - 1 is factored only
+    when N is q^s - 1 itself (the generator of LogTables, at most 2^16
+    elements), and a field of any size costs a few exponentiations."""
     if N == 1:
         return 1
     n = K.order() - 1

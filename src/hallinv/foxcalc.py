@@ -23,7 +23,7 @@ of this choice, up to the usual monomial change of basis.
 
 from __future__ import annotations
 
-from .linalg import IntMatrix, InvariantViolation, smith_normal_form
+from .linalg import InvariantViolation, smith_normal_form
 
 
 def fox_terms(w):
@@ -48,10 +48,9 @@ def fox_terms(w):
 
 
 def augmentation_jacobian(P):
-    """The integer matrix of generator exponent sums of the relators."""
-    m, l = len(P.relators), P.num_generators
-    return IntMatrix(m, l, [[r.exponent_sum(j) for j in range(l)]
-                            for r in P.relators])
+    """The generator exponent sums of the relators, one row per relator."""
+    return [[r.exponent_sum(j) for j in range(P.num_generators)]
+            for r in P.relators]
 
 
 class AbelStructure:
@@ -123,21 +122,19 @@ def abelianization(P):
     of V^{-1}.
     """
     J = augmentation_jacobian(P)
-    form = smith_normal_form(J, want_transform=True)
-    _, V = form.transform
-    vinv = form.vinv
     l = P.num_generators
+    form = smith_normal_form([dict(enumerate(row)) for row in J], l,
+                             want_basis=True)
+    V, vinv = form.basis, form.inverse
     r = form.rank
     divisors = form.divisors
     keep = [i for i in range(r) if divisors[i] > 1]
     torsion = [divisors[i] for i in keep]
-    gen_free = [tuple(V.entries[j][r:l]) for j in range(l)]
-    gen_tors = [tuple(V.entries[j][i] % divisors[i] for i in keep)
-                for j in range(l)]
-    inv_rows = ([list(vinv.entries[i]) for i in keep]
-                + [list(vinv.entries[c]) for c in range(r, l)])
+    gen_free = [tuple(V[j][r:l]) for j in range(l)]
+    gen_tors = [tuple(V[j][i] % divisors[i] for i in keep) for j in range(l)]
+    inv_rows = [vinv[i] for i in keep] + vinv[r:l]
     abel = AbelStructure(l - r, torsion, gen_free, gen_tors, inv_rows)
-    for row in J.entries:
+    for row in J:
         free, tors = abel.chi(row)
         if any(free) or any(tors):
             raise InvariantViolation("a relator has nonzero image in H_1")
@@ -212,7 +209,7 @@ def alexander_matrix(P, abel=None):
     J = augmentation_jacobian(P)
     for i in range(A.num_relators):
         for j in range(A.num_generators):
-            if sum(A.entries[i][j].values()) != J.entries[i][j]:
+            if sum(A.entries[i][j].values()) != J[i][j]:
                 raise InvariantViolation(
                     f"Alexander entry ({i},{j}) does not augment to the "
                     "Jacobian")

@@ -6,14 +6,16 @@ no floating point anywhere.  The single convention used throughout the
 package: an m x n integer matrix A presents the abelian group
 Z^n / (row space of A).
 
-A Smith form without a transform starts with a unit-pivot phase on sparse
-rows {column: value}: every +-1 entry that can serve as a pivot is
-eliminated with one row operation per row it meets, as in homology-scale
-Smith forms (Dumas, Heckenbach, Saunders and Welker, "Computing simplicial
-homology based on efficient Smith normal form algorithms", 2003).  What is
-left, its zero rows and columns dropped, goes to the dense Euclidean loop,
-the one other elimination path, which also computes the transforms the
-abelianization needs.  Reidemeister-Schreier Fox matrices of the oracle's
+smith_normal_form is the one Smith-form entry point; it takes sparse rows
+{column: value}.  Without a basis it starts with a unit-pivot phase: every
++-1 entry that can serve as a pivot is eliminated with one row operation
+per row it meets, as in homology-scale Smith forms (Dumas, Heckenbach,
+Saunders and Welker, "Computing simplicial homology based on efficient
+Smith normal form algorithms", 2003).  What is left, its zero rows and
+columns dropped, goes to the dense Euclidean loop, the one other
+elimination path.  The abelianization asks for the basis V of the column
+operations, and V^-1; the Euclidean loop then runs on the whole matrix
+and tracks both.  Reidemeister-Schreier Fox matrices of the oracle's
 covers are a few percent nonzero, nearly all of it +-1; those of the
 arrangement groups' abelian covers reduce by unit pivots alone.
 """
@@ -25,65 +27,24 @@ class InvariantViolation(AssertionError):
     """A proved identity failed on computed data; always a bug."""
 
 
-class IntMatrix:
-    """Dense integer matrix.  Rows or columns may be zero (0 x n matrices occur
-    naturally as Jacobians of free groups)."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError("entry grid does not match the stated shape")
-        self.rows = rows
-        self.cols = cols
-        self.entries = [list(map(int, r)) for r in entries]
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n):
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.entries[i][i] = 1
-        return m
-
-    @classmethod
-    def from_rows(cls, rows_list, cols=None):
-        rows = len(rows_list)
-        if cols is None:
-            if rows == 0:
-                raise ValueError("cols required for a 0-row matrix")
-            cols = len(rows_list[0])
-        return cls(rows, cols, [list(r) for r in rows_list])
-
-    def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __repr__(self):
-        return f"IntMatrix({self.rows}x{self.cols}, {self.entries})"
-
-
 class SmithForm:
     """Result of a Smith normal form computation.
 
     divisors: the nonzero diagonal d_1 | d_2 | ... | d_r (1's retained).
     rank: r.  coker_free_rank: cols - r, the free rank of Z^cols / rowspace.
-    transform: (U, V) with U*A*V = diag(divisors) and det(U), det(V) = +-1,
-    present only when requested.  vinv is V^-1, kept because the
-    abelianization code needs both directions of the change of basis.
+    basis and inverse, present only when requested: V and V^-1 as lists of
+    rows, with U*A*V = diag(divisors) for some U of determinant +-1.  The
+    abelianization needs both directions of the change of basis.
     """
 
-    __slots__ = ("divisors", "rank", "coker_free_rank", "transform", "vinv")
+    __slots__ = ("divisors", "rank", "coker_free_rank", "basis", "inverse")
 
-    def __init__(self, divisors, cols, transform=None, vinv=None):
+    def __init__(self, divisors, cols, basis=None, inverse=None):
         self.divisors = list(divisors)
         self.rank = len(self.divisors)
         self.coker_free_rank = cols - self.rank
-        self.transform = transform
-        self.vinv = vinv
+        self.basis = basis
+        self.inverse = inverse
 
     def coker_torsion(self):
         """Elementary divisors > 1, i.e. the torsion of the cokernel."""
@@ -115,32 +76,22 @@ def _balanced_div(x, d):
     return q, r
 
 
-def smith_normal_form(A, want_transform=False):
-    """Smith normal form of an integer matrix.
-
-    Without a transform this is sparse_smith_normal_form on A's nonzero
-    entries: unit pivots first, then the Euclidean loop on what is left.
-    With want_transform=True (the abelianization, which needs U and V) the
-    Euclidean loop runs on all of A.
-    """
-    if not want_transform:
-        return sparse_smith_normal_form(
-            [dict(enumerate(row)) for row in A.entries], A.cols)
-    return _euclidean_snf([row[:] for row in A.entries], A.rows, A.cols,
-                          want_transform=True)
-
-
-def sparse_smith_normal_form(rows, cols):
+def smith_normal_form(rows, cols, want_basis=False):
     """Smith normal form of the matrix whose rows are dicts {column: value}
     over the columns 0..cols-1; zero values may be present or left out.
 
     Unit pivots go first (_unit_pivots), each contributing a divisor 1;
     the remainder, with its zero rows and columns dropped, goes to the
-    Euclidean loop.  The rows are not modified.
+    Euclidean loop.  With want_basis=True (the abelianization, which needs
+    V and V^-1) the Euclidean loop runs on the whole matrix instead.  The
+    rows are not modified.
     """
     rows = [{j: v for j, v in row.items() if v} for row in rows]
     if any(row and (min(row) < 0 or max(row) >= cols) for row in rows):
         raise ValueError("a column index lies outside the stated shape")
+    if want_basis:
+        dense = [[row.get(j, 0) for j in range(cols)] for row in rows]
+        return _euclidean_snf(dense, len(rows), cols, want_basis=True)
     units, rest = _unit_pivots(rows)
     used = sorted({j for row in rest for j in row})
     index = {j: t for t, j in enumerate(used)}
@@ -221,7 +172,7 @@ def _unit_pivots(rows):
     return units, [rows[i] for i in sorted(live)]
 
 
-def _euclidean_snf(a, rows, cols, want_transform=False):
+def _euclidean_snf(a, rows, cols, want_basis=False):
     """The Euclidean loop of smith_normal_form on the dense rows a, which
     it overwrites.
 
@@ -233,17 +184,14 @@ def _euclidean_snf(a, rows, cols, want_transform=False):
     chain is enforced at the end by folding offending diagonal entries
     back into a 2 x 2 block.  Exact for any input.
     """
-    if want_transform:
-        u = IntMatrix.identity(rows).entries
-        v = IntMatrix.identity(cols).entries
-        vinv = IntMatrix.identity(cols).entries
+    if want_basis:
+        v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+        vinv = [row[:] for row in v]
     else:
-        u = v = vinv = None
+        v = vinv = None
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -258,10 +206,6 @@ def _euclidean_snf(a, rows, cols, want_transform=False):
         asrc, adst = a[src], a[dst]
         for k in range(cols):
             adst[k] += c * asrc[k]
-        if u is not None:
-            usrc, udst = u[src], u[dst]
-            for k in range(rows):
-                udst[k] += c * usrc[k]
 
     def add_col(src, dst, c):
         # col dst += c * col src
@@ -277,8 +221,6 @@ def _euclidean_snf(a, rows, cols, want_transform=False):
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
 
     t = 0
     limit = min(rows, cols)
@@ -345,14 +287,7 @@ def _euclidean_snf(a, rows, cols, want_transform=False):
             any(divisors[i + 1] % divisors[i] for i in range(r - 1)):
         raise InvariantViolation(f"SNF divisors {divisors} are not a chain")
 
-    transform = None
-    vinv_m = None
-    if want_transform:
-        U = IntMatrix.from_rows(u, rows) if rows else IntMatrix.zeros(0, 0)
-        V = IntMatrix.from_rows(v, cols) if cols else IntMatrix.zeros(0, 0)
-        vinv_m = IntMatrix.from_rows(vinv, cols) if cols else IntMatrix.zeros(0, 0)
-        transform = (U, V)
-    return SmithForm(divisors, cols, transform, vinv_m)
+    return SmithForm(divisors, cols, v, vinv)
 
 
 def rank_over_field(M, K):

@@ -11,10 +11,11 @@ check the closed formulas from the outside.
 The cover's Fox matrix is built as sparse rows, one walk along each
 relator: every Fox term is a prefix of the relator, so its permutation of
 the cosets is the running composite of the letters read so far.  The
-matrix is put in Smith form by unit pivots first, then the Euclidean
-loop on whatever is left (Dumas, Heckenbach, Saunders and Welker,
-"Computing simplicial homology based on efficient Smith normal form
-algorithms", 2003).  Its nonzeros are nearly all +-1, and on the abelian
+matrix goes to linalg.smith_normal_form, the one Smith-form entry point,
+which reduces it by unit pivots first and then the Euclidean loop on
+whatever is left (Dumas, Heckenbach, Saunders and Welker, "Computing
+simplicial homology based on efficient Smith normal form algorithms",
+2003).  Its nonzeros are nearly all +-1, and on the abelian
 covers of the arrangement groups the unit pivots leave nothing.
 
 Homomorphisms are counted by one backtracking search over generator
@@ -74,7 +75,7 @@ from math import gcd
 from operator import itemgetter
 
 from .foxcalc import fox_terms
-from .linalg import InvariantViolation, sparse_smith_normal_form
+from .linalg import InvariantViolation, smith_normal_form
 
 
 class BudgetExceeded(Exception):
@@ -632,7 +633,7 @@ def cover_homology(P, gen_perms):
     presents H_1(K) + Z^{k-1}; its Smith form gives back (betti number of
     K, torsion divisors of K).  The Jacobian is built as sparse rows, each
     relator contributing one row per coset, and reduced by
-    linalg.sparse_smith_normal_form.
+    linalg.smith_normal_form.
     """
     l = P.num_generators
     if len(gen_perms) != l:
@@ -674,7 +675,7 @@ def cover_homology(P, gen_perms):
         if act != identity:
             raise ValueError(f"not a homomorphism: relator {i + 1} does "
                              f"not act as the identity on the cosets")
-    form = sparse_smith_normal_form(rows, l * k)
+    form = smith_normal_form(rows, l * k)
     betti = form.coker_free_rank - (k - 1)
     if betti < 0:
         raise InvariantViolation("cover homology has negative Betti number")

@@ -9,6 +9,7 @@ Text format (whitespace insignificant, ';' may replace the newline):
     gens: x1..x4
     rels: x1^2*x2^2*x3^2*x4^2, [x1,x2]
 
+    list   := word (',' word)*     (the rels: line; empty words skipped)
     word   := factor ('*' factor)*
     factor := atom | atom '^' int | '[' word ',' word ']'
     atom   := name | '(' word ')'
@@ -152,13 +153,15 @@ _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|-?\d+|[][()^*,]|\S")
 
 
 class _Tokens:
-    def __init__(self, text, line):
+    """The tokens of text, which starts at column col of its line."""
+
+    def __init__(self, text, line, col):
         self.items = []
         for m in _TOKEN_RE.finditer(text):
-            self.items.append((m.group(0), line, m.start() + 1))
+            self.items.append((m.group(0), line, col + m.start()))
         self.pos = 0
         self.line = line
-        self.end_col = len(text) + 1
+        self.end_col = col + len(text)
 
     def peek(self):
         return self.items[self.pos][0] if self.pos < len(self.items) else None
@@ -187,25 +190,26 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*$")
 _RANGE_RE = re.compile(r"([A-Za-z_]+)(\d+)\.\.([A-Za-z_]+)?(\d+)$")
 
 
-def _parse_gen_list(text, line):
+def _parse_gen_list(text, line, col):
+    """The generator names of text, which starts at column col of its
+    line; an error points at the start of its piece."""
     names = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    for found in re.finditer(r"[^,\s][^,]*", text):
+        piece, at = found.group().rstrip(), col + found.start()
         m = _RANGE_RE.match(piece)
         if m:
             prefix, lo, prefix2, hi = m.groups()
             if prefix2 is not None and prefix2 != prefix:
-                raise ParseError(f"mismatched range prefixes in {piece!r}", line, 1)
+                raise ParseError(f"mismatched range prefixes in {piece!r}",
+                                 line, at)
             lo, hi = int(lo), int(hi)
             if hi < lo:
-                raise ParseError(f"empty range {piece!r}", line, 1)
+                raise ParseError(f"empty range {piece!r}", line, at)
             names.extend(f"{prefix}{i}" for i in range(lo, hi + 1))
         elif _NAME_RE.match(piece):
             names.append(piece)
         else:
-            raise ParseError(f"bad generator name {piece!r}", line, 1)
+            raise ParseError(f"bad generator name {piece!r}", line, at)
     return names
 
 
@@ -258,11 +262,13 @@ def parse_presentation(text):
     for lineno, raw in enumerate(text.replace(";", "\n").splitlines(), start=1):
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
-            lines.append((lineno, stripped))
+            # the column, counted from 1, just past the 5-character keyword
+            col = len(raw) - len(raw.lstrip()) + 6
+            lines.append((lineno, stripped, col))
     if not lines or not lines[0][1].startswith("gens:"):
         raise ParseError("input must start with 'gens:'", 1, 1)
-    gen_line, gen_text = lines[0][0], lines[0][1][len("gens:"):]
-    names = _parse_gen_list(gen_text, gen_line)
+    gen_line, gen_text, gen_col = lines[0]
+    names = _parse_gen_list(gen_text[len("gens:"):], gen_line, gen_col)
     if not names:
         raise ParseError("empty generator list", gen_line, 1)
     if len(lines) < 2 or not lines[1][1].startswith("rels:"):
@@ -270,34 +276,17 @@ def parse_presentation(text):
     if len(lines) > 2:
         raise ParseError("unexpected extra line", lines[2][0], 1)
     gen_index = {n: i for i, n in enumerate(names)}
-    rel_line, rel_text = lines[1][0], lines[1][1][len("rels:"):]
+    rel_line, rel_text, rel_col = lines[1]
+    tokens = _Tokens(rel_text[len("rels:"):], rel_line, rel_col)
     relators = []
-    for piece in _split_top_level(rel_text):
-        tokens = _Tokens(piece, rel_line)
-        w = _parse_word(tokens, gen_index)
-        if tokens.peek() is not None:
+    while tokens.peek() is not None:
+        if tokens.peek() == ",":
+            tokens.next()
+            continue
+        relators.append(_parse_word(tokens, gen_index))
+        if tokens.peek() not in (None, ","):
             tokens.error(f"trailing input {tokens.peek()!r}")
-        relators.append(w)
     return Presentation(names, relators)
-
-
-def _split_top_level(text):
-    """Split a relator list on commas not nested inside [] or ()."""
-    pieces = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            pieces.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    pieces.append("".join(current))
-    return [p for p in (piece.strip() for piece in pieces) if p]
 
 
 def render_word(w, names):

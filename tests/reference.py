@@ -80,13 +80,15 @@ library's counts and constructions against; no command needs them:
   conventions, which the tests show differ from the frozen ones and, for
   the full twist (non_fano_group(opposite=True)), break the non-Fano
   golden values;
-* transpose and matmul, the integer matrix transpose and product, check
-  the Smith form's transforms (U A V = D) and its transpose invariance.
+* transpose and matmul, the integer matrix transpose and product on
+  lists of rows, check the Smith form's basis V (smith_basis_holds) and
+  its transpose invariance.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, gcd, lcm
+from operator import mul
 
 from hallinv import foxcalc
 from hallinv.braids import (BraidWord, FreeAutomorphism, _elementary_images,
@@ -101,7 +103,7 @@ from hallinv.fields import (FieldHandle, _fq_divmod, _fq_monic_polys,
 from hallinv.foxcalc import abelianization
 from hallinv.hall import (AbelianGroupSpec, construct_mpqs, delta_abelian,
                           delta_mpqs)
-from hallinv.linalg import IntMatrix, InvariantViolation
+from hallinv.linalg import InvariantViolation
 from hallinv.oracle import (FiniteGroupTable, _count_generator_images,
                             delta_oracle)
 from hallinv.presentations import Presentation, Word, commutator
@@ -872,19 +874,31 @@ def depth_at(engine, e):
 
 
 def transpose(M):
-    """The transpose of an IntMatrix."""
-    return IntMatrix(M.cols, M.rows,
-                     [[M.entries[i][j] for i in range(M.rows)]
-                      for j in range(M.cols)])
+    """The transpose of a matrix given as a nonempty list of rows."""
+    return [list(col) for col in zip(*M)]
 
 
 def matmul(A, B):
-    """The product of two IntMatrix."""
-    if A.cols != B.rows:
+    """The product of two matrices given as lists of rows, B nonempty."""
+    if any(len(row) != len(B) for row in A):
         raise ValueError("shape mismatch")
-    return IntMatrix(A.rows, B.cols,
-                     [[sum(row[k] * B.entries[k][j] for k in range(A.cols))
-                       for j in range(B.cols)] for row in A.entries])
+    return [[sum(map(mul, row, col)) for col in zip(*B)] for row in A]
+
+
+def smith_basis_holds(rows, form):
+    """Whether the basis V and inverse of a Smith form of the integer
+    matrix A with these (list) rows fit it: V V^-1 = I, det V = +-1, and
+    in every row of A V entry j is divisible by d_j for j < r and is 0 for
+    j >= r.  With form.divisors the Smith divisors of A, checked apart,
+    this is U A V = diag(divisors) for some U of determinant +-1: the rows
+    of A V span a sublattice of the rows of D, of the same rank and the
+    same index in Z^r, hence the lattice of D itself."""
+    V, d = form.basis, form.divisors
+    identity = [[int(i == j) for j in range(len(V))] for i in range(len(V))]
+    return (matmul(V, form.inverse) == identity
+            and determinant(V) in (1, -1)
+            and all(x % d[j] == 0 if j < form.rank else x == 0
+                    for row in matmul(rows, V) for j, x in enumerate(row)))
 
 
 def identity_automorphism(rank):

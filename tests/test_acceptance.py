@@ -21,8 +21,8 @@ from hallinv.presentations import parse_presentation
 from hallinv.tables import table1, table2, values_grid
 from reference import (a_k_free, a_k_Zn, a_normal_closed,
                        check_bounds_congruence, delta_abelian_of,
-                       fox_fundamental_identity_holds, matmul,
-                       max_depth_of_order_dividing)
+                       determinantal_divisors, fox_fundamental_identity_holds,
+                       max_depth_of_order_dividing, smith_basis_holds)
 
 
 def _report(number, label):
@@ -308,7 +308,7 @@ def test_criterion_7_oracle_equivalence():
 def test_criterion_8_property_suites():
     import random
     from hallinv.fields import extension_field, factorize, prime_field
-    from hallinv.linalg import IntMatrix, smith_normal_form
+    from hallinv.linalg import smith_normal_form
     from hallinv.presentations import Word
     from reference import CyclotomicField, root_of_unity
 
@@ -320,18 +320,15 @@ def test_criterion_8_property_suites():
                   for _ in range(rng.randrange(8))])
         assert fox_fundamental_identity_holds(w, 3)
 
-    # SNF unimodular transforms on random matrices
+    # SNF unimodular transforms on random matrices: the basis V with
+    # U A V = D for some unimodular U, the divisors those of the minors
     for _ in range(60):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
-        Amat = IntMatrix.from_rows(
-            [[rng.randint(-8, 8) for _ in range(n)] for _ in range(m)], n)
-        form = smith_normal_form(Amat, want_transform=True)
-        U, V = form.transform
-        D = matmul(matmul(U, Amat), V)
-        for i in range(m):
-            for j in range(n):
-                want = form.divisors[i] if i == j and i < form.rank else 0
-                assert D.entries[i][j] == want
+        rows = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(m)]
+        form = smith_normal_form([dict(enumerate(row)) for row in rows], n,
+                                 want_basis=True)
+        assert form.divisors == determinantal_divisors(rows, n)
+        assert smith_basis_holds(rows, form)
 
     # field axioms and root-of-unity orders, in the library's finite
     # fields and the tests' Q(zeta_N)

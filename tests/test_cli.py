@@ -285,8 +285,8 @@ def test_oracle_cover_takes_one_smith_form(capsys, monkeypatch):
         calls.append(cols)
         return snf(rows, cols)
 
-    snf = oracle.sparse_smith_normal_form
-    monkeypatch.setattr(oracle, "sparse_smith_normal_form", counted)
+    snf = oracle.smith_normal_form
+    monkeypatch.setattr(oracle, "smith_normal_form", counted)
     code, out, _ = run(capsys, "oracle", "--cover-order", "3",
                        "--cover-images", "1,1,1", "--q", "2", "--fixture",
                        "rp:3")
@@ -376,9 +376,64 @@ def test_alexander_bytes(capsys):
         '{"entries": ["(0,0): 1 * t^[-1, -1] * s^[1] + 1", '
         '"(0,1): 1 * t^[-2, -2] + 1 * t^[-1, -2]", '
         '"(0,2): 1 * t^[0, -2] + 1 * t^[0, -1]"], "shape": [1, 3]}\n')
-    code, out, _ = run(capsys, "alexander", "--fixture", "deleted_b3")
-    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == \
-        "a0dbee019b5f3b053962bcdaf022cdd0b6f6b491a5a399be3c4129efd10ea7f9"
+    # every frozen fixture, one built from its braid, and two families:
+    # any change to the chi basis changes these bytes
+    for name, alexander, abelianize in ALEXANDER_DIGESTS:
+        code, out, _ = run(capsys, "alexander", "--fixture", name)
+        assert code == 0 and _sha256(out) == alexander, name
+        code, out, _ = run(capsys, "abelianize", "--fixture", name, "--json")
+        assert code == 0 and _sha256(out) == abelianize, name
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (fixture, sha256 of `alexander`, sha256 of `abelianize --json`)
+ALEXANDER_DIGESTS = (
+    ("braid_arrangement",
+     "86b96325f2b07059e4824b67b1ea3fb3bfa4c9f28ea5a5a5dd7ce2ad550cb8c8",
+     "7a9d7ce6069f35625e2cc7115457a53b5542229bb6a55c087f0e5e7071c04e34"),
+    ("deleted_b3",
+     "a0dbee019b5f3b053962bcdaf022cdd0b6f6b491a5a399be3c4129efd10ea7f9",
+     "e94ddeceda5aba1ae37245dea21e7f80ef07d781a6ca6ed355a5aed76c1e5a2e"),
+    ("non_fano",
+     "59d29da68f50d5ffa717a9b5a0c9987a4c5e89914a8101ec0144cf5a79fafaf0",
+     "316161fe77a5413971921d321a4f98e12f9f9145df5c781c92945bd645fddfd3"),
+    ("horizontal:123",
+     "53589b290ef4457a58f44895434c30d46f80ce66bddfe9b0798e9231e3fc70e0",
+     "fe65811db0ea1c67da7c000e33e9dcd88563d8295a3ca1a3f250c902812a108d"),
+    ("horizontal:1234",
+     "38eab82e37ab0363cdb35bb3b57d1a203494f2508590a5f4cb939528428d47f7",
+     "b47be87a580963d334b2d48bdd8f3065a648a5952d66efa39636a6ab3b720b9b"),
+    ("horizontal:12345",
+     "f3de57fbfe3b76497138bcc2931ea3c72ba6a4464ef7171617b0d6e8e59b98e3",
+     "08e314c88784cdd3c6521c75ce8ae43ce16b07b3be0f5f5deb34652b672459fc"),
+    ("horizontal:123456",
+     "10cb64e206bb6f280180391cd09460d94ab1b8d986945954f1b74503853bb123",
+     "7a9d7ce6069f35625e2cc7115457a53b5542229bb6a55c087f0e5e7071c04e34"),
+    ("horizontal:2134",
+     "d9712db0c257812ab0ab70ec2d77c53189aa686cad2fded38aec759999ae8712",
+     "b47be87a580963d334b2d48bdd8f3065a648a5952d66efa39636a6ab3b720b9b"),
+    ("horizontal:21345",
+     "5b405187da6c18088346089033272d5aa88d98f801ed76ef6d93421ad3622f1f",
+     "08e314c88784cdd3c6521c75ce8ae43ce16b07b3be0f5f5deb34652b672459fc"),
+    ("horizontal:21435",
+     "e2fd8d4dfa426a3154f42050ed6baba9dd194ac9f454264417adac8b9945fd71",
+     "08e314c88784cdd3c6521c75ce8ae43ce16b07b3be0f5f5deb34652b672459fc"),
+    ("horizontal:31425",
+     "76e22c3ae1902823f368ccd6240eb2d04aecd253f8eec2e420613e2da087bad1",
+     "08e314c88784cdd3c6521c75ce8ae43ce16b07b3be0f5f5deb34652b672459fc"),
+    ("horizontal:21534",
+     "5b405187da6c18088346089033272d5aa88d98f801ed76ef6d93421ad3622f1f",
+     "08e314c88784cdd3c6521c75ce8ae43ce16b07b3be0f5f5deb34652b672459fc"),
+    ("product:2,2",
+     "c54da19b5b3831d3c74bd9b44175c3bc5878f8be569a0270d1c38834c07a227a",
+     "b47be87a580963d334b2d48bdd8f3065a648a5952d66efa39636a6ab3b720b9b"),
+    ("surface:2",
+     "4e0dc4d07b7cb1648fd8732ae1fdfc3b8753699811812f8cb08bd78c1ab0a036",
+     "b47be87a580963d334b2d48bdd8f3065a648a5952d66efa39636a6ab3b720b9b"),
+)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -220,8 +220,8 @@ def test_cover_fox_rows_match_letter_by_letter(monkeypatch, action):
     from hallinv.presentations import Presentation, Word
     from reference import cover_fox_rows, word_permutation
     rows = []
-    smith = oracle.sparse_smith_normal_form
-    monkeypatch.setattr(oracle, "sparse_smith_normal_form",
+    smith = oracle.smith_normal_form
+    monkeypatch.setattr(oracle, "smith_normal_form",
                         lambda r, cols: rows.append(r) or smith(r, cols))
     rng = random.Random(31)
     for _ in range(20):

@@ -78,12 +78,19 @@ def test_parse_errors():
         parse_presentation("gens: ; rels:")
     with pytest.raises(ParseError):
         parse_presentation("gens: x; rels: x^")
-    err = None
-    try:
-        parse_presentation("gens: x, y\nrels: x*?")
-    except ParseError as e:
-        err = e
-    assert err is not None and err.line == 2 and err.col > 0
+    # columns count from the start of the line
+    for text, line, col in (("gens: x, y\nrels: x*?", 2, 9),
+                            ("gens: x, y\nrels: [x,y], [x, z]", 2, 18),
+                            ("gens: x\nrels: x)", 2, 8),
+                            ("gens: x, 1y\nrels:", 1, 10),
+                            ("gens: x, y\nrels: [x,y]^2", 2, 12),
+                            ("gens: x, y\nrels: (x, y", 2, 9)):
+        with pytest.raises(ParseError) as err:
+            parse_presentation(text)
+        assert (err.value.line, err.value.col) == (line, col), text
+    # empty relators are skipped
+    assert parse_presentation("gens: x, y\nrels: x,, y,").relators == \
+        (W((0, 1)), W((1, 1)))
 
 
 def test_round_trip():

@@ -7,7 +7,8 @@ A name only the tests reach is a reference, and references live in
 tests/reference.py.  A use is an identifier (a name, an attribute or an
 imported alias) or a string constant naming a dotted path, as the
 benchmark tracer names its targets.  Methods are out of scope of the name
-check: a name match cannot tell IntMatrix.mul from another class's mul.
+check: a name match cannot tell one class's method from another's of the
+same name.
 
 A parameter is passed when a call to a callee of the function's name
 passes it by keyword or by position.  Callees are matched by name alone,
