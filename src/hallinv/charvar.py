@@ -26,7 +26,7 @@ matrix: it compiles the matrix once into integer coefficients and linear
 forms on e, and ranks it at a character's form exponents over finite
 fields.  In characteristic q > 0 the one field is F_{q^s}: at most 2^16
 elements by Zech-logarithm elimination (_rank_codes), a larger one by
-rank_over_field on its codes.  In characteristic 0 the rank over
+elimination on its codes (_rank_field).  In characteristic 0 the rank over
 Q(zeta_N) is the largest rank mod the split primes ell = 1 (mod N),
 counted down from 2^30 (and, past the primes below 2^30, up from it),
 each reached by a ring map Z[zeta_N] -> F_ell, which can only lower
@@ -35,13 +35,13 @@ is exact once it meets the ceiling Fox's fundamental identity puts on a
 nontrivial character, or once the product of the primes tried outgrows a
 Hadamard bound on the norm of every minor of size r + 1 (see DepthEngine
 for the argument); a generic character needs one prime.  No arithmetic
-in Q or Q(zeta_N) is ever done.  Both eliminations stream the rows: a
-row is evaluated only when the elimination reaches it, reduced against
-the echelon basis of the rows kept so far, and the elimination stops at
-the ceiling.  The rows that were pivots when a character last reached
-the ceiling come first, so a generic character is usually certified on
-the l - 1 rows it builds, and one that misses on them goes on from the
-basis it has.
+in Q or Q(zeta_N) is ever done.  The three eliminations keep one
+contract and stream the rows: a row is evaluated only when the
+elimination reaches it, reduced against the echelon basis of the rows
+kept so far, and the elimination stops at the ceiling.  The rows that
+were pivots when a character last reached the ceiling come first, so a
+generic character is usually certified on the l - 1 rows it builds, and
+one that misses on them goes on from the basis it has.
 
 A Group holds what several invariants of one presentation share: the
 abelianization, the Alexander matrix, its depth engines and the
@@ -55,16 +55,16 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate, count, islice
 from math import gcd, isqrt, lcm, prod
 
-from .fields import (_LOG_TABLE_LIMIT, euler_phi, factorize, is_prime,
-                     log_tables, multiplicative_order,
+from .fields import (_LOG_TABLE_LIMIT, euler_phi, is_prime, log_tables,
+                     multiplicative_order, prime_field,
                      primitive_root_of_unity, sufficiently_large_field)
 from .foxcalc import (abelianization, alexander_matrix,
                       augmentation_jacobian)
-from .linalg import InvariantViolation, rank_over_field
+from .linalg import InvariantViolation
 
 
 class DepthEngine:
@@ -82,18 +82,19 @@ class DepthEngine:
     (_exponents), or carried along a character walk, which passes them as
     depth_of_exponents(forms=...).
 
-    Over Zech fields and mod a prime an entry is a plain integer: each
-    coefficient c has a table t, filled as exponents x are met, with t[x]
-    the integer code of c * zeta^x, and an entry sums t[x] over its terms
-    (_reduction).  The rank kernels (_rank_codes, _rank_mod) build a row
-    only when the elimination reaches it, reduce it against an echelon
-    basis, and stop once the rank reaches the ceiling below.
+    Each coefficient c has a table t, filled as exponents x are met, with
+    t[x] the value of c * zeta^x that its kernel reads, and an entry sums
+    t[x] over its terms (_reduction).  The engine picks its rank kernel
+    once, by its mode, and every kernel keeps one contract: it takes
+    (rows, n, order, exps, head, ceiling), builds a row only when the
+    elimination reaches it, reduces it against an echelon basis, and
+    stops once the rank reaches the ceiling below.
 
     For q > 0 the one field is K = F_{q^s}, and its rank is the answer: at
     most 2^16 elements (_LOG_TABLE_LIMIT) by elimination on Zech logs, an
     entry summed as packed base-q digits and turned into its log by
-    _Reducer (_rank_codes, mode "zech"), a larger K by rank_over_field on
-    the entries' codes, each summed by K's add (mode "element").
+    _Reducer (_rank_codes, mode "zech"), a larger K by elimination on the
+    entries' codes, each summed by K's add (_rank_field, mode "element").
 
     For q = 0 (mode "modular") the fields are the primes ell = 1 (mod N),
     those below 2^30 counted down from 2^30, then, if a character needs
@@ -147,11 +148,13 @@ class DepthEngine:
         self.ceiling = min(len(self.rows), self.num_generators)
         if q:
             self.field = sufficiently_large_field(N, q)
-            self.mode = ("zech" if self.field.order() <= _LOG_TABLE_LIMIT
-                         else "element")
+            if self.field.order() <= _LOG_TABLE_LIMIT:
+                self.mode, self.kernel = "zech", _rank_codes
+            else:
+                self.mode, self.kernel = "element", _rank_field
         else:
             self.field = None
-            self.mode = "modular"
+            self.mode, self.kernel = "modular", _rank_mod
             self.phi = euler_phi(N)
             self.roots = {}  # k -> isqrt(B2^phi(N)) for the minors of size k
         self.reductions = []
@@ -174,15 +177,8 @@ class DepthEngine:
         rank, tried = 0, 1
         for i in count():
             head, rows = self._reduction(i)
-            if self.mode == "element":
-                matrix = [[0] * self.num_generators for _ in rows]
-                for out, row in zip(matrix, rows):
-                    for j, terms in row:
-                        out[j] = reduce(head.add, [table[exps[f]]
-                                                   for table, f in terms])
-                return rank_over_field(matrix, head)
-            r, pivots = (_rank_codes if self.q else _rank_mod)(
-                rows, self.num_generators, self.order, exps, head, ceiling)
+            r, pivots = self.kernel(rows, self.num_generators, self.order,
+                                    exps, head, ceiling)
             rank = max(rank, r)
             if rank >= ceiling:
                 if pivots != self.pivots:
@@ -361,20 +357,15 @@ def _split_candidates(N):
 
 
 def _split_prime(N, i):
-    """The i-th prime of _split_candidates(N), with zeta =
-    x^((ell - 1)/N) mod ell for the least x >= 2 for which it has order N.
+    """The i-th prime of _split_candidates(N), with zeta the primitive
+    N-th root of unity that fields.primitive_root_of_unity picks in F_ell.
     Found when first asked for and kept for the process.  Past the primes
     below 2^30 residues take two CPython digits: slower, still exact."""
     found, candidates = _SPLIT_PRIMES.setdefault(
         N, ([], _split_candidates(N)))
     while len(found) <= i:
         ell = next(ell for ell in candidates if is_prime(ell))
-        radicals = [N // r for r in factorize(N)] if N > 1 else []
-        for x in count(2):
-            zeta = pow(x, (ell - 1) // N, ell)
-            if all(pow(zeta, k, ell) != 1 for k in radicals):
-                break
-        found.append((ell, zeta))
+        found.append((ell, primitive_root_of_unity(prime_field(ell), N)))
     return found[i]
 
 
@@ -472,6 +463,50 @@ def _rank_mod(rows, n, order, exps, ell, ceiling):
                         if b:
                             terms.append((j, b))
                     basis.append((col, ell - pow(c, -1, ell), terms))
+                break
+    return rank, pivots
+
+
+def _rank_field(rows, n, order, exps, K, ceiling):
+    """Rank over the field K of the reduced rows (DepthEngine._reduction),
+    of n columns, at the form exponents exps, and the numbers of the rows
+    that raised it, on the codes of K's elements.  The rows are taken in
+    order, each built when reached, its entries summed by K's add; the row
+    is reduced by each basis row in turn, as _rank_mod does, and joins the
+    basis if anything is left, its pivot inverted only then; the rank
+    stops at the ceiling."""
+    add, mul = K.add, K.mul
+    rank, pivots = 0, []
+    basis = []  # (pivot column, -1/pivot, the later nonzero (column, code))
+    for k in order:
+        if rank >= ceiling:
+            break
+        row = [0] * n
+        for j, entry in rows[k]:
+            a = 0
+            for t, f in entry:
+                a = add(a, t[exps[f]])
+            row[j] = a
+        for col, inverse, terms in basis:
+            c = row[col]
+            if c:
+                # row -= (c / pivot) * pivot row; column col becomes 0
+                scale = mul(c, inverse)
+                row[col] = 0
+                for j, b in terms:
+                    row[j] = add(row[j], mul(scale, b))
+        for col in range(n):
+            c = row[col]
+            if c:
+                pivots.append(k)
+                rank += 1
+                if rank < ceiling:
+                    terms = []
+                    for j in range(col + 1, n):
+                        b = row[j]
+                        if b:
+                            terms.append((j, b))
+                    basis.append((col, K.sub(0, K.inv(c)), terms))
                 break
     return rank, pivots
 

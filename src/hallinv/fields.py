@@ -23,20 +23,24 @@ these fields, from the Alexander matrix compiled once by
 charvar.DepthEngine, by one rule: a field of at most 2^16 elements
 (_LOG_TABLE_LIMIT) has LogTables and is ranked by Zech codes; a larger
 one is ranked by elimination on the codes of its entries
-(linalg.rank_over_field), each term's coefficient times a power of zeta
-taken by the handle when first met.
+(charvar._rank_field), each term's coefficient times a power of zeta
+taken by the handle when first met.  extension_field keeps one handle
+per field, so a field's modulus is searched for, and its LogTables are
+built, once per process.
 LogTables give the depth engine the code of each power of the generator
 (codes), from which it packs each coefficient times zeta^x; the log of
 each code (log), which turns a summed entry, its digits reduced mod q,
 into a Zech log; and the Zech table its elimination adds through.
-Characteristic 0 takes its ranks mod split primes in plain integers
-(charvar._rank_mod), so LogTables serve only q > 0.  The same F_{q^s}
-and root of unity build the metabelian group tables of
+Characteristic 0 takes its ranks mod split primes ell in plain integers
+(charvar._rank_mod), so LogTables serve only q > 0; its zeta_N mod ell
+is the one primitive_root_of_unity picks in prime_field(ell).  The same
+F_{q^s} and root of unity build the metabelian group tables of
 hall.MetabelianGroup.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import accumulate, repeat
 from math import gcd
 
@@ -105,20 +109,21 @@ def _poly_trim(c):
     return c
 
 
-def _fq_divmod(a, b, q):
-    a = [x % q for x in a]
-    _poly_trim(a)
+def _fq_rem(a, b, q):
+    """a mod b over F_q, for integer coefficient lists a and b, b's
+    leading coefficient prime to q.  As in _mulmod, a coefficient is taken
+    mod q only when read: each top one as it is cleared, and the
+    remainder's at the end."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    a, d = list(a), len(b) - 1
     inv_lead = pow(b[-1], q - 2, q)
-    quo = [0] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(a) - len(b), -1, -1):
-        c = (a[k + len(b) - 1] * inv_lead) % q
-        quo[k] = c
+    for k in range(len(a) - 1, d - 1, -1):
+        c = a[k] * inv_lead % q
         if c:
-            for j, bj in enumerate(b):
-                a[k + j] = (a[k + j] - c * bj) % q
-    return _poly_trim(quo), _poly_trim(a)
+            for j, bj in enumerate(b, k - d):
+                a[j] -= c * bj
+    return _poly_trim([x % q for x in a[:d]])
 
 
 def _fq_monic_polys(q, degree, start=0):
@@ -191,13 +196,10 @@ def _fq_is_irreducible(f, q):
         g[1] -= 1
         a, b = f, _poly_trim([c % q for c in g])
         while b:
-            a, b = b, _fq_divmod(a, b, q)[1]
+            a, b = b, _fq_rem(a, b, q)
         if len(a) > 1:
             return False
     return True
-
-
-_MODULUS_CACHE = {}
 
 
 def _extension_modulus(q, s):
@@ -205,15 +207,11 @@ def _extension_modulus(q, s):
     over F_q, coefficients compared low degree first.  For s >= 2 it has
     a nonzero constant term (else x divides it), so the walk starts at
     constant term 1."""
-    key = (q, s)
-    if key not in _MODULUS_CACHE:
-        for f in _fq_monic_polys(q, s, q ** (s - 1) if s > 1 else 0):
-            if _fq_is_irreducible(f, q):
-                _MODULUS_CACHE[key] = f
-                break
-        else:  # pragma: no cover - irreducibles exist in every degree
-            raise InvariantViolation("no irreducible polynomial found")
-    return list(_MODULUS_CACHE[key])
+    for f in _fq_monic_polys(q, s, q ** (s - 1) if s > 1 else 0):
+        if _fq_is_irreducible(f, q):
+            return f
+    raise InvariantViolation(  # pragma: no cover
+        "no irreducible polynomial found")
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +224,9 @@ class FieldHandle:
     add, sub, mul, power and inv are its arithmetic, on codes.  A field
     of at most 2^16 elements also carries LogTables (log_tables), through
     which the depth engine ranks by Zech codes; a larger one is ranked on
-    its codes (linalg.rank_over_field).  Use the module-level
-    constructors (`prime_field`, `extension_field`,
-    `sufficiently_large_field`) rather than calling this directly.
+    its codes (charvar._rank_field).  Use the module-level constructors
+    (`prime_field`, `extension_field`, `sufficiently_large_field`) rather
+    than calling this directly.
     """
 
     __slots__ = ("char", "degree", "modulus", "_tail", "_log_tables")
@@ -348,7 +346,10 @@ def prime_field(q):
     return FieldHandle(q, 1, [0, 1])
 
 
+@cache
 def extension_field(q, s):
+    """F_{q^s}, one handle per (q, s) for the process, so that its
+    modulus is searched for and its LogTables built once."""
     if s == 1:
         return prime_field(q)
     modulus = _extension_modulus(q, s)

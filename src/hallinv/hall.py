@@ -156,7 +156,7 @@ class MetabelianGroup:
     (u, k)(v, m) = (u + zeta^k v, k + m).
     """
 
-    __slots__ = ("p", "q", "s", "table", "aut_order")
+    __slots__ = ("p", "q", "s", "table")
 
     def __init__(self, p, q):
         if p == q:
@@ -175,7 +175,6 @@ class MetabelianGroup:
                 for m in range(p) for w in turn[k]]
                for k in range(p) for uc in range(span)]
         self.table = FiniteGroupTable(mul, check=True)
-        self.aut_order = self.s * span * (span - 1)
 
     def __repr__(self):
         return f"M({self.p},{self.q}^{self.s})"

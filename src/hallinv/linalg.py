@@ -1,10 +1,10 @@
-"""Exact linear algebra kernels: integer Smith normal form and rank over a field.
+"""Exact integer Smith normal form.
 
-Everything here works with arbitrary-precision Python integers, finite
-field elements included (by their codes, fields.FieldHandle); there is
-no floating point anywhere.  The single convention used throughout the
-package: an m x n integer matrix A presents the abelian group
-Z^n / (row space of A).
+Everything here works with arbitrary-precision Python integers; there is
+no floating point anywhere.  Ranks over finite fields are the depth
+engine's (charvar), not this module's.  The single convention used
+throughout the package: an m x n integer matrix A presents the abelian
+group Z^n / (row space of A).
 
 smith_normal_form is the one Smith-form entry point; it takes sparse rows
 {column: value}.  Without a basis it starts with a unit-pivot phase: every
@@ -288,46 +288,3 @@ def _euclidean_snf(a, rows, cols, want_basis=False):
         raise InvariantViolation(f"SNF divisors {divisors} are not a chain")
 
     return SmithForm(divisors, cols, v, vinv)
-
-
-def rank_over_field(M, K):
-    """Rank of a matrix over the finite field K (fields.FieldHandle) by
-    Gaussian elimination, its entries the codes of elements of K, each an
-    int in 0..q^s - 1; a ValueError on any other entry.  The depth engine
-    ranks fields past the Zech table limit with it.  An empty matrix (or
-    one with no columns) has rank 0.
-    """
-    if not M or not M[0]:
-        return 0
-    rows = [list(r) for r in M]
-    m, n = len(rows), len(rows[0])
-    size = K.order()
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("ragged matrix")
-        for x in r:
-            if not 0 <= x < size:
-                raise ValueError(f"{x!r} is not the code of an element of "
-                                 f"{K!r}")
-    rank = 0
-    col = 0
-    while rank < m and col < n:
-        piv = None
-        for i in range(rank, m):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = K.inv(rows[rank][col])
-        rows[rank] = [K.mul(x, inv) for x in rows[rank]]
-        for i in range(rank + 1, m):
-            c = rows[i][col]
-            if c:
-                rows[i] = [K.sub(x, K.mul(c, y))
-                           for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank

@@ -8,8 +8,9 @@ in for Q(zeta_N)).  The references here do neither:
 * evaluate() and depth() evaluate each Laurent term of the matrix at the
   character, as coefficient * zeta^(exponents . e), and rank the result
   with plain division-based elimination on field elements
-  (rank_of_elements), where the library eliminates on codes
-  (linalg.rank_over_field);
+  (rank_of_elements), where the library's depth engine eliminates on
+  Zech logs, on residues mod ell or, past the Zech table limit, on codes
+  (charvar._rank_field);
 * cyclotomic_polynomial gives Phi_N over the integers, by dividing
   x^N - 1 by the Phi_d of the proper divisors d of N; the library never
   needs it, since its roots of unity are powers in F_{q^s};
@@ -56,7 +57,9 @@ library's counts and constructions against; no command needs them:
 * delta_abelian_of is delta_abelian on a presentation and a list of
   cyclic factors, checked against the oracle's Epi / Aut count;
 * hom_epi_count_mpqs gives (|Hom|, |Epi|) into M_{p,q^s} from the
-  character depths, checked against the oracle's hom_count;
+  character depths, checked against the oracle's hom_count, and
+  aut_order_mpqs gives |Aut M_{p,q^s}| = s q^s (q^s - 1), checked
+  against the oracle's aut_order;
 * tables_isomorphic checks, by brute force over generator images, that
   the constructed M_{p,q^s} tables are the groups they name;
 * check_bounds_congruence checks a cover's Betti number against
@@ -97,7 +100,7 @@ from hallinv.braids import (BraidWord, FreeAutomorphism, _elementary_images,
 from hallinv.census import a_k_via_hall_recursion
 from hallinv.charvar import (Group, _character_moduli, _coordinate_columns,
                              _galois_orbits)
-from hallinv.fields import (FieldHandle, _fq_divmod, _fq_monic_polys,
+from hallinv.fields import (FieldHandle, _fq_monic_polys, _fq_rem,
                             factorize, multiplicative_order,
                             primitive_root_of_unity, sufficiently_large_field)
 from hallinv.foxcalc import abelianization
@@ -497,7 +500,7 @@ def irreducible_by_trial_division(f, q):
         return False
     for d in range(1, deg // 2 + 1):
         for g in _fq_monic_polys(q, d):
-            if not _fq_divmod(f, g, q)[1]:
+            if not _fq_rem(f, g, q):
                 return False
     return True
 
@@ -768,6 +771,12 @@ def hom_epi_count_mpqs(G, p, q):
         hom += count * qs ** (d + 1)
         epi += count * qs * (qs ** d - 1)
     return hom, epi
+
+
+def aut_order_mpqs(p, q):
+    """|Aut M_{p,q^s}| = s q^s (q^s - 1), s the order of q mod p."""
+    s = multiplicative_order(q, p)
+    return s * q ** s * (q ** s - 1)
 
 
 def tables_isomorphic(T1, T2):

@@ -475,26 +475,50 @@ def test_rows_built_per_walk(monkeypatch, name, rows):
     assert len(built) == rows
 
 
+@pytest.mark.parametrize("name, p, q, rows", [
+    ("deleted_b3", 3, 2, 24617), ("non_fano", 3, 2, 8307),
+    ("braid_arrangement", 5, 2, 20121), ("deleted_b3", 3, 5, 24504),
+    ("non_fano", 3, 7, 15520)])
+def test_element_kernel_builds_the_zech_rows(monkeypatch, name, p, q, rows):
+    # with the Zech table limit forced below every field, the element
+    # kernel takes the rows in the order the Zech kernel does, builds
+    # exactly as many, stops at the same ceilings, and tallies the same
+    # depths; F_7 (non_fano at q = 7) is the prime-field case
+    import hallinv.charvar as charvar
+    from hallinv.braids import fixture
+    built = _count_rows_built(monkeypatch)
+    found = {}
+    for limit in (charvar._LOG_TABLE_LIMIT, 3):
+        monkeypatch.setattr(charvar, "_LOG_TABLE_LIMIT", limit)
+        built.clear()
+        G = Group(fixture(name))
+        depths = G.depths(p, q)
+        found[G.engine(p, q).mode] = len(built), depths
+    assert found["zech"][0] == rows and found["element"] == found["zech"]
+
+
 def test_char0_uses_no_finite_field_arithmetic(monkeypatch):
     # q = 0 ranks by integers mod ell: no log tables, no finite field
-    # arithmetic and no rank_over_field, at small N and at N = 1000
+    # arithmetic and no Zech or element kernel, at small N and at N = 1000.
+    # Only the root of unity mod each split prime is found by the field's
+    # power, once per prime
     import hallinv.charvar as charvar
     import hallinv.fields as fields
-    import hallinv.linalg as linalg
 
     def forbidden(*args):
         raise RuntimeError("field arithmetic at q = 0")
 
     for module, name in ((fields, "log_tables"), (charvar, "log_tables"),
-                         (linalg, "rank_over_field"),
-                         (charvar, "rank_over_field"),
+                         (charvar, "_rank_codes"), (charvar, "_rank_field"),
                          *((fields.FieldHandle, name) for name in
-                           ("add", "sub", "mul", "power", "inv"))):
+                           ("add", "sub", "mul", "inv"))):
         monkeypatch.setattr(module, name, forbidden)
     P = direct_product_with_Z(free_group(2))
+    G = Group(P)
     for N in (3, 4, 12, 1000):
         # the kernel is F_{N+1} x Z
-        assert b1_cover_cyclic(P, N, [1, 0, 0], 0) == N + 2
+        assert b1_cover_cyclic(G, N, [1, 0, 0], 0) == N + 2
+        assert G.engine(N, 0).mode == "modular"
 
 
 def test_char0_order_bound():

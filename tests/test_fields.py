@@ -85,7 +85,6 @@ def test_extension_modulus_walk(monkeypatch):
     test = fields._fq_is_irreducible
     monkeypatch.setattr(fields, "_fq_is_irreducible",
                         lambda f, q: tested.append(f) or test(f, q))
-    monkeypatch.setattr(fields, "_MODULUS_CACHE", {})
     f = fields._extension_modulus(7, 10)
     assert f == [1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1] and len(tested) == 9
     assert irreducible_by_trial_division(f, 7)
@@ -93,6 +92,25 @@ def test_extension_modulus_walk(monkeypatch):
     f = fields._extension_modulus(2, 100)
     assert len(f) == 101 and f[0] == f[-1] == 1 and len(tested) <= 100
     assert fields.extension_field(2, 100).modulus == f
+
+
+def test_one_handle_per_field(monkeypatch):
+    # two Groups ranking at (257, 2) share F_{2^16}'s one handle, and so
+    # its LogTables, built once
+    from hallinv import fields
+    from hallinv.charvar import Group
+    from hallinv.presentations import parse_presentation
+    built = []
+    init = fields.LogTables.__init__
+    monkeypatch.setattr(fields.LogTables, "__init__",
+                        lambda self, K: built.append(K) or init(self, K))
+    extension_field.cache_clear()
+    P = parse_presentation("gens: x, y\nrels: x^7\n")
+    G, H = Group(P), Group(P)
+    assert G.depths(257, 2) == H.depths(257, 2)
+    K = G.engine(257, 2).field
+    assert K is H.engine(257, 2).field is extension_field(2, 16)
+    assert built == [K]
 
 
 def test_cyclotomic_polynomials():
@@ -116,7 +134,7 @@ def test_mul_matches_dense_division():
     # against the integer product of the coefficient lists divided by the
     # whole modulus (the division Ben-Or's gcd keeps), and power against
     # repeated mul
-    from hallinv.fields import _fq_divmod
+    from hallinv.fields import _fq_rem
     rng = random.Random(7)
     for q, s in [(2, 4), (3, 3), (5, 2), (2, 18), (3, 100), (7, 1)]:
         K = extension_field(q, s)
@@ -126,8 +144,7 @@ def test_mul_matches_dense_division():
 
         for _ in range(30):
             a, b = rng.randrange(K.order()), rng.randrange(K.order())
-            rem = _fq_divmod(_poly_mul_int(digits(a), digits(b)),
-                             K.modulus, q)[1]
+            rem = _fq_rem(_poly_mul_int(digits(a), digits(b)), K.modulus, q)
             assert K.mul(a, b) == sum(c * q ** i for i, c in enumerate(rem))
             e = rng.randrange(12)
             want = 1
