@@ -1,11 +1,13 @@
-"""Named fixtures, and the braid machinery that builds horizontal ones.
+"""Named fixtures, and the one function that builds horizontal ones.
 
 A named arrangement fixture (braid_arrangement, non_fano, deleted_b3 and
 the tabulated horizontal:<perm>) is read from its frozen presentation
 file.  The builders from braid monodromy (Cohen and Suciu, "The braid
 monodromy of plane algebraic curves and hyperplane arrangements",
-Comment. Math. Helv. 72, 1997) live in tests/reference.py, where the
-regression tests regenerate every frozen file from them.
+Comment. Math. Helv. 72, 1997), with the braid-group toolkit they share
+(braid words, free automorphisms, the Artin action), live in
+tests/reference.py, where the regression tests regenerate every frozen
+file from them and check the builder here on every permutation.
 
 A horizontal:<perm> with no frozen file is built here, as the free group
 on n-1 generators extended by Z acting through the square of the combed
@@ -21,79 +23,8 @@ differ across the literature.
 
 from __future__ import annotations
 
-from .linalg import smith_normal_form
+from .linalg import InvariantViolation
 from .presentations import Presentation, Word
-
-
-class BraidWord:
-    """A word in the elementary braid generators on a fixed strand count."""
-
-    __slots__ = ("strands", "letters")
-
-    def __init__(self, strands, letters=()):
-        letters = tuple((int(i), int(s)) for i, s in letters)
-        for i, s in letters:
-            if not 1 <= i < strands:
-                raise ValueError(f"generator index {i} out of range")
-            if s not in (1, -1):
-                raise ValueError("letter signs must be +-1")
-        self.strands = strands
-        self.letters = letters
-
-    @classmethod
-    def identity(cls, strands):
-        return cls(strands)
-
-    def __mul__(self, other):
-        if other.strands != self.strands:
-            raise ValueError("strand count mismatch")
-        return BraidWord(self.strands, self.letters + other.letters)
-
-    def __pow__(self, n):
-        letters = self.letters if n >= 0 else \
-            tuple((i, -s) for i, s in reversed(self.letters))
-        return BraidWord(self.strands, letters * abs(n))
-
-    def __eq__(self, other):
-        return (isinstance(other, BraidWord) and other.strands == self.strands
-                and other.letters == self.letters)
-
-    def __repr__(self):
-        return f"BraidWord({self.strands}, {list(self.letters)})"
-
-
-class FreeAutomorphism:
-    """An automorphism of a free group, stored by generator images."""
-
-    __slots__ = ("rank", "images")
-
-    def __init__(self, rank, images):
-        images = tuple(images)
-        if len(images) != rank:
-            raise ValueError("need one image per generator")
-        for w in images:
-            if w.max_generator() >= rank:
-                raise ValueError("image uses an out-of-range generator")
-        det = _abelianized_determinant_unit(rank, images)
-        if not det:
-            raise ValueError("images do not generate (abelianized check)")
-        self.rank = rank
-        self.images = images
-
-    def __eq__(self, other):
-        return (isinstance(other, FreeAutomorphism)
-                and other.rank == self.rank and other.images == self.images)
-
-    def __repr__(self):
-        return f"FreeAutomorphism({self.rank}, {list(self.images)})"
-
-
-def _abelianized_determinant_unit(rank, images):
-    """True when the abelianized image matrix is unimodular (a necessary
-    condition for the images to generate)."""
-    form = smith_normal_form([{j: w.exponent_sum(j) for j in range(rank)}
-                              for w in images], rank)
-    return form.rank == rank and all(d == 1 for d in form.divisors)
 
 
 def _elementary_images(i, k, forward):
@@ -108,96 +39,49 @@ def _elementary_images(i, k, forward):
     return images
 
 
-def artin_action(b):
-    """The free-group automorphism of a braid word.
+def horizontal_arrangement_group(tau):
+    """Group of the horizontal plane arrangement with permutation tau,
+    the sequence (tau_1, ..., tau_n): F_{n-1} x| Z, the generator y of Z
+    acting by the Artin action phi of xi^2, where the combed braid xi on
+    n-1 strands is the product over j of the band generators
 
-    The leftmost letter acts first, so under classical function
-    composition artin(uv) = artin(v) o artin(u) (a right action of the
-    braid group, as in the classical Artin representation).  The opposite
-    elementary action is the rejected alternate, which the tests build to
-    show that the golden values select this one.  The letters' actions
-    are composed on the image words, and the result is checked once.
-    """
-    k = b.strands
-    images = [Word.generator(j) for j in range(k)]
-    for i, s in b.letters:
-        phi = _elementary_images(i, k, s > 0)
-        images = [w.substitute(phi) for w in images]
-    return FreeAutomorphism(k, images)
+        A_{i,j} = sigma_{j-1} ... sigma_{i+1} sigma_i^2
+                  sigma_{i+1}^-1 ... sigma_{j-1}^-1
 
-
-# ---------------------------------------------------------------------------
-# pure-braid generators
-
-def pure_generator(i, j, k):
-    """The band generator A_{i,j}: strand j passes in front of the strands
-    between i and j, twists fully with strand i, and returns."""
-    if not 1 <= i < j <= k:
-        raise ValueError("need 1 <= i < j <= number of strands")
-    letters = [(t, 1) for t in range(j - 1, i, -1)]
-    letters += [(i, 1), (i, 1)]
-    letters += [(t, -1) for t in range(i + 1, j)]
-    return BraidWord(k, letters)
-
-
-def xi_from_permutation(tau):
-    """The combed braid of a horizontal arrangement with permutation tau.
-
-    tau is the sequence (tau_1, ..., tau_n); the braid lives on n-1 strands
-    and is the product over j of A_{i,j} for the pairs i < j <= n-1 that
-    the inverse permutation inverts.
-    """
+    for the pairs i < j <= n-1 that the inverse permutation inverts.
+    The letters of xi^2 act leftmost first.  Relators are
+    y x_i y^-1 phi(x_i)^-1.  xi^2 is a pure braid, so each phi(x_i)
+    abelianizes to x_i; InvariantViolation is raised otherwise."""
     n = len(tau)
     if sorted(tau) != list(range(1, n + 1)):
         raise ValueError("not a permutation of 1..n")
     if n < 2:
         raise ValueError("need at least two planes")
+    k = n - 1
     position = [0] * (n + 1)
     for idx, value in enumerate(tau):
         position[value] = idx
-    out = BraidWord.identity(n - 1)
+    letters = []
     for j in range(2, n):
         for i in range(1, j):
             if position[i] > position[j]:
-                out = out * pure_generator(i, j, n - 1)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# presentation builders
-
-def semidirect_presentation(phis):
-    """F_k x| F_m for automorphisms phi_1..phi_m of F_k.
-
-    Generators x_1..x_k, y_1..y_m; relators y_j x_i y_j^-1 = phi_j(x_i).
-    """
-    phis = list(phis)
-    if not phis:
-        raise ValueError("need at least one automorphism")
-    k = phis[0].rank
-    if any(phi.rank != k for phi in phis):
-        raise ValueError("all automorphisms must share a rank")
-    m = len(phis)
-    names = [f"x{i}" for i in range(1, k + 1)] + \
-            [f"y{j}" for j in range(1, m + 1)]
-    relators = []
-    for j, phi in enumerate(phis):
-        y = Word.generator(k + j)
-        for i in range(k):
-            x = Word.generator(i)
-            image = phi.images[i]
-            rel = y * x * y.inverse() * image.inverse()
-            relators.append(rel)
-    return Presentation(names, relators)
-
-
-def horizontal_arrangement_group(tau):
-    """Group of the horizontal plane arrangement with permutation tau:
-    the free group on n-1 generators extended by Z acting as the square
-    of the combed braid."""
-    xi = xi_from_permutation(tau)
-    phi = artin_action(xi ** 2)
-    return semidirect_presentation([phi])
+                letters += [(t, True) for t in range(j - 1, i, -1)]
+                letters += [(i, True), (i, True)]
+                letters += [(t, False) for t in range(i + 1, j)]
+    images = [Word.generator(g) for g in range(k)]
+    for i, forward in letters * 2:
+        phi = _elementary_images(i, k, forward)
+        images = [w.substitute(phi) for w in images]
+    for g, w in enumerate(images):
+        if any(w.exponent_sum(h) != (h == g) for h in range(k)):
+            raise InvariantViolation(
+                f"the image of x{g + 1} under a pure braid does not "
+                f"abelianize to x{g + 1}")
+    y = Word.generator(k)
+    return Presentation(
+        [f"x{g}" for g in range(1, n)] + ["y1"],
+        [y * Word.generator(g) * y.inverse() * w.inverse()
+         for g, w in enumerate(images)])
 
 
 def _frozen_path(name):

@@ -20,8 +20,8 @@ from .charvar import Group
 from .fields import factorize
 from .hall import AbelianGroupSpec, delta_abelian, delta_mpqs
 from .linalg import InvariantViolation
-from .oracle import (BudgetExceeded, FiniteGroupTable, check_table_budget,
-                     hom_count)
+from .oracle import (DEFAULT_BUDGET, BudgetExceeded, FiniteGroupTable,
+                     check_table_budget, hom_count)
 
 
 class UnsupportedIndexError(ValueError):
@@ -29,23 +29,20 @@ class UnsupportedIndexError(ValueError):
     implemented metabelian family (k = 8, 12, or three-factor shapes)."""
 
 
-def a_k_via_hall_recursion(P, k, budget=10 ** 8):
+def a_k_via_hall_recursion(P, k, budget=DEFAULT_BUDGET):
     """Number of index-k subgroups by M. Hall's recursion
 
         a_k = h_k/(k-1)! - sum_{l<k} h_{k-l}/(k-l)! a_l,
 
     h_l = |Hom(G, S_l)| by enumeration.  The budget is checked before the
-    S_l multiplication table (of l!^2 entries) is even built, so an
-    oversized request fails fast."""
+    S_l multiplication table (of l!^2 entries) is built, and hom_count
+    then charges its search as it goes, so a request fails once the work
+    it has done exceeds the budget, not on a price set in advance."""
     if k < 1:
         raise ValueError("k must be positive")
     h = {}
     for l in range(1, k + 1):
-        size = factorial(l)
-        if size ** P.num_generators > budget:
-            raise BudgetExceeded(
-                f"counting maps into S_{l} exceeds the budget")
-        check_table_budget(size, budget)
+        check_table_budget(factorial(l), budget)
         h[l] = hom_count(P, FiniteGroupTable.symmetric(l), "all", budget)
     a = {1: 1}
     for j in range(2, k + 1):
@@ -125,7 +122,7 @@ def c_p(G, p, *, a_p):
 
 
 def census(G, k, *, want_normal=True, want_alpha=True, want_conjugacy=False,
-           budget=10 ** 8):
+           budget=DEFAULT_BUDGET):
     """The index-k counts of G (a presentation or a charvar.Group) as the
     dict the CLI prints: {"k": k}, then each count and its method tag
     (key + "_method"), sorted by key.  Infeasible pieces are recorded as

@@ -32,9 +32,9 @@ from .fields import is_prime, multiplicative_order
 from .foxcalc import alexander_matrix
 from .hall import construct_mpqs
 from .linalg import InvariantViolation
-from .oracle import (BudgetExceeded, FiniteGroupTable, aut_order,
-                     check_table_budget, cover_homology, hom_count,
-                     mod_q_betti, regular_cyclic_action)
+from .oracle import (DEFAULT_BUDGET, BudgetExceeded, FiniteGroupTable,
+                     aut_order, check_table_budget, cover_homology,
+                     hom_count, mod_q_betti, regular_cyclic_action)
 from .presentations import ParseError, parse_presentation, render_presentation
 from .tables import delta_of, render_table, table1, table2
 
@@ -394,7 +394,7 @@ def _parser():
 def main(argv=None):
     try:
         args = _parser().parse_args(argv, argparse.Namespace(
-            json=False, jobs=1, budget=10 ** 8))
+            json=False, jobs=1, budget=DEFAULT_BUDGET))
         _check_options(args)
         args.func(args)
     except BudgetExceeded as e:

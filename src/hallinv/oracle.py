@@ -78,6 +78,10 @@ from .foxcalc import fox_terms
 from .linalg import InvariantViolation, smith_normal_form
 
 
+# The budget every brute-force route takes when none is given.
+DEFAULT_BUDGET = 10 ** 8
+
+
 class BudgetExceeded(Exception):
     """Enumeration would exceed the partial-assignment budget."""
 
@@ -175,7 +179,7 @@ class FiniteGroupTable:
                     frontier.append(y)
         return frozenset(seen)
 
-    def all_subgroups(self, budget=10 ** 8):
+    def all_subgroups(self, budget=DEFAULT_BUDGET):
         """Every subgroup, found by closing known subgroups with one more
         generator until nothing new appears.  Each closure is charged its
         size, and BudgetExceeded is raised once the total passes budget."""
@@ -200,7 +204,7 @@ class FiniteGroupTable:
             self._subgroups = sorted(gens, key=lambda s: (len(s), sorted(s)))
         return self._subgroups
 
-    def moebius(self, budget=10 ** 8):
+    def moebius(self, budget=DEFAULT_BUDGET):
         """Moebius function of the subgroup lattice: mu of the whole group
         is 1, and mu sums to zero over the subgroups above any proper one.
         The lattice is built within budget (all_subgroups)."""
@@ -251,11 +255,12 @@ class FiniteGroupTable:
         return orbits
 
     def subgroup_table(self, elements):
-        """The subgroup as its own table, plus the embedding index list."""
+        """The subgroup as its own table, its elements in increasing
+        order."""
         embed = sorted(elements)
         back = {g: i for i, g in enumerate(embed)}
         mul = [[back[self.mul[a][b]] for b in embed] for a in embed]
-        return FiniteGroupTable(mul, check=False), embed
+        return FiniteGroupTable(mul, check=False)
 
     def minimal_generating_set(self):
         """A small generating set by greedy closure growth."""
@@ -291,7 +296,7 @@ def _bfs_tree(T, gens):
     return tree, order
 
 
-def _count_generator_images(T1, T2, budget=10 ** 8):
+def _count_generator_images(T1, T2, budget=DEFAULT_BUDGET):
     """Isomorphisms T1 -> T2: maps determined by images of a minimal
     generating set of T1, kept when bijective and checked against the
     whole table.
@@ -320,7 +325,7 @@ def _count_generator_images(T1, T2, budget=10 ** 8):
     return count
 
 
-def aut_order(T, budget=10 ** 8):
+def aut_order(T, budget=DEFAULT_BUDGET):
     """|Aut(T)| by enumerating generator images and checking the table,
     within budget image tuples."""
     return _count_generator_images(T, T, budget)
@@ -569,7 +574,7 @@ def _plan_blocks(relators, l, n_elements, budget):
     return run
 
 
-def hom_count(P, T, mode="all", budget=10 ** 8):
+def hom_count(P, T, mode="all", budget=DEFAULT_BUDGET):
     """Number of homomorphisms from the presented group to the table.
 
     mode 'all' counts every homomorphism, mode 'epi' only those whose
@@ -604,7 +609,7 @@ def _epi_by_moebius(P, T, budget):
             raise InvariantViolation("Moebius function not constant on a "
                                      "conjugacy class of subgroups")
         done |= conjugates
-        sub, _ = T.subgroup_table(H)
+        sub = T.subgroup_table(H)
         total += m * len(conjugates) * hom_count(P, sub, "all", budget)
     if total < 0:
         raise InvariantViolation("negative epimorphism count")

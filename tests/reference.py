@@ -67,6 +67,16 @@ library's counts and constructions against; no command needs them:
   max_depth_of_order_dividing finds, and against the congruence mod the
   gcd of the Galois-orbit sizes, on every cyclic cover of small groups
   and small orders;
+* the braid-group toolkit: BraidWord, a word in the elementary braid
+  generators; FreeAutomorphism, generator images checked unimodular on
+  H_1 by their Smith form; artin_action, the automorphism of a word,
+  letter by letter through the library's one elementary action
+  (braids._elementary_images); pure_generator, the band generator
+  A_{i,j}; xi_from_permutation, the combed braid of a horizontal
+  arrangement; and semidirect_presentation, F_k x| F_m over m
+  automorphisms.  The library builds horizontal:<perm> in one function
+  (braids.horizontal_arrangement_group), checked against this toolkit on
+  every permutation of up to six planes;
 * linking_matrix reads the pairwise linking numbers off a pure braid,
   checked against the band generators A_{i,j} and full twists;
 * compose, the composite of two free automorphisms, checks that the
@@ -77,8 +87,9 @@ library's counts and constructions against; no command needs them:
 * build_fixture builds each named arrangement fixture from braid
   monodromy (Cohen and Suciu 1997), through pure_braid_presentation,
   monodromy_presentation, full_twist, conjugate_braid and
-  direct_product_with_Z; the regression tests check that it reproduces
-  every frozen file in FROZEN_FIXTURES, which the library reads instead;
+  direct_product_with_Z, and each horizontal one through the toolkit;
+  the regression tests check that it reproduces every frozen file in
+  FROZEN_FIXTURES, which the library reads instead;
 * artin_action_reversed and full_twist(opposite=True) are the rejected
   conventions, which the tests show differ from the frozen ones and, for
   the full twist (non_fano_group(opposite=True)), break the non-Fano
@@ -94,9 +105,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from hallinv import foxcalc
-from hallinv.braids import (BraidWord, FreeAutomorphism, _elementary_images,
-                            artin_action, horizontal_arrangement_group,
-                            pure_generator, semidirect_presentation)
+from hallinv.braids import _elementary_images
 from hallinv.census import a_k_via_hall_recursion
 from hallinv.charvar import (Group, _character_moduli, _coordinate_columns,
                              _galois_orbits)
@@ -106,7 +115,7 @@ from hallinv.fields import (FieldHandle, _fq_monic_polys, _fq_rem,
 from hallinv.foxcalc import abelianization
 from hallinv.hall import (AbelianGroupSpec, construct_mpqs, delta_abelian,
                           delta_mpqs)
-from hallinv.linalg import InvariantViolation
+from hallinv.linalg import InvariantViolation, smith_normal_form
 from hallinv.oracle import (FiniteGroupTable, _count_generator_images,
                             delta_oracle)
 from hallinv.presentations import Presentation, Word, commutator
@@ -933,6 +942,158 @@ def artin_action_reversed(b):
 
 
 # ---------------------------------------------------------------------------
+# the braid-group toolkit: braid words, free automorphisms, the Artin action
+
+class BraidWord:
+    """A word in the elementary braid generators on a fixed strand count."""
+
+    __slots__ = ("strands", "letters")
+
+    def __init__(self, strands, letters=()):
+        letters = tuple((int(i), int(s)) for i, s in letters)
+        for i, s in letters:
+            if not 1 <= i < strands:
+                raise ValueError(f"generator index {i} out of range")
+            if s not in (1, -1):
+                raise ValueError("letter signs must be +-1")
+        self.strands = strands
+        self.letters = letters
+
+    @classmethod
+    def identity(cls, strands):
+        return cls(strands)
+
+    def __mul__(self, other):
+        if other.strands != self.strands:
+            raise ValueError("strand count mismatch")
+        return BraidWord(self.strands, self.letters + other.letters)
+
+    def __pow__(self, n):
+        letters = self.letters if n >= 0 else \
+            tuple((i, -s) for i, s in reversed(self.letters))
+        return BraidWord(self.strands, letters * abs(n))
+
+    def __eq__(self, other):
+        return (isinstance(other, BraidWord) and other.strands == self.strands
+                and other.letters == self.letters)
+
+    def __repr__(self):
+        return f"BraidWord({self.strands}, {list(self.letters)})"
+
+
+class FreeAutomorphism:
+    """An automorphism of a free group, stored by generator images."""
+
+    __slots__ = ("rank", "images")
+
+    def __init__(self, rank, images):
+        images = tuple(images)
+        if len(images) != rank:
+            raise ValueError("need one image per generator")
+        for w in images:
+            if w.max_generator() >= rank:
+                raise ValueError("image uses an out-of-range generator")
+        det = _abelianized_determinant_unit(rank, images)
+        if not det:
+            raise ValueError("images do not generate (abelianized check)")
+        self.rank = rank
+        self.images = images
+
+    def __eq__(self, other):
+        return (isinstance(other, FreeAutomorphism)
+                and other.rank == self.rank and other.images == self.images)
+
+    def __repr__(self):
+        return f"FreeAutomorphism({self.rank}, {list(self.images)})"
+
+
+def _abelianized_determinant_unit(rank, images):
+    """True when the abelianized image matrix is unimodular (a necessary
+    condition for the images to generate)."""
+    form = smith_normal_form([{j: w.exponent_sum(j) for j in range(rank)}
+                              for w in images], rank)
+    return form.rank == rank and all(d == 1 for d in form.divisors)
+
+
+def artin_action(b):
+    """The free-group automorphism of a braid word.
+
+    The leftmost letter acts first, so under classical function
+    composition artin(uv) = artin(v) o artin(u) (a right action of the
+    braid group, as in the classical Artin representation).  The opposite
+    elementary action is the rejected alternate (artin_action_reversed),
+    which the tests build to show that the golden values select this one.
+    The letters' actions are composed on the image words, and the result
+    is checked once.
+    """
+    k = b.strands
+    images = [Word.generator(j) for j in range(k)]
+    for i, s in b.letters:
+        phi = _elementary_images(i, k, s > 0)
+        images = [w.substitute(phi) for w in images]
+    return FreeAutomorphism(k, images)
+
+
+def pure_generator(i, j, k):
+    """The band generator A_{i,j}: strand j passes in front of the strands
+    between i and j, twists fully with strand i, and returns."""
+    if not 1 <= i < j <= k:
+        raise ValueError("need 1 <= i < j <= number of strands")
+    letters = [(t, 1) for t in range(j - 1, i, -1)]
+    letters += [(i, 1), (i, 1)]
+    letters += [(t, -1) for t in range(i + 1, j)]
+    return BraidWord(k, letters)
+
+
+def xi_from_permutation(tau):
+    """The combed braid of a horizontal arrangement with permutation tau.
+
+    tau is the sequence (tau_1, ..., tau_n); the braid lives on n-1 strands
+    and is the product over j of A_{i,j} for the pairs i < j <= n-1 that
+    the inverse permutation inverts.
+    """
+    n = len(tau)
+    if sorted(tau) != list(range(1, n + 1)):
+        raise ValueError("not a permutation of 1..n")
+    if n < 2:
+        raise ValueError("need at least two planes")
+    position = [0] * (n + 1)
+    for idx, value in enumerate(tau):
+        position[value] = idx
+    out = BraidWord.identity(n - 1)
+    for j in range(2, n):
+        for i in range(1, j):
+            if position[i] > position[j]:
+                out = out * pure_generator(i, j, n - 1)
+    return out
+
+
+def semidirect_presentation(phis):
+    """F_k x| F_m for automorphisms phi_1..phi_m of F_k.
+
+    Generators x_1..x_k, y_1..y_m; relators y_j x_i y_j^-1 = phi_j(x_i).
+    """
+    phis = list(phis)
+    if not phis:
+        raise ValueError("need at least one automorphism")
+    k = phis[0].rank
+    if any(phi.rank != k for phi in phis):
+        raise ValueError("all automorphisms must share a rank")
+    m = len(phis)
+    names = [f"x{i}" for i in range(1, k + 1)] + \
+            [f"y{j}" for j in range(1, m + 1)]
+    relators = []
+    for j, phi in enumerate(phis):
+        y = Word.generator(k + j)
+        for i in range(k):
+            x = Word.generator(i)
+            image = phi.images[i]
+            rel = y * x * y.inverse() * image.inverse()
+            relators.append(rel)
+    return Presentation(names, relators)
+
+
+# ---------------------------------------------------------------------------
 # the named arrangement fixtures from braid monodromy
 
 def conjugate_braid(a, b):
@@ -1093,7 +1254,8 @@ def build_fixture(name):
         return deleted_b3_group()
     if name.startswith("horizontal:"):
         tau = [int(c) for c in name.split(":", 1)[1]]
-        return horizontal_arrangement_group(tau)
+        xi = xi_from_permutation(tau)
+        return semidirect_presentation([artin_action(xi ** 2)])
     raise ValueError(f"unknown fixture {name!r}")
 
 

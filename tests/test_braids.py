@@ -1,16 +1,21 @@
+import random
+from itertools import permutations
+
 import pytest
 
-from hallinv.braids import (
-    BraidWord, artin_action, fixture, pure_generator,
-    semidirect_presentation, xi_from_permutation,
-)
+from hallinv import braids
+from hallinv.braids import fixture, horizontal_arrangement_group
 from hallinv.foxcalc import abelianization
+from hallinv.linalg import InvariantViolation
 from hallinv.presentations import Word, free_group, render_presentation
-from reference import (FROZEN_FIXTURES, abelianized, apply_automorphism,
+from reference import (FROZEN_FIXTURES, BraidWord, abelianized,
+                       apply_automorphism, artin_action,
                        artin_action_reversed, build_fixture, compose,
                        conjugate_braid, full_twist, identity_automorphism,
                        is_identity, linking_matrix, monodromy_presentation,
-                       non_fano_group, pure_braid_presentation)
+                       non_fano_group, pure_braid_presentation,
+                       pure_generator, semidirect_presentation,
+                       xi_from_permutation)
 
 
 def braid(k, *letters):
@@ -145,6 +150,33 @@ def test_frozen_fixtures_match_braid_code():
         frozen = fixture(name)
         rebuilt = build_fixture(name)
         assert render_presentation(rebuilt) == render_presentation(frozen), name
+
+
+def test_library_horizontal_builder_matches_braid_toolkit():
+    # the library builds each horizontal:<perm> with no frozen file in one
+    # function; the toolkit composes the same braid from BraidWord,
+    # pure_generator and artin_action, checked by the tests above
+    rng = random.Random(7)
+    taus = [list(tau) for n in range(2, 7)
+            for tau in permutations(range(1, n + 1))]
+    taus += [rng.sample(range(1, n + 1), n) for n in (7, 8) for _ in range(5)]
+    for tau in taus:
+        name = "horizontal:" + "".join(map(str, tau))
+        assert render_presentation(horizontal_arrangement_group(tau)) == \
+            render_presentation(build_fixture(name)), name
+
+
+def test_horizontal_builder_checks_pure_braid_invariant(monkeypatch):
+    # an elementary action that does not permute H_1 sends x1 to
+    # x1 x2^4 under the square of A_{1,2}, which no pure braid does
+    def skewed(i, k, forward):
+        images = [Word.generator(j) for j in range(k)]
+        images[i - 1] = Word.generator(i - 1) * Word.generator(i)
+        return images
+
+    monkeypatch.setattr(braids, "_elementary_images", skewed)
+    with pytest.raises(InvariantViolation):
+        horizontal_arrangement_group([2, 1, 3])
 
 
 def test_fixture_families():

@@ -1,5 +1,6 @@
 import pytest
 
+from hallinv.braids import fixture
 from hallinv.census import (
     UnsupportedIndexError, a2_a3, a_k_via_hall_recursion, a_normal,
     abelian_groups_of_order, alpha_k, c_p, census,
@@ -155,6 +156,18 @@ def test_a_p_product_with_Z():
     # a_3(Z x Z) = a_3(Z^2)
     Z = parse_presentation("gens: x; rels:")
     assert a_p_product_with_Z(Z, 3) == a_k_Zn(2, 3)
+    # horizontal:123456 is F_5 x Z; |S_5|^6 maps exceed the default
+    # budget, but the search the recursion runs fits
+    assert a_k_via_hall_recursion(fixture("horizontal:123456"), 5) == \
+        a_p_product_with_Z(free_group(5), 5, a_p=a_k_free(5, 5)) == \
+        1035048246
+
+
+def test_hall_recursion_arrangements_index_4():
+    # the searches a budget of 10^8 finishes, though |S_4|^generators
+    # exceeds it
+    assert a_k_via_hall_recursion(fixture("deleted_b3"), 4) == 59783
+    assert a_k_via_hall_recursion(fixture("non_fano"), 4) == 14719
 
 
 def test_index_2_counts_coincide():
@@ -213,7 +226,7 @@ def test_a_k_matches_transitive_action_count():
 
     for P in (free_group(2), Z2_PRES, product_of_free_groups([2, 1]),
               fixture_rp3()):
-        for k in (2, 3):
+        for k in (2, 3, 4):
             assert transitive_count(P, k) == a_k_via_hall_recursion(P, k)
 
 

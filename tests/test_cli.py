@@ -86,6 +86,10 @@ def test_census_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["a_k"] == 409 and payload["c_k"] == 379
+    # |S_4|^6 maps exceed the default budget, but the search it runs fits
+    code, out, _ = run(capsys, "census", "--k", "4",
+                       "--fixture", "braid_arrangement")
+    assert code == 0 and "a_k = 3887" in out.splitlines()
 
 
 def test_arr_roundtrip(tmp_path, capsys):

@@ -178,7 +178,7 @@ def test_construct_mpqs_a4():
     assert aut_order_mpqs(3, 2) == 24
     S4 = FiniteGroupTable.symmetric(4)
     evens = [i for i in range(24) if _is_even_perm(i)]
-    A4, _ = S4.subgroup_table(S4.closure(evens))
+    A4 = S4.subgroup_table(S4.closure(evens))
     assert A4.order == 12
     assert tables_isomorphic(M.table, A4)
     assert aut_order(M.table) == 24
