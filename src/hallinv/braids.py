@@ -23,7 +23,7 @@ differ across the literature.
 
 from __future__ import annotations
 
-from .linalg import InvariantViolation
+from .errors import InvariantViolation
 from .presentations import Presentation, Word
 
 

@@ -13,13 +13,12 @@ how the recursion gets checked.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 from .charvar import Group
+from .errors import InvariantViolation
 from .fields import factorize
 from .hall import AbelianGroupSpec, delta_abelian, delta_mpqs
-from .linalg import InvariantViolation
 from .oracle import (DEFAULT_BUDGET, BudgetExceeded, FiniteGroupTable,
                      check_table_budget, hom_count)
 
@@ -30,9 +29,9 @@ class UnsupportedIndexError(ValueError):
 
 
 def a_k_via_hall_recursion(P, k, budget=DEFAULT_BUDGET):
-    """Number of index-k subgroups by M. Hall's recursion
+    """Number of index-k subgroups by M. Hall's recursion, in integers,
 
-        a_k = h_k/(k-1)! - sum_{l<k} h_{k-l}/(k-l)! a_l,
+        (j-1)! a_j = h_j - sum_{l<j} ((j-1)!/(j-l)!) h_{j-l} a_l,
 
     h_l = |Hom(G, S_l)| by enumeration.  The budget is checked before the
     S_l multiplication table (of l!^2 entries) is built, and hom_count
@@ -46,13 +45,13 @@ def a_k_via_hall_recursion(P, k, budget=DEFAULT_BUDGET):
         h[l] = hom_count(P, FiniteGroupTable.symmetric(l), "all", budget)
     a = {1: 1}
     for j in range(2, k + 1):
-        total = Fraction(h[j], factorial(j - 1))
-        for l in range(1, j):
-            total -= Fraction(h[j - l], factorial(j - l)) * a[l]
-        if total.denominator != 1 or total < 0:
+        scale = factorial(j - 1)
+        total = h[j] - sum(scale // factorial(j - l) * h[j - l] * a[l]
+                           for l in range(1, j))
+        a[j], rest = divmod(total, scale)
+        if rest or a[j] < 0:
             raise InvariantViolation(
-                f"a_{j} = {total} is not a nonnegative integer")
-        a[j] = int(total)
+                f"a_{j} = {total}/{scale} is not a nonnegative integer")
     return a[k]
 
 

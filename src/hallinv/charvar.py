@@ -59,12 +59,13 @@ from functools import cached_property
 from itertools import accumulate, count, islice
 from math import gcd, isqrt, lcm, prod
 
+from .errors import InvariantViolation
 from .fields import (_LOG_TABLE_LIMIT, euler_phi, is_prime, log_tables,
                      multiplicative_order, prime_field,
                      primitive_root_of_unity, sufficiently_large_field)
 from .foxcalc import (abelianization, alexander_matrix,
                       augmentation_jacobian)
-from .linalg import InvariantViolation
+from .linalg import smith_normal_form
 
 
 class DepthEngine:
@@ -137,9 +138,8 @@ class DepthEngine:
         self.q = q
         self.num_generators = A.num_generators
         forms = {}
-        self.rows = [[[(coeff, forms.setdefault(tuple(tors) + tuple(free),
-                                                len(forms)))
-                       for (free, tors), coeff in entry.items()]
+        self.rows = [[[(coeff, forms.setdefault(key, len(forms)))
+                       for key, coeff in entry.items()]
                       for entry in row] for row in A.entries]
         self.num_forms = len(forms)
         # coordinate c's column of form weights mod N (see _exponents)
@@ -514,20 +514,12 @@ def _rank_field(rows, n, order, exps, K, ceiling):
 def coordinate_exponents_from_generators(abel, N, gen_exps):
     """chi-coordinate exponents of the character with value zeta^gen_exps[j]
     on generator j, asserting the values factor through H_1."""
-    h = len(abel.torsion)
-    coord_exps = []
-    for c in range(abel.num_coordinates):
-        row = abel.coordinate_in_generators(c)
-        coord_exps.append(sum(w * e for w, e in zip(row, gen_exps)) % N)
-    tors_exps, free_exps = coord_exps[:h], coord_exps[h:]
-    for j in range(abel.num_generators):
-        free, tors = abel.chi([1 if i == j else 0
-                               for i in range(abel.num_generators)])
-        back = (sum(a * b for a, b in zip(tors, tors_exps))
-                + sum(a * b for a, b in zip(free, free_exps)))
-        if (back - gen_exps[j]) % N:
+    coord_exps = tuple(sum(w * e for w, e in zip(row, gen_exps)) % N
+                       for row in abel.coordinate_rows)
+    for image, e in zip(abel.images, gen_exps):
+        if (sum(a * b for a, b in zip(image, coord_exps)) - e) % N:
             raise ValueError("generator values do not factor through H_1")
-    return tuple(coord_exps)
+    return coord_exps
 
 
 def _character_moduli(abel, k):
@@ -919,7 +911,6 @@ def _validate_epimorphism_abelian(G, factors, images):
                 raise ValueError("not a homomorphism: a relator has nonzero image")
     # surjectivity: the quotient of sum Z_{c_i} by the generator images
     # must vanish; present it and reduce
-    from .linalg import smith_normal_form
     k = len(factors)
     rows = [{i: images[i][j] for i in range(k)} for j in range(l)]
     rows += [{c: factors[c]} for c in range(k)]

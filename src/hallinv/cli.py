@@ -28,10 +28,10 @@ from math import factorial, prod
 from .braids import fixture
 from .census import census
 from .charvar import Group, b1_cover_cyclic
+from .errors import InvariantViolation
 from .fields import is_prime, multiplicative_order
 from .foxcalc import alexander_matrix
 from .hall import construct_mpqs
-from .linalg import InvariantViolation
 from .oracle import (DEFAULT_BUDGET, BudgetExceeded, FiniteGroupTable,
                      aut_order, check_table_budget, cover_homology,
                      hom_count, mod_q_betti, regular_cyclic_action)
@@ -359,7 +359,8 @@ def _parser():
                    action="store_true")
     s.add_argument("--conjugacy", action="store_true")
     s.add_argument("--all-counts", dest="all_counts", action="store_true",
-                   help="report every count")
+                   help="as --normal --abelian-quotient; c_k needs "
+                   "--conjugacy")
     s.set_defaults(func=_cmd_census)
 
     s = add_parser("arr", help="emit an arrangement presentation")

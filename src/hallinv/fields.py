@@ -44,7 +44,7 @@ from functools import cache
 from itertools import accumulate, repeat
 from math import gcd
 
-from .linalg import InvariantViolation
+from .errors import InvariantViolation
 
 
 def factorize(n):
@@ -222,14 +222,14 @@ class FieldHandle:
     their codes (see the module docstring).
 
     add, sub, mul, power and inv are its arithmetic, on codes.  A field
-    of at most 2^16 elements also carries LogTables (log_tables), through
-    which the depth engine ranks by Zech codes; a larger one is ranked on
-    its codes (charvar._rank_field).  Use the module-level constructors
-    (`prime_field`, `extension_field`, `sufficiently_large_field`) rather
-    than calling this directly.
+    of at most 2^16 elements has LogTables (log_tables, one per handle),
+    through which the depth engine ranks by Zech codes; a larger one is
+    ranked on its codes (charvar._rank_field).  Use the module-level
+    constructors (`prime_field`, `extension_field`,
+    `sufficiently_large_field`) rather than calling this directly.
     """
 
-    __slots__ = ("char", "degree", "modulus", "_tail", "_log_tables")
+    __slots__ = ("char", "degree", "modulus", "_tail")
 
     def __init__(self, char, degree, modulus):
         self.char = char
@@ -364,7 +364,7 @@ def sufficiently_large_field(N, q):
     if not is_prime(q):
         raise ValueError(f"the characteristic {q} is not prime")
     if N == 1:
-        return prime_field(q)
+        return extension_field(q, 1)
     if N % q == 0:
         raise ValueError(f"characteristic {q} divides the quotient order {N}")
     s = multiplicative_order(q, N)
@@ -412,15 +412,12 @@ class LogTables:
 _LOG_TABLE_LIMIT = 1 << 16
 
 
+@cache
 def log_tables(K):
-    """Cached LogTables for a handle of at most 2^16 elements, else None."""
-    if K.order() > _LOG_TABLE_LIMIT:
-        return None
-    try:
-        return K._log_tables
-    except AttributeError:
-        K._log_tables = LogTables(K)
-    return K._log_tables
+    """The LogTables of the handle K, built once for the process; the
+    depth engine asks only for fields of at most 2^16 elements
+    (_LOG_TABLE_LIMIT)."""
+    return LogTables(K)
 
 
 def primitive_root_of_unity(K, N):

@@ -3,7 +3,7 @@
 The Fox derivative d/dx_j is the linear map on the free group ring with
 d(x_i)/dx_j = delta_ij and d(uv)/dx_j = du/dx_j e(v) + u dv/dx_j, where e
 is the augmentation.  Applied to the relators and pushed through a fixed
-isomorphism chi of H_1(G) onto Z^n (+) sum Z_{e_i}, the Fox Jacobian
+isomorphism chi of H_1(G) onto sum Z_{e_i} (+) Z^n, the Fox Jacobian
 becomes the Alexander matrix, with entries in the Laurent ring
 
     Z[t_1^{+-1}, ..., t_n^{+-1}, s_1, ..., s_h] / (s_i^{e_i} - 1).
@@ -13,8 +13,9 @@ Every term of a Fox derivative of a word is a prefix of the word, so the
 free group ring never appears: fox_terms names each term by its place in
 the word, and each consumer reads the term's image (in H_1, or as a
 permutation of cosets) off the images of the word's prefixes.  A Laurent
-polynomial is a plain dict {(free exponents, torsion residues):
-coefficient} without zero coefficients.
+polynomial is a plain dict {coordinate tuple: coefficient} without zero
+coefficients, each term's tuple its monomial's exponents, the torsion
+coordinates first, as AbelStructure writes every element of H_1.
 
 chi itself comes from the Smith normal form of the augmented Jacobian and
 is therefore deterministic; every count computed downstream is independent
@@ -23,7 +24,8 @@ of this choice, up to the usual monomial change of basis.
 
 from __future__ import annotations
 
-from .linalg import InvariantViolation, smith_normal_form
+from .errors import InvariantViolation
+from .linalg import smith_normal_form
 
 
 def fox_terms(w):
@@ -54,53 +56,41 @@ def augmentation_jacobian(P):
 
 
 class AbelStructure:
-    """A fixed isomorphism chi: H_1(G) -> Z^n (+) sum_i Z_{e_i}.
+    """A fixed isomorphism chi: H_1(G) -> sum_i Z_{e_i} (+) Z^n.
 
-    free_rank: n.  torsion: the elementary divisors > 1, in a divisibility
-    chain.  chi maps a generator exponent vector to (free part, torsion
-    residues); chi_inv expresses each coordinate basis vector as an integer
-    combination of generators, which is how characters given on generators
-    get converted to coordinates.
+    torsion: the elementary divisors e_i > 1, in a divisibility chain.
+    free_rank: n.  An element of H_1 is one coordinate tuple: the torsion
+    coordinates first, each reduced mod its divisor, then the free ones.
+    images[j] is the tuple of generator j, and coordinate_rows[c] an
+    integer generator-exponent row representing coordinate basis vector c,
+    which is how characters given on generators get converted to
+    coordinates.
     """
 
-    __slots__ = ("free_rank", "torsion", "_gen_free", "_gen_tors",
-                 "_inv_rows", "num_generators")
+    __slots__ = ("free_rank", "torsion", "images", "coordinate_rows")
 
-    def __init__(self, free_rank, torsion, gen_free, gen_tors, inv_rows):
+    def __init__(self, free_rank, torsion, images, coordinate_rows):
         self.free_rank = free_rank
         self.torsion = list(torsion)
-        self._gen_free = gen_free    # per generator: tuple in Z^n
-        self._gen_tors = gen_tors    # per generator: residues mod torsion[i]
-        self._inv_rows = inv_rows    # per coordinate: integer row over generators
-        self.num_generators = len(gen_free)
+        self.images = images
+        self.coordinate_rows = coordinate_rows
 
     @property
     def num_coordinates(self):
         return self.free_rank + len(self.torsion)
 
+    def reduce(self, v):
+        """The coordinate tuple of an integer coordinate vector v."""
+        h = len(self.torsion)
+        return tuple(t % d for t, d in zip(v, self.torsion)) + tuple(v[h:])
+
     def chi(self, exponent_vector):
-        """Image of a generator exponent vector, as (free tuple, torsion tuple)."""
-        n = self.free_rank
-        free = [0] * n
-        tors = [0] * len(self.torsion)
-        for j, e in enumerate(exponent_vector):
+        """Image of a generator exponent vector, as a coordinate tuple."""
+        out = [0] * self.num_coordinates
+        for e, image in zip(exponent_vector, self.images):
             if e:
-                gf = self._gen_free[j]
-                gt = self._gen_tors[j]
-                for i in range(n):
-                    free[i] += e * gf[i]
-                for i in range(len(tors)):
-                    tors[i] += e * gt[i]
-        tors = [t % d for t, d in zip(tors, self.torsion)]
-        return tuple(free), tuple(tors)
-
-    def coordinate_in_generators(self, c):
-        """Integer generator-exponent row representing coordinate basis vector c.
-
-        Coordinates are numbered with the torsion ones first (matching the
-        divisor chain), then the free ones.
-        """
-        return list(self._inv_rows[c])
+                out = [a + e * b for a, b in zip(out, image)]
+        return self.reduce(out)
 
     def b1(self, q):
         """Mod-q first Betti number; q = 0 gives the ordinary one."""
@@ -129,14 +119,13 @@ def abelianization(P):
     r = form.rank
     divisors = form.divisors
     keep = [i for i in range(r) if divisors[i] > 1]
-    torsion = [divisors[i] for i in keep]
-    gen_free = [tuple(V[j][r:l]) for j in range(l)]
-    gen_tors = [tuple(V[j][i] % divisors[i] for i in keep) for j in range(l)]
-    inv_rows = [vinv[i] for i in keep] + vinv[r:l]
-    abel = AbelStructure(l - r, torsion, gen_free, gen_tors, inv_rows)
+    abel = AbelStructure(
+        l - r, [divisors[i] for i in keep],
+        tuple(tuple(V[j][i] % divisors[i] for i in keep) + tuple(V[j][r:])
+              for j in range(l)),
+        tuple(map(tuple, [vinv[i] for i in keep] + vinv[r:])))
     for row in J:
-        free, tors = abel.chi(row)
-        if any(free) or any(tors):
+        if any(abel.chi(row)):
             raise InvariantViolation("a relator has nonzero image in H_1")
     return abel
 
@@ -145,10 +134,9 @@ class AlexanderMatrix:
     """The Fox Jacobian of a presentation pushed through chi.
 
     entries is an m x l grid (m relators, l generators) of dicts
-    {(free exponent tuple, torsion residue tuple): coefficient}, zero
-    coefficients left out; augmenting every entry (all variables -> 1),
-    that is summing its coefficients, recovers the integer augmented
-    Jacobian.
+    {coordinate tuple: coefficient}, zero coefficients left out;
+    augmenting every entry (all variables -> 1), that is summing its
+    coefficients, recovers the integer augmented Jacobian.
     """
 
     __slots__ = ("abel", "entries", "num_relators", "num_generators")
@@ -160,19 +148,23 @@ class AlexanderMatrix:
         self.num_generators = num_generators
 
     def dump(self):
-        """One line per entry: `(i,j): c * t^(v) * s^(w) + ...`."""
+        """One line per entry: `(i,j): c * t^(v) * s^(w) + ...`, v the free
+        part and w the torsion part of each term's tuple, the terms sorted
+        by (v, w)."""
+        h = len(self.abel.torsion)
         lines = []
         for i, row in enumerate(self.entries):
             for j, entry in enumerate(row):
                 if not entry:
                     continue
                 parts = []
-                for (free, tors), coeff in sorted(entry.items()):
+                for v, w, coeff in sorted(
+                        (key[h:], key[:h], c) for key, c in entry.items()):
                     piece = f"{coeff}"
-                    if any(free):
-                        piece += f" * t^{list(free)}"
-                    if any(tors):
-                        piece += f" * s^{list(tors)}"
+                    if any(v):
+                        piece += f" * t^{list(v)}"
+                    if any(w):
+                        piece += f" * s^{list(w)}"
                     parts.append(piece)
                 lines.append(f"({i},{j}): " + " + ".join(parts))
         return "\n".join(lines)
@@ -185,19 +177,15 @@ def alexander_matrix(P, abel=None):
     the image of g."""
     if abel is None:
         abel = abelianization(P)
-    n, torsion = abel.free_rank, abel.torsion
-    images = [free + tors for free, tors in zip(abel._gen_free,
-                                                abel._gen_tors)]
+    images = abel.images
     entries = []
     for r in P.relators:
-        sums = [(0,) * (n + len(torsion))]  # images of the prefixes
+        sums = [(0,) * abel.num_coordinates]  # images of the prefixes
         for g, e in r.syllables:
             sums.append([a + e * b for a, b in zip(sums[-1], images[g])])
         row = [{} for _ in range(P.num_generators)]
         for i, g, k, c in fox_terms(r):
-            image = [a + k * b for a, b in zip(sums[i], images[g])]
-            key = (tuple(image[:n]),
-                   tuple(t % d for t, d in zip(image[n:], torsion)))
+            key = abel.reduce([a + k * b for a, b in zip(sums[i], images[g])])
             terms = row[g]
             new = terms.get(key, 0) + c
             if new:

@@ -18,9 +18,9 @@ and, when k = uv with u | v - 1, M_{u,v}; other k report unsupported.
 from __future__ import annotations
 
 from .charvar import Group
+from .errors import InvariantViolation
 from .fields import (extension_field, factorize, multiplicative_order,
                      primitive_root_of_unity)
-from .linalg import InvariantViolation
 from .oracle import FiniteGroupTable
 
 

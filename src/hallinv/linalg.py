@@ -22,9 +22,7 @@ arrangement groups' abelian covers reduce by unit pivots alone.
 
 from __future__ import annotations
 
-
-class InvariantViolation(AssertionError):
-    """A proved identity failed on computed data; always a bug."""
+from .errors import InvariantViolation
 
 
 class SmithForm:

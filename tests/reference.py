@@ -49,6 +49,9 @@ library's counts and constructions against; no command needs them:
   against alpha_k on groups with H_1 = Z^n;
 * a_p_product_with_Z gives a_p(G x Z) = a_p(G) + p^n, checked against
   Hall's recursion on direct_product_with_Z;
+* direct_product_with_Z and free_product build G x Z and G * H, through
+  which tests/test_properties.py draws products of its generated
+  presentations;
 * a_normal_closed gives the index-k normal count for k prime, p^2 or pq
   by closed forms in the mod-p Betti numbers, and a_normal_by_enumeration
   sums the oracle's Epi / Aut count over the groups of order k listed in
@@ -109,13 +112,14 @@ from hallinv.braids import _elementary_images
 from hallinv.census import a_k_via_hall_recursion
 from hallinv.charvar import (Group, _character_moduli, _coordinate_columns,
                              _galois_orbits)
+from hallinv.errors import InvariantViolation
 from hallinv.fields import (FieldHandle, _fq_monic_polys, _fq_rem,
                             factorize, multiplicative_order,
                             primitive_root_of_unity, sufficiently_large_field)
 from hallinv.foxcalc import abelianization
 from hallinv.hall import (AbelianGroupSpec, construct_mpqs, delta_abelian,
                           delta_mpqs)
-from hallinv.linalg import InvariantViolation, smith_normal_form
+from hallinv.linalg import smith_normal_form
 from hallinv.oracle import (FiniteGroupTable, _count_generator_images,
                             delta_oracle)
 from hallinv.presentations import Presentation, Word, commutator
@@ -465,8 +469,8 @@ def rank_of_elements(M):
 def evaluate(A, K, N, e):
     """The Alexander matrix A at the character of order dividing N with
     coordinate exponent vector e (torsion coordinates first), over K
-    (elements_of): the term c * t^v * s^w goes to
-    c * zeta_N^(w . e_tors + v . e_free)."""
+    (elements_of): the term with coordinate tuple k goes to
+    c * zeta_N^(k . e)."""
     K = elements_of(K)
     zeta = K.root_of_unity(N)
     grid = []
@@ -474,8 +478,8 @@ def evaluate(A, K, N, e):
         out = []
         for entry in row:
             acc = K.zero()
-            for (free, tors), coeff in entry.items():
-                k = sum(a * b for a, b in zip(tors + free, e))
+            for key, coeff in entry.items():
+                k = sum(a * b for a, b in zip(key, e))
                 acc = acc + K.from_int(coeff) * zeta ** (k % N)
             out.append(acc)
         grid.append(out)
@@ -1142,6 +1146,16 @@ def direct_product_with_Z(P):
     for i in range(len(P.generators)):
         relators.append(commutator(Word.generator(z), Word.generator(i)))
     return Presentation(tuple(P.generators) + ("z",), relators)
+
+
+def free_product(P, Q):
+    """P * Q: the generators and relators of P, then those of Q, its
+    generators numbered after P's and renamed with a trailing _2."""
+    l = P.num_generators
+    return Presentation(
+        tuple(P.generators) + tuple(f"{name}_2" for name in Q.generators),
+        list(P.relators) + [Word([(g + l, e) for g, e in r.syllables])
+                            for r in Q.relators])
 
 
 def monodromy_presentation(phis):

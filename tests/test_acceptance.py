@@ -240,21 +240,14 @@ def _index_p_kernel_reps(abel, p):
     """One epimorphism onto Z_p per index-p normal subgroup, as generator
     image vectors: the order-p characters whose first nonzero chi
     coordinate exponent is 1."""
-    h = len(abel.torsion)
     moduli = [p if e % p == 0 else 1 for e in abel.torsion] + \
         [p] * abel.free_rank
     reps = []
     for coords in iproduct(*(range(m) for m in moduli)):
         if next((e for e in coords if e), None) != 1:
             continue
-        images = []
-        for g in range(abel.num_generators):
-            free, tors = abel.chi([1 if i == g else 0
-                                   for i in range(abel.num_generators)])
-            e = sum(a * b for a, b in zip(tors, coords[:h])) + \
-                sum(a * b for a, b in zip(free, coords[h:]))
-            images.append(e % p)
-        reps.append(images)
+        reps.append([sum(a * b for a, b in zip(image, coords)) % p
+                     for image in abel.images])
     return reps
 
 

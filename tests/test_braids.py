@@ -6,7 +6,7 @@ import pytest
 from hallinv import braids
 from hallinv.braids import fixture, horizontal_arrangement_group
 from hallinv.foxcalc import abelianization
-from hallinv.linalg import InvariantViolation
+from hallinv.errors import InvariantViolation
 from hallinv.presentations import Word, free_group, render_presentation
 from reference import (FROZEN_FIXTURES, BraidWord, abelianized,
                        apply_automorphism, artin_action,

@@ -229,7 +229,7 @@ def test_cover_bounds_hold_on_enumerated_covers():
         for N, q in [(2, 0), (2, 3), (3, 0), (4, 3)]:
             d_sup = max_depth_of_order_dividing(G, N, q)
             b1_base = G.abel.b1(q)
-            for images in _all_epis(G.abel.num_generators, N):
+            for images in _all_epis(P.num_generators, N):
                 try:
                     b1K = b1_cover_cyclic(G, N, images, q)
                 except ValueError:
@@ -324,9 +324,7 @@ def _laurent_matrix(rows, num_coordinates):
     """An AlexanderMatrix of Laurent polynomials in num_coordinates free
     variables, each entry given as {exponent tuple: coefficient}."""
     from hallinv.foxcalc import AlexanderMatrix
-    entries = [[{(exps, ()): c for exps, c in entry.items()}
-                for entry in row] for row in rows]
-    return AlexanderMatrix(None, entries, len(rows[0]))
+    return AlexanderMatrix(None, rows, len(rows[0]))
 
 
 def test_form_exponents():

@@ -169,13 +169,12 @@ def _scrambled_abel(abel, seed):
             U[k][j] += c * U[k][i]
         for k in range(n):          # inverse row op on Uinv
             Uinv[i][k] -= c * Uinv[j][k]
-    gen_free = [tuple(sum(gf[i] * U[i][j] for i in range(n))
-                      for j in range(n)) for gf in abel._gen_free]
-    inv_rows = [[sum(Uinv[c][i] * abel.coordinate_in_generators(i)[g]
+    images = [tuple(sum(gf[i] * U[i][j] for i in range(n))
+                    for j in range(n)) for gf in abel.images]
+    inv_rows = [[sum(Uinv[c][i] * abel.coordinate_rows[i][g]
                      for i in range(n))
-                 for g in range(abel.num_generators)] for c in range(n)]
-    return AbelStructure(n, [], gen_free,
-                         [()] * abel.num_generators, inv_rows)
+                 for g in range(len(abel.images))] for c in range(n)]
+    return AbelStructure(n, [], images, inv_rows)
 
 
 def test_counts_invariant_under_scrambled_chi():
@@ -219,12 +218,8 @@ def test_nonorientable_matrix_matches_explicit_form():
             if any((e * ei) % N for e, ei in zip(exps[:h], abel.torsion)):
                 continue
             # generator values from the chi coordinates
-            vals = []
-            for j in range(n):
-                free, tors = abel.chi([1 if i == j else 0 for i in range(n)])
-                e = sum(a * b for a, b in zip(tors, exps[:h])) + \
-                    sum(a * b for a, b in zip(free, exps[h:]))
-                vals.append(zeta ** (e % N))
+            vals = [zeta ** (sum(a * b for a, b in zip(image, exps)) % N)
+                    for image in abel.images]
             t = vals[:-1]
             s = vals[0]
             for v in vals[1:]:

@@ -220,7 +220,7 @@ def test_certified_rank_matches_generic():
                            for _ in range(n)] for _ in range(m)]
             generic = [[K.element(vec) for vec in row] for row in coeff_rows]
             want = rank_of_elements(generic)
-            entries = [[{((j,), ()): c for j, c in enumerate(vec) if c}
+            entries = [[{(j,): c for j, c in enumerate(vec) if c}
                         for vec in row] for row in coeff_rows]
             engine = DepthEngine(AlexanderMatrix(None, entries, n), N, 0)
             assert engine.mode == "modular"
@@ -249,23 +249,23 @@ def test_library_has_no_bare_asserts():
             f"{path.name}: assert or AssertionError on lines {lines}"
 
 
-def test_field_and_depth_modules_import_no_fractions():
+def test_library_imports_no_fractions():
     # every rank is over a finite field, characteristic 0 included (split
-    # primes stand in for Q(zeta_N)), so these modules stay in integers
+    # primes stand in for Q(zeta_N)), and Hall's recursion divides exactly,
+    # so every module of the library stays in integers
     import ast
     import pathlib
     import hallinv
 
-    root = pathlib.Path(hallinv.__file__).parent
-    for name in ("fields.py", "charvar.py"):
-        tree = ast.parse((root / name).read_text(encoding="utf-8"))
+    for path in sorted(pathlib.Path(hallinv.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom)
                  and (node.module or "").split(".")[0] == "fractions"
                  or isinstance(node, ast.Import)
                  and any(a.name.split(".")[0] == "fractions"
                          for a in node.names)]
-        assert not lines, f"{name}: imports fractions on lines {lines}"
+        assert not lines, f"{path.name}: imports fractions on lines {lines}"
 
 
 def test_rank_reads_codes_past_the_characteristic():

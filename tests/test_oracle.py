@@ -573,7 +573,7 @@ def test_invariant_checks_survive_optimize():
     # divide the epimorphism count would give 18 // 4 = 4
     script = "\n".join([
         "from hallinv import cli, oracle",
-        "from hallinv.linalg import InvariantViolation",
+        "from hallinv.errors import InvariantViolation",
         "from hallinv.presentations import free_group",
         "oracle.aut_order = cli.aut_order = lambda T, budget=None: 4",
         "S3 = oracle.FiniteGroupTable.symmetric(3)",
@@ -596,7 +596,8 @@ def test_invariant_checks_survive_optimize():
 
 def test_oracle_independent_of_formula_routes():
     # the oracle checks the character/depth formulas from the outside, so
-    # it may use the Smith form and Fox derivatives, nothing else of ours
+    # it may use the Smith form, Fox derivatives and the invariant
+    # exception, nothing else of ours
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
     internal = set()
     for node in ast.walk(tree):
@@ -608,6 +609,6 @@ def test_oracle_independent_of_formula_routes():
             if node.level or module.split(".")[0] == "hallinv":
                 module = module.removeprefix("hallinv.")
                 internal |= {(module, a.name) for a in node.names}
-    assert {m for m, _ in internal} == {"linalg", "foxcalc"}
+    assert {m for m, _ in internal} == {"linalg", "foxcalc", "errors"}
     assert {name for m, name in internal if m == "foxcalc"} == \
         {"fox_terms"}
