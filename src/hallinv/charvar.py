@@ -25,8 +25,9 @@ Depth is a rank, and DepthEngine is the one evaluator of the Alexander
 matrix: it compiles the matrix once into integer coefficients and linear
 forms on e, and ranks it at a character's form exponents over finite
 fields.  In characteristic q > 0 the one field is F_{q^s}: at most 2^16
-elements by Zech-logarithm elimination (_rank_codes), a larger one by
-elimination on its codes (_rank_field).  In characteristic 0 the rank over
+elements by Zech-logarithm elimination (_rank_codes), a larger one by the
+integer elimination of characteristic 0 (_rank_mod) on its elements
+packed into integers (_Packed).  In characteristic 0 the rank over
 Q(zeta_N) is the largest rank mod the split primes ell = 1 (mod N),
 counted down from 2^30 (and, past the primes below 2^30, up from it),
 each reached by a ring map Z[zeta_N] -> F_ell, which can only lower
@@ -35,10 +36,10 @@ is exact once it meets the ceiling Fox's fundamental identity puts on a
 nontrivial character, or once the product of the primes tried outgrows a
 Hadamard bound on the norm of every minor of size r + 1 (see DepthEngine
 for the argument); a generic character needs one prime.  No arithmetic
-in Q or Q(zeta_N) is ever done.  The three eliminations keep one
-contract and stream the rows: a row is evaluated only when the
-elimination reaches it, reduced against the echelon basis of the rows
-kept so far, and the elimination stops at the ceiling.  The rows that
+in Q or Q(zeta_N) is ever done.  The two eliminations keep one contract
+and stream the rows: a row is evaluated only when the elimination
+reaches it, reduced against the echelon basis of the rows kept so far,
+and the elimination stops at the ceiling.  The rows that
 were pivots when a character last reached the ceiling come first, so a
 generic character is usually certified on the l - 1 rows it builds, and
 one that misses on them goes on from the basis it has.
@@ -63,8 +64,7 @@ from .errors import InvariantViolation
 from .fields import (_LOG_TABLE_LIMIT, euler_phi, is_prime, log_tables,
                      multiplicative_order, prime_field,
                      primitive_root_of_unity, sufficiently_large_field)
-from .foxcalc import (abelianization, alexander_matrix,
-                      augmentation_jacobian)
+from .foxcalc import abelianization, alexander_matrix
 from .linalg import smith_normal_form
 
 
@@ -94,8 +94,9 @@ class DepthEngine:
     For q > 0 the one field is K = F_{q^s}, and its rank is the answer: at
     most 2^16 elements (_LOG_TABLE_LIMIT) by elimination on Zech logs, an
     entry summed as packed base-q digits and turned into its log by
-    _Reducer (_rank_codes, mode "zech"), a larger K by elimination on the
-    entries' codes, each summed by K's add (_rank_field, mode "element").
+    _Reducer (_rank_codes, mode "zech"), a larger K by _rank_mod on the
+    packed digits themselves, each entry and row update reduced by K's
+    _Packed when read (mode "element").
 
     For q = 0 (mode "modular") the fields are the primes ell = 1 (mod N),
     those below 2^30 counted down from 2^30, then, if a character needs
@@ -151,7 +152,7 @@ class DepthEngine:
             if self.field.order() <= _LOG_TABLE_LIMIT:
                 self.mode, self.kernel = "zech", _rank_codes
             else:
-                self.mode, self.kernel = "element", _rank_field
+                self.mode, self.kernel = "element", _rank_mod
         else:
             self.field = None
             self.mode, self.kernel = "modular", _rank_mod
@@ -211,43 +212,44 @@ class DepthEngine:
 
     def _reduction(self, i):
         """The i-th field, reduced, as (head, rows), head by mode: "modular",
-        ell; "zech", the field's _Reducer; "element", the field K.  A row
+        ell; "zech", the field's _Reducer; "element", its _Packed.  A row
         lists its nonzero entries as (column, terms), each term (table,
         form) worth table[x] at form exponent x: its coefficient times
-        zeta^x as an integer, mod ell, packed (_Reducer) or a code of K;
-        terms that vanish in the field are dropped.  Built when first
-        needed, the fields taken in order."""
+        zeta^x as an integer mod ell, or packed (_pack); terms that vanish
+        in the field are dropped.  Built when first needed, the fields
+        taken in order."""
         if i == len(self.reductions):
             N = self.N
-            if self.mode == "element":
-                head = self.field
-                modulus = head.char
-                zeta = primitive_root_of_unity(head, N)
-
-                def value(c):
-                    return lambda x: head.mul(c, head.power(zeta, x))
-            elif self.mode == "modular":
+            if self.mode == "modular":
                 ell, zeta = _split_prime(N, i)
                 head = modulus = ell
 
                 def value(c):
                     return lambda x: c * pow(zeta, x, ell) % ell
             else:
-                lt, modulus = log_tables(self.field), self.field.char
-                if lt.n % N:
-                    raise InvariantViolation(
-                        f"{self.field!r} has no primitive {N}-th root of "
-                        f"unity")
+                K, modulus = self.field, self.field.char
                 widest = max((sum(1 for c, _ in entry if c % modulus)
                               for row in self.rows for entry in row),
                              default=0)
-                head = _Reducer(lt, modulus, self.field.degree, widest)
-                step = lt.n // N  # zeta = g^step
+                if self.mode == "element":
+                    head = _Packed(K, widest, self.num_generators)
+                    zeta, w = primitive_root_of_unity(K, N), head.width
 
-                def value(c):
-                    c = lt.log[c]
-                    return lambda x: head.pack(lt.codes[(c + step * x)
-                                                        % lt.n])
+                    def value(c):
+                        return lambda x: _pack(K.mul(c, K.power(zeta, x)),
+                                               modulus, w)
+                else:
+                    lt = log_tables(K)
+                    if lt.n % N:
+                        raise InvariantViolation(
+                            f"{K!r} has no primitive {N}-th root of unity")
+                    head = _Reducer(lt, modulus, K.degree, widest)
+                    step, w = lt.n // N, head.width  # zeta = g^step
+
+                    def value(c):
+                        c = lt.log[c]
+                        return lambda x: _pack(lt.codes[(c + step * x)
+                                                        % lt.n], modulus, w)
             # one table per coefficient mod the characteristic
             tables = _Table(lambda c: _Table(value(c)))
             rows = []
@@ -325,15 +327,6 @@ class _Reducer(dict):
         self.mask = sum(((1 << (self.width - self.shift)) - 1)
                         << (self.width * i) for i in range(degree))
 
-    def pack(self, code):
-        """The packed digits of the element with this code."""
-        out, q, i = 0, self.q, 0
-        while code:
-            code, d = divmod(code, q)
-            out |= d << (self.width * i)
-            i += 1
-        return out
-
     def __missing__(self, r):
         q, w = self.q, self.width
         digits = [r >> (w * i) & ((1 << w) - 1) for i in range(self.degree)]
@@ -341,11 +334,69 @@ class _Reducer(dict):
             raise InvariantViolation(
                 f"a packed entry reduced to digits {digits}, not all below "
                 f"q = {q}")
-        code = 0
-        for d in reversed(digits):
-            code = code * q + d
+        code = sum(d * q ** i for i, d in enumerate(digits))
         self[r] = log = self.tables.log[code]
         return log
+
+
+def _pack(code, q, width):
+    """The element of F_{q^s} with this code, packed: its base-q digit i
+    in the slot of bits [width i, width (i + 1))."""
+    out, i = 0, 0
+    while code:
+        code, d = divmod(code, q)
+        out |= d << i
+        i += width
+    return out
+
+
+class _Packed:
+    """F_{q^s} past the Zech tables as the head _rank_mod ranks over: its
+    entries are packed elements (_pack), and x % head is the packed
+    element x stands for.
+
+    With one digit a slot, plain integer + and * add and multiply the
+    polynomials the slots hold while no slot overflows (Kronecker
+    substitution; von zur Gathen and Gerhard, Modern Computer Algebra,
+    8.4).  _rank_mod reduces an entry when it reads it: by then a sum of
+    at most `terms` packed elements plus one product of reduced elements,
+    at most s (q - 1)^2 a slot, for each of its fewer than `rows` basis
+    rows.  Slots of bits(terms (q - 1) + rows s (q - 1)^2) bits hold that,
+    in at most 2s - 1 of them; x % head unpacks them, folds those from s
+    upward into the lower ones by the modulus tail (x^s is the tail's
+    sum), takes each digit mod q and repacks."""
+
+    __slots__ = ("field", "width", "mask")
+
+    def __init__(self, K, terms, rows):
+        self.field = K
+        self.width = (terms * (K.char - 1)
+                      + rows * K.degree * (K.char - 1) ** 2).bit_length()
+        self.mask = (1 << self.width) - 1
+
+    def __rmod__(self, r):
+        K, w, mask = self.field, self.width, self.mask
+        q, s = K.char, K.degree
+        digits = [r >> i & mask for i in range(0, r.bit_length(), w)]
+        if len(digits) >= 2 * s:
+            raise InvariantViolation(f"a packed value of {len(digits)} "
+                                     f"slots, past 2s - 1 in {K!r}")
+        for k in range(len(digits) - 1, s - 1, -1):
+            c = digits[k] % q
+            if c:
+                for j, t in K._tail:
+                    digits[k - s + j] += c * t
+        out = 0
+        for d in reversed(digits[:s]):
+            out = out << w | d % q
+        return out
+
+    def minus_inverse(self, c):
+        """-1/c, packed, for a reduced nonzero packed c, by K's inv."""
+        K, w = self.field, self.width
+        code = K._code([-(c >> i & self.mask) % K.char
+                        for i in range(0, c.bit_length(), w)])  # -c
+        return _pack(K.inv(code), K.char, w)
 
 
 def _split_candidates(N):
@@ -431,7 +482,9 @@ def _rank_mod(rows, n, order, exps, ell, ceiling):
     its entries summed as plain integers; the row is reduced by each basis
     row in turn, as _rank_codes does, each entry taken mod ell only when
     it is read, and joins the basis if anything is left; the rank stops at
-    the ceiling."""
+    the ceiling.  ell may also be a _Packed field, its entries packed
+    elements: x % ell then reduces x in that field, and only the pivot's
+    inverse asks it by name."""
     rank, pivots = 0, []
     basis = []  # (pivot column, -1/pivot, the later nonzero (column, entry))
     for k in order:
@@ -462,51 +515,9 @@ def _rank_mod(rows, n, order, exps, ell, ceiling):
                         b = row[j] % ell
                         if b:
                             terms.append((j, b))
-                    basis.append((col, ell - pow(c, -1, ell), terms))
-                break
-    return rank, pivots
-
-
-def _rank_field(rows, n, order, exps, K, ceiling):
-    """Rank over the field K of the reduced rows (DepthEngine._reduction),
-    of n columns, at the form exponents exps, and the numbers of the rows
-    that raised it, on the codes of K's elements.  The rows are taken in
-    order, each built when reached, its entries summed by K's add; the row
-    is reduced by each basis row in turn, as _rank_mod does, and joins the
-    basis if anything is left, its pivot inverted only then; the rank
-    stops at the ceiling."""
-    add, mul = K.add, K.mul
-    rank, pivots = 0, []
-    basis = []  # (pivot column, -1/pivot, the later nonzero (column, code))
-    for k in order:
-        if rank >= ceiling:
-            break
-        row = [0] * n
-        for j, entry in rows[k]:
-            a = 0
-            for t, f in entry:
-                a = add(a, t[exps[f]])
-            row[j] = a
-        for col, inverse, terms in basis:
-            c = row[col]
-            if c:
-                # row -= (c / pivot) * pivot row; column col becomes 0
-                scale = mul(c, inverse)
-                row[col] = 0
-                for j, b in terms:
-                    row[j] = add(row[j], mul(scale, b))
-        for col in range(n):
-            c = row[col]
-            if c:
-                pivots.append(k)
-                rank += 1
-                if rank < ceiling:
-                    terms = []
-                    for j in range(col + 1, n):
-                        b = row[j]
-                        if b:
-                            terms.append((j, b))
-                    basis.append((col, K.sub(0, K.inv(c)), terms))
+                    inverse = ell - pow(c, -1, ell) if type(ell) is int \
+                        else ell.minus_inverse(c)
+                    basis.append((col, inverse, terms))
                 break
     return rank, pivots
 
@@ -825,11 +836,11 @@ def beta_distribution(P, p, q, *, check_orbits=False, A=None, jobs=1):
 
 class Group:
     """One presentation's shared invariants, each computed at most once:
-    H_1 (one Smith normal form, shared with the Alexander matrix), the
-    Alexander matrix, the augmentation Jacobian, the depth engines by
-    (N, q), and the order-p character depths already asked for, keyed on
-    (p, q).  jobs only spreads the character walk over processes; A=
-    fixes the chi basis, as for beta_distribution."""
+    H_1 (one Smith normal form, shared with the Alexander matrix, and
+    holding the augmentation Jacobian), the Alexander matrix, the depth
+    engines by (N, q), and the order-p character depths already asked
+    for, keyed on (p, q).  jobs only spreads the character walk over
+    processes; A= fixes the chi basis, as for beta_distribution."""
 
     def __init__(self, P, *, A=None, jobs=1):
         self.P = P
@@ -852,11 +863,6 @@ class Group:
         if self._A is None:
             self._A = alexander_matrix(self.P, abel=self.abel)
         return self._A
-
-    @cached_property
-    def jacobian(self):
-        """The relators' exponent sums (augmentation_jacobian)."""
-        return augmentation_jacobian(self.P)
 
     def engine(self, N, q):
         """The DepthEngine for the characters of order dividing N over a
@@ -906,7 +912,7 @@ def _validate_epimorphism_abelian(G, factors, images):
     if any(len(row) != l for row in images):
         raise ValueError("one image per generator required")
     for i, c in enumerate(factors):
-        for row in G.jacobian:
+        for row in G.abel.jacobian:
             if sum(a * b for a, b in zip(row, images[i])) % c:
                 raise ValueError("not a homomorphism: a relator has nonzero image")
     # surjectivity: the quotient of sum Z_{c_i} by the generator images

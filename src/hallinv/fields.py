@@ -4,29 +4,31 @@ An element of F_{q^s} = F_q[x] / (f), f the field's modulus, is its
 code: the integer whose base-q digits are its coefficients in x, lowest
 first.  So 0 is zero, 1 is one, c < q is the constant c, x is q (for
 s > 1), and the codes 0, ..., q^s - 1 enumerate the field (at s = 1 a
-code is a residue mod q).  A FieldHandle's add, sub, mul, power and inv
-take and return codes: add and sub digit by digit mod q, the others
-through _mulmod, the one product mod f, which Ben-Or's irreducibility
-test shares.
+code is a residue mod q).  A FieldHandle's add, mul, power and inv take
+and return codes: add digit by digit mod q, the others through _mulmod,
+the one product mod f, which Ben-Or's irreducibility test shares.  Codes
+index LogTables.log and hall.MetabelianGroup's table; the depth engine
+packs the same digits into bit slots (charvar._pack) to sum and multiply
+them as plain integers.
 
 All choices (extension modulus, multiplicative generator, roots of
 unity) are deterministic so that repeated runs produce identical output.
 The modulus is the least irreducible polynomial of its degree, found by
 Ben-Or's gcd test in time polynomial in the degree.  The primitive N-th
 root of unity is x^((q^s-1)/N) for the first x by code for which that
-power has order exactly N, tested against the primes of N alone; only
-the multiplicative generator behind LogTables, at most 2^16 elements,
-factors q^s - 1.
+power has order exactly N, tested against the primes of N alone, the
+constants skipped when they cannot give one; only the multiplicative
+generator behind LogTables, at most 2^16 elements, factors q^s - 1.
 
 In characteristic q > 0 every rank the library takes is over one of
 these fields, from the Alexander matrix compiled once by
 charvar.DepthEngine, by one rule: a field of at most 2^16 elements
 (_LOG_TABLE_LIMIT) has LogTables and is ranked by Zech codes; a larger
-one is ranked by elimination on the codes of its entries
-(charvar._rank_field), each term's coefficient times a power of zeta
-taken by the handle when first met.  extension_field keeps one handle
-per field, so a field's modulus is searched for, and its LogTables are
-built, once per process.
+one is ranked by charvar._rank_mod, the integer elimination of
+characteristic 0, on packed digits, each term's coefficient times a
+power of zeta taken by the handle when first met and packed.
+extension_field keeps one handle per field, so a field's modulus is
+searched for, and its LogTables are built, once per process.
 LogTables give the depth engine the code of each power of the generator
 (codes), from which it packs each coefficient times zeta^x; the log of
 each code (log), which turns a summed entry, its digits reduced mod q,
@@ -41,7 +43,7 @@ hall.MetabelianGroup.
 from __future__ import annotations
 
 from functools import cache
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, zip_longest
 from math import gcd
 
 from .errors import InvariantViolation
@@ -221,11 +223,11 @@ class FieldHandle:
     """The finite field F_{q^s} (F_q at s = 1), its elements named by
     their codes (see the module docstring).
 
-    add, sub, mul, power and inv are its arithmetic, on codes.  A field
-    of at most 2^16 elements has LogTables (log_tables, one per handle),
-    through which the depth engine ranks by Zech codes; a larger one is
-    ranked on its codes (charvar._rank_field).  Use the module-level
-    constructors (`prime_field`, `extension_field`,
+    add, mul, power and inv are its arithmetic, on codes.  A field of at
+    most 2^16 elements has LogTables (log_tables, one per handle), through
+    which the depth engine ranks by Zech codes; a larger one is ranked by
+    charvar._rank_mod on packed digits (charvar._Packed).  Use the
+    module-level constructors (`prime_field`, `extension_field`,
     `sufficiently_large_field`) rather than calling this directly.
     """
 
@@ -242,10 +244,9 @@ class FieldHandle:
         return self.char ** self.degree
 
     def add(self, a, b):
-        return self._digitwise(a, b, 1)
-
-    def sub(self, a, b):
-        return self._digitwise(a, b, -1)
+        """a + b, digit by digit mod q."""
+        return self._code([(x + y) % self.char for x, y in zip_longest(
+            self._digits(a), self._digits(b), fillvalue=0)])
 
     def mul(self, a, b):
         if self.degree == 1:
@@ -267,19 +268,6 @@ class FieldHandle:
         if not a:
             raise ZeroDivisionError("inverting zero field element")
         return self.power(a, self.order() - 2)
-
-    def _digitwise(self, a, b, sign):
-        """a + sign b, digit by digit mod q."""
-        q = self.char
-        if self.degree == 1:
-            return (a + sign * b) % q
-        out, place = 0, 1
-        while a or b:
-            a, x = divmod(a, q)
-            b, y = divmod(b, q)
-            out += (x + sign * y) % q * place
-            place *= q
-        return out
 
     def _digits(self, a):
         """The coefficients of the element of code a, lowest first, up to
@@ -422,18 +410,20 @@ def log_tables(K):
 
 def primitive_root_of_unity(K, N):
     """The code of a primitive N-th root of unity in K, chosen
-    deterministically: z = x^((q^s-1)/N) for the first x, in the
+    deterministically: z = x^((q^s-1)/N) for the first x >= 2, in the
     enumeration by code, for which z has order exactly N.  Such a z has
     z^N = 1, so only the primes of N are tested: q^s - 1 is factored only
     when N is q^s - 1 itself (the generator of LogTables, at most 2^16
-    elements), and a field of any size costs a few exponentiations."""
+    elements).  A constant x < q gives z in F_q^*, of order dividing
+    q - 1, so unless N divides q - 1 the scan starts at x = q; a field of
+    any size then costs a few exponentiations."""
     if N == 1:
         return 1
     n = K.order() - 1
     if n % N != 0:
         raise ValueError(f"{K!r} contains no primitive {N}-th root of unity")
     primes = list(factorize(N))
-    for x in range(2, K.order()):
+    for x in range(2 if (K.char - 1) % N == 0 else K.char, K.order()):
         zeta = K.power(x, n // N)
         if all(K.power(zeta, N // r) != 1 for r in primes):
             return zeta

@@ -64,16 +64,20 @@ class AbelStructure:
     images[j] is the tuple of generator j, and coordinate_rows[c] an
     integer generator-exponent row representing coordinate basis vector c,
     which is how characters given on generators get converted to
-    coordinates.
+    coordinates.  jacobian is the presentation's augmentation_jacobian,
+    built once by abelianization for every later reader.
     """
 
-    __slots__ = ("free_rank", "torsion", "images", "coordinate_rows")
+    __slots__ = ("free_rank", "torsion", "images", "coordinate_rows",
+                 "jacobian")
 
-    def __init__(self, free_rank, torsion, images, coordinate_rows):
+    def __init__(self, free_rank, torsion, images, coordinate_rows,
+                 jacobian):
         self.free_rank = free_rank
         self.torsion = list(torsion)
         self.images = images
         self.coordinate_rows = coordinate_rows
+        self.jacobian = jacobian
 
     @property
     def num_coordinates(self):
@@ -123,7 +127,7 @@ def abelianization(P):
         l - r, [divisors[i] for i in keep],
         tuple(tuple(V[j][i] % divisors[i] for i in keep) + tuple(V[j][r:])
               for j in range(l)),
-        tuple(map(tuple, [vinv[i] for i in keep] + vinv[r:])))
+        tuple(map(tuple, [vinv[i] for i in keep] + vinv[r:])), J)
     for row in J:
         if any(abel.chi(row)):
             raise InvariantViolation("a relator has nonzero image in H_1")
@@ -194,10 +198,9 @@ def alexander_matrix(P, abel=None):
                 terms.pop(key, None)
         entries.append(row)
     A = AlexanderMatrix(abel, entries, P.num_generators)
-    J = augmentation_jacobian(P)
     for i in range(A.num_relators):
         for j in range(A.num_generators):
-            if sum(A.entries[i][j].values()) != J[i][j]:
+            if sum(A.entries[i][j].values()) != abel.jacobian[i][j]:
                 raise InvariantViolation(
                     f"Alexander entry ({i},{j}) does not augment to the "
                     "Jacobian")

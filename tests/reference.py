@@ -9,8 +9,8 @@ in for Q(zeta_N)).  The references here do neither:
   character, as coefficient * zeta^(exponents . e), and rank the result
   with plain division-based elimination on field elements
   (rank_of_elements), where the library's depth engine eliminates on
-  Zech logs, on residues mod ell or, past the Zech table limit, on codes
-  (charvar._rank_field);
+  Zech logs, on residues mod ell or, past the Zech table limit, on
+  packed digits (charvar._Packed);
 * cyclotomic_polynomial gives Phi_N over the integers, by dividing
   x^N - 1 by the Phi_d of the proper divisors d of N; the library never
   needs it, since its roots of unity are powers in F_{q^s};
@@ -18,7 +18,7 @@ in for Q(zeta_N)).  The references here do neither:
   Fraction coefficients, so the same depths can be taken over Q(zeta_N);
   FiniteField gives a library FieldHandle the same interface, its
   elements (FiniteElement) wrapping codes, every operation one of the
-  handle's methods;
+  handle's methods but subtraction, which it takes digit by digit;
 * irreducible_by_trial_division is the test the library's extension
   moduli were once found by, against which Ben-Or's test is checked;
 * determinant (Laplace expansion) and determinantal_divisors, the Smith
@@ -364,7 +364,8 @@ class FiniteField:
 
 class FiniteElement:
     """An element of a FiniteField: the code of an element of its handle,
-    with the operators of CyclotomicElement, each taken by the handle."""
+    with the operators of CyclotomicElement, each taken by the handle but
+    subtraction, which the library does not need, taken here."""
 
     __slots__ = ("owner", "code")
 
@@ -397,10 +398,13 @@ class FiniteElement:
         return self._new(self.owner.handle.add(self.code, self._other(other)))
 
     def __neg__(self):
-        return self._new(self.owner.handle.sub(0, self.code))
+        return FiniteElement(self.owner, 0) - self
 
     def __sub__(self, other):
-        return self._new(self.owner.handle.sub(self.code, self._other(other)))
+        """Digit by digit mod q: digit i of a code c is c // q^i mod q."""
+        q, a, b = self.owner.char, self.code, self._other(other)
+        return self._new(sum((a // q ** i - b // q ** i) % q * q ** i
+                             for i in range(self.owner.degree)))
 
     def __mul__(self, other):
         return self._new(self.owner.handle.mul(self.code, self._other(other)))

@@ -201,11 +201,11 @@ def test_group_builds_jacobian_and_engines_once():
     G = Group(BS12)
     assert b1_cover_cyclic(G, 3, [1, 0], 7) == \
         b1_cover_cyclic(BS12, 3, [1, 0], 7)
-    engine, jacobian = G.engine(3, 7), G.jacobian
+    engine, jacobian = G.engine(3, 7), G.abel.jacobian
     b1_cover_cyclic(G, 3, [2, 0], 7)
     b1_cover_abelian(G, [3], [[1, 0]], 7)
     max_depth_of_order_dividing(G, 3, 7)
-    assert G.engine(3, 7) is engine and G.jacobian is jacobian
+    assert G.engine(3, 7) is engine and G.abel.jacobian is jacobian
     assert G.engine(3, 0) is not engine
 
 
@@ -497,7 +497,8 @@ def test_element_kernel_builds_the_zech_rows(monkeypatch, name, p, q, rows):
 
 def test_char0_uses_no_finite_field_arithmetic(monkeypatch):
     # q = 0 ranks by integers mod ell: no log tables, no finite field
-    # arithmetic and no Zech or element kernel, at small N and at N = 1000.
+    # arithmetic, no Zech kernel and no packed field (the element route's
+    # head), at small N and at N = 1000.
     # Only the root of unity mod each split prime is found by the field's
     # power, once per prime
     import hallinv.charvar as charvar
@@ -507,9 +508,9 @@ def test_char0_uses_no_finite_field_arithmetic(monkeypatch):
         raise RuntimeError("field arithmetic at q = 0")
 
     for module, name in ((fields, "log_tables"), (charvar, "log_tables"),
-                         (charvar, "_rank_codes"), (charvar, "_rank_field"),
+                         (charvar, "_rank_codes"), (charvar, "_Packed"),
                          *((fields.FieldHandle, name) for name in
-                           ("add", "sub", "mul", "inv"))):
+                           ("add", "mul", "inv"))):
         monkeypatch.setattr(module, name, forbidden)
     P = direct_product_with_Z(free_group(2))
     G = Group(P)

@@ -227,6 +227,14 @@ def test_prime_past_trial_division(capsys):
     assert code == 0 and out.startswith(f"beta_3^({HUGE_PRIME}) = (4,)")
 
 
+def test_root_search_skips_the_constants(capsys):
+    # 10^9 + 7 = 2 (mod 3), so zeta_3 lies in F_{q^2} and in none of its
+    # q constants, which the root search once tried one by one
+    code, out, _ = run(capsys, "beta", "--p", "3", "--q", "1000000007",
+                       "--fixture", "free:2")
+    assert code == 0 and out == "beta_3^(1000000007) = (4,)   (n_p = 2)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("beta", "--p", "3", "--q", TOO_LARGE),
     ("delta", "--target", f"mpq:3,{TOO_LARGE}"),
@@ -518,9 +526,11 @@ def test_lattice_budget_exits_2(capsys):
 @pytest.fixture
 def counted(monkeypatch):
     """Calls of charvar._depth_tally (one per Betti distribution at
-    --jobs 1), and of foxcalc's abelianization (one Smith normal form)
-    and alexander_matrix under every name the package binds them to."""
-    calls = {"tally": 0, "abelianization": 0, "alexander_matrix": 0}
+    --jobs 1), and of foxcalc's abelianization (one Smith normal form),
+    alexander_matrix and augmentation_jacobian under every name the
+    package binds them to."""
+    calls = {"tally": 0, "abelianization": 0, "alexander_matrix": 0,
+             "augmentation_jacobian": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -532,7 +542,8 @@ def counted(monkeypatch):
                         counting("tally", charvar._depth_tally))
     modules = [importlib.import_module(f"hallinv.{info.name}")
                for info in pkgutil.iter_modules(hallinv.__path__)]
-    for name in ("abelianization", "alexander_matrix"):
+    for name in ("abelianization", "alexander_matrix",
+                 "augmentation_jacobian"):
         original = getattr(foxcalc, name)
         wrapped = counting(name, original)
         for module in modules:
@@ -551,7 +562,21 @@ def test_each_invariant_computed_once(capsys, counted, argv, tallies):
     code, _, _ = run(capsys, *argv, "--fixture", "braid_arrangement")
     assert code == 0
     assert counted == {"tally": tallies, "abelianization": 1,
-                       "alexander_matrix": min(tallies, 1)}
+                       "alexander_matrix": min(tallies, 1),
+                       "augmentation_jacobian": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ("beta", "--p", "2", "--q", "3", "--fixture", "deleted_b3"),
+    ("delta", "--target", "mpq:3,2", "--fixture", "braid_arrangement"),
+    ("cover", "--order", "3", "--images", "1,2,2,1,1,0,2,0", "--q", "2",
+     "--fixture", "deleted_b3"),
+])
+def test_one_augmentation_jacobian_per_request(capsys, counted, argv):
+    # abelianization builds it, and the Alexander matrix's augmentation
+    # check and the cover's homomorphism check read it from H_1
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and counted["augmentation_jacobian"] == 1
 
 
 def test_table1_one_group_per_row(capsys, counted):
@@ -559,6 +584,7 @@ def test_table1_one_group_per_row(capsys, counted):
     assert code == 0
     assert counted["abelianization"] == len(TABLE1_ROWS)
     assert counted["alexander_matrix"] == len(TABLE1_ROWS)
+    assert counted["augmentation_jacobian"] == len(TABLE1_ROWS)
 
 
 BS12 = "gens: x, a\nrels: x*a*x^-1*a^-2\n"

@@ -8,9 +8,10 @@ from hallinv.fields import (
     multiplicative_order, prime_field, primitive_root_of_unity,
     sufficiently_large_field,
 )
-from reference import (CyclotomicField, FiniteField, _poly_mul_int,
-                       cyclotomic_polynomial, irreducible_by_trial_division,
-                       reference_field, root_of_unity)
+from reference import (CyclotomicField, FiniteElement, FiniteField,
+                       _poly_mul_int, cyclotomic_polynomial,
+                       irreducible_by_trial_division, reference_field,
+                       root_of_unity)
 
 
 def test_multiplicative_order_values():
@@ -261,9 +262,11 @@ def test_codes_enumerate_the_field():
     for q, s in [(2, 3), (3, 2), (7, 1)]:
         K = extension_field(q, s)
         codes = list(range(K.order()))
+        E = FiniteField(K)
         for a in codes:
             assert sorted(K.add(a, b) for b in codes) == codes
-            assert sorted(K.sub(a, b) for b in codes) == codes
+            assert sorted((FiniteElement(E, a) - FiniteElement(E, b)).code
+                          for b in codes) == codes
             if a:
                 assert sorted(K.mul(a, b) for b in codes[1:]) == codes[1:]
         for c in codes:
@@ -273,6 +276,32 @@ def test_codes_enumerate_the_field():
             assert K.power(q, s) == sum(-f % q * q ** j
                                         for j, f in enumerate(K.modulus[:s]))
     assert extension_field(3, 2).add(2, 3) == 5  # 2 + x, digits (2, 1)
+
+
+def test_root_search_picks_the_root_of_a_scan_from_2():
+    # the search skips the constants when N does not divide q - 1, since a
+    # constant's power lies in F_q^*; the root it picks is still the one a
+    # scan of every code from 2 finds, for every N dividing q^s - 1.  In
+    # F_{7^2} and F_{13^2} some N dividing q - 1 have their root at a
+    # constant, so the scan must not skip them there
+    def scan_from_2(K, N):
+        n = K.order() - 1
+        for x in range(2, K.order()):
+            zeta = K.power(x, n // N)
+            if all(K.power(zeta, N // r) != 1 for r in factorize(N)):
+                return zeta
+
+    fields = ([prime_field(q) for q in (2, 3, 7, 13, 257)]
+              + [extension_field(2, k) for k in range(2, 9)]
+              + [extension_field(3, k) for k in range(2, 6)]
+              + [extension_field(q, 2) for q in (7, 13, 257)])
+    skipped = 0
+    for K in fields:
+        n = K.order() - 1
+        for N in (N for N in range(2, n + 1) if n % N == 0):
+            assert primitive_root_of_unity(K, N) == scan_from_2(K, N), (K, N)
+            skipped += (K.char - 1) % N != 0
+    assert skipped > 50
 
 
 def test_root_of_unity_never_factors_a_large_field(monkeypatch):

@@ -174,7 +174,7 @@ def _scrambled_abel(abel, seed):
     inv_rows = [[sum(Uinv[c][i] * abel.coordinate_rows[i][g]
                      for i in range(n))
                  for g in range(len(abel.images))] for c in range(n)]
-    return AbelStructure(n, [], images, inv_rows)
+    return AbelStructure(n, [], images, inv_rows, abel.jacobian)
 
 
 def test_counts_invariant_under_scrambled_chi():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hallinv.charvar import _rank_field
+from hallinv.charvar import _Packed, _pack, _rank_mod
 from hallinv.linalg import smith_normal_form
 from hallinv.fields import prime_field, extension_field
 from reference import (CyclotomicField, FiniteElement, FiniteField,
@@ -18,11 +18,14 @@ def snf(rows, cols, want_basis=False):
 
 def field_rank(M, K):
     """Rank over K of the matrix of codes M by the depth engine's element
-    kernel, each nonzero code one term ({0: code}, 0) at form exponents
-    [0], with the ceiling at min(m, n)."""
+    kernel, _rank_mod over K packed (_Packed), each nonzero code one
+    packed term ({0: packed}, 0) at form exponents [0], with the ceiling
+    at min(m, n)."""
     n = len(M[0]) if M else 0
-    rows = [[(j, [({0: x}, 0)]) for j, x in enumerate(r) if x] for r in M]
-    return _rank_field(rows, n, range(len(M)), [0], K, min(len(M), n))[0]
+    head = _Packed(K, 1, n)
+    rows = [[(j, [({0: _pack(x, K.char, head.width)}, 0)])
+             for j, x in enumerate(r) if x] for r in M]
+    return _rank_mod(rows, n, range(len(M)), [0], head, min(len(M), n))[0]
 
 
 def snf_divisors(rows, cols):
@@ -275,13 +278,16 @@ def test_rank_reads_codes_past_the_characteristic():
 
 
 def test_element_kernel_matches_element_elimination():
-    # the library's elimination on codes against the reference's on
-    # elements, over prime and extension fields, one past the Zech table
-    # limit; half the matrices of 3 or more rows have a row that is the
-    # sum of another and a multiple of a third, so their rank falls short
+    # the library's elimination on packed digits against the reference's
+    # on elements, over prime and extension fields, three past the Zech
+    # table limit: in F_{257^2} and F_{65519^2} a product of two reduced
+    # elements reaches 2 (q - 1)^2, about 2^17 and 2^33, in a slot.  Half
+    # the matrices of 3 or more rows have a row that is the sum of another
+    # and a multiple of a third, so their rank falls short
     rng = random.Random(61)
     for K in (prime_field(2), prime_field(7), extension_field(2, 2),
-              extension_field(3, 3), extension_field(2, 18)):
+              extension_field(3, 3), extension_field(2, 18),
+              extension_field(257, 2), extension_field(65519, 2)):
         E = FiniteField(K)
         for _ in range(15):
             m, n = rng.randint(1, 5), rng.randint(1, 5)

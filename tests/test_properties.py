@@ -3,14 +3,16 @@ formulas against brute-force enumeration where q has order less than
 p - 1 mod p, so that one index-p subgroup's characters fall into several
 Frobenius orbits, and the normal counts against the oracle's sum over the
 groups of order k.  Each route is also run on the direct products of the
-presentations with Z and on free products of two of them: abelian delta
-against the oracle, the Betti distribution against its every-character
-walk and the oracle's covers, the Alexander matrix against the
-reference Fox derivatives, and the index-2 and 3 counts against Hall's
-recursion.  Derandomized, so every run draws the same examples."""
+presentations with Z and on free products of two of them: the cyclic
+covers against the oracle's, over fields past the Zech tables too,
+abelian delta against the oracle, the Betti distribution against its
+every-character walk and the oracle's covers, the Alexander matrix
+against the reference Fox derivatives, and the index-2 and 3 counts
+against Hall's recursion.  Derandomized, so every run draws the same
+examples."""
 
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 from math import gcd
 
 import pytest
@@ -55,14 +57,13 @@ def presentations(draw, max_generators=3):
 
 
 def _epimorphisms(P, N):
-    """Every map of the generators onto Z_N that kills the relators."""
+    """Every map of the generators onto Z_N that kills the relators, in
+    lexicographic order, each built when asked for."""
     sums = [[r.exponent_sum(g) for g in range(P.num_generators)]
             for r in P.relators]
-    images = [[]]
-    for _ in range(P.num_generators):
-        images = [v + [a] for v in images for a in range(N)]
-    return [v for v in images if gcd(N, *v) == 1 and
-            all(sum(s * a for s, a in zip(row, v)) % N == 0 for row in sums)]
+    return ([*v] for v in product(range(N), repeat=P.num_generators)
+            if gcd(N, *v) == 1 and
+            all(sum(s * a for s, a in zip(row, v)) % N == 0 for row in sums))
 
 
 @st.composite
@@ -85,10 +86,12 @@ def test_delta_mpqs_matches_oracle_at_3_7(P):
 
 
 @SETTINGS
-@given(presentations())
-def test_cyclic_cover_matches_oracle(P):
-    for N, q in ((3, 7), (7, 2)):
-        for images in _epimorphisms(P, N)[:3]:
+@given(products())
+def test_cyclic_cover_matches_oracle(Ps):
+    # (3, 257) and (19, 2) take values in F_{257^2} and F_{2^18}, past the
+    # Zech tables: the element route
+    for P, (N, q) in product(Ps, ((3, 7), (7, 2), (3, 257), (19, 2))):
+        for images in islice(_epimorphisms(P, N), 3):
             assert b1_cover_cyclic(P, N, images, q) == \
                 cover_b1(P, regular_cyclic_action(N, images), q), \
                 (P, N, images, q)
